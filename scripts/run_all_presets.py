@@ -2,9 +2,12 @@
 """Run every bundled experiment preset and collect the CSVs under
 results/. Delay/TXOP/mobility presets go through `run`; the analytic
 presets go through `validate-analytic`. Takes a few minutes serially;
-pass --jobs to spread runs over worker processes."""
+pass --jobs to spread runs over worker processes. Ends with the SHA-256
+of every CSV written, so two checkouts compare in one diff."""
 
 import argparse
+import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -13,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hccasim.cli import main as cli_main  # noqa: E402
+from hccasim.experiment import load_config  # noqa: E402
 
 RUN_PRESETS = (
     "delay_sweep_jp1_high",
@@ -32,8 +36,10 @@ def main():
     args = parser.parse_args()
 
     failures = []
+    written = []
     for name in RUN_PRESETS:
         path = ROOT / "presets" / f"{name}.yaml"
+        written.append(Path.cwd() / load_config(path).csv_path)
         print(f"=== run {name} ===", flush=True)
         t0 = time.time()
         code = cli_main(["run", str(path), "--jobs", str(args.jobs)])
@@ -44,6 +50,7 @@ def main():
     for name in VALIDATE_PRESETS:
         path = ROOT / "presets" / f"{name}.yaml"
         csv_out = Path.cwd() / "results" / f"{name}.csv"
+        written.append(csv_out)
         print(f"=== validate-analytic {name} ===", flush=True)
         t0 = time.time()
         code = cli_main(
@@ -52,6 +59,11 @@ def main():
         print(f"--- {name}: exit {code} in {time.time() - t0:.1f}s\n", flush=True)
         if code != 0:
             failures.append(name)
+
+    for csv_path in written:
+        if csv_path.is_file():
+            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            print(f"{digest}  {os.path.relpath(csv_path)}")
 
     if failures:
         print("FAILED:", ", ".join(failures))

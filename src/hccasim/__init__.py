@@ -26,7 +26,6 @@ from .traces import (
     VideoTrace,
     derive_tspec,
     load_trace,
-    next_frame_size,
     parse_trace,
     serialize_trace,
     trace_stats,
@@ -44,13 +43,8 @@ from .hcca import (
     txop_reference,
 )
 from .adaptive import (
-    MultiPollFrame,
     SizeLedger,
-    ap_on_data,
-    build_multipoll,
-    fallback_grant,
     multipoll_overhead,
-    station_backoff,
     txop_adaptive,
 )
 from .engine import (

@@ -1,35 +1,25 @@
 """Adaptive TXOP sizing from piggybacked queue-size reports.
 
-Two schedulers share this machinery. The single-poll adaptive scheduler
-replaces the mean-based grant with one sized for the size a station
-reported in the previous service interval. The multi-poll variant
-additionally replaces the per-station poll frames with one broadcast
-multi-poll that carries every grant; stations count down the TXOPs of
-their predecessors and transmit without being polled individually.
+Every uplink data frame piggybacks the size of the station's next frame.
+The AP keeps the latest report per station in a SizeLedger; the adaptive
+schedulers consume it when they size the next interval's grant with
+txop_adaptive, which covers exactly the reported bytes plus one MSDU's
+overhead. A station with no report (first poll, lost frame, or nothing
+left to send) falls back to the mean-based reference grant for one
+interval.
 
-A station that produced no report in the previous interval (first poll,
-lost frame, or idle) falls back to the mean-based grant for one interval.
+The multi-poll variant additionally replaces the per-station polls with
+one broadcast multi-poll carrying every grant of the interval, so each
+slot sheds its own poll: multipoll_overhead is the single-poll overhead
+minus one poll. The multi-poll frame's airtime is phy.airtime_multipoll.
 """
 
-import math
-import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcca import GrantBasis, PollingList, TxopGrant, reference_overhead, txop_reference
-from .phy import (
-    MULTIPOLL_FIXED_BODY_BYTES,
-    MULTIPOLL_MAC_HEADER_BYTES,
-    MULTIPOLL_RECORD_BYTES,
-    MULTIPOLL_TXOP_UNIT_US,
-    FrameKind,
-    PhyProfile,
-    airtime_control,
-)
+from .hcca import GrantBasis, TxopGrant, reference_overhead
+from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control
 from .traces import Tspec
 from .util import exact
-
-US_PER_S = 1_000_000
 
 
 class SizeLedger:
@@ -37,17 +27,16 @@ class SizeLedger:
 
     Reports are consumed when the next interval's grants are built, so a
     stale report can never size more than one grant. A report of None
-    marks end of stream; negative sizes are counted and ignored.
+    (nothing left to send) drops any pending report; negative sizes are
+    counted and ignored.
     """
 
     def __init__(self):
         self._reports = {}
-        self._ended = set()
         self.protocol_errors = 0
 
     def record(self, aid: int, size):
         if size is None:
-            self._ended.add(aid)
             self._reports.pop(aid, None)
             return
         if size < 0:
@@ -58,23 +47,6 @@ class SizeLedger:
     def take(self, aid: int):
         """Pop and return the report for aid, or None if there is none."""
         return self._reports.pop(aid, None)
-
-    def peek(self, aid: int):
-        return self._reports.get(aid)
-
-    def ended(self, aid: int) -> bool:
-        return aid in self._ended
-
-    def forget(self, aid: int):
-        self._reports.pop(aid, None)
-        self._ended.discard(aid)
-
-
-def ap_on_data(ledger: SizeLedger, aid: int, qs_field) -> None:
-    """Feed the queue-size field of a received uplink data frame into the
-    ledger. qs_field is the station's next frame size in bytes, or None
-    when the station has nothing more to send."""
-    ledger.record(aid, qs_field)
 
 
 def txop_adaptive(reported_size: int, tspec: Tspec, overhead_us) -> TxopGrant:
@@ -93,11 +65,6 @@ def txop_adaptive(reported_size: int, tspec: Tspec, overhead_us) -> TxopGrant:
     )
 
 
-def fallback_grant(tspec: Tspec, si_s, overhead_us) -> TxopGrant:
-    """Mean-based grant used when no size report arrived last interval."""
-    return txop_reference(tspec, si_s, overhead_us)
-
-
 def multipoll_overhead(
     n_msdus: int,
     profile: PhyProfile,
@@ -109,82 +76,3 @@ def multipoll_overhead(
     broadcast multi-poll."""
     t_poll = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
     return reference_overhead(n_msdus, profile, control_rate, data_rate_override) - t_poll
-
-
-@dataclass(frozen=True)
-class MultiPollFrame:
-    """One broadcast multi-poll: the grants of a whole service interval,
-    in polling order. Wire size is a fixed body plus one record per grant;
-    records encode the AID and the TXOP duration in 8 us units."""
-
-    records: tuple  # tuple[TxopGrant, ...], every grant carries its aid
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("multi-poll needs at least one record")
-        aids = [g.aid for g in self.records]
-        if any(a is None or a <= 0 for a in aids):
-            raise ValueError("every multi-poll record needs a positive aid")
-        if len(set(aids)) != len(aids):
-            raise ValueError(f"duplicate aid in multi-poll: {aids}")
-
-    @property
-    def record_count(self) -> int:
-        return len(self.records)
-
-    @property
-    def body_bytes(self) -> int:
-        return MULTIPOLL_FIXED_BODY_BYTES + MULTIPOLL_RECORD_BYTES * len(self.records)
-
-    def txop_for(self, aid: int):
-        for g in self.records:
-            if g.aid == aid:
-                return g.duration_us
-        return None
-
-    def encode(self) -> bytes:
-        """Byte image (MAC header + body); only field layout matters here,
-        header and fixed-body contents are zero filler."""
-        out = bytearray(MULTIPOLL_MAC_HEADER_BYTES + MULTIPOLL_FIXED_BODY_BYTES)
-        for g in self.records:
-            units = min(0xFFFF, math.ceil(g.duration_us / MULTIPOLL_TXOP_UNIT_US))
-            out += struct.pack(">HH", g.aid, units)
-        return bytes(out)
-
-
-def build_multipoll(
-    polling_list: PollingList,
-    ledger: SizeLedger,
-    si_s,
-    overhead_us,
-    fallback_overhead_us=None,
-) -> MultiPollFrame:
-    """Assemble the multi-poll for one service interval, consuming the
-    ledger. Stations with a fresh report get a report-sized grant, the
-    rest a mean-based one. fallback_overhead_us defaults to each entry's
-    admission-time overhead."""
-    if not polling_list.entries:
-        raise ValueError("cannot build a multi-poll from an empty polling list")
-    grants = []
-    for entry in polling_list.entries:
-        size = ledger.take(entry.aid)
-        if size is not None:
-            grant = txop_adaptive(size, entry.tspec, overhead_us)
-        else:
-            fo = entry.overhead_us if fallback_overhead_us is None else exact(fallback_overhead_us)
-            grant = fallback_grant(entry.tspec, si_s, fo)
-        grants.append(
-            TxopGrant(aid=entry.aid, duration_us=grant.duration_us, basis=grant.basis)
-        )
-    return MultiPollFrame(records=tuple(grants))
-
-
-def station_backoff(frame: MultiPollFrame, my_aid: int):
-    """Time a station waits after the multi-poll before its own TXOP: the
-    sum of all predecessor TXOPs. None if the station is not listed."""
-    acc = Fraction(0)
-    for g in frame.records:
-        if g.aid == my_aid:
-            return acc
-        acc += g.duration_us
-    return None

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcca import msdu_count
-from .phy import FrameKind, PhyProfile, airtime_control, airtime_multipoll
+from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_multipoll
 from .traces import Tspec, VideoTrace
 from .util import exact
-
-US_PER_S = 1_000_000
 
 SCHEDULERS = ("hcca", "atxop", "amtxop")
 

@@ -20,7 +20,7 @@ from .experiment import (
     validate_analytic,
     write_validation_csv,
 )
-from .phy import PROFILE_11B, PROFILE_11G
+from .phy import PROFILES
 from .traces import load_trace, trace_stats
 from .util import exact
 
@@ -56,8 +56,7 @@ def _cmd_run(args):
 
 
 def _cmd_table2(args):
-    profile = PROFILE_11B if args.profile == "11b" else PROFILE_11G
-    rows = emit_table2(profile, control_rate=args.control_rate, n_max=args.n_max)
+    rows = emit_table2(PROFILES[args.profile], control_rate=args.control_rate, n_max=args.n_max)
     print(f"{'n':>3} {'polls[us]':>12} {'multipoll[us]':>14} {'gain':>8}")
     for n, single, multi, gain in rows:
         print(f"{n:>3} {float(single):>12.2f} {float(multi):>14.2f} {float(gain):>8.4f}")
@@ -100,7 +99,7 @@ def build_parser():
     p_run.set_defaults(func=_cmd_run)
 
     p_t2 = sub.add_parser("table2", help="poll vs multi-poll airtime")
-    p_t2.add_argument("--profile", choices=("11g", "11b"), default="11g")
+    p_t2.add_argument("--profile", choices=tuple(PROFILES), default="11g")
     p_t2.add_argument("--control-rate", type=int, default=2_000_000)
     p_t2.add_argument("--n-max", type=int, default=12)
     p_t2.set_defaults(func=_cmd_table2)

@@ -18,9 +18,15 @@ A lost uplink frame still consumes its full exchange time (the ACK slot
 runs dead), is dropped without retransmission, and carries its
 queue-size report down with it, so the following interval falls back to
 a mean-sized grant.
+
+Grant sizes are planned per station in integer ticks whenever the
+service interval or the station's PHY rate changes; per interval a grant
+is then either the planned mean-based grant or a fixed part plus ticks
+per reported byte.
 """
 
 import heapq
+import itertools
 import math
 import os
 import random
@@ -29,18 +35,11 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 
-from .adaptive import (
-    SizeLedger,
-    ap_on_data,
-    build_multipoll,
-    fallback_grant,
-    multipoll_overhead,
-    station_backoff,
-    txop_adaptive,
-)
+from .adaptive import SizeLedger, txop_adaptive
 from .analytic import SCHEDULERS
 from .errors import ConfigError
 from .hcca import (
+    GrantBasis,
     PollingList,
     admit,
     compute_si,
@@ -50,11 +49,10 @@ from .hcca import (
     txop_reference,
 )
 from .metrics import MetricsReport, PacketRecord, build_report
-from .phy import FrameKind, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
+from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
 from .traces import Tspec, VideoTrace
 from .util import exact
 
-US_PER_S = 1_000_000
 M_TO_FT = Fraction("3.28084")
 
 
@@ -64,10 +62,9 @@ class EventKind(IntEnum):
     STREAM_START = 0
     STREAM_END = 1
     FRAME_GENERATED = 2
-    MOBILITY_TIER_CHANGE = 3
-    BEACON_TBTT = 4
-    CAP_START = 5
-    SLOT_SERVICE = 6
+    BEACON_TBTT = 3
+    CAP_START = 4
+    SLOT_SERVICE = 5
 
 
 @dataclass
@@ -82,7 +79,7 @@ class Channel:
             raise ConfigError(f"per must be in [0, 1), got {self.per}")
 
 
-def apply_channel(channel: Channel, frame) -> bool:
+def apply_channel(channel: Channel) -> bool:
     """Draw the fate of one uplink PPDU; True means it arrives intact.
     One draw per frame regardless of the loss rate, so runs with
     different rates stay draw-aligned under one seed."""
@@ -249,6 +246,7 @@ class _Station:
     __slots__ = (
         "spec", "aid", "admitted", "rejected", "stopped", "suspended",
         "queue", "gen_frames", "next_gen_idx", "op_rate",
+        "ref_t", "one_t", "byte_t",
     )
 
     def __init__(self, spec, op_rate):
@@ -262,6 +260,9 @@ class _Station:
         self.gen_frames = list(spec.trace.generation_frames())
         self.next_gen_idx = 0
         self.op_rate = op_rate
+        # grant plan in ticks, kept current by _Sim._plan: the mean-based
+        # grant, the report-sized grant for 0 bytes, and ticks per payload byte
+        self.ref_t = self.one_t = self.byte_t = None
 
     @property
     def active(self):
@@ -291,6 +292,8 @@ class _Sim:
             for s in sorted(scenario.stations, key=lambda s: s.aid)
         }
         self.plist = PollingList(beacon_interval_s=self.bi)
+        self.polled = []          # admitted stations in polling order
+        self.si_t = None
         self.ledger = SizeLedger()
         self.channel = Channel(per=scenario.per, rng=random.Random(scenario.seed))
 
@@ -300,7 +303,6 @@ class _Sim:
         self.ack_t = self._to_ticks(airtime_control(FrameKind.ACK, self.profile, self.ctrl))
         self.poll_t = self._to_ticks(airtime_control(FrameKind.SINGLE_POLL, self.profile, self.ctrl))
         self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
-        self._byte_ticks = {}
 
         self.heap = []
         self._seq = 0
@@ -354,14 +356,22 @@ class _Sim:
     def _us(self, tick) -> Fraction:
         return Fraction(tick, self.K)
 
-    def _data_ticks(self, payload_bytes: int, rate: int) -> int:
-        per_byte = self._byte_ticks.get(rate)
-        if per_byte is None:
-            per_byte, rem = divmod(8 * US_PER_S * self.K, rate)
-            if rem:
-                raise ConfigError(f"rate {rate} is off the tick grid")
-            self._byte_ticks[rate] = per_byte
-        return self.plcp_t + (self.profile.mac_header_bytes + payload_bytes) * per_byte
+    def _plan(self, st: _Station):
+        """Size the station's grants at the current SI and its PHY rate."""
+        si = self.plist.si_s
+        wt = replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
+        n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
+        o_ref = reference_overhead(n, self.profile, self.ctrl, st.op_rate)
+        o_one = reference_overhead(1, self.profile, self.ctrl, st.op_rate)
+        st.ref_t = self._to_ticks(txop_reference(wt, si, o_ref).duration_us)
+        st.one_t = self._to_ticks(txop_adaptive(0, wt, o_one).duration_us)
+        st.byte_t, rem = divmod(8 * US_PER_S * self.K, st.op_rate)
+        if rem:
+            raise ConfigError(f"rate {st.op_rate} is off the tick grid")
+        if self.sc.scheduler == "amtxop":
+            # the broadcast multi-poll replaces every slot's own poll
+            st.ref_t -= self.poll_t
+            st.one_t -= self.poll_t
 
     # -- event plumbing --------------------------------------------------
 
@@ -381,19 +391,19 @@ class _Sim:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        handlers = {
-            EventKind.STREAM_START: self._on_stream_start,
-            EventKind.STREAM_END: self._on_stream_end,
-            EventKind.FRAME_GENERATED: self._on_frame_generated,
-            EventKind.BEACON_TBTT: self._on_beacon,
-            EventKind.CAP_START: self._on_cap_start,
-            EventKind.SLOT_SERVICE: self._on_slot_service,
-        }
+        handlers = (  # indexed by EventKind
+            self._on_stream_start,
+            self._on_stream_end,
+            self._on_frame_generated,
+            self._on_beacon,
+            self._on_cap_start,
+            self._on_slot_service,
+        )
         while self.heap:
             tick, kind, aid, _seq, payload = heapq.heappop(self.heap)
             if tick >= self.end_tick:
                 break
-            handlers[EventKind(kind)](tick, aid, payload)
+            handlers[kind](tick, aid, payload)
         return self._finalize()
 
     def _finalize(self) -> RunResult:
@@ -424,12 +434,9 @@ class _Sim:
 
     # -- admission and traffic -------------------------------------------
 
-    def _working_tspec(self, st: _Station) -> Tspec:
-        return replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
-
     def _on_stream_start(self, tick, aid, _payload):
         st = self.stations[aid]
-        wt = self._working_tspec(st)
+        wt = replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
         msis = [e.tspec.msi_s for e in self.plist.entries] + [wt.msi_s]
         si = compute_si(self.bi, min_msi(msis))
         n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
@@ -440,7 +447,12 @@ class _Sim:
             self._log(tick, "ADMIT-REJECT", aid)
             return
         self.plist = plist
+        self.si_t = self._sec_ticks(plist.si_s)
         st.admitted = True
+        self.polled.append(st)
+        # the new stream may have shrunk the SI, which changes every plan
+        for other in self.polled:
+            self._plan(other)
         self._log(tick, "ADMIT", aid, f"si={float(plist.si_s):.6f}s n_msdu={n}")
         self._schedule_frame(st, 0)
         if not self.cap_scheduled:
@@ -490,8 +502,10 @@ class _Sim:
                 if not st.suspended:
                     st.suspended = True
                     self._log(tick, "DISASSOCIATE", aid, f"distance={float(self.positions[aid]):.2f}ft")
-            else:
+            elif rate != st.op_rate:
                 st.op_rate = rate
+                if st.admitted:
+                    self._plan(st)
             rate_now = rate
         if rate_now != self._fleet_rate_logged:
             self.tier_changes.append((self._us(tick), rate_now))
@@ -502,85 +516,46 @@ class _Sim:
 
     def _on_cap_start(self, tick, _aid, _payload):
         self._apply_mobility(tick)
-        si_us = self.plist.si_s * US_PER_S
-        si_t = self._to_ticks(si_us)
-        cap_end = tick + si_t
+        cap_end = tick + self.si_t
         k = self.si_index
         self.si_index += 1
 
-        active = [e for e in self.plist.entries if self.stations[e.aid].active]
+        active = [st for st in self.polled if st.active]
         if active:
-            if self.sc.scheduler == "amtxop":
-                self._dispatch_multipoll(tick, cap_end, active, k)
-            else:
-                self._dispatch_polls(tick, cap_end, active, k)
+            self._dispatch(tick, cap_end, active, k)
 
-        nxt = tick + si_t
-        if nxt < self.end_tick:
-            self._push(nxt, EventKind.CAP_START, 0, None)
+        if cap_end < self.end_tick:
+            self._push(cap_end, EventKind.CAP_START, 0, None)
 
-    def _grant_for(self, entry, st):
-        """Current-interval grant for one stream under the single-poll
-        schedulers."""
-        si = self.plist.si_s
-        wt = self._working_tspec(st)
-        n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
-        o_ref = reference_overhead(n, self.profile, self.ctrl, st.op_rate)
-        if self.sc.scheduler == "hcca":
-            return txop_reference(wt, si, o_ref)
-        size = self.ledger.take(entry.aid)
-        if size is None:
-            return fallback_grant(wt, si, o_ref)
-        o_one = reference_overhead(1, self.profile, self.ctrl, st.op_rate)
-        return txop_adaptive(size, wt, o_one)
-
-    def _dispatch_polls(self, tick, cap_end, active, k):
+    def _dispatch(self, tick, cap_end, active, k):
+        """Grant one TXOP per active station in polling order; the first
+        grant that would overrun the interval and all after it are deferred."""
+        multipoll = self.sc.scheduler == "amtxop"
         t = tick
-        for entry in active:
-            st = self.stations[entry.aid]
-            grant = self._grant_for(entry, st)
-            g_t = self._to_ticks(grant.duration_us)
+        if self.sc.scheduler == "hcca":
+            reports = itertools.repeat(None)   # the reference scheduler ignores reports
+        elif multipoll:
+            if len({st.op_rate for st in active}) != 1:
+                raise ConfigError("multi-poll scheduling needs a uniform PHY rate")
+            # one frame carries every grant: all reports are consumed up front
+            reports = [self.ledger.take(st.aid) for st in active]
+            t += self._to_ticks(airtime_multipoll(len(active), self.profile, self.ctrl))
+            self._log(tick, "MULTIPOLL", 0, f"si={k} records={len(active)}")
+        else:
+            # polled one by one: stations after a deferral keep their reports
+            reports = (self.ledger.take(st.aid) for st in active)
+        for st, size in zip(active, reports):
+            if size is None:
+                g_t, basis = st.ref_t, GrantBasis.REFERENCE_MEAN
+            else:
+                g_t, basis = st.one_t + size * st.byte_t, GrantBasis.PIGGYBACK_SIZE
             if t + g_t > cap_end:
                 self.n_deferred += 1
-                self._log(t, "DEFER", entry.aid, f"si={k}")
+                self._log(t, "DEFER", st.aid, f"si={k}")
                 break
-            self.grant_log.append(GrantLogEntry(k, entry.aid, self._us(t), grant.duration_us, grant.basis))
-            self._push(t, EventKind.SLOT_SERVICE, entry.aid, (g_t, False))
+            self.grant_log.append(GrantLogEntry(k, st.aid, self._us(t), self._us(g_t), basis))
+            self._push(t, EventKind.SLOT_SERVICE, st.aid, (g_t, multipoll))
             t += g_t
-
-    def _dispatch_multipoll(self, tick, cap_end, active, k):
-        rates = {self.stations[e.aid].op_rate for e in active}
-        if len(rates) != 1:
-            raise ConfigError("multi-poll scheduling needs a uniform PHY rate")
-        rate = rates.pop()
-        si = self.plist.si_s
-        t_poll = airtime_control(FrameKind.SINGLE_POLL, self.profile, self.ctrl)
-
-        tmp_entries = []
-        for entry in active:
-            st = self.stations[entry.aid]
-            wt = self._working_tspec(st)
-            n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
-            # fallback grants carry no poll of their own under the multi-poll
-            o_fb = reference_overhead(n, self.profile, self.ctrl, rate) - t_poll
-            tmp_entries.append(replace(entry, tspec=wt, overhead_us=o_fb))
-        tmp = PollingList(beacon_interval_s=self.bi, entries=tuple(tmp_entries), si_s=si)
-
-        o_slot = multipoll_overhead(1, self.profile, self.ctrl, rate)
-        frame = build_multipoll(tmp, self.ledger, si, o_slot)
-        mp_t = self._to_ticks(airtime_multipoll(frame.record_count, self.profile, self.ctrl))
-        self._log(tick, "MULTIPOLL", 0, f"si={k} records={frame.record_count}")
-
-        t0 = tick + mp_t
-        for g in frame.records:
-            start = t0 + self._to_ticks(station_backoff(frame, g.aid))
-            g_t = self._to_ticks(g.duration_us)
-            if start + g_t > cap_end:
-                self.n_deferred += 1
-                self._log(start, "DEFER", g.aid, f"si={k}")
-                break
-            self.grant_log.append(GrantLogEntry(k, g.aid, self._us(start), g.duration_us, g.basis))
-            self._push(start, EventKind.SLOT_SERVICE, g.aid, (g_t, True))
 
     # -- one TXOP ----------------------------------------------------------
 
@@ -595,18 +570,18 @@ class _Sim:
         """One data/ACK exchange inside a TXOP. Returns the tick after the
         exchange, or None if it does not fit before slot_end."""
         size = qframe.size if qframe is not None else 0
-        d_t = self._data_ticks(size, st.op_rate)
+        d_t = self.plcp_t + (self.profile.mac_header_bytes + size) * st.byte_t
         lead = self.sifs_t if lead_sifs else 0
         need = lead + d_t + self.sifs_t + self.ack_t + self.sifs_t
         if t + need > slot_end:
             return None
         data_end = t + lead + d_t
-        ok = apply_channel(self.channel, qframe)
+        ok = apply_channel(self.channel)
         if qframe is not None:
             st.queue.popleft()
         report = self._next_report(st)
         if ok:
-            ap_on_data(self.ledger, st.aid, report)
+            self.ledger.record(st.aid, report)
             if qframe is not None:
                 self.records.append(PacketRecord(
                     aid=st.aid,

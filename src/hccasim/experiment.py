@@ -20,18 +20,9 @@ from .analytic import aggregate_delay, aggregate_delay_alt, analytic_inputs
 from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
 from .metrics import e2e_delay, utilization_improvement
-from .phy import (
-    PROFILE_11B,
-    PROFILE_11G,
-    FrameKind,
-    airtime_control,
-    airtime_multipoll,
-    poll_gain_ratio,
-)
+from .phy import PROFILES, FrameKind, airtime_control, airtime_multipoll, poll_gain_ratio
 from .traces import Tspec, derive_tspec, load_trace, trace_stats
 from .util import exact
-
-PROFILES = {"11g": PROFILE_11G, "11b": PROFILE_11B}
 
 CSV_COLUMNS = (
     "scheduler",
@@ -292,26 +283,33 @@ def _fill_utilization(rows):
             )
 
 
-def write_csv(rows, path):
+def _write_table(rows, path, columns):
+    """One CSV: a header of columns, then one line per row (csv writes
+    None as an empty field)."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                "" if row[col] is None else row[col] for col in CSV_COLUMNS
-            )
+        writer.writerow(columns)
+        writer.writerows([row[col] for col in columns] for row in rows)
+
+
+def write_csv(rows, path):
+    _write_table(rows, path, CSV_COLUMNS)
+
+
+def _run_all(scenarios, jobs):
+    """Results in scenario order, over jobs worker processes when jobs > 1.
+    run_scenario is looked up at call time, so it can be swapped out."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_scenario, scenarios))
+    return [run_scenario(sc) for sc in scenarios]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
     """Run the full sweep; returns the result rows and writes the CSV
     when the config names one."""
-    scenarios = expand_scenarios(config)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, scenarios))
-    else:
-        results = [run_scenario(sc) for sc in scenarios]
+    results = _run_all(expand_scenarios(config), jobs)
     rows = [_row_from_result(r) for r in results]
     _fill_utilization(rows)
     if config.csv_path:
@@ -347,12 +345,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     if config.warmup_s != config.station_start_s:
         raise ConfigError("validation needs station_start_s == warmup_s")
     trace = load_trace(config.trace_path)
-    scenarios = expand_scenarios(config)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, scenarios))
-    else:
-        results = [run_scenario(sc) for sc in scenarios]
+    results = _run_all(expand_scenarios(config), jobs)
 
     rows = []
     for result in results:
@@ -392,9 +385,4 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
 
 
 def write_validation_csv(rows, path):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VALIDATION_COLUMNS)
-        for row in rows:
-            writer.writerow(row[col] for col in VALIDATION_COLUMNS)
+    _write_table(rows, path, VALIDATION_COLUMNS)

@@ -11,11 +11,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError
-from .phy import FrameKind, PhyProfile, airtime_control, airtime_data
+from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_data
 from .traces import Tspec
 from .util import exact
-
-US_PER_S = 1_000_000
 
 
 class GrantBasis(Enum):
@@ -49,9 +47,6 @@ class PollingList:
     beacon_interval_s: Fraction
     entries: tuple = ()
     si_s: Fraction = Fraction(0)
-
-    def aids(self):
-        return [e.aid for e in self.entries]
 
     def __len__(self):
         return len(self.entries)

@@ -9,9 +9,9 @@ special-casing runs that delivered nothing.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .phy import US_PER_S
 from .util import exact
 
-US_PER_S = 1_000_000
 US_PER_MS = 1_000
 
 

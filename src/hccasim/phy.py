@@ -15,20 +15,17 @@ from .errors import ConfigError
 US_PER_S = 1_000_000
 
 # Multi-poll frame layout: a basic (non-QoS) MAC header in front of a fixed
-# control body plus one 4-byte record per polled station. The record is
-# split 2 bytes AID + 2 bytes TXOP duration in 8 us units; only the total
-# length affects timing.
+# control body plus one 4-byte record (AID and TXOP duration) per polled
+# station; only the total length affects timing.
 MULTIPOLL_MAC_HEADER_BYTES = 24
 MULTIPOLL_FIXED_BODY_BYTES = 13
 MULTIPOLL_RECORD_BYTES = 4
-MULTIPOLL_TXOP_UNIT_US = 8
 
 
 class FrameKind(Enum):
     DATA = "data"
     ACK = "ack"
     SINGLE_POLL = "single_poll"
-    MULTI_POLL = "multi_poll"
 
 
 @dataclass(frozen=True)

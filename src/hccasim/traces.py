@@ -6,8 +6,9 @@ size_bytes:int). Lines starting with '#' and blank lines are ignored.
 
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
-order. The packet generation schedule re-sorts by display time; file
-order is preserved for the next-frame lookahead that stations piggyback.
+order. The packet generation schedule re-sorts by display time, and the
+next-frame lookahead that stations piggyback follows that generation
+order too; file order is kept only for serialization.
 """
 
 import math
@@ -58,7 +59,6 @@ class TraceStats:
     mean_bitrate: Fraction     # bit/s
     peak_bitrate: Fraction     # bit/s
     peak_to_mean: Fraction
-    compression_ratio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,6 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
         peak_bitrate=peak_rate,
         peak_to_mean=peak_rate / mean_rate,
     )
-
-
-def next_frame_size(trace: VideoTrace, cursor: int):
-    """Size of frames[cursor] in file order, or None at end of stream.
-
-    This is the cross-layer lookahead a station reports to the scheduler:
-    the byte size of the next frame it will hand to the MAC.
-    """
-    if cursor < 0 or cursor > len(trace.frames):
-        raise ValueError(f"cursor {cursor} out of range 0..{len(trace.frames)}")
-    if cursor == len(trace.frames):
-        return None
-    return trace.frames[cursor].size
 
 
 def derive_tspec(

@@ -1,31 +1,15 @@
-import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim.adaptive import (
-    MultiPollFrame,
-    SizeLedger,
-    ap_on_data,
-    build_multipoll,
-    fallback_grant,
-    multipoll_overhead,
-    station_backoff,
-    txop_adaptive,
-)
-from hccasim.hcca import (
-    GrantBasis,
-    PollEntry,
-    PollingList,
-    TxopGrant,
-    admit,
-    reference_overhead,
-    txop_reference,
-)
+from hccasim.adaptive import SizeLedger, multipoll_overhead, txop_adaptive
+from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.errors import ConfigError
+from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
 from hccasim.phy import PROFILE_11B, PROFILE_11G, FrameKind, airtime_control, airtime_multipoll
-from hccasim.traces import Tspec
+from hccasim.traces import Tspec, parse_trace
 
 O_REF = reference_overhead(2, PROFILE_11B, 2_000_000)    # Fraction(16570, 11)
 O_POLL = airtime_control(FrameKind.SINGLE_POLL, PROFILE_11B, 2_000_000)
@@ -42,32 +26,32 @@ def make_tspec(L=3800, M=7500, rho=770_000, R=11_000_000):
     )
 
 
-def make_plist(n, tspec=None, overhead=O_REF):
-    plist = PollingList(beacon_interval_s=Fraction(3, 25))
-    tspec = tspec or make_tspec()
-    for _ in range(n):
-        ok, plist = admit(plist, tspec, 0, overhead)
-        assert ok
-    return plist
+def const_trace(n_frames, size, interval_ms=40):
+    return parse_trace("\n".join(
+        f"{i} {'I' if i % 12 == 0 else 'P'} {i * interval_ms} {size}" for i in range(n_frames)
+    ))
 
 
-def raw_plist(n, tspec=None, overhead=O_REF):
-    """Polling list assembled without admission control, for shapes past
-    the 11b capacity."""
-    ts = tspec or make_tspec()
-    si = Fraction(1, 25)
-    entries = []
-    for i in range(n):
-        grant = txop_reference(ts, si, overhead)
-        entries.append(
-            PollEntry(
-                aid=i + 1,
-                tspec=ts,
-                overhead_us=overhead,
-                grant=TxopGrant(aid=i + 1, duration_us=grant.duration_us, basis=grant.basis),
-            )
-        )
-    return PollingList(beacon_interval_s=Fraction(3, 25), entries=tuple(entries), si_s=si)
+def run(scheduler, traces, tspec, profile=PROFILE_11G, stops=None, **kw):
+    """One station per trace, admitted at t = 0 with 2 Mb/s control frames."""
+    stops = stops or [None] * len(traces)
+    stations = tuple(
+        StationSpec(aid=i + 1, trace=t, tspec=tspec, stop_s=stop)
+        for i, (t, stop) in enumerate(zip(traces, stops))
+    )
+    sc = Scenario(
+        name="adaptive", scheduler=scheduler, profile=profile, stations=stations,
+        sim_time_s=kw.pop("sim_time_s", Fraction(1, 5)), beacon_interval_s=Fraction(3, 25),
+        control_rate=2_000_000, **kw,
+    )
+    return run_scenario(sc)
+
+
+def by_si(result):
+    out = {}
+    for g in result.grant_log:
+        out.setdefault(g.si_index, []).append(g)
+    return out
 
 
 class TestAdaptiveGrant:
@@ -93,9 +77,12 @@ class TestAdaptiveGrant:
             txop_adaptive(-1, make_tspec(), O_REF)
 
     def test_fallback_is_mean_based_grant(self):
+        # the first interval has no report yet: two mean MSDUs at 11 Mb/s
         ts = make_tspec()
-        si = Fraction(1, 25)
-        assert fallback_grant(ts, si, O_REF) == txop_reference(ts, si, O_REF)
+        result = run("atxop", [const_trace(5, 3800)], ts, profile=PROFILE_11B)
+        first = result.grant_log[0]
+        assert first.basis is GrantBasis.REFERENCE_MEAN
+        assert first.duration_us == txop_reference(ts, Fraction(1, 25), O_REF).duration_us
 
     @given(size=st.integers(min_value=0, max_value=20_000))
     def test_grant_linear_in_size(self, size):
@@ -109,16 +96,17 @@ class TestSizeLedger:
     def test_take_consumes_report(self):
         led = SizeLedger()
         led.record(3, 1200)
-        assert led.peek(3) == 1200
         assert led.take(3) == 1200
         assert led.take(3) is None
 
     def test_none_marks_end_of_stream(self):
+        # nothing left to send: the pending report is dropped
         led = SizeLedger()
         led.record(3, 1200)
         led.record(3, None)
-        assert led.ended(3)
         assert led.take(3) is None
+        led.record(3, 500)
+        assert led.take(3) == 500
 
     def test_negative_size_counted_not_stored(self):
         led = SizeLedger()
@@ -132,21 +120,6 @@ class TestSizeLedger:
         led.record(3, 700)
         assert led.take(3) == 700
 
-    def test_forget_clears_both_kinds(self):
-        led = SizeLedger()
-        led.record(1, 500)
-        led.record(2, None)
-        led.forget(1)
-        led.forget(2)
-        assert led.take(1) is None and not led.ended(2)
-
-    def test_ap_on_data_feeds_ledger(self):
-        led = SizeLedger()
-        ap_on_data(led, 7, 4096)
-        assert led.peek(7) == 4096
-        ap_on_data(led, 7, None)
-        assert led.ended(7)
-
 
 class TestMultipollOverhead:
     def test_single_msdu_11g(self):
@@ -159,94 +132,105 @@ class TestMultipollOverhead:
             assert ref - multipoll_overhead(n, PROFILE_11B, 2_000_000) == O_POLL
 
 
+# 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU
+# per interval, a 5400-byte maximum, and slots without a poll of their own
+TSPEC_54 = make_tspec(2700, 5400, 540_000, 54_000_000)
+O_POLL_11G = airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, 2_000_000)   # 264
+O_SLOT = multipoll_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)          # 1264/3
+FALLBACK = txop_reference(TSPEC_54, Fraction(1, 25), O_SLOT).duration_us   # 800 + 1264/3
+
+
+def mixed_run():
+    """Station 1 reports 2700-byte frames, station 2 runs dry after its
+    first frame and falls back, station 3 reports 1350-byte frames."""
+    traces = [const_trace(5, 2700), parse_trace("0 I 0 2700\n"), const_trace(5, 1350)]
+    return run("amtxop", traces, TSPEC_54)
+
+
 class TestMultiPollFrame:
-    def grants(self, *pairs):
-        return tuple(
-            TxopGrant(aid=a, duration_us=Fraction(d), basis=GrantBasis.PIGGYBACK_SIZE)
-            for a, d in pairs
-        )
-
     def test_body_grows_four_bytes_per_record(self):
-        f = MultiPollFrame(records=self.grants((1, 2000), (2, 3000), (3, 1000)))
-        assert f.record_count == 3
-        assert f.body_bytes == 13 + 4 * 3
-        assert len(f.encode()) == 24 + 13 + 4 * 3
-
-    def test_encode_packs_aid_and_units(self):
-        f = MultiPollFrame(records=self.grants((5, 2000), (9, 1001)))
-        raw = f.encode()
-        aid0, units0 = struct.unpack_from(">HH", raw, 24 + 13)
-        aid1, units1 = struct.unpack_from(">HH", raw, 24 + 13 + 4)
-        assert (aid0, units0) == (5, 250)     # 2000 us / 8
-        assert (aid1, units1) == (9, 126)     # ceil(1001 / 8)
-
-    def test_txop_lookup(self):
-        f = MultiPollFrame(records=self.grants((1, 2000), (2, 3000)))
-        assert f.txop_for(2) == 3000
-        assert f.txop_for(4) is None
+        # one more record: 4 more bytes at the 2 Mb/s control rate
+        for n in range(1, 12):
+            step = airtime_multipoll(n + 1, PROFILE_11G, 2_000_000) - airtime_multipoll(
+                n, PROFILE_11G, 2_000_000
+            )
+            assert step == Fraction(4 * 8 * 1_000_000, 2_000_000)
 
     def test_duplicate_or_missing_aid_rejected(self):
-        with pytest.raises(ValueError):
-            MultiPollFrame(records=self.grants((1, 2000), (1, 3000)))
-        with pytest.raises(ValueError):
-            MultiPollFrame(records=())
-        with pytest.raises(ValueError):
-            MultiPollFrame(
-                records=(TxopGrant(aid=None, duration_us=Fraction(1), basis=GrantBasis.PIGGYBACK_SIZE),)
+        trace = const_trace(5, 2700)
+        with pytest.raises(ConfigError):
+            StationSpec(aid=0, trace=trace, tspec=TSPEC_54)
+        with pytest.raises(ConfigError):
+            Scenario(
+                name="dup", scheduler="amtxop", profile=PROFILE_11G,
+                stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54),) * 2,
+                sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
             )
+        for grants in by_si(mixed_run()).values():
+            aids = [g.aid for g in grants]
+            assert len(set(aids)) == len(aids)
 
     def test_backoff_accumulates_predecessors(self):
-        f = MultiPollFrame(records=self.grants((1, 2000), (2, 3000), (3, 1000)))
-        assert station_backoff(f, 1) == 0
-        assert station_backoff(f, 2) == 2000
-        assert station_backoff(f, 3) == 5000
-        assert station_backoff(f, 4) is None
+        # each slot starts after the multi-poll and every predecessor's grant
+        mp = airtime_multipoll(3, PROFILE_11G, 2_000_000)
+        for k, grants in by_si(mixed_run()).items():
+            t = k * 40_000 + mp
+            for g in grants:
+                assert g.start_us == t
+                t += g.duration_us
 
 
 class TestBuildMultipoll:
-    O_AM = multipoll_overhead(2, PROFILE_11B, 2_000_000)
-
     def test_mixed_reports_and_fallbacks(self):
-        plist = make_plist(3)
-        led = SizeLedger()
-        led.record(1, 800)
-        led.record(3, 400)
-        frame = build_multipoll(plist, led, plist.si_s, self.O_AM)
-        by_aid = {g.aid: g for g in frame.records}
-        assert by_aid[1].duration_us == Fraction(6400 * 1_000_000, 11_000_000) + self.O_AM
-        assert by_aid[1].basis is GrantBasis.PIGGYBACK_SIZE
-        assert by_aid[3].duration_us == Fraction(3200 * 1_000_000, 11_000_000) + self.O_AM
-        # no report for 2: mean-based grant at the entry's admission overhead
-        assert by_aid[2].duration_us == txop_reference(make_tspec(), plist.si_s, O_REF).duration_us
-        assert by_aid[2].basis is GrantBasis.REFERENCE_MEAN
+        result = mixed_run()
+        steady = [g for g in result.grant_log if g.si_index >= 1]
+        assert len(steady) == 3 * 4
+        for g in steady:
+            expect = {
+                1: (400 + O_SLOT, GrantBasis.PIGGYBACK_SIZE),
+                2: (FALLBACK, GrantBasis.REFERENCE_MEAN),
+                3: (200 + O_SLOT, GrantBasis.PIGGYBACK_SIZE),
+            }[g.aid]
+            assert (g.duration_us, g.basis) == expect
+        first = by_si(result)[0]
+        assert [(g.duration_us, g.basis) for g in first] == [(FALLBACK, GrantBasis.REFERENCE_MEAN)] * 3
 
     def test_ledger_consumed_by_build(self):
-        plist = make_plist(2)
-        led = SizeLedger()
-        led.record(1, 800)
-        led.record(2, 900)
-        build_multipoll(plist, led, plist.si_s, self.O_AM)
-        frame2 = build_multipoll(plist, led, plist.si_s, self.O_AM)
-        assert all(g.basis is GrantBasis.REFERENCE_MEAN for g in frame2.records)
+        # a report sizes one grant only: after a lost frame (and with it
+        # the report it carried) the next interval falls back
+        result = run("amtxop", [const_trace(50, 2700)] * 2, TSPEC_54,
+                     per=0.5, seed=3, sim_time_s=Fraction(2))
+        delivered = {(r.aid, r.sequence) for r in result.records}
+        grants = {(g.aid, g.si_index): g for g in result.grant_log}
+        checked = 0
+        for (aid, k), g in grants.items():
+            nxt = grants.get((aid, k + 1))
+            if (aid, k) not in delivered and nxt is not None:
+                assert nxt.basis is GrantBasis.REFERENCE_MEAN
+                checked += 1
+        assert checked > 0
 
     def test_fallback_overhead_override(self):
-        # multi-poll fallback sizes the grant without a poll of its own
-        plist = make_plist(1)
-        led = SizeLedger()
-        frame = build_multipoll(
-            plist, led, plist.si_s, self.O_AM, fallback_overhead_us=O_REF - O_POLL
-        )
-        expect = txop_reference(make_tspec(), plist.si_s, O_REF - O_POLL)
-        assert frame.records[0].duration_us == expect.duration_us
+        # the multi-poll fallback is the mean-based grant without its own poll
+        result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
+        o_ref = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)
+        expect = txop_reference(TSPEC_54, Fraction(1, 25), o_ref - O_POLL_11G).duration_us
+        assert result.grant_log[0].duration_us == expect == FALLBACK
 
     def test_polling_order_preserved(self):
-        plist = make_plist(4)
-        frame = build_multipoll(plist, SizeLedger(), plist.si_s, self.O_AM)
-        assert [g.aid for g in frame.records] == [1, 2, 3, 4]
+        for grants in by_si(mixed_run()).values():
+            assert [g.aid for g in grants] == [1, 2, 3]
 
     def test_empty_polling_list_rejected(self):
+        # no active station, no multi-poll: every stream stops after 0.1 s
         with pytest.raises(ValueError):
-            build_multipoll(PollingList(beacon_interval_s=Fraction(3, 25)), SizeLedger(), 1, 1)
+            airtime_multipoll(0, PROFILE_11G, 2_000_000)
+        trace = const_trace(5, 2700)
+        result = run("amtxop", [trace, trace], TSPEC_54, stops=[Fraction(1, 10)] * 2,
+                     log_events=True)
+        assert max(g.si_index for g in result.grant_log) == 2
+        assert sum("MULTIPOLL" in line for line in result.event_log) == 3
+        assert result.n_service_intervals == 5
 
     @given(
         sizes=st.lists(st.integers(min_value=0, max_value=7500), min_size=2, max_size=12),
@@ -255,19 +239,14 @@ class TestBuildMultipoll:
     def test_multipoll_airtime_beats_single_polls(self, sizes):
         """Whole-interval identity: one multi-poll plus per-slot overheads
         never exceeds the same grants under per-station polling."""
-        n = len(sizes)
-        plist = raw_plist(n)
         ts = make_tspec()
         o_single = reference_overhead(2, PROFILE_11B, 2_000_000)
         o_multi = multipoll_overhead(2, PROFILE_11B, 2_000_000)
-        led = SizeLedger()
-        for aid, size in zip(plist.aids(), sizes):
-            led.record(aid, size)
-        frame = build_multipoll(plist, led, plist.si_s, o_multi)
-        total_multi = airtime_multipoll(n, PROFILE_11B, 2_000_000) + sum(
-            (g.duration_us for g in frame.records), Fraction(0)
+        total_multi = airtime_multipoll(len(sizes), PROFILE_11B, 2_000_000) + sum(
+            (txop_adaptive(s, ts, o_multi).duration_us for s in sizes), Fraction(0)
         )
         total_single = sum(
             (txop_adaptive(s, ts, o_single).duration_us for s in sizes), Fraction(0)
         )
         assert total_multi <= total_single
+

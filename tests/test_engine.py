@@ -153,6 +153,19 @@ class TestAdaptiveTimeline:
         assert result.grant_log[1].duration_us == Fraction(1200 * 8, 54) + o_one
         assert result.grant_log[2].duration_us == Fraction(600 * 8, 54) + o_one
 
+    def test_report_looks_ahead_in_generation_order(self):
+        # decode order in the file: the 1000-byte B frame is shown (and
+        # generated) before the 1500-byte P frame listed ahead of it
+        trace = parse_trace("0 I 0 2000\n1 P 80 1500\n2 B 40 1000\n")
+        tspec = make_tspec(1500, 2100, 300_000, 54_000_000)
+        sc = make_scenario("atxop", 1, trace, tspec, sim_time_s=Fraction(3, 25))
+        result = run_scenario(sc)
+        o_one = Fraction(2056, 3)
+        assert [g.duration_us for g in result.grant_log[1:]] == [
+            Fraction(1000 * 8, 54) + o_one,
+            Fraction(1500 * 8, 54) + o_one,
+        ]
+
     def test_exhausted_stream_reports_end_and_falls_back(self):
         trace = parse_trace("0 I 0 2700\n")
         result = run_scenario(make_scenario("atxop", 1, trace, self.TSPEC))
@@ -326,9 +339,9 @@ class TestLossAndDeterminism:
 
     def test_channel_draw_is_seeded(self):
         ch = Channel(per=0.5, rng=random.Random(1))
-        draws = [apply_channel(ch, None) for _ in range(10)]
+        draws = [apply_channel(ch) for _ in range(10)]
         ch2 = Channel(per=0.5, rng=random.Random(1))
-        assert draws == [apply_channel(ch2, None) for _ in range(10)]
+        assert draws == [apply_channel(ch2) for _ in range(10)]
 
     def test_invalid_per_rejected(self):
         with pytest.raises(ConfigError):

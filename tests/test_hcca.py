@@ -174,7 +174,7 @@ class TestAdmission:
         outcomes, plist = self.sequential_admits(ts, o, 6)
         assert outcomes == [True] * 5 + [False]
         assert len(plist) == 5
-        assert plist.aids() == [1, 2, 3, 4, 5]
+        assert [e.aid for e in plist.entries] == [1, 2, 3, 4, 5]
 
     def test_11g_admits_well_past_twelve(self):
         ts = make_tspec(R=54_000_000)
@@ -212,7 +212,7 @@ class TestAdmission:
     def test_explicit_aid_respected(self):
         plist = PollingList(beacon_interval_s=self.BI)
         ok, plist = admit(plist, make_tspec(), 0, 0, aid=7)
-        assert ok and plist.aids() == [7]
+        assert ok and [e.aid for e in plist.entries] == [7]
 
     @given(n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=25, deadline=None)

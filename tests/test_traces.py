@@ -9,7 +9,6 @@ from hccasim.errors import InvalidTspec, TraceParseError
 from hccasim.traces import (
     Tspec,
     derive_tspec,
-    next_frame_size,
     parse_trace,
     serialize_trace,
     trace_stats,
@@ -83,19 +82,6 @@ def test_round_trip():
     t = parse_trace(SAMPLE_DECODE_ORDER)
     again = parse_trace(serialize_trace(t))
     assert again == t
-
-
-def test_next_frame_size_file_order():
-    t = parse_trace(SAMPLE_DECODE_ORDER)
-    assert next_frame_size(t, 0) == 946
-    assert next_frame_size(t, 3) == 1230
-    assert next_frame_size(t, len(t.frames)) is None
-    sizes = [next_frame_size(t, i) for i in range(len(t.frames))]
-    assert sizes == [f.size for f in t.frames]
-    with pytest.raises(ValueError):
-        next_frame_size(t, len(t.frames) + 1)
-    with pytest.raises(ValueError):
-        next_frame_size(t, -1)
 
 
 def test_stats_two_frames():
