@@ -3,7 +3,8 @@
 results/. Delay/TXOP/mobility presets go through `run`; the analytic
 presets go through `validate-analytic`. Takes a few minutes serially;
 pass --jobs to spread runs over worker processes. Ends with the SHA-256
-of every CSV written, so two checkouts compare in one diff."""
+of every CSV written and exits 1 when one differs from presets/SHA256SUMS
+(sha256sum format, paths relative to the working directory)."""
 
 import argparse
 import hashlib
@@ -60,10 +61,16 @@ def main():
         if code != 0:
             failures.append(name)
 
+    expected = {}
+    for line in (ROOT / "presets" / "SHA256SUMS").read_text().splitlines():
+        digest, _, name = line.partition("  ")
+        expected[name] = digest
     for csv_path in written:
-        if csv_path.is_file():
-            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-            print(f"{digest}  {os.path.relpath(csv_path)}")
+        name = os.path.relpath(csv_path)
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.is_file() else "missing"
+        print(f"{digest}  {name}")
+        if digest != expected.get(name):
+            failures.append(f"{name} digest (expected {expected.get(name)})")
 
     if failures:
         print("FAILED:", ", ".join(failures))

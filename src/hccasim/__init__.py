@@ -32,10 +32,7 @@ from .traces import (
 )
 from .hcca import (
     GrantBasis,
-    PollEntry,
-    PollingList,
-    TxopGrant,
-    admit,
+    admissible,
     compute_si,
     min_msi,
     msdu_count,

@@ -16,7 +16,7 @@ minus one poll. The multi-poll frame's airtime is phy.airtime_multipoll.
 
 from fractions import Fraction
 
-from .hcca import GrantBasis, TxopGrant, reference_overhead
+from .hcca import reference_overhead
 from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control
 from .traces import Tspec
 from .util import exact
@@ -49,8 +49,9 @@ class SizeLedger:
         return self._reports.pop(aid, None)
 
 
-def txop_adaptive(reported_size: int, tspec: Tspec, overhead_us) -> TxopGrant:
-    """Grant sized for exactly the reported bytes at the stream's PHY rate.
+def txop_adaptive(reported_size: int, tspec: Tspec, overhead_us) -> Fraction:
+    """Grant duration in microseconds for exactly the reported bytes at the
+    stream's PHY rate, plus the given overhead.
 
     Deliberately unclamped: a report above the TSPEC maximum still gets a
     matching grant, the admission-time budget absorbs the excursion.
@@ -58,11 +59,7 @@ def txop_adaptive(reported_size: int, tspec: Tspec, overhead_us) -> TxopGrant:
     if reported_size < 0:
         raise ValueError("reported_size must be >= 0")
     t_payload = Fraction(reported_size * 8 * US_PER_S, tspec.min_phy_rate_bps)
-    return TxopGrant(
-        aid=None,
-        duration_us=t_payload + exact(overhead_us),
-        basis=GrantBasis.PIGGYBACK_SIZE,
-    )
+    return t_payload + exact(overhead_us)
 
 
 def multipoll_overhead(

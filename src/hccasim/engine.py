@@ -22,7 +22,10 @@ a mean-sized grant.
 Grant sizes are planned per station in integer ticks whenever the
 service interval or the station's PHY rate changes; per interval a grant
 is then either the planned mean-based grant or a fixed part plus ticks
-per reported byte.
+per reported byte. Admission plans every stream at the candidate SI and
+charges the sum of the reference grants, poll included, against the
+contention-free budget, so it charges exactly what the engine grants
+under `hcca`; a rejected stream leaves every plan as it was.
 """
 
 import heapq
@@ -40,8 +43,7 @@ from .analytic import SCHEDULERS
 from .errors import ConfigError
 from .hcca import (
     GrantBasis,
-    PollingList,
-    admit,
+    admissible,
     compute_si,
     min_msi,
     msdu_count,
@@ -244,14 +246,15 @@ class _QFrame:
 
 class _Station:
     __slots__ = (
-        "spec", "aid", "admitted", "rejected", "stopped", "suspended",
+        "spec", "aid", "start_t", "admitted", "rejected", "stopped", "suspended",
         "queue", "gen_frames", "next_gen_idx", "op_rate",
         "ref_t", "one_t", "byte_t",
     )
 
-    def __init__(self, spec, op_rate):
+    def __init__(self, spec, start_t, op_rate):
         self.spec = spec
         self.aid = spec.aid
+        self.start_t = start_t
         self.admitted = False
         self.rejected = False
         self.stopped = False
@@ -260,7 +263,7 @@ class _Station:
         self.gen_frames = list(spec.trace.generation_frames())
         self.next_gen_idx = 0
         self.op_rate = op_rate
-        # grant plan in ticks, kept current by _Sim._plan: the mean-based
+        # grant plan in ticks, from _Sim._plan via _Sim._commit: the mean-based
         # grant, the report-sized grant for 0 bytes, and ticks per payload byte
         self.ref_t = self.one_t = self.byte_t = None
 
@@ -288,12 +291,11 @@ class _Sim:
         self.bi = exact(scenario.beacon_interval_s)
 
         self.stations = {
-            s.aid: _Station(s, base_rate)
+            s.aid: _Station(s, self._sec_ticks(s.start_s), base_rate)
             for s in sorted(scenario.stations, key=lambda s: s.aid)
         }
-        self.plist = PollingList(beacon_interval_s=self.bi)
         self.polled = []          # admitted stations in polling order
-        self.si_t = None
+        self.si_s = self.si_t = None
         self.ledger = SizeLedger()
         self.channel = Channel(per=scenario.per, rng=random.Random(scenario.seed))
 
@@ -331,9 +333,8 @@ class _Sim:
             self._apply_mobility(0)
 
         for st in self.stations.values():
-            start = self._sec_ticks(st.spec.start_s)
-            if start < self.end_tick:
-                self._push(start, EventKind.STREAM_START, st.aid, None)
+            if st.start_t < self.end_tick:
+                self._push(st.start_t, EventKind.STREAM_START, st.aid, None)
             if st.spec.stop_s is not None:
                 stop = self._sec_ticks(st.spec.stop_s)
                 if stop < self.end_tick:
@@ -356,18 +357,26 @@ class _Sim:
     def _us(self, tick) -> Fraction:
         return Fraction(tick, self.K)
 
-    def _plan(self, st: _Station):
-        """Size the station's grants at the current SI and its PHY rate."""
-        si = self.plist.si_s
+    def _plan(self, st: _Station, si):
+        """The station's grants at the given SI and its current PHY rate, in
+        ticks and poll included: (mean-based reference grant, report-sized
+        grant for 0 bytes, ticks per payload byte)."""
         wt = replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
         n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
         o_ref = reference_overhead(n, self.profile, self.ctrl, st.op_rate)
         o_one = reference_overhead(1, self.profile, self.ctrl, st.op_rate)
-        st.ref_t = self._to_ticks(txop_reference(wt, si, o_ref).duration_us)
-        st.one_t = self._to_ticks(txop_adaptive(0, wt, o_one).duration_us)
-        st.byte_t, rem = divmod(8 * US_PER_S * self.K, st.op_rate)
+        byte_t, rem = divmod(8 * US_PER_S * self.K, st.op_rate)
         if rem:
             raise ConfigError(f"rate {st.op_rate} is off the tick grid")
+        return (
+            self._to_ticks(txop_reference(wt, si, o_ref)),
+            self._to_ticks(txop_adaptive(0, wt, o_one)),
+            byte_t,
+        )
+
+    def _commit(self, st: _Station, plan):
+        """Size the station's grants by a plan from _plan."""
+        st.ref_t, st.one_t, st.byte_t = plan
         if self.sc.scheduler == "amtxop":
             # the broadcast multi-poll replaces every slot's own poll
             st.ref_t -= self.poll_t
@@ -412,7 +421,7 @@ class _Sim:
         left = sum(len(st.queue) for st in self.stations.values())
         return RunResult(
             scenario=self.sc,
-            si_s=self.plist.si_s if self.plist.entries else None,
+            si_s=self.si_s,
             n_offered=len(self.sc.stations),
             n_admitted=len(admitted),
             admitted_aids=admitted,
@@ -436,24 +445,24 @@ class _Sim:
 
     def _on_stream_start(self, tick, aid, _payload):
         st = self.stations[aid]
-        wt = replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
-        msis = [e.tspec.msi_s for e in self.plist.entries] + [wt.msi_s]
-        si = compute_si(self.bi, min_msi(msis))
-        n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
-        overhead = reference_overhead(n, self.profile, self.ctrl, st.op_rate)
-        ok, plist = admit(self.plist, wt, self.sc.t_cp_s, overhead, aid=aid)
-        if not ok:
+        polled = self.polled + [st]
+        # the new stream may shrink the SI, which changes every plan
+        si = compute_si(self.bi, min_msi(p.spec.tspec.msi_s for p in polled))
+        si_t = self._sec_ticks(si)
+        plans = [self._plan(p, si) for p in polled]
+        # every scheduler is charged the reference grants, poll included
+        if not admissible(sum(plan[0] for plan in plans), si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
             self._log(tick, "ADMIT-REJECT", aid)
             return
-        self.plist = plist
-        self.si_t = self._sec_ticks(plist.si_s)
+        self.si_s, self.si_t = si, si_t
         st.admitted = True
-        self.polled.append(st)
-        # the new stream may have shrunk the SI, which changes every plan
-        for other in self.polled:
-            self._plan(other)
-        self._log(tick, "ADMIT", aid, f"si={float(plist.si_s):.6f}s n_msdu={n}")
+        self.polled = polled
+        for p, plan in zip(polled, plans):
+            self._commit(p, plan)
+        tspec = st.spec.tspec
+        n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
+        self._log(tick, "ADMIT", aid, f"si={float(si):.6f}s n_msdu={n}")
         self._schedule_frame(st, 0)
         if not self.cap_scheduled:
             self.cap_scheduled = True
@@ -467,8 +476,12 @@ class _Sim:
     def _schedule_frame(self, st: _Station, idx: int):
         if idx >= len(st.gen_frames):
             return
-        frame = st.gen_frames[idx]
-        tick = self._sec_ticks(st.spec.start_s) + self._to_ticks(frame.display_time_ms * 1000)
+        ms = st.gen_frames[idx].display_time_ms
+        num, den = ms.as_integer_ratio()
+        ticks, rem = divmod(num * 1000 * self.K, den)
+        if rem:
+            raise ConfigError(f"duration {ms * 1000} us is off the 1/{self.K} us tick grid")
+        tick = st.start_t + ticks
         if tick < self.end_tick:
             self._push(tick, EventKind.FRAME_GENERATED, st.aid, idx)
 
@@ -505,7 +518,7 @@ class _Sim:
             elif rate != st.op_rate:
                 st.op_rate = rate
                 if st.admitted:
-                    self._plan(st)
+                    self._commit(st, self._plan(st, self.si_s))
             rate_now = rate
         if rate_now != self._fleet_rate_logged:
             self.tier_changes.append((self._us(tick), rate_now))

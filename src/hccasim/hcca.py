@@ -1,12 +1,14 @@
 """Reference polled-TXOP scheduler: service interval, grants, admission.
 
 The reference scheduler sizes every grant from the TSPEC means, so grants
-are constant for a fixed admitted set. All arithmetic is exact; durations
-are Fractions of microseconds and intervals Fractions of seconds.
+are constant for a fixed admitted set. Admission charges these reference
+grants: the engine sizes every stream's grant at the candidate SI and asks
+`admissible` whether their sum fits the contention-free share of the
+beacon interval. All arithmetic is exact; durations are Fractions of
+microseconds and intervals Fractions of seconds.
 """
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -19,37 +21,6 @@ from .util import exact
 class GrantBasis(Enum):
     REFERENCE_MEAN = "reference_mean"
     PIGGYBACK_SIZE = "piggyback_size"
-
-
-@dataclass(frozen=True)
-class TxopGrant:
-    aid: int | None
-    duration_us: Fraction
-    basis: GrantBasis
-
-    def __post_init__(self):
-        if self.duration_us <= 0:
-            raise ValueError("grant duration must be > 0")
-
-
-@dataclass(frozen=True)
-class PollEntry:
-    aid: int
-    tspec: Tspec
-    overhead_us: Fraction     # per-grant overhead used to size this stream's TXOP
-    grant: TxopGrant
-
-
-@dataclass(frozen=True)
-class PollingList:
-    """Admitted streams in polling order, with the committed service interval."""
-
-    beacon_interval_s: Fraction
-    entries: tuple = ()
-    si_s: Fraction = Fraction(0)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def min_msi(msis) -> Fraction:
@@ -109,56 +80,25 @@ def reference_overhead(
     return t_poll + n_msdus * per_msdu + profile.prop_delay_us
 
 
-def txop_reference(tspec: Tspec, si_s, overhead_us) -> TxopGrant:
-    """Grant sized for N mean MSDUs (or one maximum MSDU if that is longer)
-    at the stream's PHY rate, plus the given overhead."""
+def txop_reference(tspec: Tspec, si_s, overhead_us) -> Fraction:
+    """Grant duration in microseconds for N mean MSDUs (or one maximum
+    MSDU if that is longer) at the stream's PHY rate, plus the given
+    overhead."""
     si = exact(si_s)
     n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
     r = tspec.min_phy_rate_bps
     t_mean = Fraction(n * tspec.mean_msdu_bytes * 8 * US_PER_S, r)
     t_max = Fraction(tspec.max_msdu_bytes * 8 * US_PER_S, r)
-    duration = max(t_mean, t_max) + exact(overhead_us)
-    return TxopGrant(aid=None, duration_us=duration, basis=GrantBasis.REFERENCE_MEAN)
+    return max(t_mean, t_max) + exact(overhead_us)
 
 
-def admit(
-    polling_list: PollingList,
-    candidate: Tspec,
-    t_cp_s,
-    overhead_us,
-    aid: int | None = None,
-):
-    """Admission control: recompute the SI with the candidate included,
-    re-size every grant at that SI, and accept only if the per-SI TXOP
-    load fits the contention-free share of the beacon interval.
-
-    Returns (accepted, polling_list); the list is unchanged on reject.
+def admissible(load, si, beacon_interval_s, t_cp_s) -> bool:
+    """Admission control: the per-SI TXOP load must fit the contention-free
+    share of the beacon interval, load/si <= (BI - t_cp)/BI. Unit-free:
+    load and si share one time unit, the beacon interval and t_cp another.
     """
+    bi = exact(beacon_interval_s)
     t_cp = exact(t_cp_s)
     if t_cp < 0:
         raise ValueError("t_cp must be >= 0")
-    bi = polling_list.beacon_interval_s
-    msis = [e.tspec.msi_s for e in polling_list.entries] + [candidate.msi_s]
-    new_si = compute_si(bi, min_msi(msis))
-
-    overhead = exact(overhead_us)
-    new_entries = []
-    for e in polling_list.entries:
-        grant = txop_reference(e.tspec, new_si, e.overhead_us)
-        new_entries.append(replace(e, grant=replace(grant, aid=e.aid)))
-    cand_grant = txop_reference(candidate, new_si, overhead)
-
-    load = sum((e.grant.duration_us for e in new_entries), Fraction(0))
-    load = (load + cand_grant.duration_us) / (new_si * US_PER_S)
-    budget = (bi - t_cp) / bi
-    if load > budget:
-        return False, polling_list
-
-    if aid is None:
-        aid = max((e.aid for e in polling_list.entries), default=0) + 1
-    entry = PollEntry(aid=aid, tspec=candidate, overhead_us=overhead, grant=replace(cand_grant, aid=aid))
-    return True, PollingList(
-        beacon_interval_s=bi,
-        entries=tuple(new_entries) + (entry,),
-        si_s=new_si,
-    )
+    return exact(load) / exact(si) <= (bi - t_cp) / bi

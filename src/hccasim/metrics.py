@@ -65,13 +65,9 @@ def aggregate_throughput(records, duration_s):
     return Fraction(bits) / duration
 
 
-def aggregate_txop(grant_log):
-    """Total granted TXOP time in seconds. Accepts grant objects or bare
-    microsecond durations."""
-    total = Fraction(0)
-    for g in grant_log:
-        total += exact(getattr(g, "duration_us", g))
-    return total / US_PER_S
+def aggregate_txop(grant_durations_us):
+    """Total granted TXOP time in seconds from exact microsecond durations."""
+    return Fraction(sum(grant_durations_us)) / US_PER_S
 
 
 def utilization_improvement(b_hcca, b_proposed):
@@ -84,12 +80,12 @@ def utilization_improvement(b_hcca, b_proposed):
     return (ref - new) / ref
 
 
-def build_report(records, grant_log, duration_s, n_lost=0) -> MetricsReport:
+def build_report(records, grant_durations_us, duration_s, n_lost=0) -> MetricsReport:
     records = list(records)
     return MetricsReport(
         n_delivered=len(records),
         n_lost=n_lost,
         mean_delay_ms=float(e2e_delay(records)),
         throughput_bps=float(aggregate_throughput(records, duration_s)),
-        aggregate_txop_s=float(aggregate_txop(grant_log)),
+        aggregate_txop_s=float(aggregate_txop(grant_durations_us)),
     )

@@ -13,8 +13,7 @@ from hccasim.adaptive import multipoll_overhead
 from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, d_si, validate
 from hccasim.engine import run_scenario
 from hccasim.hcca import (
-    PollingList,
-    admit,
+    admissible,
     compute_si,
     msdu_count,
     reference_overhead,
@@ -38,20 +37,17 @@ def _check(name, ok, detail=""):
 
 
 def _admission_capacity(profile, data_rate, control_rate, tspec, limit=30):
-    """Fill the polling list with identical streams until rejection."""
+    """Admit identical streams, each charged its reference grant per SI,
+    until one is rejected."""
     wt = replace(tspec, min_phy_rate_bps=data_rate)
     si = compute_si(BI, wt.msi_s)
     n_msdu = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
     overhead = reference_overhead(n_msdu, profile, control_rate, data_rate)
-    plist = PollingList(BI)
+    grant = txop_reference(wt, si, overhead)
     count = 0
-    while count < limit:
-        ok, plist = admit(plist, wt, Fraction(0), overhead)
-        if not ok:
-            break
+    while count < limit and admissible((count + 1) * grant, si * 1_000_000, BI, 0):
         count += 1
-    grant = txop_reference(wt, compute_si(BI, wt.msi_s), overhead)
-    return count, grant.duration_us
+    return count, grant
 
 
 def test_criterion_01_table2():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hccasim.analytic import aggregate_delay, analytic_inputs, validate
 from hccasim.engine import (
@@ -287,6 +289,68 @@ class TestAdmissionInEngine:
         st2 = [r for r in result.records if r.aid == 2]
         assert st2[0].gen_time_us == 80_000
         assert st2[0].rx_time_us == 80_000 + Fraction(3256, 3) + Fraction(2404, 3)
+
+    @staticmethod
+    def jp1_high(msi):
+        return Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
+
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_tighter_msi_charges_grants_at_the_new_si(self, scheduler):
+        # four streams at SI 120 ms, then a fifth shrinks the SI to 40 ms;
+        # every stream is charged 77370/11 us at 40 ms, 5 of them 35168.2 us
+        # against a 39600 us budget (the stale 120-ms overheads would charge
+        # 39841.6 us and turn the fifth away)
+        trace = const_trace(20, 3800)
+        stations = tuple(
+            StationSpec(
+                aid=i + 1, trace=trace, tspec=self.jp1_high("0.04" if i == 4 else "0.12"),
+                start_s=Fraction(1, 2) if i == 4 else Fraction(0),
+            )
+            for i in range(5)
+        )
+        sc = Scenario(
+            name="tight", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
+            sim_time_s=Fraction(7, 10), beacon_interval_s=Fraction(3, 25),
+            t_cp_s=Fraction(12, 10_000), control_rate=2_000_000,
+        )
+        result = run_scenario(sc)
+        assert result.admitted_aids == (1, 2, 3, 4, 5)
+        assert result.si_s == Fraction(1, 25)
+        if scheduler == "hcca":
+            last = max(g.si_index for g in result.grant_log)
+            grants = [g.duration_us for g in result.grant_log if g.si_index == last]
+            assert grants == [Fraction(77370, 11)] * 5
+
+    @given(
+        msis=st.lists(st.sampled_from(["0.04", "0.06", "0.12"]), min_size=1, max_size=8),
+        starts=st.lists(st.integers(min_value=0, max_value=5), min_size=8, max_size=8),
+        t_cp_ms=st.integers(min_value=0, max_value=30),
+        profile=st.sampled_from([PROFILE_11B, PROFILE_11G]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_admitted_grants_fit_the_budget(self, msis, starts, t_cp_ms, profile):
+        """Admission charges what the engine grants: once the last stream
+        is in, no SI grants more than the contention-free share of it."""
+        trace = const_trace(30, 3800)
+        stations = tuple(
+            StationSpec(aid=i + 1, trace=trace, tspec=self.jp1_high(m), start_s=Fraction(starts[i], 10))
+            for i, m in enumerate(msis)
+        )
+        bi, t_cp = Fraction(3, 25), Fraction(t_cp_ms, 1000)
+        sc = Scenario(
+            name="budget", scheduler="hcca", profile=profile, stations=stations,
+            sim_time_s=Fraction(1), beacon_interval_s=bi, t_cp_s=t_cp, control_rate=2_000_000,
+        )
+        result = run_scenario(sc)
+        last_us = max(s.start_s for s in stations if s.aid in result.admitted_aids) * 1_000_000
+        per_si = {}
+        for g in result.grant_log:
+            per_si.setdefault(g.si_index, []).append(g)
+        budget = (bi - t_cp) / bi * result.si_s * 1_000_000
+        # under hcca an SI's first grant starts with the SI
+        after = [gs for gs in per_si.values() if gs[0].start_us >= last_us]
+        assert after
+        assert all(sum(g.duration_us for g in gs) <= budget for gs in after)
 
 
 class TestLossAndDeterminism:

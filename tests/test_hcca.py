@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from hccasim.errors import ConfigError
 from hccasim.hcca import (
-    GrantBasis,
-    PollingList,
-    TxopGrant,
-    admit,
+    admissible,
     compute_si,
     min_msi,
     msdu_count,
@@ -129,20 +126,19 @@ class TestOverheadAndGrant:
     def test_grant_mean_dominated(self):
         # two mean MSDUs outweigh one max MSDU: 60800 bits vs 60000 bits
         g = txop_reference(make_tspec(), Fraction(1, 25), Fraction(16570, 11))
-        assert g.duration_us == Fraction(60800 * 1_000_000, 11_000_000) + Fraction(16570, 11)
-        assert g.duration_us == Fraction(77370, 11)
-        assert g.basis is GrantBasis.REFERENCE_MEAN
+        assert g == Fraction(60800 * 1_000_000, 11_000_000) + Fraction(16570, 11)
+        assert g == Fraction(77370, 11)
 
     def test_grant_max_dominated(self):
         # one max MSDU longer than the mean batch
         g = txop_reference(make_tspec(M=16745), Fraction(1, 25), 0)
-        assert g.duration_us == Fraction(16745 * 8 * 1_000_000, 11_000_000)
-        assert g.duration_us == Fraction(133960, 11)
+        assert g == Fraction(16745 * 8 * 1_000_000, 11_000_000)
+        assert g == Fraction(133960, 11)
 
     def test_grant_at_54mbps(self):
         ts = make_tspec(R=54_000_000)
         g = txop_reference(ts, Fraction(1, 25), Fraction(3314, 3))
-        assert g.duration_us == Fraction(60226, 27)  # ~2230.59 us
+        assert g == Fraction(60226, 27)  # ~2230.59 us
 
     @given(si=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 5)))
     def test_grant_monotone_in_si(self, si):
@@ -150,45 +146,39 @@ class TestOverheadAndGrant:
         o = Fraction(16570, 11)
         g1 = txop_reference(ts, si, o)
         g2 = txop_reference(ts, si * 2, o)
-        assert g2.duration_us >= g1.duration_us
-
-    def test_grant_requires_positive_duration(self):
-        with pytest.raises(ValueError):
-            TxopGrant(aid=1, duration_us=Fraction(0), basis=GrantBasis.REFERENCE_MEAN)
+        assert g2 >= g1
 
 
 class TestAdmission:
     BI = Fraction(3, 25)  # 0.12 s
+    SI_US = 40_000        # compute_si(BI, 0.04) in us
 
     def sequential_admits(self, tspec, overhead, count, t_cp=0):
-        plist = PollingList(beacon_interval_s=self.BI)
+        """Offer identical streams one at a time; each admitted stream is
+        charged its reference grant per 40 ms SI. Returns the outcomes and
+        the admitted load in us per SI."""
+        grant = txop_reference(tspec, Fraction(1, 25), overhead)
+        load = Fraction(0)
         outcomes = []
         for _ in range(count):
-            ok, plist = admit(plist, tspec, t_cp, overhead)
+            ok = admissible(load + grant, self.SI_US, self.BI, t_cp)
+            if ok:
+                load += grant
             outcomes.append(ok)
-        return outcomes, plist
+        return outcomes, load
 
     def test_11b_admits_five_rejects_sixth(self):
         ts = make_tspec()  # 770 kbit/s video at 11 Mb/s PHY
         o = reference_overhead(2, PROFILE_11B, 2_000_000)
-        outcomes, plist = self.sequential_admits(ts, o, 6)
+        outcomes, load = self.sequential_admits(ts, o, 6)
         assert outcomes == [True] * 5 + [False]
-        assert len(plist) == 5
-        assert [e.aid for e in plist.entries] == [1, 2, 3, 4, 5]
+        assert load == 5 * Fraction(77370, 11)
 
     def test_11g_admits_well_past_twelve(self):
         ts = make_tspec(R=54_000_000)
         o = reference_overhead(2, PROFILE_11G, 2_000_000)
-        outcomes, plist = self.sequential_admits(ts, o, 18)
+        outcomes, _ = self.sequential_admits(ts, o, 18)
         assert outcomes == [True] * 17 + [False]
-
-    def test_reject_leaves_list_untouched(self):
-        ts = make_tspec()
-        o = reference_overhead(2, PROFILE_11B, 2_000_000)
-        _, plist = self.sequential_admits(ts, o, 5)
-        ok, after = admit(plist, ts, 0, o)
-        assert not ok
-        assert after is plist
 
     def test_contention_share_shrinks_capacity(self):
         ts = make_tspec()
@@ -198,32 +188,13 @@ class TestAdmission:
         outcomes, _ = self.sequential_admits(ts, o, 5, t_cp=self.BI * Fraction(15, 100))
         assert outcomes == [True] * 4 + [False]
 
-    def test_admission_recomputes_si_for_tighter_msi(self):
-        loose = make_tspec(msi="0.06", D="0.12")
-        tight = make_tspec(msi="0.04")
-        plist = PollingList(beacon_interval_s=self.BI)
-        ok, plist = admit(plist, loose, 0, Fraction(16570, 11))
-        assert ok and plist.si_s == Fraction(3, 50)
-        ok, plist = admit(plist, tight, 0, Fraction(16570, 11))
-        assert ok and plist.si_s == Fraction(1, 25)
-        # existing entry re-sized at the new SI
-        assert all(e.grant.duration_us > 0 for e in plist.entries)
-
-    def test_explicit_aid_respected(self):
-        plist = PollingList(beacon_interval_s=self.BI)
-        ok, plist = admit(plist, make_tspec(), 0, 0, aid=7)
-        assert ok and [e.aid for e in plist.entries] == [7]
-
     @given(n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=25, deadline=None)
     def test_load_never_exceeds_budget(self, n):
         ts = make_tspec()
         o = reference_overhead(2, PROFILE_11B, 2_000_000)
-        plist = PollingList(beacon_interval_s=self.BI)
-        for _ in range(n):
-            _, plist = admit(plist, ts, 0, o)
-        load = sum((e.grant.duration_us for e in plist.entries), Fraction(0))
-        assert load <= plist.si_s * 1_000_000
+        _, load = self.sequential_admits(ts, o, n)
+        assert load <= self.SI_US
 
     @given(
         budget_pct=st.integers(min_value=0, max_value=90),
