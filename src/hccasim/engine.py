@@ -346,10 +346,11 @@ class _Sim:
     # -- time plumbing ---------------------------------------------------
 
     def _to_ticks(self, us) -> int:
-        v = exact(us) * self.K
-        if v.denominator != 1:
+        num, den = exact(us).as_integer_ratio()
+        ticks, rem = divmod(num * self.K, den)
+        if rem:
             raise ConfigError(f"duration {us} us is off the 1/{self.K} us tick grid")
-        return int(v)
+        return ticks
 
     def _sec_ticks(self, s) -> int:
         return self._to_ticks(exact(s) * US_PER_S)
@@ -476,12 +477,7 @@ class _Sim:
     def _schedule_frame(self, st: _Station, idx: int):
         if idx >= len(st.gen_frames):
             return
-        ms = st.gen_frames[idx].display_time_ms
-        num, den = ms.as_integer_ratio()
-        ticks, rem = divmod(num * 1000 * self.K, den)
-        if rem:
-            raise ConfigError(f"duration {ms * 1000} us is off the 1/{self.K} us tick grid")
-        tick = st.start_t + ticks
+        tick = st.start_t + self._to_ticks(st.gen_frames[idx].display_time_ms * 1000)
         if tick < self.end_tick:
             self._push(tick, EventKind.FRAME_GENERATED, st.aid, idx)
 

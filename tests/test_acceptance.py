@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hccasim.adaptive import multipoll_overhead
 from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, d_si, validate
-from hccasim.engine import run_scenario
+from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.hcca import (
     admissible,
     compute_si,
@@ -22,6 +22,7 @@ from hccasim.hcca import (
 from hccasim.experiment import emit_table2
 from hccasim.metrics import e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_multipoll
+from hccasim.traces import parse_trace
 
 from conftest import CANONICAL, SCHEDULERS, VALIDATION
 
@@ -50,6 +51,18 @@ def _admission_capacity(profile, data_rate, control_rate, tspec, limit=30):
     return count, grant
 
 
+def _engine_admits(profile, data_rate, control_rate, tspec, n):
+    """Offer n identical streams at once to the simulator under hcca and
+    return how many it admits."""
+    trace = parse_trace("0 I 0 3800\n1 P 40 3800")
+    stations = tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n))
+    sc = Scenario(
+        name="capacity", scheduler="hcca", profile=profile, stations=stations,
+        sim_time_s=BI, beacon_interval_s=BI, control_rate=control_rate, data_rate=data_rate,
+    )
+    return run_scenario(sc).n_admitted
+
+
 def test_criterion_01_table2():
     rows = emit_table2(PROFILE_11G, control_rate=2_000_000, n_max=9)
     paper_gains = (0.0, 0.43, 0.60, 0.69, 0.74, 0.77, 0.79, 0.81, 0.83)
@@ -69,6 +82,9 @@ def test_criterion_02_admission_counts():
         PROFILE_11G, 54_000_000, 2_000_000, CANONICAL["jp1_high"]
     )
     ok = count_b == 5 and count_g >= 12
+    # the simulator's own admission reaches the same counts
+    ok &= _engine_admits(PROFILE_11B, 11_000_000, 2_000_000, CANONICAL["jp1_high"], count_b + 1) == count_b
+    ok &= _engine_admits(PROFILE_11G, 54_000_000, 2_000_000, CANONICAL["jp1_high"], count_g + 1) == count_g
     _check(
         "admission-counts",
         ok,
@@ -240,6 +256,7 @@ def test_criterion_09_mobility_capacity():
         )
         got.append(count)
         ok &= abs(count - expected) <= 1
+        ok &= _engine_admits(PROFILE_11G, rate, 2_000_000, CANONICAL["jp1_high"], count + 1) == count
     _check(
         "mobility-capacity",
         ok,

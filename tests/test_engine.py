@@ -321,6 +321,35 @@ class TestAdmissionInEngine:
             grants = [g.duration_us for g in result.grant_log if g.si_index == last]
             assert grants == [Fraction(77370, 11)] * 5
 
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_rejected_tighter_msi_leaves_si_and_grants(self, scheduler):
+        # five streams at SI 120 ms charge 5 * 8202 us; a sixth at MSI 40 ms
+        # would need 6 * 7033.6 us of a 40 ms SI and is turned away, so the
+        # SI and every grant stay as they were
+        trace = const_trace(40, 3800)
+        stations = tuple(
+            StationSpec(
+                aid=i + 1, trace=trace, tspec=self.jp1_high("0.04" if i == 5 else "0.12"),
+                start_s=Fraction(1, 2) if i == 5 else Fraction(0),
+            )
+            for i in range(6)
+        )
+        sc = Scenario(
+            name="reject", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
+            sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
+        )
+        result = run_scenario(sc)
+        assert result.rejected_aids == (6,)
+        assert result.si_s == Fraction(3, 25)
+        per_si = {}
+        for g in result.grant_log:
+            per_si.setdefault(g.si_index, []).append((g.aid, g.duration_us))
+        # SI 0 is the reports' fallback under atxop/amtxop; the sixth stream
+        # is offered at 500 ms, inside SI 4
+        before, after = per_si[3], [per_si[i] for i in range(5, max(per_si) + 1)]
+        assert after
+        assert all(gs == before for gs in after)
+
     @given(
         msis=st.lists(st.sampled_from(["0.04", "0.06", "0.12"]), min_size=1, max_size=8),
         starts=st.lists(st.integers(min_value=0, max_value=5), min_size=8, max_size=8),
