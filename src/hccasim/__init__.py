@@ -68,7 +68,7 @@ from .analytic import (
     aggregate_delay,
     aggregate_delay_alt,
     analytic_inputs,
-    d_si,
+    position_delays,
     td_i,
     validate,
 )

@@ -27,20 +27,15 @@ class SizeLedger:
 
     Reports are consumed when the next interval's grants are built, so a
     stale report can never size more than one grant. A report of None
-    (nothing left to send) drops any pending report; negative sizes are
-    counted and ignored.
+    (nothing left to send) drops any pending report.
     """
 
     def __init__(self):
         self._reports = {}
-        self.protocol_errors = 0
 
     def record(self, aid: int, size):
         if size is None:
             self._reports.pop(aid, None)
-            return
-        if size < 0:
-            self.protocol_errors += 1
             return
         self._reports[aid] = int(size)
 

@@ -8,6 +8,10 @@ that a mean-sized grant would have wasted on the actual traffic, and the
 multi-poll variant further removes the per-station poll frames in favor
 of a single broadcast poll.
 
+The sum over predecessors is a running sum over the polling order, so
+`position_delays` walks each interval once: O(M*N) for M intervals of N
+stations.
+
 The model deliberately ignores PHY header time on data PPDUs and counts
 one interframe space around the own burst, so a discrete-event run sits
 a few percent above it, uniformly across schedulers and loads.
@@ -74,45 +78,41 @@ class AnalyticInputs:
     def t_mpoll(self) -> Fraction:
         return airtime_multipoll(self.n_stations, self.profile, self.control_rate)
 
-    def unused_us(self, j: int, k: int) -> Fraction:
-        """Grant tail left over by polling position j in interval k."""
-        gap = self.ref_payload_us[j - 1] - self.payload_us[k][j - 1]
-        return gap if gap > 0 else Fraction(0)
 
-
-def d_si(scheduler: str, i: int, inputs: AnalyticInputs, k: int = 0) -> Fraction:
-    """Delay of polling position i (1-based) within service interval k."""
+def position_delays(scheduler: str, inputs: AnalyticInputs) -> tuple[tuple[Fraction, ...], ...]:
+    """Delay of every polling position in every service interval, in us:
+    element [k][i-1] is position i (1-based) in interval k. `lead` holds
+    the channel time of the predecessors walked so far."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected one of {SCHEDULERS}")
-    if not 1 <= i <= inputs.n_stations:
-        raise ValueError(f"polling position {i} out of range 1..{inputs.n_stations}")
-    if not 0 <= k < inputs.m_intervals:
-        raise ValueError(f"interval {k} out of range 0..{inputs.m_intervals - 1}")
-
     sifs = inputs.profile.sifs_us
-    own = inputs.payload_us[k][i - 1]
-    preds = range(1, i)
-    td = [td_i(inputs.ref_payload_us[j - 1], inputs.profile, inputs.control_rate) for j in preds]
+    if scheduler == "amtxop":
+        # multi-poll: one broadcast poll up front, predecessors shed their
+        # individual polls, the own burst follows its backoff after one SIFS
+        first, shed = inputs.t_mpoll + sifs, inputs.t_poll
+    else:
+        first, shed = inputs.t_poll + 2 * sifs, 0
+    refs = inputs.ref_payload_us
+    steps = [td_i(ref, inputs.profile, inputs.control_rate) - shed for ref in refs]
+    reclaim = scheduler != "hcca"
 
-    if scheduler == "hcca":
-        return sum(td, Fraction(0)) + own + inputs.t_poll + 2 * sifs
-    if scheduler == "atxop":
-        reclaimed = sum((inputs.unused_us(j, k) for j in preds), Fraction(0))
-        return sum(td, Fraction(0)) - reclaimed + own + inputs.t_poll + 2 * sifs
-    # multi-poll: one broadcast poll up front, predecessors shed their
-    # individual polls, the own burst follows its backoff after one SIFS
-    reclaimed = sum((inputs.unused_us(j, k) + inputs.t_poll for j in preds), Fraction(0))
-    return inputs.t_mpoll + sum(td, Fraction(0)) - reclaimed + own + sifs
+    rows = []
+    for own_row in inputs.payload_us:
+        lead = first
+        row = []
+        for own, ref, step in zip(own_row, refs, steps):
+            row.append(lead + own)
+            lead += step
+            if reclaim and ref > own:
+                lead -= ref - own
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def aggregate_delay(scheduler: str, inputs: AnalyticInputs) -> Fraction:
     """Sum of all stations' delays in one service interval, averaged over
     the intervals, in us."""
-    total = Fraction(0)
-    for k in range(inputs.m_intervals):
-        for i in range(1, inputs.n_stations + 1):
-            total += d_si(scheduler, i, inputs, k)
-    return total / inputs.m_intervals
+    return sum(map(sum, position_delays(scheduler, inputs))) / inputs.m_intervals
 
 
 def aggregate_delay_alt(scheduler: str, inputs: AnalyticInputs) -> Fraction:

@@ -619,7 +619,7 @@ class _Sim:
         first = True
         if not st.queue:
             # nothing pending: a header-only frame carries the size report
-            self._exchange(st, None, t, slot_end, lead_sifs=not (is_multipoll and first))
+            self._exchange(st, None, t, slot_end, lead_sifs=not is_multipoll)
             return
         while st.queue:
             nxt = self._exchange(st, st.queue[0], t, slot_end, lead_sifs=not (is_multipoll and first))

@@ -344,7 +344,6 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     trace prefix and the model walks the same per-interval sizes."""
     if config.warmup_s != config.station_start_s:
         raise ConfigError("validation needs station_start_s == warmup_s")
-    trace = load_trace(config.trace_path)
     results = _run_all(expand_scenarios(config), jobs)
 
     rows = []
@@ -363,7 +362,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
             continue
         m_intervals = int((sc.sim_time_s - sc.warmup_s) / si)
         inputs = analytic_inputs(
-            trace, n, config.tspec, si, sc.profile,
+            sc.stations[0].trace, n, config.tspec, si, sc.profile,
             control_rate=sc.control_rate,
             m_intervals=m_intervals,
         )

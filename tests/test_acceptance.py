@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from hccasim.adaptive import multipoll_overhead
-from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, d_si, validate
+from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, position_delays, validate
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.hcca import (
     admissible,
@@ -307,11 +307,11 @@ def test_criterion_10_property_suites(lab):
         ),
         control_rate=2_000_000,
     )
+    am_rows, at_rows = position_delays("amtxop", inputs), position_delays("atxop", inputs)
     identity = all(
-        d_si("amtxop", i, inputs, k) - d_si("atxop", i, inputs, k)
-        == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
-        for i in range(1, 6)
-        for k in range(3)
+        am - at == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
+        for am_row, at_row in zip(am_rows, at_rows)
+        for i, (am, at) in enumerate(zip(am_row, at_row), start=1)
     )
 
     ok = deterministic and budget_ok and conservation and linear and identity

@@ -106,12 +106,6 @@ class TestSizeLedger:
         led.record(3, 500)
         assert led.take(3) == 500
 
-    def test_negative_size_counted_not_stored(self):
-        led = SizeLedger()
-        led.record(3, -5)
-        assert led.protocol_errors == 1
-        assert led.take(3) is None
-
     def test_newer_report_overwrites(self):
         led = SizeLedger()
         led.record(3, 1200)

@@ -11,7 +11,7 @@ from hccasim.analytic import (
     aggregate_delay,
     aggregate_delay_alt,
     analytic_inputs,
-    d_si,
+    position_delays,
     td_i,
     validate,
 )
@@ -62,61 +62,90 @@ class TestPredecessorTerm:
         assert td_i(REF, PROFILE_11G, 1_000_000) == REF + 848
 
 
+def _d_si_reference(scheduler, i, inputs, k):
+    """Delay of position i in interval k as the direct sum over its
+    predecessors j < i: the quadratic form of the model, kept as the
+    oracle for position_delays."""
+    sifs = inputs.profile.sifs_us
+    refs, actual = inputs.ref_payload_us, inputs.payload_us[k]
+    own = actual[i - 1]
+    preds = range(1, i)
+    td = [td_i(refs[j - 1], inputs.profile, inputs.control_rate) for j in preds]
+
+    def unused(j):
+        gap = refs[j - 1] - actual[j - 1]
+        return gap if gap > 0 else Fraction(0)
+
+    if scheduler == "hcca":
+        return sum(td, Fraction(0)) + own + inputs.t_poll + 2 * sifs
+    if scheduler == "atxop":
+        reclaimed = sum((unused(j) for j in preds), Fraction(0))
+        return sum(td, Fraction(0)) - reclaimed + own + inputs.t_poll + 2 * sifs
+    reclaimed = sum((unused(j) + inputs.t_poll for j in preds), Fraction(0))
+    return inputs.t_mpoll + sum(td, Fraction(0)) - reclaimed + own + sifs
+
+
 class TestPerStationDelay:
     def test_hcca_first_position(self):
         payload = Fraction(3800 * 8 * 10**6, 54_000_000)
         inputs = make_inputs(n=1, payload=payload, control_rate=54_000_000)
-        assert d_si("hcca", 1, inputs) == Fraction(19124, 27)
+        assert position_delays("hcca", inputs)[0][0] == Fraction(19124, 27)
 
     def test_hcca_second_position(self):
-        assert d_si("hcca", 2, make_inputs()) == Fraction(34124, 9)
+        assert position_delays("hcca", make_inputs())[0][1] == Fraction(34124, 9)
 
     def test_atxop_reclaims_predecessor_tail(self):
-        assert d_si("atxop", 2, make_inputs()) == Fraction(26764, 9)
+        assert position_delays("atxop", make_inputs())[0][1] == Fraction(26764, 9)
 
     def test_amtxop_second_position(self):
-        assert d_si("amtxop", 2, make_inputs()) == Fraction(23650, 9)
+        assert position_delays("amtxop", make_inputs())[0][1] == Fraction(23650, 9)
 
     def test_first_positions_differ_only_by_poll_mechanism(self):
         inputs = make_inputs()
         sifs = PROFILE_11G.sifs_us
-        assert d_si("hcca", 1, inputs) == MEAN + inputs.t_poll + 2 * sifs
-        assert d_si("atxop", 1, inputs) == d_si("hcca", 1, inputs)
-        assert d_si("amtxop", 1, inputs) == inputs.t_mpoll + MEAN + sifs
+        hcca, atxop, amtxop = (position_delays(s, inputs)[0][0] for s in SCHEDULERS)
+        assert hcca == MEAN + inputs.t_poll + 2 * sifs
+        assert atxop == hcca
+        assert amtxop == inputs.t_mpoll + MEAN + sifs
 
     def test_rejects_bad_arguments(self):
-        inputs = make_inputs()
         with pytest.raises(ValueError):
-            d_si("edca", 1, inputs)
-        with pytest.raises(ValueError):
-            d_si("hcca", 0, inputs)
-        with pytest.raises(ValueError):
-            d_si("hcca", 3, inputs)
-        with pytest.raises(ValueError):
-            d_si("hcca", 1, inputs, k=1)
+            position_delays("edca", make_inputs())
+
+    @given(inputs=random_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_sum_over_predecessors(self, inputs):
+        for s in SCHEDULERS:
+            delays = position_delays(s, inputs)
+            assert len(delays) == inputs.m_intervals
+            total = Fraction(0)
+            for k, row in enumerate(delays):
+                assert len(row) == inputs.n_stations
+                for i, d in enumerate(row, start=1):
+                    assert d == _d_si_reference(s, i, inputs, k)
+                    total += d
+            assert aggregate_delay(s, inputs) == total / inputs.m_intervals
 
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
     def test_multipoll_minus_adaptive_identity(self, inputs):
         # d_AM - d_AT = T_mpoll - i*T_poll - SIFS, independent of traffic
-        for k in range(inputs.m_intervals):
-            for i in range(1, inputs.n_stations + 1):
-                gap = d_si("amtxop", i, inputs, k) - d_si("atxop", i, inputs, k)
-                assert gap == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
+        rows = zip(position_delays("amtxop", inputs), position_delays("atxop", inputs))
+        for am_row, at_row in rows:
+            for i, (am, at) in enumerate(zip(am_row, at_row), start=1):
+                assert am - at == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
 
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
     def test_adaptive_never_behind_reference(self, inputs):
-        for k in range(inputs.m_intervals):
-            for i in range(1, inputs.n_stations + 1):
-                assert d_si("atxop", i, inputs, k) <= d_si("hcca", i, inputs, k)
+        rows = zip(position_delays("atxop", inputs), position_delays("hcca", inputs))
+        for at_row, hc_row in rows:
+            assert all(at <= hc for at, hc in zip(at_row, hc_row))
 
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
     def test_reference_delay_grows_with_position(self, inputs):
-        for k in range(inputs.m_intervals):
-            delays = [d_si("hcca", i, inputs, k) for i in range(1, inputs.n_stations + 1)]
-            own = inputs.payload_us[k]
+        for delays, own in zip(position_delays("hcca", inputs), inputs.payload_us):
             # strip the own payload term: the positional part is strictly increasing
             positional = [d - t for d, t in zip(delays, own)]
             assert positional == sorted(positional)
@@ -124,8 +153,7 @@ class TestPerStationDelay:
 
     def test_degenerate_full_grants_collapse_to_reference(self):
         inputs = make_inputs(payload=REF)
-        for i in (1, 2):
-            assert d_si("atxop", i, inputs) == d_si("hcca", i, inputs)
+        assert position_delays("atxop", inputs) == position_delays("hcca", inputs)
 
 
 class TestAggregate:
@@ -133,7 +161,7 @@ class TestAggregate:
         one = make_inputs(m=1)
         many = make_inputs(m=5)
         for s in SCHEDULERS:
-            single = sum(d_si(s, i, one) for i in (1, 2))
+            single = sum(position_delays(s, one)[0])
             assert aggregate_delay(s, many) == single
 
     def test_alt_reading_offset(self):
@@ -148,8 +176,7 @@ class TestAggregate:
             payload_us=((MEAN,), (Fraction(0),)),
             control_rate=1_000_000,
         )
-        d0 = d_si("hcca", 1, inputs, k=0)
-        d1 = d_si("hcca", 1, inputs, k=1)
+        (d0,), (d1,) = position_delays("hcca", inputs)
         assert aggregate_delay("hcca", inputs) == (d0 + d1) / 2
 
     def test_shape_validation(self):
