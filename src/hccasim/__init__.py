@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .phy import (
     PhyProfile,
-    FrameKind,
     PROFILE_11B,
     PROFILE_11G,
     PROFILES,
@@ -50,7 +49,6 @@ from .engine import (
     RunResult,
     Scenario,
     StationSpec,
-    advance_mobility,
     apply_channel,
     phy_rate_for_distance,
     run_scenario,

@@ -17,7 +17,7 @@ minus one poll. The multi-poll frame's airtime is phy.airtime_multipoll.
 from fractions import Fraction
 
 from .hcca import reference_overhead
-from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control
+from .phy import US_PER_S, PhyProfile, airtime_control
 from .traces import Tspec
 from .util import exact
 
@@ -66,5 +66,5 @@ def multipoll_overhead(
     """Per-TXOP overhead under the multi-poll scheme: the single-poll
     overhead minus the poll frame itself, which is amortized into the one
     broadcast multi-poll."""
-    t_poll = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
+    t_poll = airtime_control(profile, control_rate)
     return reference_overhead(n_msdus, profile, control_rate, data_rate_override) - t_poll

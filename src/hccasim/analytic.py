@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcca import msdu_count
-from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_multipoll
+from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll
 from .traces import Tspec, VideoTrace
 from .util import exact
 
@@ -33,8 +33,7 @@ def td_i(payload_us, profile: PhyProfile, control_rate: int | None = None) -> Fr
     """Time one predecessor burst occupies the channel: its payload time
     plus a poll, an ACK, three interframe spaces and one propagation
     delay."""
-    t_poll = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
-    t_ack = airtime_control(FrameKind.ACK, profile, control_rate)
+    t_poll = t_ack = airtime_control(profile, control_rate)
     return exact(payload_us) + t_poll + t_ack + 3 * profile.sifs_us + profile.prop_delay_us
 
 
@@ -72,7 +71,7 @@ class AnalyticInputs:
 
     @property
     def t_poll(self) -> Fraction:
-        return airtime_control(FrameKind.SINGLE_POLL, self.profile, self.control_rate)
+        return airtime_control(self.profile, self.control_rate)
 
     @property
     def t_mpoll(self) -> Fraction:
@@ -146,7 +145,7 @@ def analytic_inputs(
     rate = tspec.min_phy_rate_bps
 
     bins = {}
-    for frame in trace.generation_frames():
+    for frame in trace.generation_frames:
         k = math.floor(frame.display_time_ms / si_ms)
         bins[k] = bins.get(k, 0) + frame.size
     last = max(bins) if bins else 0

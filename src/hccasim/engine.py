@@ -26,12 +26,16 @@ per reported byte. Admission plans every stream at the candidate SI and
 charges the sum of the reference grants, poll included, against the
 contention-free budget, so it charges exactly what the engine grants
 under `hcca`; a rejected stream leaves every plan as it was.
+
+Under mobility the stations move as one group. At every interval start
+the engine evaluates the group's distance in closed form and looks up
+one rate; when that rate changes, every admitted station is re-planned at
+it, and past the last tier every station is suspended.
 """
 
 import heapq
 import itertools
 import math
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -51,11 +55,14 @@ from .hcca import (
     txop_reference,
 )
 from .metrics import MetricsReport, PacketRecord, build_report
-from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
+from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
 from .traces import Tspec, VideoTrace
 from .util import exact
 
 M_TO_FT = Fraction("3.28084")
+
+# the group rate before the first mobility step (None is "out of range")
+_NOT_APPLIED = object()
 
 
 class EventKind(IntEnum):
@@ -90,9 +97,11 @@ def apply_channel(channel: Channel) -> bool:
 
 @dataclass(frozen=True)
 class Mobility:
-    """Group movement: every station starts at the same range and walks
-    outward at constant speed. tiers maps range (feet) to the PHY rate
-    sustained inside it; past the last tier the stations disassociate."""
+    """Group movement: the stations move as one group, starting at
+    initial_distance_ft and walking outward at speed_mps from start_s, so
+    they share one distance and one PHY rate. tiers maps range (feet) to
+    the PHY rate sustained inside it; past the last tier the group
+    disassociates."""
 
     tiers: tuple                 # ((max_distance_ft, rate_bps), ...) ascending
     speed_mps: Fraction
@@ -119,13 +128,6 @@ def phy_rate_for_distance(distance, tiers):
         if d <= exact(max_ft):
             return rate
     return None
-
-
-def advance_mobility(positions, speed_mps, dt_s):
-    """Move every station outward by speed*dt. Positions are feet, speed
-    is m/s."""
-    step = exact(speed_mps) * M_TO_FT * exact(dt_s)
-    return {aid: exact(pos) + step for aid, pos in positions.items()}
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ class _Station:
         self.stopped = False
         self.suspended = False
         self.queue = deque()
-        self.gen_frames = list(spec.trace.generation_frames())
+        self.gen_frames = spec.trace.generation_frames
         self.next_gen_idx = 0
         self.op_rate = op_rate
         # grant plan in ticks, from _Sim._plan via _Sim._commit: the mean-based
@@ -302,8 +304,8 @@ class _Sim:
         # per-exchange constants (integer ticks)
         self.sifs_t = self.profile.sifs_us * self.K
         self.dp_t = self.profile.prop_delay_us * self.K
-        self.ack_t = self._to_ticks(airtime_control(FrameKind.ACK, self.profile, self.ctrl))
-        self.poll_t = self._to_ticks(airtime_control(FrameKind.SINGLE_POLL, self.profile, self.ctrl))
+        # an ACK and a single poll are the same header-only PPDU
+        self.ack_t = self.poll_t = self._to_ticks(airtime_control(self.profile, self.ctrl))
         self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
 
         self.heap = []
@@ -312,7 +314,7 @@ class _Sim:
         self.grant_log = []
         self.tier_changes = []
         self.event_log = []
-        self.logging = scenario.log_events or os.environ.get("HCCASIM_LOG", "") not in ("", "0")
+        self.logging = scenario.log_events
 
         self.si_index = 0
         self.cap_scheduled = False
@@ -322,15 +324,9 @@ class _Sim:
         self.n_null_lost = 0
         self.n_deferred = 0
         self.n_beacons = 0
-        self._fleet_rate_logged = None
 
-        self.positions0 = None
-        self.positions = None
-        if scenario.mobility:
-            d0 = exact(scenario.mobility.initial_distance_ft)
-            self.positions0 = {aid: d0 for aid in self.stations}
-            self.positions = dict(self.positions0)
-            self._apply_mobility(0)
+        self.group_rate = _NOT_APPLIED
+        self._apply_mobility(0)
 
         for st in self.stations.values():
             if st.start_t < self.end_tick:
@@ -461,9 +457,10 @@ class _Sim:
         self.polled = polled
         for p, plan in zip(polled, plans):
             self._commit(p, plan)
-        tspec = st.spec.tspec
-        n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-        self._log(tick, "ADMIT", aid, f"si={float(si):.6f}s n_msdu={n}")
+        if self.logging:
+            tspec = st.spec.tspec
+            n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
+            self._log(tick, "ADMIT", aid, f"si={float(si):.6f}s n_msdu={n}")
         self._schedule_frame(st, 0)
         if not self.cap_scheduled:
             self.cap_scheduled = True
@@ -497,29 +494,30 @@ class _Sim:
     # -- mobility ----------------------------------------------------------
 
     def _apply_mobility(self, tick):
+        """Move the group to its distance at this tick; when that changes the
+        group's rate, apply the new rate to every station in AID order."""
         mob = self.sc.mobility
         if mob is None:
             return
-        t_s = Fraction(tick, self.K * US_PER_S)
-        dt = max(Fraction(0), t_s - exact(mob.start_s))
-        # closed form from the initial positions: no per-step accumulation
-        self.positions = advance_mobility(self.positions0, mob.speed_mps, dt)
-        rate_now = None
+        dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
+        distance = exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
+        rate = phy_rate_for_distance(distance, mob.tiers)
+        if rate == self.group_rate:
+            return
+        starting = self.group_rate is _NOT_APPLIED
+        self.group_rate = rate
         for aid, st in self.stations.items():
-            rate = phy_rate_for_distance(self.positions[aid], mob.tiers)
             if rate is None:
-                if not st.suspended:
-                    st.suspended = True
-                    self._log(tick, "DISASSOCIATE", aid, f"distance={float(self.positions[aid]):.2f}ft")
-            elif rate != st.op_rate:
+                st.suspended = True
+                self._log(tick, "DISASSOCIATE", aid, f"distance={float(distance):.2f}ft")
+            else:
                 st.op_rate = rate
                 if st.admitted:
                     self._commit(st, self._plan(st, self.si_s))
-            rate_now = rate
-        if rate_now != self._fleet_rate_logged:
-            self.tier_changes.append((self._us(tick), rate_now))
-            self._fleet_rate_logged = rate_now
-            self._log(tick, "TIER-CHANGE", 0, f"rate={rate_now}")
+        # a group that starts out of range has no tier to change from
+        if rate is not None or not starting:
+            self.tier_changes.append((self._us(tick), rate))
+            self._log(tick, "TIER-CHANGE", 0, f"rate={rate}")
 
     # -- the contention-free period ---------------------------------------
 

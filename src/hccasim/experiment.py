@@ -20,8 +20,8 @@ from .analytic import aggregate_delay, aggregate_delay_alt, analytic_inputs
 from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
 from .metrics import e2e_delay, utilization_improvement
-from .phy import PROFILES, FrameKind, airtime_control, airtime_multipoll, poll_gain_ratio
-from .traces import Tspec, derive_tspec, load_trace, trace_stats
+from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
+from .traces import Tspec, VideoTrace, derive_tspec, load_trace, trace_stats
 from .util import exact
 
 CSV_COLUMNS = (
@@ -65,7 +65,7 @@ class ExperimentConfig:
     profiles: tuple              # profile names, e.g. ("11g",)
     control_rate: int | None
     data_rate: int | None
-    trace_path: str
+    trace: VideoTrace
     tspec: Tspec
     sim_time_s: Fraction
     warmup_s: Fraction
@@ -140,7 +140,9 @@ def load_config(path) -> ExperimentConfig:
             initial_distance_ft=exact(m.get("initial_distance_ft", 0)),
         )
 
-    tspec = _build_tspec(doc.get("tspec", {"derive": True}), trace_path)
+    # parsed once here; every scenario of the experiment shares it
+    trace = load_trace(trace_path)
+    tspec = _build_tspec(doc.get("tspec", {"derive": True}), trace)
 
     return ExperimentConfig(
         name=doc.get("name", os.path.splitext(os.path.basename(path))[0]),
@@ -148,7 +150,7 @@ def load_config(path) -> ExperimentConfig:
         profiles=profiles,
         control_rate=int(phy["control_rate"]) if "control_rate" in phy else None,
         data_rate=int(phy["data_rate"]) if "data_rate" in phy else None,
-        trace_path=trace_path,
+        trace=trace,
         tspec=tspec,
         sim_time_s=exact(run["sim_time_s"]),
         warmup_s=exact(run.get("warmup_s", 0)),
@@ -164,11 +166,10 @@ def load_config(path) -> ExperimentConfig:
     )
 
 
-def _build_tspec(section, trace_path) -> Tspec:
+def _build_tspec(section, trace) -> Tspec:
     _check_keys("tspec", section)
     explicit = {k: v for k, v in section.items() if k != "derive"}
     if section.get("derive"):
-        trace = load_trace(trace_path)
         stats = trace_stats(trace)
         derived = derive_tspec(
             stats,
@@ -198,7 +199,6 @@ def _build_tspec(section, trace_path) -> Tspec:
 
 def expand_scenarios(config: ExperimentConfig):
     """Cartesian sweep in a fixed order so run seeds are reproducible."""
-    trace = load_trace(config.trace_path)
     speeds = config.speed_sweep or (None,)
     scenarios = []
     index = 0
@@ -214,7 +214,7 @@ def expand_scenarios(config: ExperimentConfig):
         stations = tuple(
             StationSpec(
                 aid=i + 1,
-                trace=trace,
+                trace=config.trace,
                 tspec=config.tspec,
                 start_s=config.station_start_s,
             )
@@ -323,7 +323,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
 def emit_table2(profile, control_rate=None, n_max=12):
     """Polling-airtime comparison rows: one poll per station versus a
     single multi-poll, for 1..n_max stations."""
-    t_poll = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
+    t_poll = airtime_control(profile, control_rate)
     rows = []
     for n in range(1, n_max + 1):
         single = n * t_poll
@@ -362,7 +362,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
             continue
         m_intervals = int((sc.sim_time_s - sc.warmup_s) / si)
         inputs = analytic_inputs(
-            sc.stations[0].trace, n, config.tspec, si, sc.profile,
+            config.trace, n, config.tspec, si, sc.profile,
             control_rate=sc.control_rate,
             m_intervals=m_intervals,
         )

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError
-from .phy import US_PER_S, FrameKind, PhyProfile, airtime_control, airtime_data
+from .phy import US_PER_S, PhyProfile, airtime_control, airtime_data
 from .traces import Tspec
 from .util import exact
 
@@ -73,8 +73,7 @@ def reference_overhead(
     """
     if n_msdus < 1:
         raise ValueError("n_msdus must be >= 1")
-    t_poll = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
-    t_ack = airtime_control(FrameKind.ACK, profile, control_rate)
+    t_poll = t_ack = airtime_control(profile, control_rate)
     t_hdr = airtime_data(0, profile, data_rate_override)
     per_msdu = t_ack + t_hdr + 3 * profile.sifs_us
     return t_poll + n_msdus * per_msdu + profile.prop_delay_us

@@ -7,7 +7,6 @@ the effective PHY rate of the frame.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -20,12 +19,6 @@ US_PER_S = 1_000_000
 MULTIPOLL_MAC_HEADER_BYTES = 24
 MULTIPOLL_FIXED_BODY_BYTES = 13
 MULTIPOLL_RECORD_BYTES = 4
-
-
-class FrameKind(Enum):
-    DATA = "data"
-    ACK = "ack"
-    SINGLE_POLL = "single_poll"
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,10 @@ def airtime_data(payload_bytes: int, profile: PhyProfile, rate_override: int | N
     return plcp_time_us(profile) + _bits_time_us(body_bits, rate)
 
 
-def airtime_control(kind: FrameKind, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
-    """Airtime of an ACK or a single poll: header-only PPDU at control_rate.
-
-    control_rate defaults to the profile basic rate. ACK and single poll
-    are the same length by construction.
+def airtime_control(profile: PhyProfile, control_rate: int | None = None) -> Fraction:
+    """Airtime of an ACK or a single poll: both are the same header-only
+    PPDU at control_rate, which defaults to the profile basic rate.
     """
-    if kind not in (FrameKind.ACK, FrameKind.SINGLE_POLL):
-        raise ValueError(f"not a control frame kind: {kind}")
     rate = profile.basic_rate if control_rate is None else control_rate
     if rate <= 0:
         raise ConfigError("control_rate must be > 0")
@@ -152,7 +141,7 @@ def poll_gain_ratio(n_stations: int, profile: PhyProfile, control_rate: int | No
     """
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    single = airtime_control(FrameKind.SINGLE_POLL, profile, control_rate)
+    single = airtime_control(profile, control_rate)
     multi = airtime_multipoll(n_stations, profile, control_rate)
     raw = 1 - multi / (n_stations * single)
     return raw if raw > 0 else Fraction(0)

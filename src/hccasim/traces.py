@@ -39,17 +39,15 @@ class TraceFrame:
 
 @dataclass(frozen=True)
 class VideoTrace:
-    """Parsed trace: frames in file order plus the derived generation order."""
+    """Parsed trace: frames in file order and the same frames in
+    generation order."""
 
     frames: tuple
-    generation_order: tuple   # indices into frames, display time ascending
+    generation_frames: tuple   # the frames by display time, ties in file order
     frame_interval_ms: Fraction
 
     def __len__(self):
         return len(self.frames)
-
-    def generation_frames(self):
-        return [self.frames[i] for i in self.generation_order]
 
 
 @dataclass(frozen=True)
@@ -129,8 +127,8 @@ def parse_trace(text) -> VideoTrace:
     if not frames:
         raise TraceParseError("empty trace: no frame lines found")
 
-    order = sorted(range(len(frames)), key=lambda i: (frames[i].display_time_ms, i))
-    times = [frames[i].display_time_ms for i in order]
+    generation = tuple(sorted(frames, key=lambda f: f.display_time_ms))
+    times = [f.display_time_ms for f in generation]
     if len(times) > 1:
         interval = Fraction(0)
         for a, b in zip(times, times[1:]):
@@ -139,7 +137,7 @@ def parse_trace(text) -> VideoTrace:
             raise TraceParseError("display times are not strictly increasing after reorder")
     else:
         interval = Fraction(0)
-    return VideoTrace(tuple(frames), tuple(order), interval)
+    return VideoTrace(tuple(frames), generation, interval)
 
 
 def serialize_trace(trace: VideoTrace) -> str:
@@ -166,7 +164,7 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     """
     if window_s <= 0:
         raise ValueError("window must be > 0")
-    frames = trace.generation_frames()
+    frames = trace.generation_frames
     n = len(frames)
     sizes = [f.size for f in frames]
     total = sum(sizes)

@@ -8,11 +8,11 @@ from hccasim.adaptive import SizeLedger, multipoll_overhead, txop_adaptive
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
-from hccasim.phy import PROFILE_11B, PROFILE_11G, FrameKind, airtime_control, airtime_multipoll
+from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
 O_REF = reference_overhead(2, PROFILE_11B, 2_000_000)    # Fraction(16570, 11)
-O_POLL = airtime_control(FrameKind.SINGLE_POLL, PROFILE_11B, 2_000_000)
+O_POLL = airtime_control(PROFILE_11B, 2_000_000)
 
 
 def make_tspec(L=3800, M=7500, rho=770_000, R=11_000_000):
@@ -127,7 +127,7 @@ class TestMultipollOverhead:
 # 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU
 # per interval, a 5400-byte maximum, and slots without a poll of their own
 TSPEC_54 = make_tspec(2700, 5400, 540_000, 54_000_000)
-O_POLL_11G = airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, 2_000_000)   # 264
+O_POLL_11G = airtime_control(PROFILE_11G, 2_000_000)   # 264
 O_SLOT = multipoll_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)          # 1264/3
 FALLBACK = txop_reference(TSPEC_54, Fraction(1, 25), O_SLOT)   # 800 + 1264/3
 

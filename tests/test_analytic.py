@@ -15,7 +15,7 @@ from hccasim.analytic import (
     td_i,
     validate,
 )
-from hccasim.phy import PROFILE_11G, FrameKind, airtime_control, airtime_multipoll
+from hccasim.phy import PROFILE_11G, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from hccasim.engine import (
     Mobility,
     Scenario,
     StationSpec,
-    advance_mobility,
     apply_channel,
     phy_rate_for_distance,
     run_scenario,
@@ -451,13 +451,6 @@ class TestMobility:
         assert phy_rate_for_distance(325, self.TIERS) == 6_000_000
         assert phy_rate_for_distance(326, self.TIERS) is None
 
-    def test_advance_is_exact(self):
-        pos = advance_mobility({1: Fraction(30)}, 5, Fraction(1, 25))
-        assert pos == {1: 30 + 5 * Fraction("3.28084") * Fraction(1, 25)}
-        # 50 m outward in one step
-        pos = advance_mobility({1: 0}, 5, 10)
-        assert pos == {1: Fraction("164.042")}
-
     def test_tier_changes_and_disassociation(self):
         trace = const_trace(560, 2700)
         mob = Mobility(
@@ -522,6 +515,76 @@ class TestMobility:
         assert all(len(v) == 1 for v in by_si.values())
         assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
 
+    @staticmethod
+    def group_rates(mob, si_s, n_si):
+        """The group's rate at each SI start k*si_s, from its closed-form
+        distance (feet; speed in m/s)."""
+        return [
+            phy_rate_for_distance(
+                mob.initial_distance_ft
+                + mob.speed_mps * Fraction("3.28084") * max(0, k * si_s - mob.start_s),
+                mob.tiers,
+            )
+            for k in range(n_si)
+        ]
+
+    @staticmethod
+    @st.composite
+    def group_walks(draw):
+        gaps = draw(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=4))
+        bounds = list(itertools.accumulate(gaps))
+        # few rates, so adjacent tiers often share one
+        rates = draw(st.lists(
+            st.sampled_from([1_000_000, 6_000_000, 11_000_000, 54_000_000]),
+            min_size=len(bounds), max_size=len(bounds),
+        ))
+        last = bounds[-1]
+        start_ft = draw(st.one_of(
+            st.sampled_from(bounds),                                 # on a tier edge
+            st.integers(min_value=0, max_value=10 * last).map(lambda d: Fraction(d, 10)),
+            st.integers(min_value=last + 1, max_value=last + 40),    # beyond the tiers
+        ))
+        return Mobility(
+            tiers=tuple(zip(bounds, rates)),
+            speed_mps=Fraction(draw(st.integers(min_value=0, max_value=60))),
+            start_s=Fraction(draw(st.integers(min_value=0, max_value=12)), 10),
+            initial_distance_ft=Fraction(start_ft),
+        )
+
+    @given(mob=group_walks(), n_stations=st.integers(min_value=2, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_group_walk_matches_closed_form(self, mob, n_stations):
+        """The group's rate is its closed-form distance's tier at every SI
+        start: tier changes are logged when that rate changes, every grant
+        is the reference grant at that rate, and out of range nobody is
+        served."""
+        si_s, n_si = Fraction(1, 25), 30
+        tspec = make_tspec(200, 200, 40_000, 54_000_000)
+        sc = make_scenario(
+            "hcca", n_stations, const_trace(30, 200), tspec,
+            sim_time_s=n_si * si_s, mobility=mob,
+        )
+        result = run_scenario(sc)
+        assert result.si_s == si_s and result.n_service_intervals == n_si
+        rates = self.group_rates(mob, si_s, n_si)
+
+        changes, last = [], None   # nothing to log before the first rate
+        for k, rate in enumerate(rates):
+            if rate != last:
+                changes.append((k * si_s * 1_000_000, rate))
+                last = rate
+        assert result.tier_changes == tuple(changes)
+
+        # payload and MAC header at the rate; poll and ACK at 2 Mb/s, PLCP,
+        # three SIFS and the propagation delay
+        for g in result.grant_log:
+            assert g.duration_us == Fraction((200 + 36) * 8_000_000, rates[g.si_index]) + 680
+        served = {(g.si_index, g.aid) for g in result.grant_log}
+        assert served == {
+            (k, aid) for k, rate in enumerate(rates) if rate is not None
+            for aid in range(1, n_stations + 1)
+        }
+
     def test_mobility_validation(self):
         with pytest.raises(ConfigError):
             Mobility(tiers=(), speed_mps=1, start_s=0, initial_distance_ft=0)
@@ -542,8 +605,7 @@ class TestRunResultWindow:
         assert report.n_delivered == 3
         assert report.throughput_bps == pytest.approx(3 * 2700 * 8 / 0.12)
 
-    def test_event_log_opt_in(self, monkeypatch):
-        monkeypatch.delenv("HCCASIM_LOG", raising=False)
+    def test_event_log_opt_in(self):
         trace = const_trace(3, 2700)
         quiet = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
         assert quiet.event_log == ()

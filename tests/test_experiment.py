@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hccasim import experiment
 from hccasim.cli import main
 from hccasim.errors import ConfigError
 from hccasim.experiment import (
@@ -15,6 +16,7 @@ from hccasim.experiment import (
     validate_analytic,
 )
 from hccasim.phy import PROFILE_11B, PROFILE_11G
+from hccasim.traces import load_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,7 +90,7 @@ class TestLoadConfig:
         path = sub / "config.yaml"
         path.write_text(body.format(extra=""))
         cfg = load_config(path)
-        assert cfg.trace_path == str(sub / "t.txt")
+        assert cfg.trace == load_trace(sub / "t.txt")
 
     def test_derived_tspec_matches_trace(self, tmp_path):
         extra = ""
@@ -265,3 +267,12 @@ class TestCli:
         assert (tmp_path / "v.csv").exists()
         # an absurdly tight bound must flip the exit code
         assert main(["validate-analytic", str(path), "--bound", "0.0001"]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "validate-analytic"])
+    def test_trace_file_parsed_once(self, tmp_path, monkeypatch, command):
+        # the derived TSPEC and every scenario share the one parse
+        calls = []
+        monkeypatch.setattr(experiment, "load_trace", lambda p: calls.append(p) or load_trace(p))
+        path = write_config(tmp_path, body=VALIDATE.replace("stations: [1, 3]", "stations: [1]"))
+        assert main([command, str(path)]) in (0, 1)
+        assert len(calls) == 1

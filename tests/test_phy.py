@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from hccasim.errors import ConfigError
 from hccasim.phy import (
-    FrameKind,
     PROFILE_11B,
     PROFILE_11G,
     PhyProfile,
@@ -63,30 +62,23 @@ def test_airtime_data_rejects_bad_rate():
 
 
 def test_single_poll_at_2mbps_is_264us():
-    assert airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, CTRL_2M) == 264
+    assert airtime_control(PROFILE_11G, CTRL_2M) == 264
 
 
 def test_ack_equals_single_poll():
+    # both are the header-only PPDU: a data frame's PLCP and MAC header
+    # without payload, sent at the control rate
     for rate in (1_000_000, CTRL_2M, 54_000_000):
-        assert airtime_control(FrameKind.ACK, PROFILE_11G, rate) == airtime_control(
-            FrameKind.SINGLE_POLL, PROFILE_11G, rate
-        )
+        assert airtime_control(PROFILE_11G, rate) == airtime_data(0, PROFILE_11G, rate_override=rate)
 
 
 def test_single_poll_at_data_rate():
-    got = airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, 54_000_000)
+    got = airtime_control(PROFILE_11G, 54_000_000)
     assert float(got) == pytest.approx(125.33, abs=0.005)
 
 
 def test_control_rate_defaults_to_basic_rate():
-    assert airtime_control(FrameKind.ACK, PROFILE_11G) == airtime_control(
-        FrameKind.ACK, PROFILE_11G, PROFILE_11G.basic_rate
-    )
-
-
-def test_airtime_control_rejects_data_kind():
-    with pytest.raises(ValueError):
-        airtime_control(FrameKind.DATA, PROFILE_11G, CTRL_2M)
+    assert airtime_control(PROFILE_11G) == airtime_control(PROFILE_11G, PROFILE_11G.basic_rate)
 
 
 def test_multipoll_values():
@@ -103,7 +95,7 @@ def test_multipoll_rejects_zero_stations():
 def test_poll_table_exact_closed_forms():
     # single polls are exactly 264*N us and multi-polls 268 + 16*N us
     for n in range(1, 10):
-        assert n * airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, CTRL_2M) == 264 * n
+        assert n * airtime_control(PROFILE_11G, CTRL_2M) == 264 * n
         assert airtime_multipoll(n, PROFILE_11G, CTRL_2M) == 268 + 16 * n
 
 
@@ -133,7 +125,7 @@ def test_airtime_data_strictly_decreasing_in_rate(payload, rate):
 @given(n=st.integers(min_value=2, max_value=64))
 def test_multipoll_beats_single_polls_for_two_or_more(n):
     multi = airtime_multipoll(n, PROFILE_11G, CTRL_2M)
-    singles = n * airtime_control(FrameKind.SINGLE_POLL, PROFILE_11G, CTRL_2M)
+    singles = n * airtime_control(PROFILE_11G, CTRL_2M)
     assert multi < singles
 
 

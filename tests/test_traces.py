@@ -71,7 +71,7 @@ def test_parse_rejects_empty():
 
 def test_generation_order_sorted_by_display_time():
     t = parse_trace(SAMPLE_DECODE_ORDER)
-    gen = t.generation_frames()
+    gen = t.generation_frames
     times = [f.display_time_ms for f in gen]
     assert times == sorted(times)
     assert times[0] == 19240 and gen[0].size == 749
