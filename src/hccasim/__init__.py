@@ -44,12 +44,10 @@ from .adaptive import (
     txop_adaptive,
 )
 from .engine import (
-    Channel,
     Mobility,
     RunResult,
     Scenario,
     StationSpec,
-    apply_channel,
     phy_rate_for_distance,
     run_scenario,
 )

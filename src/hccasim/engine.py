@@ -19,18 +19,18 @@ runs dead), is dropped without retransmission, and carries its
 queue-size report down with it, so the following interval falls back to
 a mean-sized grant.
 
-Grant sizes are planned per station in integer ticks whenever the
-service interval or the station's PHY rate changes; per interval a grant
-is then either the planned mean-based grant or a fixed part plus ticks
-per reported byte. Admission plans every stream at the candidate SI and
-charges the sum of the reference grants, poll included, against the
-contention-free budget, so it charges exactly what the engine grants
-under `hcca`; a rejected stream leaves every plan as it was.
+Grant sizes are planned in integer ticks at the run's one PHY rate and
+re-planned whenever the service interval or that rate changes; per
+interval a grant is then either the station's mean-based grant or a fixed
+part plus ticks per reported byte. Admission plans every stream at the
+candidate SI and charges the sum of the reference grants, poll included,
+against the contention-free budget, so it charges exactly what the engine
+grants under `hcca`; a rejected stream leaves every plan as it was.
 
 Under mobility the stations move as one group. At every interval start
 the engine evaluates the group's distance in closed form and looks up
-one rate; when that rate changes, every admitted station is re-planned at
-it, and past the last tier every station is suspended.
+one rate, which becomes the run's rate; past the last tier the group is
+out of range for good: nobody is served and new streams are rejected.
 """
 
 import heapq
@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
 
-from .adaptive import SizeLedger, txop_adaptive
+from .adaptive import SizeLedger
 from .analytic import SCHEDULERS
 from .errors import ConfigError
 from .hcca import (
@@ -61,9 +61,6 @@ from .util import exact
 
 M_TO_FT = Fraction("3.28084")
 
-# the group rate before the first mobility step (None is "out of range")
-_NOT_APPLIED = object()
-
 
 class EventKind(IntEnum):
     """Tie-break order for events on the same tick."""
@@ -74,25 +71,6 @@ class EventKind(IntEnum):
     BEACON_TBTT = 3
     CAP_START = 4
     SLOT_SERVICE = 5
-
-
-@dataclass
-class Channel:
-    """Memoryless loss channel for uplink data PPDUs."""
-
-    per: float
-    rng: random.Random
-
-    def __post_init__(self):
-        if not 0 <= self.per < 1:
-            raise ConfigError(f"per must be in [0, 1), got {self.per}")
-
-
-def apply_channel(channel: Channel) -> bool:
-    """Draw the fate of one uplink PPDU; True means it arrives intact.
-    One draw per frame regardless of the loss rate, so runs with
-    different rates stay draw-aligned under one seed."""
-    return channel.rng.random() >= channel.per
 
 
 @dataclass(frozen=True)
@@ -248,30 +226,22 @@ class _QFrame:
 
 class _Station:
     __slots__ = (
-        "spec", "aid", "start_t", "admitted", "rejected", "stopped", "suspended",
-        "queue", "gen_frames", "next_gen_idx", "op_rate",
-        "ref_t", "one_t", "byte_t",
+        "spec", "aid", "start_t", "admitted", "rejected", "stopped",
+        "queue", "gen_frames", "next_gen_idx", "ref_t",
     )
 
-    def __init__(self, spec, start_t, op_rate):
+    def __init__(self, spec, start_t):
         self.spec = spec
         self.aid = spec.aid
         self.start_t = start_t
         self.admitted = False
         self.rejected = False
         self.stopped = False
-        self.suspended = False
         self.queue = deque()
         self.gen_frames = spec.trace.generation_frames
         self.next_gen_idx = 0
-        self.op_rate = op_rate
-        # grant plan in ticks, from _Sim._plan via _Sim._commit: the mean-based
-        # grant, the report-sized grant for 0 bytes, and ticks per payload byte
-        self.ref_t = self.one_t = self.byte_t = None
-
-    @property
-    def active(self):
-        return self.admitted and not (self.stopped or self.suspended)
+        # the mean-based grant in ticks at the run's rate, from _Sim._size_grants
+        self.ref_t = None
 
 
 class _Sim:
@@ -293,13 +263,14 @@ class _Sim:
         self.bi = exact(scenario.beacon_interval_s)
 
         self.stations = {
-            s.aid: _Station(s, self._sec_ticks(s.start_s), base_rate)
+            s.aid: _Station(s, self._sec_ticks(s.start_s))
             for s in sorted(scenario.stations, key=lambda s: s.aid)
         }
         self.polled = []          # admitted stations in polling order
         self.si_s = self.si_t = None
         self.ledger = SizeLedger()
-        self.channel = Channel(per=scenario.per, rng=random.Random(scenario.seed))
+        self.per = scenario.per
+        self.rng = random.Random(scenario.seed)
 
         # per-exchange constants (integer ticks)
         self.sifs_t = self.profile.sifs_us * self.K
@@ -325,8 +296,14 @@ class _Sim:
         self.n_deferred = 0
         self.n_beacons = 0
 
-        self.group_rate = _NOT_APPLIED
-        self._apply_mobility(0)
+        # the run's PHY rate (None until set), ticks per payload byte and the
+        # report-sized grant for 0 bytes
+        self.rate = self.byte_t = self.one_t = None
+        self.out_of_range = False
+        if scenario.mobility is None:
+            self._set_rate(base_rate)
+        else:
+            self._apply_mobility(0)
 
         for st in self.stations.values():
             if st.start_t < self.end_tick:
@@ -354,30 +331,29 @@ class _Sim:
     def _us(self, tick) -> Fraction:
         return Fraction(tick, self.K)
 
-    def _plan(self, st: _Station, si):
-        """The station's grants at the given SI and its current PHY rate, in
-        ticks and poll included: (mean-based reference grant, report-sized
-        grant for 0 bytes, ticks per payload byte)."""
-        wt = replace(st.spec.tspec, min_phy_rate_bps=st.op_rate)
-        n = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
-        o_ref = reference_overhead(n, self.profile, self.ctrl, st.op_rate)
-        o_one = reference_overhead(1, self.profile, self.ctrl, st.op_rate)
-        byte_t, rem = divmod(8 * US_PER_S * self.K, st.op_rate)
-        if rem:
-            raise ConfigError(f"rate {st.op_rate} is off the tick grid")
-        return (
-            self._to_ticks(txop_reference(wt, si, o_ref)),
-            self._to_ticks(txop_adaptive(0, wt, o_one)),
-            byte_t,
-        )
+    # -- the grant plan ---------------------------------------------------
 
-    def _commit(self, st: _Station, plan):
-        """Size the station's grants by a plan from _plan."""
-        st.ref_t, st.one_t, st.byte_t = plan
-        if self.sc.scheduler == "amtxop":
-            # the broadcast multi-poll replaces every slot's own poll
-            st.ref_t -= self.poll_t
-            st.one_t -= self.poll_t
+    def _ref_ticks(self, tspec: Tspec, si) -> int:
+        """The stream's mean-based reference grant at the SI and the run's
+        rate, in ticks and poll included: what admission charges."""
+        n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
+        overhead = reference_overhead(n, self.profile, self.ctrl, self.rate)
+        return self._to_ticks(txop_reference(replace(tspec, min_phy_rate_bps=self.rate), si, overhead))
+
+    def _size_grants(self, refs):
+        """Adopt the polled stations' reference grants (poll-included ticks,
+        in polling order) and size the report-sized grant for 0 bytes."""
+        # the broadcast multi-poll replaces every slot's own poll
+        shed_t = self.poll_t if self.sc.scheduler == "amtxop" else 0
+        for st, ref_t in zip(self.polled, refs):
+            st.ref_t = ref_t - shed_t
+        self.one_t = self._to_ticks(reference_overhead(1, self.profile, self.ctrl, self.rate)) - shed_t
+
+    def _set_rate(self, rate):
+        """Make rate the run's PHY rate and re-plan every grant at it."""
+        self.rate = rate
+        self.byte_t = self._to_ticks(Fraction(8 * US_PER_S, rate))
+        self._size_grants([self._ref_ticks(st.spec.tspec, self.si_s) for st in self.polled])
 
     # -- event plumbing --------------------------------------------------
 
@@ -385,9 +361,11 @@ class _Sim:
         self._seq += 1
         heapq.heappush(self.heap, (tick, int(kind), aid, self._seq, payload))
 
-    def _log(self, tick, what, aid, detail=""):
+    def _log(self, tick, what, aid, fmt="", *args):
+        """Log one event; its detail is formatted only when logging is on."""
         if not self.logging:
             return
+        detail = fmt.format(*args)
         us, rem = divmod(tick, self.K)
         frac = (rem * US_PER_S + self.K // 2) // self.K
         if frac == US_PER_S:
@@ -446,21 +424,20 @@ class _Sim:
         # the new stream may shrink the SI, which changes every plan
         si = compute_si(self.bi, min_msi(p.spec.tspec.msi_s for p in polled))
         si_t = self._sec_ticks(si)
-        plans = [self._plan(p, si) for p in polled]
-        # every scheduler is charged the reference grants, poll included
-        if not admissible(sum(plan[0] for plan in plans), si_t, self.bi, self.sc.t_cp_s):
+        # every scheduler is charged the reference grants, poll included; an
+        # out-of-range group would never serve the stream
+        refs = None if self.out_of_range else [self._ref_ticks(p.spec.tspec, si) for p in polled]
+        if refs is None or not admissible(sum(refs), si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
             self._log(tick, "ADMIT-REJECT", aid)
             return
         self.si_s, self.si_t = si, si_t
         st.admitted = True
         self.polled = polled
-        for p, plan in zip(polled, plans):
-            self._commit(p, plan)
-        if self.logging:
-            tspec = st.spec.tspec
-            n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-            self._log(tick, "ADMIT", aid, f"si={float(si):.6f}s n_msdu={n}")
+        self._size_grants(refs)
+        tspec = st.spec.tspec
+        self._log(tick, "ADMIT", aid, "si={:.6f}s n_msdu={}",
+                  float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
         self._schedule_frame(st, 0)
         if not self.cap_scheduled:
             self.cap_scheduled = True
@@ -469,7 +446,7 @@ class _Sim:
     def _on_stream_end(self, tick, aid, _payload):
         st = self.stations[aid]
         st.stopped = True
-        self._log(tick, "STREAM-END", aid, f"queued={len(st.queue)}")
+        self._log(tick, "STREAM-END", aid, "queued={}", len(st.queue))
 
     def _schedule_frame(self, st: _Station, idx: int):
         if idx >= len(st.gen_frames):
@@ -494,30 +471,27 @@ class _Sim:
     # -- mobility ----------------------------------------------------------
 
     def _apply_mobility(self, tick):
-        """Move the group to its distance at this tick; when that changes the
-        group's rate, apply the new rate to every station in AID order."""
+        """Move the group to its distance at this tick; when that changes its
+        rate, make it the run's rate, or take the group out of range."""
         mob = self.sc.mobility
-        if mob is None:
+        if mob is None or self.out_of_range:
             return
         dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
         distance = exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
         rate = phy_rate_for_distance(distance, mob.tiers)
-        if rate == self.group_rate:
+        if rate is None:
+            # the distance never shrinks, so the group never returns
+            self.out_of_range = True
+            for aid in self.stations:
+                self._log(tick, "DISASSOCIATE", aid, "distance={:.2f}ft", float(distance))
+            if self.rate is None:
+                return   # a group that starts out of range has no tier to change from
+        elif rate == self.rate:
             return
-        starting = self.group_rate is _NOT_APPLIED
-        self.group_rate = rate
-        for aid, st in self.stations.items():
-            if rate is None:
-                st.suspended = True
-                self._log(tick, "DISASSOCIATE", aid, f"distance={float(distance):.2f}ft")
-            else:
-                st.op_rate = rate
-                if st.admitted:
-                    self._commit(st, self._plan(st, self.si_s))
-        # a group that starts out of range has no tier to change from
-        if rate is not None or not starting:
-            self.tier_changes.append((self._us(tick), rate))
-            self._log(tick, "TIER-CHANGE", 0, f"rate={rate}")
+        else:
+            self._set_rate(rate)
+        self.tier_changes.append((self._us(tick), rate))
+        self._log(tick, "TIER-CHANGE", 0, "rate={}", rate)
 
     # -- the contention-free period ---------------------------------------
 
@@ -527,7 +501,8 @@ class _Sim:
         k = self.si_index
         self.si_index += 1
 
-        active = [st for st in self.polled if st.active]
+        # slots are served while the group is in range and the stream runs
+        active = [] if self.out_of_range else [st for st in self.polled if not st.stopped]
         if active:
             self._dispatch(tick, cap_end, active, k)
 
@@ -542,12 +517,10 @@ class _Sim:
         if self.sc.scheduler == "hcca":
             reports = itertools.repeat(None)   # the reference scheduler ignores reports
         elif multipoll:
-            if len({st.op_rate for st in active}) != 1:
-                raise ConfigError("multi-poll scheduling needs a uniform PHY rate")
             # one frame carries every grant: all reports are consumed up front
             reports = [self.ledger.take(st.aid) for st in active]
             t += self._to_ticks(airtime_multipoll(len(active), self.profile, self.ctrl))
-            self._log(tick, "MULTIPOLL", 0, f"si={k} records={len(active)}")
+            self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
         else:
             # polled one by one: stations after a deferral keep their reports
             reports = (self.ledger.take(st.aid) for st in active)
@@ -555,10 +528,10 @@ class _Sim:
             if size is None:
                 g_t, basis = st.ref_t, GrantBasis.REFERENCE_MEAN
             else:
-                g_t, basis = st.one_t + size * st.byte_t, GrantBasis.PIGGYBACK_SIZE
+                g_t, basis = self.one_t + size * self.byte_t, GrantBasis.PIGGYBACK_SIZE
             if t + g_t > cap_end:
                 self.n_deferred += 1
-                self._log(t, "DEFER", st.aid, f"si={k}")
+                self._log(t, "DEFER", st.aid, "si={}", k)
                 break
             self.grant_log.append(GrantLogEntry(k, st.aid, self._us(t), self._us(g_t), basis))
             self._push(t, EventKind.SLOT_SERVICE, st.aid, (g_t, multipoll))
@@ -577,13 +550,15 @@ class _Sim:
         """One data/ACK exchange inside a TXOP. Returns the tick after the
         exchange, or None if it does not fit before slot_end."""
         size = qframe.size if qframe is not None else 0
-        d_t = self.plcp_t + (self.profile.mac_header_bytes + size) * st.byte_t
+        d_t = self.plcp_t + (self.profile.mac_header_bytes + size) * self.byte_t
         lead = self.sifs_t if lead_sifs else 0
         need = lead + d_t + self.sifs_t + self.ack_t + self.sifs_t
         if t + need > slot_end:
             return None
         data_end = t + lead + d_t
-        ok = apply_channel(self.channel)
+        # one draw per frame whatever the loss rate, so runs with different
+        # rates stay draw-aligned under one seed
+        ok = self.rng.random() >= self.per
         if qframe is not None:
             st.queue.popleft()
         report = self._next_report(st)
@@ -597,12 +572,12 @@ class _Sim:
                     gen_time_us=self._us(qframe.gen_tick),
                     rx_time_us=self._us(data_end + self.dp_t),
                 ))
-                self._log(data_end, "RX", st.aid, f"seq={qframe.index} size={size}")
+                self._log(data_end, "RX", st.aid, "seq={} size={}", qframe.index, size)
         elif qframe is not None:
             self.n_lost += 1
             if qframe.gen_tick >= self.warmup_tick:
                 self.n_lost_measured += 1
-            self._log(data_end, "LOST", st.aid, f"seq={qframe.index} size={size}")
+            self._log(data_end, "LOST", st.aid, "seq={} size={}", qframe.index, size)
         else:
             self.n_null_lost += 1
         return t + need

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from hccasim.analytic import aggregate_delay, analytic_inputs, validate
 from hccasim.engine import (
-    Channel,
     Mobility,
     Scenario,
     StationSpec,
-    apply_channel,
     phy_rate_for_distance,
     run_scenario,
 )
@@ -20,8 +18,6 @@ from hccasim.hcca import GrantBasis
 from hccasim.metrics import e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import Tspec, parse_trace
-
-import random
 
 
 def const_trace(n_frames, size, interval_ms=40):
@@ -44,6 +40,8 @@ def make_tspec(L, M, rho, R):
 
 
 TSPEC_54 = make_tspec(2700, 2700, 540_000, 54_000_000)
+# the rate tiers of presets/mobility.yaml
+TIERS = ((80, 54_000_000), (200, 36_000_000), (250, 18_000_000), (325, 6_000_000))
 
 
 def make_scenario(scheduler, n_stations, trace, tspec, **kw):
@@ -201,13 +199,6 @@ class TestMultipollTimeline:
         steady = [g for g in result.grant_log if g.si_index >= 1]
         assert {g.duration_us for g in steady} == {400 + Fraction(1264, 3)}
         assert {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
-
-    def test_mixed_rates_rejected(self):
-        # engineered via mobility in principle; here the guard is argued
-        # at dispatch, so a uniform run must never trip it
-        trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("amtxop", 3, trace, self.TSPEC))
-        assert result.n_delivered == 15
 
 
 class TestSteadyStateMeans:
@@ -430,31 +421,63 @@ class TestLossAndDeterminism:
             if k + 1 in {g.si_index for g in result.grant_log}:
                 assert k + 1 in fallbacks
 
-    def test_channel_draw_is_seeded(self):
-        ch = Channel(per=0.5, rng=random.Random(1))
-        draws = [apply_channel(ch) for _ in range(10)]
-        ch2 = Channel(per=0.5, rng=random.Random(1))
-        assert draws == [apply_channel(ch2) for _ in range(10)]
-
     def test_invalid_per_rejected(self):
         with pytest.raises(ConfigError):
-            Channel(per=1.0, rng=random.Random(0))
+            make_scenario("hcca", 1, const_trace(5, 2700), TSPEC_54, per=1.0)
+
+    # frame sizes that vary from interval to interval, an I frame every 12th
+    VBR = parse_trace("\n".join(
+        f"{i} {'I' if i % 12 == 0 else 'P'} {i * 40} {7000 if i % 12 == 0 else 1500 + 700 * (i % 5)}"
+        for i in range(75)
+    ))
+
+    @given(
+        scheduler=st.sampled_from(["hcca", "atxop", "amtxop"]),
+        msi=st.sampled_from(["0.04", "0.06", "0.08"]),
+        per=st.floats(min_value=0, max_value=0.2),
+        start_ft=st.sampled_from([None, 30, 150]),
+        n_stations=st.integers(min_value=2, max_value=4),
+        stop_ds=st.integers(min_value=1, max_value=29),
+        sim_ds=st.integers(min_value=10, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_frames_are_conserved(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
+        """Every generated frame is delivered, lost or left queued, at any
+        SI, loss rate and rate walk (from 150 ft the group leaves range
+        inside 3 s), with one stream stopping early."""
+        tspec = Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
+        mob = None if start_ft is None else Mobility(
+            tiers=TIERS, speed_mps=Fraction(20), start_s=Fraction(0),
+            initial_distance_ft=Fraction(start_ft),
+        )
+        stations = tuple(
+            StationSpec(aid=i + 1, trace=self.VBR, tspec=tspec,
+                        stop_s=Fraction(stop_ds, 10) if i == 0 else None)
+            for i in range(n_stations)
+        )
+        sc = Scenario(
+            name="conserve", scheduler=scheduler, profile=PROFILE_11G, stations=stations,
+            sim_time_s=Fraction(sim_ds, 10), beacon_interval_s=Fraction(3, 25),
+            control_rate=2_000_000, per=per, seed=seed, mobility=mob,
+        )
+        result = run_scenario(sc)
+        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
 
 
 class TestMobility:
-    TIERS = ((80, 54_000_000), (200, 36_000_000), (250, 18_000_000), (325, 6_000_000))
 
     def test_rate_lookup(self):
-        assert phy_rate_for_distance(0, self.TIERS) == 54_000_000
-        assert phy_rate_for_distance(80, self.TIERS) == 54_000_000
-        assert phy_rate_for_distance(Fraction(801, 10), self.TIERS) == 36_000_000
-        assert phy_rate_for_distance(325, self.TIERS) == 6_000_000
-        assert phy_rate_for_distance(326, self.TIERS) is None
+        assert phy_rate_for_distance(0, TIERS) == 54_000_000
+        assert phy_rate_for_distance(80, TIERS) == 54_000_000
+        assert phy_rate_for_distance(Fraction(801, 10), TIERS) == 36_000_000
+        assert phy_rate_for_distance(325, TIERS) == 6_000_000
+        assert phy_rate_for_distance(326, TIERS) is None
 
     def test_tier_changes_and_disassociation(self):
         trace = const_trace(560, 2700)
         mob = Mobility(
-            tiers=self.TIERS,
+            tiers=TIERS,
             speed_mps=Fraction(5),
             start_s=Fraction(2),
             initial_distance_ft=Fraction(30),
@@ -478,7 +501,7 @@ class TestMobility:
     def test_grants_resize_with_tier(self):
         trace = const_trace(560, 2700)
         mob = Mobility(
-            tiers=self.TIERS, speed_mps=Fraction(5),
+            tiers=TIERS, speed_mps=Fraction(5),
             start_s=Fraction(2), initial_distance_ft=Fraction(30),
         )
         sc = make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(21), mobility=mob)
@@ -557,7 +580,7 @@ class TestMobility:
         """The group's rate is its closed-form distance's tier at every SI
         start: tier changes are logged when that rate changes, every grant
         is the reference grant at that rate, and out of range nobody is
-        served."""
+        served; a group that starts out of range admits nobody."""
         si_s, n_si = Fraction(1, 25), 30
         tspec = make_tspec(200, 200, 40_000, 54_000_000)
         sc = make_scenario(
@@ -565,8 +588,12 @@ class TestMobility:
             sim_time_s=n_si * si_s, mobility=mob,
         )
         result = run_scenario(sc)
-        assert result.si_s == si_s and result.n_service_intervals == n_si
         rates = self.group_rates(mob, si_s, n_si)
+        if rates[0] is None:
+            assert result.admitted_aids == () and result.si_s is None
+            assert result.grant_log == () and result.tier_changes == ()
+            return
+        assert result.si_s == si_s and result.n_service_intervals == n_si
 
         changes, last = [], None   # nothing to log before the first rate
         for k, rate in enumerate(rates):
@@ -584,6 +611,27 @@ class TestMobility:
             (k, aid) for k, rate in enumerate(rates) if rate is not None
             for aid in range(1, n_stations + 1)
         }
+
+    def test_stream_starting_out_of_range_is_rejected(self):
+        """A group that is out of range never serves a stream, so admission
+        turns it away and it generates nothing."""
+        mob = Mobility(
+            tiers=((80, 54_000_000),), speed_mps=Fraction(0),
+            start_s=Fraction(0), initial_distance_ft=Fraction(100),
+        )
+        tspec = make_tspec(200, 200, 40_000, 54_000_000)
+        sc = make_scenario(
+            "hcca", 3, const_trace(30, 200), tspec,
+            sim_time_s=Fraction(6, 5), mobility=mob, log_events=True,
+        )
+        result = run_scenario(sc)
+        assert result.admitted_aids == ()
+        assert result.rejected_aids == (1, 2, 3)
+        assert result.n_generated == 0
+        assert result.grant_log == () and result.tier_changes == ()
+        assert [line for line in result.event_log if "ADMIT" in line] == [
+            f"t=0.000000 ADMIT-REJECT aid={aid}" for aid in (1, 2, 3)
+        ]
 
     def test_mobility_validation(self):
         with pytest.raises(ConfigError):
