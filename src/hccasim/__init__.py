@@ -26,7 +26,6 @@ from .traces import (
     derive_tspec,
     load_trace,
     parse_trace,
-    serialize_trace,
     trace_stats,
 )
 from .hcca import (
@@ -35,14 +34,11 @@ from .hcca import (
     compute_si,
     min_msi,
     msdu_count,
+    reference_bytes,
     reference_overhead,
     txop_reference,
 )
-from .adaptive import (
-    SizeLedger,
-    multipoll_overhead,
-    txop_adaptive,
-)
+from .adaptive import SizeLedger
 from .engine import (
     Mobility,
     RunResult,
@@ -66,5 +62,4 @@ from .analytic import (
     analytic_inputs,
     position_delays,
     td_i,
-    validate,
 )

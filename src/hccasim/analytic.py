@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcca import msdu_count
+from .hcca import reference_bytes
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -156,40 +156,10 @@ def analytic_inputs(
     payload = tuple(
         (Fraction(s * 8 * US_PER_S, rate),) * n_stations for s in sizes
     )
-    n_msdus = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-    ref_bytes = max(n_msdus * tspec.mean_msdu_bytes, tspec.max_msdu_bytes)
-    ref = Fraction(ref_bytes * 8 * US_PER_S, rate)
+    ref = Fraction(reference_bytes(tspec, si) * 8 * US_PER_S, rate)
     return AnalyticInputs(
         profile=profile,
         ref_payload_us=(ref,) * n_stations,
         payload_us=payload,
         control_rate=control_rate,
-    )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    rel_errors: tuple
-    max_rel_error: float
-    mean_rel_error: float
-
-    def within(self, bound) -> bool:
-        return self.max_rel_error <= bound
-
-
-def validate(model_series, sim_series) -> ValidationReport:
-    """Relative error of the model against simulated values, pointwise."""
-    model = [exact(m) for m in model_series]
-    sim = [exact(s) for s in sim_series]
-    if len(model) != len(sim):
-        raise ValueError(f"series length mismatch: {len(model)} vs {len(sim)}")
-    if not sim:
-        raise ValueError("empty series")
-    if any(s <= 0 for s in sim):
-        raise ValueError("simulated values must be > 0")
-    errs = tuple(abs(m - s) / s for m, s in zip(model, sim))
-    return ValidationReport(
-        rel_errors=errs,
-        max_rel_error=float(max(errs)),
-        mean_rel_error=float(sum(errs) / len(errs)),
     )

@@ -30,7 +30,8 @@ grants under `hcca`; a rejected stream leaves every plan as it was.
 Under mobility the stations move as one group. At every interval start
 the engine evaluates the group's distance in closed form and looks up
 one rate, which becomes the run's rate; past the last tier the group is
-out of range for good: nobody is served and new streams are rejected.
+out of range for good: nobody is served, and a stream that starts while
+the group is past the last tier, between interval starts too, is rejected.
 """
 
 import heapq
@@ -38,7 +39,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
@@ -336,9 +337,7 @@ class _Sim:
     def _ref_ticks(self, tspec: Tspec, si) -> int:
         """The stream's mean-based reference grant at the SI and the run's
         rate, in ticks and poll included: what admission charges."""
-        n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-        overhead = reference_overhead(n, self.profile, self.ctrl, self.rate)
-        return self._to_ticks(txop_reference(replace(tspec, min_phy_rate_bps=self.rate), si, overhead))
+        return self._to_ticks(txop_reference(tspec, si, self.profile, self.ctrl, self.rate))
 
     def _size_grants(self, refs):
         """Adopt the polled stations' reference grants (poll-included ticks,
@@ -424,9 +423,9 @@ class _Sim:
         # the new stream may shrink the SI, which changes every plan
         si = compute_si(self.bi, min_msi(p.spec.tspec.msi_s for p in polled))
         si_t = self._sec_ticks(si)
-        # every scheduler is charged the reference grants, poll included; an
-        # out-of-range group would never serve the stream
-        refs = None if self.out_of_range else [self._ref_ticks(p.spec.tspec, si) for p in polled]
+        # every scheduler is charged the reference grants, poll included; a
+        # group out of range now would never serve the stream
+        refs = [self._ref_ticks(p.spec.tspec, si) for p in polled] if self._in_range(tick) else None
         if refs is None or not admissible(sum(refs), si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
             self._log(tick, "ADMIT-REJECT", aid)
@@ -470,15 +469,25 @@ class _Sim:
 
     # -- mobility ----------------------------------------------------------
 
+    def _group_distance(self, tick):
+        mob = self.sc.mobility
+        dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
+        return exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
+
+    def _in_range(self, tick) -> bool:
+        """Whether the group is inside the last tier at this tick. Unlike
+        the run's rate, which moves only at interval starts, this is where
+        the group is now."""
+        mob = self.sc.mobility
+        return mob is None or phy_rate_for_distance(self._group_distance(tick), mob.tiers) is not None
+
     def _apply_mobility(self, tick):
         """Move the group to its distance at this tick; when that changes its
         rate, make it the run's rate, or take the group out of range."""
-        mob = self.sc.mobility
-        if mob is None or self.out_of_range:
+        if self.sc.mobility is None or self.out_of_range:
             return
-        dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
-        distance = exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
-        rate = phy_rate_for_distance(distance, mob.tiers)
+        distance = self._group_distance(tick)
+        rate = phy_rate_for_distance(distance, self.sc.mobility.tiers)
         if rate is None:
             # the distance never shrinks, so the group never returns
             self.out_of_range = True

@@ -173,7 +173,7 @@ def _build_tspec(section, trace) -> Tspec:
         stats = trace_stats(trace)
         derived = derive_tspec(
             stats,
-            max(f.size for f in trace.frames),
+            max(f.size for f in trace.generation_frames),
             delay_bound_s=exact(explicit.pop("delay_bound_s", "0.08")),
             min_rate_bps=int(explicit.pop("min_phy_rate_bps", 11_000_000)),
             msi_s=exact(explicit.pop("msi_s", "0.04")),

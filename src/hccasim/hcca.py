@@ -68,9 +68,8 @@ def reference_overhead(
 ) -> Fraction:
     """Per-TXOP overhead: one poll, then per MSDU an ACK, the data frame's
     preamble/PLCP/MAC header, and three interframe spaces, plus one
-    propagation delay. The header term follows the stream's effective PHY
-    rate, so a rate override here must match the one used for payload time.
-    """
+    propagation delay. The MAC header goes at data_rate_override, by
+    default the profile data rate."""
     if n_msdus < 1:
         raise ValueError("n_msdus must be >= 1")
     t_poll = t_ack = airtime_control(profile, control_rate)
@@ -79,16 +78,26 @@ def reference_overhead(
     return t_poll + n_msdus * per_msdu + profile.prop_delay_us
 
 
-def txop_reference(tspec: Tspec, si_s, overhead_us) -> Fraction:
-    """Grant duration in microseconds for N mean MSDUs (or one maximum
-    MSDU if that is longer) at the stream's PHY rate, plus the given
-    overhead."""
-    si = exact(si_s)
-    n = msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-    r = tspec.min_phy_rate_bps
-    t_mean = Fraction(n * tspec.mean_msdu_bytes * 8 * US_PER_S, r)
-    t_max = Fraction(tspec.max_msdu_bytes * 8 * US_PER_S, r)
-    return max(t_mean, t_max) + exact(overhead_us)
+def reference_bytes(tspec: Tspec, si_s) -> int:
+    """Payload of the mean-based grant: the mean MSDUs arriving per
+    service interval, or one maximum MSDU if that is larger."""
+    n = msdu_count(si_s, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
+    return max(n * tspec.mean_msdu_bytes, tspec.max_msdu_bytes)
+
+
+def txop_reference(
+    tspec: Tspec,
+    si_s,
+    profile: PhyProfile,
+    control_rate: int | None,
+    rate: int,
+) -> Fraction:
+    """The mean-based grant in microseconds, poll included: the reference
+    payload plus the overhead of one MSDU exchange per mean MSDU, payload
+    and MAC headers both at the PHY rate given."""
+    n = msdu_count(si_s, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
+    t_payload = Fraction(reference_bytes(tspec, si_s) * 8 * US_PER_S, rate)
+    return t_payload + reference_overhead(n, profile, control_rate, rate)
 
 
 def admissible(load, si, beacon_interval_s, t_cp_s) -> bool:

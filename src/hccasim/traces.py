@@ -6,9 +6,9 @@ size_bytes:int). Lines starting with '#' and blank lines are ignored.
 
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
-order. The packet generation schedule re-sorts by display time, and the
-next-frame lookahead that stations piggyback follows that generation
-order too; file order is kept only for serialization.
+order. The parser keeps the frames in generation order only: sorted by
+display time, ties in file order. The packet generation schedule and the
+next-frame lookahead that stations piggyback both follow that order.
 """
 
 import math
@@ -39,15 +39,13 @@ class TraceFrame:
 
 @dataclass(frozen=True)
 class VideoTrace:
-    """Parsed trace: frames in file order and the same frames in
-    generation order."""
+    """Parsed trace: its frames in generation order."""
 
-    frames: tuple
     generation_frames: tuple   # the frames by display time, ties in file order
     frame_interval_ms: Fraction
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.generation_frames)
 
 
 @dataclass(frozen=True)
@@ -137,17 +135,7 @@ def parse_trace(text) -> VideoTrace:
             raise TraceParseError("display times are not strictly increasing after reorder")
     else:
         interval = Fraction(0)
-    return VideoTrace(tuple(frames), generation, interval)
-
-
-def serialize_trace(trace: VideoTrace) -> str:
-    """Inverse of parse_trace; emits frames in file order."""
-    out = []
-    for f in trace.frames:
-        t = f.display_time_ms
-        t_s = str(int(t)) if t.denominator == 1 else str(float(t))
-        out.append(f"{f.sequence} {f.frame_type} {t_s} {f.size}")
-    return "\n".join(out) + "\n"
+    return VideoTrace(generation, interval)
 
 
 def load_trace(path) -> VideoTrace:

@@ -6,22 +6,14 @@ reads top to bottom but the simulator only runs each scenario once.
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
-from hccasim.adaptive import multipoll_overhead
-from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, position_delays, validate
+from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, position_delays
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.hcca import (
-    admissible,
-    compute_si,
-    msdu_count,
-    reference_overhead,
-    txop_reference,
-)
+from hccasim.hcca import admissible, compute_si, txop_reference
 from hccasim.experiment import emit_table2
 from hccasim.metrics import e2e_delay
-from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_multipoll
+from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import parse_trace
 
 from conftest import CANONICAL, SCHEDULERS, VALIDATION
@@ -40,11 +32,8 @@ def _check(name, ok, detail=""):
 def _admission_capacity(profile, data_rate, control_rate, tspec, limit=30):
     """Admit identical streams, each charged its reference grant per SI,
     until one is rejected."""
-    wt = replace(tspec, min_phy_rate_bps=data_rate)
-    si = compute_si(BI, wt.msi_s)
-    n_msdu = msdu_count(si, wt.mean_rate_bps, wt.mean_msdu_bytes)
-    overhead = reference_overhead(n_msdu, profile, control_rate, data_rate)
-    grant = txop_reference(wt, si, overhead)
+    si = compute_si(BI, tspec.msi_s)
+    grant = txop_reference(tspec, si, profile, control_rate, data_rate)
     count = 0
     while count < limit and admissible((count + 1) * grant, si * 1_000_000, BI, 0):
         count += 1
@@ -202,9 +191,9 @@ def test_criterion_07_analytic_validation(lab):
                 * 1000
                 for n in range(1, 13)
             ]
-            report = validate(model, sim)
-            worst = max(worst, report.max_rel_error)
-            ok &= report.max_rel_error <= 0.10
+            err = max(abs(m - s) / s for m, s in zip(model, sim))
+            worst = max(worst, err)
+            ok &= err <= 0.10
     _check("analytic-validation", ok, f"max rel err {worst:.4f} over 750 SIs")
 
 
@@ -293,9 +282,8 @@ def test_criterion_10_property_suites(lab):
         airtime_multipoll(n, PROFILE_11G, 2_000_000) == base_mp + 16 * (n - 1)
         for n in range(1, 41)
     )
-    linear &= multipoll_overhead(1, PROFILE_11G, 2_000_000) == reference_overhead(
-        1, PROFILE_11G, 2_000_000
-    ) - 264
+    # and each multi-polled slot sheds exactly its 264 us poll
+    linear &= airtime_control(PROFILE_11G, 2_000_000) == 264
 
     # closed-form identity: the multi-poll delay differs from the
     # single-poll adaptive delay by exactly the poll restructuring

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim.adaptive import SizeLedger, multipoll_overhead, txop_adaptive
+from hccasim.adaptive import SizeLedger
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
-O_REF = reference_overhead(2, PROFILE_11B, 2_000_000)    # Fraction(16570, 11)
-O_POLL = airtime_control(PROFILE_11B, 2_000_000)
+# one MSDU exchange at 11 Mb/s behind its own 2 Mb/s poll: the report-sized
+# grant for 0 bytes on 802.11b
+O_ONE_11B = reference_overhead(1, PROFILE_11B, 2_000_000)    # Fraction(10144, 11)
 
 
 def make_tspec(L=3800, M=7500, rho=770_000, R=11_000_000):
@@ -56,23 +57,25 @@ def by_si(result):
 
 class TestAdaptiveGrant:
     def test_grant_tracks_reported_bytes(self):
-        g = txop_adaptive(800, make_tspec(), O_REF)
-        assert g == Fraction(6400 * 1_000_000, 11_000_000) + O_REF
-        assert g == Fraction(22970, 11)
+        # every 800-byte frame reports the next: 800 bytes at 11 Mb/s
+        result = run("atxop", [const_trace(5, 800)], make_tspec(), profile=PROFILE_11B)
+        steady = result.grant_log[1:]
+        assert steady and {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
+        for g in steady:
+            assert g.duration_us == Fraction(6400 * 1_000_000, 11_000_000) + O_ONE_11B
+            assert g.duration_us == Fraction(16544, 11)
 
     def test_no_clamp_above_tspec_maximum(self):
-        ts = make_tspec(M=7500)
-        big = txop_adaptive(12_000, ts, O_REF)
-        at_max = txop_adaptive(7500, ts, O_REF)
-        assert big > at_max
-        assert big == Fraction(96_000 * 1_000_000, 11_000_000) + O_REF
-
-    def test_zero_report_costs_only_overhead(self):
-        assert txop_adaptive(0, make_tspec(), O_REF) == O_REF
-
-    def test_negative_report_rejected(self):
-        with pytest.raises(ValueError):
-            txop_adaptive(-1, make_tspec(), O_REF)
+        # a 12000-byte frame above the 5400-byte TSPEC maximum is reported
+        # and granted in full, and the grant carries it
+        trace = parse_trace("0 I 0 2700\n1 P 40 12000\n2 P 80 2700\n")
+        result = run("atxop", [trace], TSPEC_54, sim_time_s=Fraction(3, 25))
+        big = result.grant_log[1]
+        assert big.basis is GrantBasis.PIGGYBACK_SIZE
+        one = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)
+        assert big.duration_us == Fraction(12000 * 8, 54) + one
+        assert big.duration_us > REF_54
+        assert (1, 12000) in {(r.sequence, r.size_bytes) for r in result.records}
 
     def test_fallback_is_mean_based_grant(self):
         # the first interval has no report yet: two mean MSDUs at 11 Mb/s
@@ -80,14 +83,20 @@ class TestAdaptiveGrant:
         result = run("atxop", [const_trace(5, 3800)], ts, profile=PROFILE_11B)
         first = result.grant_log[0]
         assert first.basis is GrantBasis.REFERENCE_MEAN
-        assert first.duration_us == txop_reference(ts, Fraction(1, 25), O_REF)
+        expect = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
+        assert first.duration_us == expect
+        assert first.duration_us == Fraction(77370, 11)
 
-    @given(size=st.integers(min_value=0, max_value=20_000))
+    @given(size=st.integers(min_value=1, max_value=20_000))
+    @settings(max_examples=30, deadline=None)
     def test_grant_linear_in_size(self, size):
-        ts = make_tspec()
-        g0 = txop_adaptive(size, ts, O_REF)
-        g1 = txop_adaptive(size + 100, ts, O_REF)
-        assert g1 - g0 == Fraction(800 * 1_000_000, 11_000_000)
+        # after a small first frame, reports of size and size + 100 bytes
+        # size the next two grants
+        trace = parse_trace(f"0 I 0 100\n1 P 40 {size}\n2 P 80 {size + 100}\n")
+        result = run("atxop", [trace], make_tspec(), profile=PROFILE_11B,
+                     sim_time_s=Fraction(3, 25))
+        g0, g1 = result.grant_log[1:]
+        assert g1.duration_us - g0.duration_us == Fraction(800 * 1_000_000, 11_000_000)
 
 
 class TestSizeLedger:
@@ -113,23 +122,13 @@ class TestSizeLedger:
         assert led.take(3) == 700
 
 
-class TestMultipollOverhead:
-    def test_single_msdu_11g(self):
-        # per-slot overhead with the poll amortized away: ACK + header + 3 SIFS + prop
-        assert multipoll_overhead(1, PROFILE_11G, 2_000_000) == Fraction(1264, 3)
-
-    def test_difference_is_exactly_one_poll(self):
-        for n in (1, 2, 5):
-            ref = reference_overhead(n, PROFILE_11B, 2_000_000)
-            assert ref - multipoll_overhead(n, PROFILE_11B, 2_000_000) == O_POLL
-
-
 # 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU
 # per interval, a 5400-byte maximum, and slots without a poll of their own
 TSPEC_54 = make_tspec(2700, 5400, 540_000, 54_000_000)
 O_POLL_11G = airtime_control(PROFILE_11G, 2_000_000)   # 264
-O_SLOT = multipoll_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)          # 1264/3
-FALLBACK = txop_reference(TSPEC_54, Fraction(1, 25), O_SLOT)   # 800 + 1264/3
+O_SLOT = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000) - O_POLL_11G   # 1264/3
+REF_54 = txop_reference(TSPEC_54, Fraction(1, 25), PROFILE_11G, 2_000_000, 54_000_000)
+FALLBACK = REF_54 - O_POLL_11G   # 800 + 1264/3
 
 
 def mixed_run():
@@ -137,6 +136,27 @@ def mixed_run():
     first frame and falls back, station 3 reports 1350-byte frames."""
     traces = [const_trace(5, 2700), parse_trace("0 I 0 2700\n"), const_trace(5, 1350)]
     return run("amtxop", traces, TSPEC_54)
+
+
+class TestMultipollOverhead:
+    def test_single_msdu_11g(self):
+        # per-slot overhead with the poll amortized away: ACK + header + 3 SIFS + prop
+        result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
+        steady = result.grant_log[1:]
+        assert steady and {g.duration_us - 400 for g in steady} == {Fraction(1264, 3)}
+        assert O_SLOT == Fraction(1264, 3)
+
+    def test_difference_is_exactly_one_poll(self):
+        # the same streams under single polls and under the multi-poll:
+        # every grant, report-sized or fallback, differs by one poll
+        traces = [const_trace(5, 2700), parse_trace("0 I 0 2700\n"), const_trace(5, 1350)]
+        for n in (1, 2, 3):
+            single = run("atxop", traces[:n], TSPEC_54).grant_log
+            multi = run("amtxop", traces[:n], TSPEC_54).grant_log
+            assert len(single) == len(multi) > 0
+            for s, m in zip(single, multi):
+                assert (s.si_index, s.aid, s.basis) == (m.si_index, m.aid, m.basis)
+                assert s.duration_us - m.duration_us == O_POLL_11G
 
 
 class TestMultiPollFrame:
@@ -205,9 +225,9 @@ class TestBuildMultipoll:
     def test_fallback_overhead_override(self):
         # the multi-poll fallback is the mean-based grant without its own poll
         result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
-        o_ref = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)
-        expect = txop_reference(TSPEC_54, Fraction(1, 25), o_ref - O_POLL_11G)
-        assert result.grant_log[0].duration_us == expect == FALLBACK
+        hcca = run("hcca", [const_trace(5, 2700)], TSPEC_54).grant_log[0]
+        assert result.grant_log[0].duration_us == hcca.duration_us - O_POLL_11G == FALLBACK
+        assert FALLBACK == 800 + Fraction(1264, 3)
 
     def test_polling_order_preserved(self):
         for grants in by_si(mixed_run()).values():
@@ -225,20 +245,21 @@ class TestBuildMultipoll:
         assert result.n_service_intervals == 5
 
     @given(
-        sizes=st.lists(st.integers(min_value=0, max_value=7500), min_size=2, max_size=12),
+        sizes=st.lists(st.integers(min_value=1, max_value=7500), min_size=2, max_size=12),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_multipoll_airtime_beats_single_polls(self, sizes):
-        """Whole-interval identity: one multi-poll plus per-slot overheads
-        never exceeds the same grants under per-station polling."""
-        ts = make_tspec()
-        o_single = reference_overhead(2, PROFILE_11B, 2_000_000)
-        o_multi = multipoll_overhead(2, PROFILE_11B, 2_000_000)
-        total_multi = airtime_multipoll(len(sizes), PROFILE_11B, 2_000_000) + sum(
-            (txop_adaptive(s, ts, o_multi) for s in sizes), Fraction(0)
-        )
-        total_single = sum(
-            (txop_adaptive(s, ts, o_single) for s in sizes), Fraction(0)
-        )
-        assert total_multi <= total_single
+        """Whole-interval identity: one multi-poll plus the slots that shed
+        their polls never ends an interval later than the same grants under
+        per-station polling."""
+        traces = [const_trace(5, s) for s in sizes]
 
+        def interval_ends(scheduler):
+            ends = {}
+            for g in run(scheduler, traces, TSPEC_54).grant_log:
+                ends[g.si_index] = max(ends.get(g.si_index, 0), g.start_us + g.duration_us)
+            return ends
+
+        multi, single = interval_ends("amtxop"), interval_ends("atxop")
+        assert multi.keys() == single.keys() and multi
+        assert all(multi[k] <= single[k] for k in multi)

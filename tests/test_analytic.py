@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from hccasim.analytic import (
     SCHEDULERS,
     AnalyticInputs,
-    ValidationReport,
     aggregate_delay,
     aggregate_delay_alt,
     analytic_inputs,
     position_delays,
     td_i,
-    validate,
 )
 from hccasim.phy import PROFILE_11G, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
@@ -228,29 +226,3 @@ class TestInputBuilder:
     def test_rejects_zero_stations(self):
         with pytest.raises(ValueError):
             analytic_inputs(parse_trace(self.TRACE), 0, self.tspec(), Fraction(1, 25), PROFILE_11G)
-
-
-class TestValidate:
-    def test_pointwise_errors(self):
-        report = validate([90, 110], [100, 100])
-        assert report.rel_errors == (Fraction(1, 10), Fraction(1, 10))
-        assert report.max_rel_error == 0.1
-        assert report.within(0.1) and not report.within(0.09)
-
-    def test_mean_and_max_differ(self):
-        report = validate([100, 95], [100, 100])
-        assert report.max_rel_error == 0.05
-        assert report.mean_rel_error == 0.025
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            validate([1], [1, 2])
-        with pytest.raises(ValueError):
-            validate([], [])
-        with pytest.raises(ValueError):
-            validate([1], [0])
-
-    def test_report_is_plain_data(self):
-        report = validate([1], [2])
-        assert isinstance(report, ValidationReport)
-        assert report.rel_errors == (Fraction(1, 2),)

@@ -10,6 +10,7 @@ from hccasim.hcca import (
     compute_si,
     min_msi,
     msdu_count,
+    reference_bytes,
     reference_overhead,
     txop_reference,
 )
@@ -125,27 +126,36 @@ class TestOverheadAndGrant:
 
     def test_grant_mean_dominated(self):
         # two mean MSDUs outweigh one max MSDU: 60800 bits vs 60000 bits
-        g = txop_reference(make_tspec(), Fraction(1, 25), Fraction(16570, 11))
+        ts = make_tspec()
+        assert reference_bytes(ts, Fraction(1, 25)) == 7600
+        g = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
         assert g == Fraction(60800 * 1_000_000, 11_000_000) + Fraction(16570, 11)
         assert g == Fraction(77370, 11)
 
     def test_grant_max_dominated(self):
         # one max MSDU longer than the mean batch
-        g = txop_reference(make_tspec(M=16745), Fraction(1, 25), 0)
-        assert g == Fraction(16745 * 8 * 1_000_000, 11_000_000)
-        assert g == Fraction(133960, 11)
+        ts = make_tspec(M=16745)
+        assert reference_bytes(ts, Fraction(1, 25)) == 16745
+        g = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
+        assert g - Fraction(16570, 11) == Fraction(16745 * 8 * 1_000_000, 11_000_000)
+        assert g - Fraction(16570, 11) == Fraction(133960, 11)
 
     def test_grant_at_54mbps(self):
         ts = make_tspec(R=54_000_000)
-        g = txop_reference(ts, Fraction(1, 25), Fraction(3314, 3))
+        g = txop_reference(ts, Fraction(1, 25), PROFILE_11G, 2_000_000, 54_000_000)
         assert g == Fraction(60226, 27)  # ~2230.59 us
+
+    def test_grant_prices_payload_and_headers_at_one_rate(self):
+        # the rate given, not the TSPEC's 11 Mb/s, prices both: 60800 bits
+        # of payload at 6 Mb/s plus the 6 Mb/s overhead of two MSDUs
+        g = txop_reference(make_tspec(), Fraction(1, 25), PROFILE_11G, 2_000_000, 6_000_000)
+        assert g == Fraction(60800, 6) + 1190
 
     @given(si=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 5)))
     def test_grant_monotone_in_si(self, si):
         ts = make_tspec()
-        o = Fraction(16570, 11)
-        g1 = txop_reference(ts, si, o)
-        g2 = txop_reference(ts, si * 2, o)
+        g1 = txop_reference(ts, si, PROFILE_11B, 2_000_000, 11_000_000)
+        g2 = txop_reference(ts, si * 2, PROFILE_11B, 2_000_000, 11_000_000)
         assert g2 >= g1
 
 
@@ -153,11 +163,12 @@ class TestAdmission:
     BI = Fraction(3, 25)  # 0.12 s
     SI_US = 40_000        # compute_si(BI, 0.04) in us
 
-    def sequential_admits(self, tspec, overhead, count, t_cp=0):
+    def sequential_admits(self, profile, tspec, count, t_cp=0):
         """Offer identical streams one at a time; each admitted stream is
-        charged its reference grant per 40 ms SI. Returns the outcomes and
-        the admitted load in us per SI."""
-        grant = txop_reference(tspec, Fraction(1, 25), overhead)
+        charged its reference grant per 40 ms SI, with 2 Mb/s polls and
+        ACKs and payload at the TSPEC rate. Returns the outcomes and the
+        admitted load in us per SI."""
+        grant = txop_reference(tspec, Fraction(1, 25), profile, 2_000_000, tspec.min_phy_rate_bps)
         load = Fraction(0)
         outcomes = []
         for _ in range(count):
@@ -169,31 +180,26 @@ class TestAdmission:
 
     def test_11b_admits_five_rejects_sixth(self):
         ts = make_tspec()  # 770 kbit/s video at 11 Mb/s PHY
-        o = reference_overhead(2, PROFILE_11B, 2_000_000)
-        outcomes, load = self.sequential_admits(ts, o, 6)
+        outcomes, load = self.sequential_admits(PROFILE_11B, ts, 6)
         assert outcomes == [True] * 5 + [False]
         assert load == 5 * Fraction(77370, 11)
 
     def test_11g_admits_well_past_twelve(self):
         ts = make_tspec(R=54_000_000)
-        o = reference_overhead(2, PROFILE_11G, 2_000_000)
-        outcomes, _ = self.sequential_admits(ts, o, 18)
+        outcomes, _ = self.sequential_admits(PROFILE_11G, ts, 18)
         assert outcomes == [True] * 17 + [False]
 
     def test_contention_share_shrinks_capacity(self):
         ts = make_tspec()
-        o = reference_overhead(2, PROFILE_11B, 2_000_000)
         # 5 * 7033.6 us = 87.9% of the 40 ms SI; a 15% contention share
         # leaves only 85% and the fifth stream no longer fits
-        outcomes, _ = self.sequential_admits(ts, o, 5, t_cp=self.BI * Fraction(15, 100))
+        outcomes, _ = self.sequential_admits(PROFILE_11B, ts, 5, t_cp=self.BI * Fraction(15, 100))
         assert outcomes == [True] * 4 + [False]
 
     @given(n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=25, deadline=None)
     def test_load_never_exceeds_budget(self, n):
-        ts = make_tspec()
-        o = reference_overhead(2, PROFILE_11B, 2_000_000)
-        _, load = self.sequential_admits(ts, o, n)
+        _, load = self.sequential_admits(PROFILE_11B, make_tspec(), n)
         assert load <= self.SI_US
 
     @given(
@@ -204,8 +210,7 @@ class TestAdmission:
     def test_admission_monotone_in_contention_share(self, budget_pct, n):
         # anything admitted under a larger t_cp is admitted under a smaller one
         ts = make_tspec()
-        o = reference_overhead(2, PROFILE_11B, 2_000_000)
         t_cp_hi = self.BI * Fraction(budget_pct, 100)
-        hi, _ = self.sequential_admits(ts, o, n, t_cp=t_cp_hi)
-        lo, _ = self.sequential_admits(ts, o, n, t_cp=0)
+        hi, _ = self.sequential_admits(PROFILE_11B, ts, n, t_cp=t_cp_hi)
+        lo, _ = self.sequential_admits(PROFILE_11B, ts, n, t_cp=0)
         assert sum(lo) >= sum(hi)

@@ -10,7 +10,6 @@ from hccasim.traces import (
     Tspec,
     derive_tspec,
     parse_trace,
-    serialize_trace,
     trace_stats,
 )
 
@@ -38,10 +37,11 @@ def two_frame_trace(sizes=(100, 300)):
 
 
 def test_parse_fields():
+    # fourth and tenth in the file, sixth and last by display time
     t = parse_trace(SAMPLE_DECODE_ORDER)
-    f = t.frames[3]
+    f = t.generation_frames[5]
     assert (f.sequence, f.frame_type, f.display_time_ms, f.size) == (485, "P", 19440, 1230)
-    i_frame = t.frames[9]
+    i_frame = t.generation_frames[11]
     assert (i_frame.sequence, i_frame.frame_type, i_frame.size) == (491, "I", 3159)
 
 
@@ -78,12 +78,6 @@ def test_generation_order_sorted_by_display_time():
     assert t.frame_interval_ms == 40
 
 
-def test_round_trip():
-    t = parse_trace(SAMPLE_DECODE_ORDER)
-    again = parse_trace(serialize_trace(t))
-    assert again == t
-
-
 def test_stats_two_frames():
     s = trace_stats(two_frame_trace())
     assert s.mean_size == 200
@@ -118,13 +112,6 @@ def test_stats_invariants_hold(sizes):
     assert s.peak_bitrate >= s.mean_bitrate
     assert s.peak_to_mean >= 1
     assert min(sizes) <= s.mean_size <= max(sizes)
-
-
-@given(sizes=st.lists(st.integers(min_value=1, max_value=9999), min_size=1, max_size=40))
-def test_round_trip_property(sizes):
-    lines = [f"{i} {'IPB'[i % 3]} {40 * i} {s}" for i, s in enumerate(sizes)]
-    t = parse_trace("\n".join(lines))
-    assert parse_trace(serialize_trace(t)) == t
 
 
 def test_derive_tspec_carries_stats():
