@@ -118,9 +118,8 @@ def aggregate_delay_alt(scheduler: str, inputs: AnalyticInputs) -> Fraction:
     """Alternative reading that counts the own payload time and one
     interframe space twice per station. Reported alongside the primary
     model for comparison, never used for validation."""
-    extra = Fraction(0)
-    for k in range(inputs.m_intervals):
-        extra += sum(inputs.payload_us[k]) + inputs.n_stations * inputs.profile.sifs_us
+    n_sifs = inputs.m_intervals * inputs.n_stations
+    extra = sum(map(sum, inputs.payload_us)) + n_sifs * inputs.profile.sifs_us
     return aggregate_delay(scheduler, inputs) + extra / inputs.m_intervals
 
 
@@ -137,7 +136,9 @@ def analytic_inputs(
     """Model inputs for n identical stations all streaming this trace in
     lockstep. Frames are binned into service intervals by generation
     time; each bin must fit its grant for the model to hold, which the
-    TSPEC guarantees at the mean rate."""
+    TSPEC guarantees at the mean rate. Given m_intervals, binning stops at
+    the first frame past the last interval: the frames are in display
+    order."""
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     si = exact(si_s)
@@ -147,6 +148,8 @@ def analytic_inputs(
     bins = {}
     for frame in trace.generation_frames:
         k = math.floor(frame.display_time_ms / si_ms)
+        if m_intervals is not None and k >= start_interval + m_intervals:
+            break
         bins[k] = bins.get(k, 0) + frame.size
     last = max(bins) if bins else 0
     if m_intervals is None:

@@ -32,6 +32,10 @@ the engine evaluates the group's distance in closed form and looks up
 one rate, which becomes the run's rate; past the last tier the group is
 out of range for good: nobody is served, and a stream that starts while
 the group is past the last tier, between interval starts too, is rejected.
+
+Deliveries and grants are kept in integer ticks; a run's report sums
+them and divides once per metric. Records and grant-log entries in
+microseconds are built from the ticks on each access.
 """
 
 import heapq
@@ -55,7 +59,7 @@ from .hcca import (
     reference_overhead,
     txop_reference,
 )
-from .metrics import MetricsReport, PacketRecord, build_report
+from .metrics import MetricsReport, PacketRecord, build_report, delivery_sums
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -180,8 +184,9 @@ class RunResult:
     n_admitted: int
     admitted_aids: tuple
     rejected_aids: tuple
-    records: tuple
-    grant_log: tuple
+    K: int                  # ticks per microsecond
+    deliveries: list        # (aid, sequence, size_bytes, gen_tick, rx_tick) in rx order
+    grants: list            # (si_index, aid, start_tick, duration_ticks, basis) in grant order
     n_generated: int
     n_delivered: int
     n_lost: int
@@ -195,51 +200,55 @@ class RunResult:
     event_log: tuple
 
     @property
-    def warmup_us(self) -> Fraction:
-        return exact(self.scenario.warmup_s) * US_PER_S
+    def warmup_tick(self) -> int:
+        return int(exact(self.scenario.warmup_s) * US_PER_S * self.K)
+
+    def _records(self, w=0) -> tuple:
+        K = self.K
+        return tuple(PacketRecord(aid, seq, size, Fraction(gen, K), Fraction(rx, K))
+                     for aid, seq, size, gen, rx in self.deliveries if gen >= w)
+
+    def _grant_log(self, w=0) -> tuple:
+        K = self.K
+        return tuple(GrantLogEntry(k, aid, Fraction(start, K), Fraction(g, K), basis)
+                     for k, aid, start, g, basis in self.grants if start >= w)
+
+    # built on each access from the ticks, so a run holds no copy in us
+    records = property(_records)
+    grant_log = property(_grant_log)
 
     def measured_records(self) -> tuple:
-        w = self.warmup_us
-        return tuple(r for r in self.records if r.gen_time_us >= w)
+        return self._records(self.warmup_tick)
 
     def measured_grants(self) -> tuple:
-        w = self.warmup_us
-        return tuple(g for g in self.grant_log if g.start_us >= w)
+        return self._grant_log(self.warmup_tick)
 
     def report(self) -> MetricsReport:
-        duration = exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s)
+        w = self.warmup_tick
         return build_report(
-            self.measured_records(),
-            (g.duration_us for g in self.measured_grants()),
-            duration,
+            *delivery_sums(self.deliveries, w),
+            sum(g for _k, _aid, start, g, _basis in self.grants if start >= w),
+            self.K,
+            exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s),
             n_lost=self.n_lost_measured,
         )
-
-
-class _QFrame:
-    __slots__ = ("index", "size", "gen_tick")
-
-    def __init__(self, index, size, gen_tick):
-        self.index = index
-        self.size = size
-        self.gen_tick = gen_tick
 
 
 class _Station:
     __slots__ = (
         "spec", "aid", "start_t", "admitted", "rejected", "stopped",
-        "queue", "gen_frames", "next_gen_idx", "ref_t",
+        "queue", "gen_frames", "gen_offsets", "next_gen_idx", "ref_t",
     )
 
-    def __init__(self, spec, start_t):
+    def __init__(self, spec, start_t, gen_offsets):
         self.spec = spec
         self.aid = spec.aid
         self.start_t = start_t
-        self.admitted = False
-        self.rejected = False
-        self.stopped = False
-        self.queue = deque()
+        self.admitted = self.rejected = self.stopped = False
+        self.queue = deque()      # (frame index, size, gen_tick) per queued frame
         self.gen_frames = spec.trace.generation_frames
+        # generation ticks from the stream start: one list per trace, grown as the run reaches them
+        self.gen_offsets = gen_offsets
         self.next_gen_idx = 0
         # the mean-based grant in ticks at the run's rate, from _Sim._size_grants
         self.ref_t = None
@@ -263,8 +272,9 @@ class _Sim:
         self.warmup_tick = self._sec_ticks(scenario.warmup_s)
         self.bi = exact(scenario.beacon_interval_s)
 
+        offsets = {}
         self.stations = {
-            s.aid: _Station(s, self._sec_ticks(s.start_s))
+            s.aid: _Station(s, self._sec_ticks(s.start_s), offsets.setdefault(id(s.trace), []))
             for s in sorted(scenario.stations, key=lambda s: s.aid)
         }
         self.polled = []          # admitted stations in polling order
@@ -282,20 +292,15 @@ class _Sim:
 
         self.heap = []
         self._seq = 0
-        self.records = []
-        self.grant_log = []
+        self.deliveries = []
+        self.grants = []
         self.tier_changes = []
         self.event_log = []
         self.logging = scenario.log_events
 
-        self.si_index = 0
         self.cap_scheduled = False
-        self.n_generated = 0
-        self.n_lost = 0
-        self.n_lost_measured = 0
-        self.n_null_lost = 0
-        self.n_deferred = 0
-        self.n_beacons = 0
+        self.si_index = self.n_generated = self.n_beacons = self.n_deferred = 0
+        self.n_lost = self.n_lost_measured = self.n_null_lost = 0
 
         # the run's PHY rate (None until set), ticks per payload byte and the
         # report-sized grant for 0 bytes
@@ -328,9 +333,6 @@ class _Sim:
 
     def _sec_ticks(self, s) -> int:
         return self._to_ticks(exact(s) * US_PER_S)
-
-    def _us(self, tick) -> Fraction:
-        return Fraction(tick, self.K)
 
     # -- the grant plan ---------------------------------------------------
 
@@ -400,10 +402,11 @@ class _Sim:
             n_admitted=len(admitted),
             admitted_aids=admitted,
             rejected_aids=rejected,
-            records=tuple(self.records),
-            grant_log=tuple(self.grant_log),
+            K=self.K,
+            deliveries=self.deliveries,
+            grants=self.grants,
             n_generated=self.n_generated,
-            n_delivered=len(self.records),
+            n_delivered=len(self.deliveries),
             n_lost=self.n_lost,
             n_lost_measured=self.n_lost_measured,
             n_null_lost=self.n_null_lost,
@@ -448,9 +451,13 @@ class _Sim:
         self._log(tick, "STREAM-END", aid, "queued={}", len(st.queue))
 
     def _schedule_frame(self, st: _Station, idx: int):
-        if idx >= len(st.gen_frames):
-            return
-        tick = st.start_t + self._to_ticks(st.gen_frames[idx].display_time_ms * 1000)
+        offsets = st.gen_offsets
+        if idx == len(offsets):
+            # the first station on this trace to reach the frame converts it
+            if idx >= len(st.gen_frames):
+                return
+            offsets.append(self._to_ticks(st.gen_frames[idx].display_time_ms * 1000))
+        tick = st.start_t + offsets[idx]
         if tick < self.end_tick:
             self._push(tick, EventKind.FRAME_GENERATED, st.aid, idx)
 
@@ -459,7 +466,7 @@ class _Sim:
         if st.stopped:
             return
         frame = st.gen_frames[idx]
-        st.queue.append(_QFrame(idx, frame.size, tick))
+        st.queue.append((idx, frame.size, tick))
         st.next_gen_idx = idx + 1
         self.n_generated += 1
         self._schedule_frame(st, idx + 1)
@@ -499,7 +506,7 @@ class _Sim:
             return
         else:
             self._set_rate(rate)
-        self.tier_changes.append((self._us(tick), rate))
+        self.tier_changes.append((Fraction(tick, self.K), rate))
         self._log(tick, "TIER-CHANGE", 0, "rate={}", rate)
 
     # -- the contention-free period ---------------------------------------
@@ -542,7 +549,7 @@ class _Sim:
                 self.n_deferred += 1
                 self._log(t, "DEFER", st.aid, "si={}", k)
                 break
-            self.grant_log.append(GrantLogEntry(k, st.aid, self._us(t), self._us(g_t), basis))
+            self.grants.append((k, st.aid, t, g_t, basis))
             self._push(t, EventKind.SLOT_SERVICE, st.aid, (g_t, multipoll))
             t += g_t
 
@@ -550,15 +557,16 @@ class _Sim:
 
     def _next_report(self, st: _Station):
         if st.queue:
-            return st.queue[0].size
+            return st.queue[0][1]
         if st.next_gen_idx < len(st.gen_frames):
             return st.gen_frames[st.next_gen_idx].size
         return None
 
     def _exchange(self, st, qframe, t, slot_end, lead_sifs):
-        """One data/ACK exchange inside a TXOP. Returns the tick after the
-        exchange, or None if it does not fit before slot_end."""
-        size = qframe.size if qframe is not None else 0
+        """One data/ACK exchange inside a TXOP, of a queued frame or, for
+        None, a header-only frame. Returns the tick after the exchange, or
+        None if it does not fit before slot_end."""
+        idx, size, gen_tick = qframe or (None, 0, None)
         d_t = self.plcp_t + (self.profile.mac_header_bytes + size) * self.byte_t
         lead = self.sifs_t if lead_sifs else 0
         need = lead + d_t + self.sifs_t + self.ack_t + self.sifs_t
@@ -574,19 +582,13 @@ class _Sim:
         if ok:
             self.ledger.record(st.aid, report)
             if qframe is not None:
-                self.records.append(PacketRecord(
-                    aid=st.aid,
-                    sequence=qframe.index,
-                    size_bytes=size,
-                    gen_time_us=self._us(qframe.gen_tick),
-                    rx_time_us=self._us(data_end + self.dp_t),
-                ))
-                self._log(data_end, "RX", st.aid, "seq={} size={}", qframe.index, size)
+                self.deliveries.append((st.aid, idx, size, gen_tick, data_end + self.dp_t))
+                self._log(data_end, "RX", st.aid, "seq={} size={}", idx, size)
         elif qframe is not None:
             self.n_lost += 1
-            if qframe.gen_tick >= self.warmup_tick:
+            if gen_tick >= self.warmup_tick:
                 self.n_lost_measured += 1
-            self._log(data_end, "LOST", st.aid, "seq={} size={}", qframe.index, size)
+            self._log(data_end, "LOST", st.aid, "seq={} size={}", idx, size)
         else:
             self.n_null_lost += 1
         return t + need
@@ -595,20 +597,18 @@ class _Sim:
         g_t, is_multipoll = payload
         st = self.stations[aid]
         slot_end = tick + g_t
-        t = tick
-        if not is_multipoll:
-            t += self.poll_t
-        first = True
+        # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
+        t = tick if is_multipoll else tick + self.poll_t
+        lead_sifs = not is_multipoll
         if not st.queue:
             # nothing pending: a header-only frame carries the size report
-            self._exchange(st, None, t, slot_end, lead_sifs=not is_multipoll)
+            self._exchange(st, None, t, slot_end, lead_sifs)
             return
         while st.queue:
-            nxt = self._exchange(st, st.queue[0], t, slot_end, lead_sifs=not (is_multipoll and first))
-            if nxt is None:
+            t = self._exchange(st, st.queue[0], t, slot_end, lead_sifs)
+            if t is None:
                 break
-            t = nxt
-            first = False
+            lead_sifs = True
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

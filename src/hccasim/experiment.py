@@ -19,7 +19,7 @@ import yaml
 from .analytic import aggregate_delay, aggregate_delay_alt, analytic_inputs
 from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
-from .metrics import e2e_delay, utilization_improvement
+from .metrics import utilization_improvement
 from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
 from .traces import Tspec, VideoTrace, derive_tspec, load_trace, trace_stats
 from .util import exact
@@ -241,14 +241,10 @@ def expand_scenarios(config: ExperimentConfig):
     return scenarios
 
 
-def _speed_of(scenario):
-    return scenario.mobility.speed_mps if scenario.mobility else None
-
-
 def _row_from_result(result):
     report = result.report()
     sc = result.scenario
-    speed = _speed_of(sc)
+    speed = sc.mobility.speed_mps if sc.mobility else None
     return {
         "scheduler": sc.scheduler,
         "phy": sc.profile.name,
@@ -324,13 +320,8 @@ def emit_table2(profile, control_rate=None, n_max=12):
     """Polling-airtime comparison rows: one poll per station versus a
     single multi-poll, for 1..n_max stations."""
     t_poll = airtime_control(profile, control_rate)
-    rows = []
-    for n in range(1, n_max + 1):
-        single = n * t_poll
-        multi = airtime_multipoll(n, profile, control_rate)
-        gain = poll_gain_ratio(n, profile, control_rate)
-        rows.append((n, single, multi, gain))
-    return rows
+    return [(n, n * t_poll, airtime_multipoll(n, profile, control_rate),
+             poll_gain_ratio(n, profile, control_rate)) for n in range(1, n_max + 1)]
 
 
 VALIDATION_COLUMNS = ("scheduler", "n", "model_ms", "sim_ms", "rel_err", "model_alt_ms")
@@ -357,8 +348,8 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
             )
         n = len(sc.stations)
         si = result.si_s
-        measured = result.measured_records()
-        if not measured:
+        report = result.report()
+        if not report.n_delivered:
             continue
         m_intervals = int((sc.sim_time_s - sc.warmup_s) / si)
         inputs = analytic_inputs(
@@ -368,7 +359,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
         )
         model_us = aggregate_delay(sc.scheduler, inputs) / n
         alt_us = aggregate_delay_alt(sc.scheduler, inputs) / n
-        sim_ms = float(e2e_delay(measured))
+        sim_ms = report.mean_delay_ms
         model_ms = float(model_us) / 1000
         rows.append(
             {

@@ -1,7 +1,8 @@
 """Per-run metrics: end-to-end delay, throughput, TXOP time, utilization.
 
-All inputs arrive as exact Fractions of microseconds; conversions to ms
-or seconds happen here, still exactly. Empty inputs yield NaN rather
+A run's deliveries and grants arrive in integer ticks at K ticks per
+microsecond. They are summed as integers and each metric divides its sum
+once, exactly; the float is taken last. Empty inputs yield NaN rather
 than raising, so sweep code can emit a row per configuration without
 special-casing runs that delivered nothing.
 """
@@ -17,7 +18,7 @@ US_PER_MS = 1_000
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One delivered MSDU."""
+    """One delivered MSDU, in microseconds."""
 
     aid: int
     sequence: int
@@ -47,27 +48,39 @@ class MetricsReport:
     aggregate_txop_s: float
 
 
-def e2e_delay(records):
-    """Mean generation-to-delivery delay in milliseconds (NaN if empty)."""
-    records = list(records)
-    if not records:
+def delivery_sums(deliveries, warmup_tick=0):
+    """Count, total delay ticks and total payload bytes of the deliveries
+    (aid, sequence, size, gen_tick, rx_tick) generated at or after warmup_tick."""
+    n = delay = payload = 0
+    for _aid, _seq, size, gen, rx in deliveries:
+        if gen >= warmup_tick:
+            if rx < gen:
+                raise ValueError(f"rx before generation: tick {rx} < {gen}")
+            n += 1
+            delay += rx - gen
+            payload += size
+    return n, delay, payload
+
+
+def e2e_delay(delay_ticks, n, ticks_per_us):
+    """Mean generation-to-delivery delay in milliseconds over n deliveries
+    (NaN if none)."""
+    if not n:
         return float("nan")
-    total = sum((r.delay_us for r in records), Fraction(0))
-    return total / (len(records) * US_PER_MS)
+    return Fraction(delay_ticks, n * ticks_per_us * US_PER_MS)
 
 
-def aggregate_throughput(records, duration_s):
+def aggregate_throughput(payload_bytes, duration_s):
     """Delivered payload bits per second over the given duration."""
     duration = exact(duration_s)
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    bits = 8 * sum(r.size_bytes for r in records)
-    return Fraction(bits) / duration
+    return 8 * payload_bytes / duration
 
 
-def aggregate_txop(grant_durations_us):
-    """Total granted TXOP time in seconds from exact microsecond durations."""
-    return Fraction(sum(grant_durations_us)) / US_PER_S
+def aggregate_txop(grant_ticks, ticks_per_us):
+    """Total granted TXOP time in seconds."""
+    return Fraction(grant_ticks, ticks_per_us * US_PER_S)
 
 
 def utilization_improvement(b_hcca, b_proposed):
@@ -80,12 +93,12 @@ def utilization_improvement(b_hcca, b_proposed):
     return (ref - new) / ref
 
 
-def build_report(records, grant_durations_us, duration_s, n_lost=0) -> MetricsReport:
-    records = list(records)
+def build_report(n_delivered, delay_ticks, payload_bytes, grant_ticks, ticks_per_us,
+                 duration_s, n_lost=0) -> MetricsReport:
     return MetricsReport(
-        n_delivered=len(records),
+        n_delivered=n_delivered,
         n_lost=n_lost,
-        mean_delay_ms=float(e2e_delay(records)),
-        throughput_bps=float(aggregate_throughput(records, duration_s)),
-        aggregate_txop_s=float(aggregate_txop(grant_durations_us)),
+        mean_delay_ms=float(e2e_delay(delay_ticks, n_delivered, ticks_per_us)),
+        throughput_bps=float(aggregate_throughput(payload_bytes, duration_s)),
+        aggregate_txop_s=float(aggregate_txop(grant_ticks, ticks_per_us)),
     )

@@ -41,10 +41,8 @@ class PhyProfile:
     prop_delay_us: int    # [us]
 
     def __post_init__(self):
-        for field in ("plcp_rate", "data_rate", "basic_rate"):
-            if getattr(self, field) <= 0:
-                raise ConfigError(f"profile {self.name!r}: {field} must be > 0")
-        for field in ("preamble_bytes", "plcp_header_bytes", "mac_header_bytes"):
+        for field in ("plcp_rate", "data_rate", "basic_rate",
+                      "preamble_bytes", "plcp_header_bytes", "mac_header_bytes"):
             if getattr(self, field) <= 0:
                 raise ConfigError(f"profile {self.name!r}: {field} must be > 0")
         for field in ("sifs_us", "pifs_us", "slot_us", "prop_delay_us"):
@@ -108,29 +106,31 @@ def airtime_data(payload_bytes: int, profile: PhyProfile, rate_override: int | N
     return plcp_time_us(profile) + _bits_time_us(body_bits, rate)
 
 
-def airtime_control(profile: PhyProfile, control_rate: int | None = None) -> Fraction:
-    """Airtime of an ACK or a single poll: both are the same header-only
-    PPDU at control_rate, which defaults to the profile basic rate.
-    """
+def _control_ppdu_us(body_bytes: int, profile: PhyProfile, control_rate: int | None) -> Fraction:
+    """A control PPDU with a body_bytes MAC frame at control_rate, which
+    defaults to the profile basic rate."""
     rate = profile.basic_rate if control_rate is None else control_rate
     if rate <= 0:
         raise ConfigError("control_rate must be > 0")
-    return plcp_time_us(profile) + _bits_time_us(profile.mac_header_bytes * 8, rate)
+    return plcp_time_us(profile) + _bits_time_us(body_bytes * 8, rate)
+
+
+def airtime_control(profile: PhyProfile, control_rate: int | None = None) -> Fraction:
+    """Airtime of an ACK or a single poll: both are the same header-only
+    PPDU at control_rate."""
+    return _control_ppdu_us(profile.mac_header_bytes, profile, control_rate)
 
 
 def airtime_multipoll(n_stations: int, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
     """Airtime of one broadcast multi-poll frame for n_stations records."""
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    rate = profile.basic_rate if control_rate is None else control_rate
-    if rate <= 0:
-        raise ConfigError("control_rate must be > 0")
     body_bytes = (
         MULTIPOLL_MAC_HEADER_BYTES
         + MULTIPOLL_FIXED_BODY_BYTES
         + MULTIPOLL_RECORD_BYTES * n_stations
     )
-    return plcp_time_us(profile) + _bits_time_us(body_bytes * 8, rate)
+    return _control_ppdu_us(body_bytes, profile, control_rate)
 
 
 def poll_gain_ratio(n_stations: int, profile: PhyProfile, control_rate: int | None = None) -> Fraction:

@@ -7,8 +7,8 @@ size_bytes:int). Lines starting with '#' and blank lines are ignored.
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
 order. The parser keeps the frames in generation order only: sorted by
-display time, ties in file order. The packet generation schedule and the
-next-frame lookahead that stations piggyback both follow that order.
+display time, which must not repeat. The packet generation schedule and
+the next-frame lookahead that stations piggyback both follow that order.
 """
 
 import math
@@ -41,7 +41,7 @@ class TraceFrame:
 class VideoTrace:
     """Parsed trace: its frames in generation order."""
 
-    generation_frames: tuple   # the frames by display time, ties in file order
+    generation_frames: tuple   # the frames by strictly increasing display time
     frame_interval_ms: Fraction
 
     def __len__(self):
@@ -83,13 +83,6 @@ class Tspec:
             )
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
 def parse_trace(text) -> VideoTrace:
     """Parse a trace from a string, an open file, or an iterable of lines."""
     if isinstance(text, str):
@@ -126,16 +119,14 @@ def parse_trace(text) -> VideoTrace:
         raise TraceParseError("empty trace: no frame lines found")
 
     generation = tuple(sorted(frames, key=lambda f: f.display_time_ms))
+    # the gaps as integers over one common denominator; a single frame has interval 0
     times = [f.display_time_ms for f in generation]
-    if len(times) > 1:
-        interval = Fraction(0)
-        for a, b in zip(times, times[1:]):
-            interval = _fraction_gcd(interval, b - a) if interval else (b - a)
-        if interval <= 0:
-            raise TraceParseError("display times are not strictly increasing after reorder")
-    else:
-        interval = Fraction(0)
-    return VideoTrace(generation, interval)
+    den = math.lcm(*(t.denominator for t in times))
+    ticks = [t.numerator * (den // t.denominator) for t in times]
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    if 0 in gaps:
+        raise TraceParseError("display times are not strictly increasing after reorder")
+    return VideoTrace(generation, Fraction(math.gcd(*gaps), den))
 
 
 def load_trace(path) -> VideoTrace:

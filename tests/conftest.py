@@ -1,4 +1,5 @@
-"""Shared scenario builders with a session-scoped run cache.
+"""Shared scenario builders with a session-scoped run cache, and an
+exact oracle for a run's report.
 
 Several acceptance checks read different aspects of the same sweeps
 (ordering, slope, throughput, channel time), so simulation results are
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.phy import PROFILE_11G
+from hccasim.phy import PROFILE_11G, US_PER_S
 from hccasim.traces import Tspec, load_trace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +32,29 @@ VALIDATION = {
 }
 
 SCHEDULERS = ("hcca", "atxop", "amtxop")
+
+
+def mean_delay_ms(records):
+    """Mean delay of the records in ms, summed as exact Fractions of
+    microseconds record by record (NaN if there are none)."""
+    records = list(records)
+    if not records:
+        return float("nan")
+    return sum((r.delay_us for r in records), Fraction(0)) / (len(records) * 1000)
+
+
+def oracle_report(result):
+    """(mean delay ms, throughput bit/s, TXOP s) of a run as exact
+    Fractions, from the records and grant-log entries in microseconds
+    rather than from the tick sums report() divides."""
+    sc = result.scenario
+    records = result.measured_records()
+    duration = Fraction(sc.sim_time_s) - Fraction(sc.warmup_s)
+    return (
+        mean_delay_ms(records),
+        Fraction(8 * sum(r.size_bytes for r in records)) / duration,
+        sum((g.duration_us for g in result.measured_grants()), Fraction(0)) / US_PER_S,
+    )
 
 
 class SimLab:

@@ -12,7 +12,6 @@ from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, p
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.hcca import admissible, compute_si, txop_reference
 from hccasim.experiment import emit_table2
-from hccasim.metrics import e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import parse_trace
 
@@ -185,10 +184,7 @@ def test_criterion_07_analytic_validation(lab):
                 for n in range(1, 13)
             ]
             sim = [
-                float(
-                    e2e_delay(lab.validation_run(trace_name, scheduler, n).measured_records())
-                )
-                * 1000
+                lab.validation_run(trace_name, scheduler, n).report().mean_delay_ms * 1000
                 for n in range(1, 13)
             ]
             err = max(abs(m - s) / s for m, s in zip(model, sim))

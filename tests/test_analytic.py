@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from hccasim.analytic import (
     td_i,
 )
 from hccasim.phy import PROFILE_11G, airtime_multipoll
-from hccasim.traces import Tspec, parse_trace
+from hccasim.traces import Tspec, load_trace, parse_trace
+
+from conftest import ROOT, VALIDATION
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s
 REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
@@ -222,6 +225,29 @@ class TestInputBuilder:
         trace = parse_trace("0 I 0 1000\n1 P 80 500\n")
         inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G)
         assert inputs.payload_us == ((8000,), (0,), (4000,))
+
+    @pytest.mark.parametrize("si, m_intervals, start_interval", [
+        (Fraction(1, 25), 750, 0),
+        (Fraction(1, 25), 20, 13090),     # runs past the last frame
+        (Fraction(3, 50), 100, 500),
+        (Fraction(1, 20), 31, 17),        # frames straddle interval edges
+    ])
+    def test_window_equals_full_binning(self, si, m_intervals, start_interval):
+        """Binning stops past the window, yet every interval in it holds
+        what binning the whole trace puts there."""
+        trace = load_trace(ROOT / "traces" / "jp1_high.txt")
+        tspec = VALIDATION["jp1_high"]
+        bins = {}
+        for frame in trace.generation_frames:
+            k = math.floor(frame.display_time_ms / (si * 1000))
+            bins[k] = bins.get(k, 0) + frame.size
+        sizes = [bins.get(k, 0) for k in range(start_interval, start_interval + m_intervals)]
+        inputs = analytic_inputs(
+            trace, 2, tspec, si, PROFILE_11G, control_rate=1_000_000,
+            m_intervals=m_intervals, start_interval=start_interval,
+        )
+        rate = tspec.min_phy_rate_bps
+        assert inputs.payload_us == tuple((Fraction(s * 8_000_000, rate),) * 2 for s in sizes)
 
     def test_rejects_zero_stations(self):
         with pytest.raises(ValueError):

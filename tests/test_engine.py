@@ -1,10 +1,14 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hccasim import engine
 from hccasim.analytic import aggregate_delay, analytic_inputs
 from hccasim.engine import (
     Mobility,
@@ -15,9 +19,11 @@ from hccasim.engine import (
 )
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis
-from hccasim.metrics import e2e_delay
+from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import Tspec, parse_trace
+
+from conftest import mean_delay_ms, oracle_report
 
 
 def const_trace(n_frames, size, interval_ms=40):
@@ -221,18 +227,18 @@ class TestSteadyStateMeans:
 
     def test_reference_mean(self):
         result = self.run("hcca")
-        assert e2e_delay(result.measured_records()) == Fraction(9089, 2250)
+        assert mean_delay_ms(result.measured_records()) == Fraction(9089, 2250)
 
     def test_adaptive_mean(self):
         result = self.run("atxop")
-        assert e2e_delay(result.measured_records()) == Fraction(7249, 2250)
+        assert mean_delay_ms(result.measured_records()) == Fraction(7249, 2250)
 
     def test_multipoll_mean(self):
         result = self.run("amtxop")
-        assert e2e_delay(result.measured_records()) == Fraction(2617, 900)
+        assert mean_delay_ms(result.measured_records()) == Fraction(2617, 900)
 
     def test_scheduler_ordering(self):
-        means = {s: e2e_delay(self.run(s).measured_records()) for s in ("hcca", "atxop", "amtxop")}
+        means = {s: mean_delay_ms(self.run(s).measured_records()) for s in ("hcca", "atxop", "amtxop")}
         assert means["amtxop"] < means["atxop"] < means["hcca"]
 
     def test_model_tracks_simulation_within_ten_percent(self):
@@ -242,7 +248,7 @@ class TestSteadyStateMeans:
             control_rate=1_000_000, m_intervals=48, start_interval=1,
         )
         for scheduler in ("hcca", "atxop", "amtxop"):
-            sim_mean_us = e2e_delay(self.run(scheduler).measured_records()) * 1000
+            sim_mean_us = mean_delay_ms(self.run(scheduler).measured_records()) * 1000
             model_mean_us = aggregate_delay(scheduler, inputs) / 3
             assert abs(model_mean_us - sim_mean_us) / sim_mean_us < Fraction(1, 10)
             assert model_mean_us < sim_mean_us  # model omits header time
@@ -430,7 +436,9 @@ class TestLossAndDeterminism:
         for i in range(75)
     ))
 
-    @given(
+    # any SI, loss rate and rate walk (from 150 ft the group leaves range
+    # inside 3 s), with one stream stopping early
+    SPACE = dict(
         scheduler=st.sampled_from(["hcca", "atxop", "amtxop"]),
         msi=st.sampled_from(["0.04", "0.06", "0.08"]),
         per=st.floats(min_value=0, max_value=0.2),
@@ -440,11 +448,50 @@ class TestLossAndDeterminism:
         sim_ds=st.integers(min_value=10, max_value=30),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+
+    @given(**SPACE)
     @settings(max_examples=40, deadline=None)
     def test_frames_are_conserved(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
-        """Every generated frame is delivered, lost or left queued, at any
-        SI, loss rate and rate walk (from 150 ft the group leaves range
-        inside 3 s), with one stream stopping early."""
+        """Every generated frame is delivered, lost or left queued."""
+        sc = self.space_scenario(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed)
+        result = run_scenario(sc)
+        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+
+    @given(**SPACE, warmup_bi=st.integers(min_value=0, max_value=7),
+           warmup_ms=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_report_equals_fraction_oracle(self, scheduler, msi, per, start_ft, n_stations,
+                                           stop_ds, sim_ds, seed, warmup_bi, warmup_ms):
+        """Every delivery's rx tick is at or after its generation tick, and
+        report() divides its tick sums into exactly the rationals that
+        summing the records and grants in microseconds gives. The warmup
+        falls a few ms into an interval, where grants straddle it."""
+        sc = replace(
+            self.space_scenario(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed),
+            warmup_s=Fraction(3, 25) * warmup_bi + Fraction(warmup_ms, 1000),
+        )
+        result = run_scenario(sc)
+        assert all(rx >= gen for _aid, _seq, _size, gen, rx in result.deliveries)
+
+        sums = []
+        real = engine.build_report
+        with mock.patch.object(engine, "build_report",
+                               lambda *a, **kw: sums.append(a) or real(*a, **kw)):
+            report = result.report()
+        (n, delay_t, payload, grant_t, k, duration), = sums
+        delay, throughput, txop = oracle_report(result)
+        assert n == report.n_delivered == len(result.measured_records())
+        assert report.n_lost == result.n_lost_measured
+        if n:
+            assert e2e_delay(delay_t, n, k) == delay
+            assert report.mean_delay_ms == float(delay)
+        else:
+            assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
+        assert aggregate_throughput(payload, duration) == throughput
+        assert aggregate_txop(grant_t, k) == txop
+        assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
+
+    def space_scenario(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
         tspec = Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
         mob = None if start_ft is None else Mobility(
             tiers=TIERS, speed_mps=Fraction(20), start_s=Fraction(0),
@@ -460,8 +507,7 @@ class TestLossAndDeterminism:
             sim_time_s=Fraction(sim_ds, 10), beacon_interval_s=Fraction(3, 25),
             control_rate=2_000_000, per=per, seed=seed, mobility=mob,
         )
-        result = run_scenario(sc)
-        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+        return sc
 
 
 class TestMobility:

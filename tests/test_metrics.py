@@ -11,6 +11,7 @@ from hccasim.metrics import (
     aggregate_throughput,
     aggregate_txop,
     build_report,
+    delivery_sums,
     e2e_delay,
     utilization_improvement,
 )
@@ -21,6 +22,10 @@ def rec(gen, rx, size=1000, aid=1, seq=0):
         aid=aid, sequence=seq, size_bytes=size,
         gen_time_us=Fraction(gen), rx_time_us=Fraction(rx),
     )
+
+
+def delivery(gen_tick, rx_tick, size=1000, aid=1, seq=0):
+    return (aid, seq, size, gen_tick, rx_tick)
 
 
 class TestPacketRecord:
@@ -37,55 +42,62 @@ class TestPacketRecord:
 
 class TestDelay:
     def test_mean_in_ms(self):
-        records = [rec(0, 2000), rec(0, 4000)]
-        assert e2e_delay(records) == 3  # (2 ms + 4 ms) / 2
+        assert e2e_delay(2000 + 4000, 2, 1) == 3  # (2 ms + 4 ms) / 2
 
     def test_empty_is_nan(self):
-        assert math.isnan(e2e_delay([]))
+        assert math.isnan(e2e_delay(0, 0, 1))
 
     def test_exact_fractions_survive(self):
-        records = [rec(0, Fraction(22970, 11))]
-        assert e2e_delay(records) == Fraction(2297, 1100)
+        # one delivery of 22970/11 us at 11 ticks per us
+        assert e2e_delay(22970, 1, 11) == Fraction(2297, 1100)
 
     @given(shift=st.integers(min_value=0, max_value=10**9))
     def test_translation_invariant(self, shift):
-        base = [rec(0, 1500), rec(100, 700), rec(4000, 9000)]
-        moved = [rec(r.gen_time_us + shift, r.rx_time_us + shift) for r in base]
-        assert e2e_delay(moved) == e2e_delay(base)
+        """Moving every tick and the warmup boundary together changes no sum."""
+        base = [delivery(0, 1500), delivery(100, 700), delivery(4000, 9000), delivery(50, 60)]
+        moved = [delivery(gen + shift, rx + shift) for _a, _s, _z, gen, rx in base]
+        assert delivery_sums(moved, 100 + shift) == delivery_sums(base, 100) == (2, 5600, 2000)
+
+
+class TestDeliverySums:
+    def test_rx_before_gen_rejected(self):
+        with pytest.raises(ValueError):
+            delivery_sums([delivery(2000, 1000)])
+
+    def test_before_warmup_not_checked_or_counted(self):
+        assert delivery_sums([delivery(10, 5), delivery(20, 25, size=7)], 20) == (1, 5, 7)
 
 
 class TestThroughput:
     def test_bits_over_duration(self):
-        records = [rec(0, 10, size=1000), rec(0, 20, size=500)]
-        assert aggregate_throughput(records, 2) == 6000
+        assert aggregate_throughput(1000 + 500, 2) == 6000
 
     def test_identity_bits_equals_rate_times_duration(self):
-        records = [rec(0, 10, size=s) for s in (100, 900, 5500)]
-        rate = aggregate_throughput(records, Fraction(13, 10))
+        rate = aggregate_throughput(100 + 900 + 5500, Fraction(13, 10))
         assert rate * Fraction(13, 10) == 8 * 6500
 
     def test_empty_is_zero(self):
-        assert aggregate_throughput([], 1) == 0
+        assert aggregate_throughput(0, 1) == 0
 
     def test_bad_duration(self):
         with pytest.raises(ValueError):
-            aggregate_throughput([], 0)
+            aggregate_throughput(0, 0)
 
     @given(sizes=st.lists(st.integers(min_value=0, max_value=10000), max_size=30))
     def test_additive_over_concatenation(self, sizes):
-        records = [rec(0, 1, size=s) for s in sizes]
-        half = len(records) // 2
-        a = aggregate_throughput(records[:half], 7)
-        b = aggregate_throughput(records[half:], 7)
-        assert a + b == aggregate_throughput(records, 7)
+        half = len(sizes) // 2
+        a = aggregate_throughput(sum(sizes[:half]), 7)
+        b = aggregate_throughput(sum(sizes[half:]), 7)
+        assert a + b == aggregate_throughput(sum(sizes), 7)
 
 
 class TestTxopTime:
     def test_sums_durations(self):
-        assert aggregate_txop([Fraction(2000), Fraction(1001, 2), 1500]) == Fraction(8001, 2 * 10**6)
+        # 2000 + 1001/2 + 1500 us at 2 ticks per us
+        assert aggregate_txop(4000 + 1001 + 3000, 2) == Fraction(8001, 2 * 10**6)
 
     def test_empty(self):
-        assert aggregate_txop([]) == 0
+        assert aggregate_txop(0, 1) == 0
 
 
 class TestUtilization:
@@ -108,8 +120,8 @@ class TestUtilization:
 
 class TestReport:
     def test_build(self):
-        records = [rec(0, 2000, size=1000)]
-        report = build_report(records, [Fraction(3000)], 2, n_lost=3)
+        # one 1000-byte delivery after 2000 us, 3000 us granted, over 2 s
+        report = build_report(1, 2000, 1000, 3000, 1, 2, n_lost=3)
         assert report == MetricsReport(
             n_delivered=1,
             n_lost=3,
@@ -119,7 +131,7 @@ class TestReport:
         )
 
     def test_empty_run(self):
-        report = build_report([], [], 1)
+        report = build_report(0, 0, 0, 0, 1, 1)
         assert report.n_delivered == 0
         assert math.isnan(report.mean_delay_ms)
         assert report.throughput_bps == 0

@@ -69,6 +69,13 @@ def test_parse_rejects_empty():
         parse_trace("# only a comment\n")
 
 
+def test_parse_rejects_any_repeated_display_time():
+    # a tie among frames that otherwise advance, in file order or after the re-sort
+    for text in ("0 I 0 100\n1 P 0 200\n2 P 40 300", "0 I 0 1\n1 P 80 1\n2 B 40 1\n3 B 80 1"):
+        with pytest.raises(TraceParseError, match="not strictly increasing"):
+            parse_trace(text)
+
+
 def test_generation_order_sorted_by_display_time():
     t = parse_trace(SAMPLE_DECODE_ORDER)
     gen = t.generation_frames
