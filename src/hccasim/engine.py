@@ -3,8 +3,15 @@
 Time is integer ticks at K ticks per microsecond, with K the least common
 multiple of R/gcd(R, 8 MHz) over every PHY rate in the scenario; every
 frame airtime and interframe space then lands exactly on the grid and a
-run is reproducible bit for bit. Events at the same tick order by kind,
-then station AID, then insertion order.
+run is reproducible bit for bit.
+
+The run steps one service interval at a time, from the first admission
+on. At an interval start every grant of the interval is sized; its slots
+are then served in order, and before each slot the station's frames
+generated up to and including the slot's start tick join its queue.
+Stream starts and stops are the only events off the interval grid: all
+of them up to and including a tick are handled before that tick's
+interval start or slot, in tick order, starts before stops, then by AID.
 
 Per service interval the AP issues one TXOP per admitted stream, in
 admission (= AID) order. Grant boundaries are rigid: a station that
@@ -38,13 +45,11 @@ them and divides once per metric. Records and grant-log entries in
 microseconds are built from the ticks on each access.
 """
 
-import heapq
 import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 
 from .adaptive import SizeLedger
@@ -65,17 +70,6 @@ from .traces import Tspec, VideoTrace
 from .util import exact
 
 M_TO_FT = Fraction("3.28084")
-
-
-class EventKind(IntEnum):
-    """Tie-break order for events on the same tick."""
-
-    STREAM_START = 0
-    STREAM_END = 1
-    FRAME_GENERATED = 2
-    BEACON_TBTT = 3
-    CAP_START = 4
-    SLOT_SERVICE = 5
 
 
 @dataclass(frozen=True)
@@ -236,20 +230,21 @@ class RunResult:
 
 class _Station:
     __slots__ = (
-        "spec", "aid", "start_t", "admitted", "rejected", "stopped",
+        "spec", "aid", "start_t", "stop_t", "admitted", "rejected",
         "queue", "gen_frames", "gen_offsets", "next_gen_idx", "ref_t",
     )
 
-    def __init__(self, spec, start_t, gen_offsets):
+    def __init__(self, spec, start_t, stop_t, gen_offsets):
         self.spec = spec
         self.aid = spec.aid
         self.start_t = start_t
-        self.admitted = self.rejected = self.stopped = False
+        self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
+        self.admitted = self.rejected = False
         self.queue = deque()      # (frame index, size, gen_tick) per queued frame
         self.gen_frames = spec.trace.generation_frames
         # generation ticks from the stream start: one list per trace, grown as the run reaches them
         self.gen_offsets = gen_offsets
-        self.next_gen_idx = 0
+        self.next_gen_idx = 0     # the first frame not yet generated
         # the mean-based grant in ticks at the run's rate, from _Sim._size_grants
         self.ref_t = None
 
@@ -259,6 +254,7 @@ class _Sim:
         self.sc = scenario
         self.profile = scenario.profile
         self.ctrl = scenario.control_rate
+        self.multipoll = scenario.scheduler == "amtxop"
         base_rate = scenario.data_rate or self.profile.data_rate
 
         rates = {self.profile.plcp_rate, self.profile.basic_rate, base_rate}
@@ -273,10 +269,11 @@ class _Sim:
         self.bi = exact(scenario.beacon_interval_s)
 
         offsets = {}
-        self.stations = {
-            s.aid: _Station(s, self._sec_ticks(s.start_s), offsets.setdefault(id(s.trace), []))
-            for s in sorted(scenario.stations, key=lambda s: s.aid)
-        }
+        self.stations = {}
+        for s in sorted(scenario.stations, key=lambda s: s.aid):
+            stop_t = self.end_tick if s.stop_s is None else self._sec_ticks(s.stop_s)
+            self.stations[s.aid] = _Station(s, self._sec_ticks(s.start_s), min(stop_t, self.end_tick),
+                                            offsets.setdefault(id(s.trace), []))
         self.polled = []          # admitted stations in polling order
         self.si_s = self.si_t = None
         self.ledger = SizeLedger()
@@ -289,17 +286,16 @@ class _Sim:
         # an ACK and a single poll are the same header-only PPDU
         self.ack_t = self.poll_t = self._to_ticks(airtime_control(self.profile, self.ctrl))
         self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
+        self.multipoll_t = {}     # multi-poll airtime ticks per station count
 
-        self.heap = []
-        self._seq = 0
         self.deliveries = []
         self.grants = []
         self.tier_changes = []
         self.event_log = []
         self.logging = scenario.log_events
 
-        self.cap_scheduled = False
-        self.si_index = self.n_generated = self.n_beacons = self.n_deferred = 0
+        self.si_index = self.n_generated = self.n_deferred = 0
+        self.n_beacons = -(-self.end_tick // self._sec_ticks(self.bi))   # TBTTs before the end
         self.n_lost = self.n_lost_measured = self.n_null_lost = 0
 
         # the run's PHY rate (None until set), ticks per payload byte and the
@@ -311,16 +307,14 @@ class _Sim:
         else:
             self._apply_mobility(0)
 
-        for st in self.stations.values():
-            if st.start_t < self.end_tick:
-                self._push(st.start_t, EventKind.STREAM_START, st.aid, None)
-            if st.spec.stop_s is not None:
-                stop = self._sec_ticks(st.spec.stop_s)
-                if stop < self.end_tick:
-                    self._push(stop, EventKind.STREAM_END, st.aid, None)
-        bi_t = self._sec_ticks(self.bi)
-        for t in range(0, self.end_tick, bi_t):
-            self._push(t, EventKind.BEACON_TBTT, 0, None)
+        # stream starts (0) and stops (1) inside the run, last to be handled first
+        sts = self.stations.values()
+        self.stream_events = sorted(
+            [(st.start_t, 0, st.aid) for st in sts if st.start_t < self.end_tick]
+            + [(st.stop_t, 1, st.aid) for st in sts if st.stop_t < self.end_tick],
+            reverse=True,
+        )
+        self.next_si_t = None     # the next interval start, set by the first admission
 
     # -- time plumbing ---------------------------------------------------
 
@@ -345,7 +339,7 @@ class _Sim:
         """Adopt the polled stations' reference grants (poll-included ticks,
         in polling order) and size the report-sized grant for 0 bytes."""
         # the broadcast multi-poll replaces every slot's own poll
-        shed_t = self.poll_t if self.sc.scheduler == "amtxop" else 0
+        shed_t = self.poll_t if self.multipoll else 0
         for st, ref_t in zip(self.polled, refs):
             st.ref_t = ref_t - shed_t
         self.one_t = self._to_ticks(reference_overhead(1, self.profile, self.ctrl, self.rate)) - shed_t
@@ -356,11 +350,7 @@ class _Sim:
         self.byte_t = self._to_ticks(Fraction(8 * US_PER_S, rate))
         self._size_grants([self._ref_ticks(st.spec.tspec, self.si_s) for st in self.polled])
 
-    # -- event plumbing --------------------------------------------------
-
-    def _push(self, tick, kind, aid, payload):
-        self._seq += 1
-        heapq.heappush(self.heap, (tick, int(kind), aid, self._seq, payload))
+    # -- logging ---------------------------------------------------------
 
     def _log(self, tick, what, aid, fmt="", *args):
         """Log one event; its detail is formatted only when logging is on."""
@@ -376,20 +366,24 @@ class _Sim:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        handlers = (  # indexed by EventKind
-            self._on_stream_start,
-            self._on_stream_end,
-            self._on_frame_generated,
-            self._on_beacon,
-            self._on_cap_start,
-            self._on_slot_service,
-        )
-        while self.heap:
-            tick, kind, aid, _seq, payload = heapq.heappop(self.heap)
-            if tick >= self.end_tick:
-                break
-            handlers[kind](tick, aid, payload)
+        events = self.stream_events
+        # the first admission opens the interval grid at its own tick
+        while self.next_si_t is None and events:
+            self._streams_to(events[-1][0])
+        while self.next_si_t is not None and self.next_si_t < self.end_tick:
+            self._streams_to(self.next_si_t)
+            self._interval(self.next_si_t)
+        self._streams_to(self.end_tick)
+        for st in self.polled:
+            self._pull(st, self.end_tick)
         return self._finalize()
+
+    def _streams_to(self, tick):
+        """Handle every stream start and stop up to and including tick."""
+        events = self.stream_events
+        while events and events[-1][0] <= tick:
+            t, is_stop, aid = events.pop()
+            (self._on_stream_end if is_stop else self._on_stream_start)(t, self.stations[aid])
 
     def _finalize(self) -> RunResult:
         admitted = tuple(st.aid for st in self.stations.values() if st.admitted)
@@ -420,8 +414,7 @@ class _Sim:
 
     # -- admission and traffic -------------------------------------------
 
-    def _on_stream_start(self, tick, aid, _payload):
-        st = self.stations[aid]
+    def _on_stream_start(self, tick, st):
         polled = self.polled + [st]
         # the new stream may shrink the SI, which changes every plan
         si = compute_si(self.bi, min_msi(p.spec.tspec.msi_s for p in polled))
@@ -431,48 +424,41 @@ class _Sim:
         refs = [self._ref_ticks(p.spec.tspec, si) for p in polled] if self._in_range(tick) else None
         if refs is None or not admissible(sum(refs), si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
-            self._log(tick, "ADMIT-REJECT", aid)
+            self._log(tick, "ADMIT-REJECT", st.aid)
             return
         self.si_s, self.si_t = si, si_t
         st.admitted = True
         self.polled = polled
         self._size_grants(refs)
         tspec = st.spec.tspec
-        self._log(tick, "ADMIT", aid, "si={:.6f}s n_msdu={}",
+        self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
                   float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
-        self._schedule_frame(st, 0)
-        if not self.cap_scheduled:
-            self.cap_scheduled = True
-            self._push(tick, EventKind.CAP_START, 0, None)
+        if self.next_si_t is None:
+            self.next_si_t = tick
 
-    def _on_stream_end(self, tick, aid, _payload):
-        st = self.stations[aid]
-        st.stopped = True
-        self._log(tick, "STREAM-END", aid, "queued={}", len(st.queue))
+    def _on_stream_end(self, tick, st):
+        if st.admitted:
+            self._pull(st, tick)   # the log reports the queue as the stream stops
+        self._log(tick, "STREAM-END", st.aid, "queued={}", len(st.queue))
 
-    def _schedule_frame(self, st: _Station, idx: int):
-        offsets = st.gen_offsets
-        if idx == len(offsets):
-            # the first station on this trace to reach the frame converts it
-            if idx >= len(st.gen_frames):
-                return
-            offsets.append(self._to_ticks(st.gen_frames[idx].display_time_ms * 1000))
-        tick = st.start_t + offsets[idx]
-        if tick < self.end_tick:
-            self._push(tick, EventKind.FRAME_GENERATED, st.aid, idx)
-
-    def _on_frame_generated(self, tick, aid, idx):
-        st = self.stations[aid]
-        if st.stopped:
-            return
-        frame = st.gen_frames[idx]
-        st.queue.append((idx, frame.size, tick))
-        st.next_gen_idx = idx + 1
-        self.n_generated += 1
-        self._schedule_frame(st, idx + 1)
-
-    def _on_beacon(self, tick, _aid, _payload):
-        self.n_beacons += 1
+    def _pull(self, st: _Station, tick):
+        """Queue the station's frames generated up to and including tick,
+        short of its stop tick."""
+        limit = min(tick + 1, st.stop_t) - st.start_t
+        offsets, frames = st.gen_offsets, st.gen_frames
+        i = st.next_gen_idx
+        while True:
+            if i == len(offsets):
+                # the first station on this trace to reach the frame converts it
+                if i == len(frames):
+                    break
+                offsets.append(self._to_ticks(frames[i].display_time_ms * 1000))
+            if offsets[i] >= limit:
+                break
+            st.queue.append((i, frames[i].size, st.start_t + offsets[i]))
+            i += 1
+        self.n_generated += i - st.next_gen_idx
+        st.next_gen_idx = i
 
     # -- mobility ----------------------------------------------------------
 
@@ -511,31 +497,39 @@ class _Sim:
 
     # -- the contention-free period ---------------------------------------
 
-    def _on_cap_start(self, tick, _aid, _payload):
+    def _interval(self, tick):
+        """One service interval: size its grants, then serve its slots."""
         self._apply_mobility(tick)
-        cap_end = tick + self.si_t
+        cap_end = self.next_si_t = tick + self.si_t
         k = self.si_index
         self.si_index += 1
 
         # slots are served while the group is in range and the stream runs
-        active = [] if self.out_of_range else [st for st in self.polled if not st.stopped]
-        if active:
-            self._dispatch(tick, cap_end, active, k)
-
-        if cap_end < self.end_tick:
-            self._push(cap_end, EventKind.CAP_START, 0, None)
+        active = [] if self.out_of_range else [st for st in self.polled if st.stop_t > tick]
+        if not active:
+            return
+        for st, t, g_t in self._dispatch(tick, cap_end, active, k):
+            if t >= self.end_tick:
+                break   # the last interval may run past the end
+            self._streams_to(t)
+            self._pull(st, t)
+            self._serve(st, t, g_t)
 
     def _dispatch(self, tick, cap_end, active, k):
         """Grant one TXOP per active station in polling order; the first
-        grant that would overrun the interval and all after it are deferred."""
-        multipoll = self.sc.scheduler == "amtxop"
+        grant that would overrun the interval and all after it are deferred.
+        Returns the granted slots as (station, start tick, ticks)."""
         t = tick
+        slots = []
         if self.sc.scheduler == "hcca":
             reports = itertools.repeat(None)   # the reference scheduler ignores reports
-        elif multipoll:
+        elif self.multipoll:
             # one frame carries every grant: all reports are consumed up front
             reports = [self.ledger.take(st.aid) for st in active]
-            t += self._to_ticks(airtime_multipoll(len(active), self.profile, self.ctrl))
+            n = len(active)
+            if n not in self.multipoll_t:
+                self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
+            t += self.multipoll_t[n]
             self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
         else:
             # polled one by one: stations after a deferral keep their reports
@@ -550,8 +544,9 @@ class _Sim:
                 self._log(t, "DEFER", st.aid, "si={}", k)
                 break
             self.grants.append((k, st.aid, t, g_t, basis))
-            self._push(t, EventKind.SLOT_SERVICE, st.aid, (g_t, multipoll))
+            slots.append((st, t, g_t))
             t += g_t
+        return slots
 
     # -- one TXOP ----------------------------------------------------------
 
@@ -593,13 +588,11 @@ class _Sim:
             self.n_null_lost += 1
         return t + need
 
-    def _on_slot_service(self, tick, aid, payload):
-        g_t, is_multipoll = payload
-        st = self.stations[aid]
+    def _serve(self, st, tick, g_t):
         slot_end = tick + g_t
         # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-        t = tick if is_multipoll else tick + self.poll_t
-        lead_sifs = not is_multipoll
+        t = tick if self.multipoll else tick + self.poll_t
+        lead_sifs = not self.multipoll
         if not st.queue:
             # nothing pending: a header-only frame carries the size report
             self._exchange(st, None, t, slot_end, lead_sifs)

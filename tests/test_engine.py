@@ -713,6 +713,53 @@ class TestMobility:
             Mobility(tiers=((200, 1), (100, 2)), speed_mps=1, start_s=0, initial_distance_ft=0)
 
 
+class TestEdgeTicks:
+    """What happens on one tick: stream starts, then stream stops, then
+    frames, then the interval start, then the slot."""
+
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_frame_at_slot_start_is_sent_in_that_slot(self, scheduler):
+        trace = const_trace(5, 2700)
+        probe = run_scenario(make_scenario(scheduler, 2, trace, TSPEC_54))
+        # station 2's first slot starts after station 1's (and the multi-poll)
+        slot = next(g for g in probe.grant_log if g.aid == 2)
+        assert slot.si_index == 0 and slot.start_us > 0
+        # station 2's frames land on its slot starts instead of the interval starts
+        late = parse_trace("\n".join(
+            f"{i} {'I' if i == 0 else 'P'} {slot.start_us / 1000 + 40 * i} 2700" for i in range(5)
+        ))
+        stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
+                    StationSpec(aid=2, trace=late, tspec=TSPEC_54))
+        result = run_scenario(replace(probe.scenario, stations=stations))
+        assert next(g for g in result.grant_log if g.aid == 2) == slot
+        first = next(r for r in result.records if r.aid == 2)
+        assert first.sequence == 0 and first.gen_time_us == slot.start_us
+        assert first.rx_time_us < slot.start_us + slot.duration_us
+
+    def test_frame_at_stop_tick_is_not_generated(self):
+        trace = const_trace(5, 2700)
+        sc = make_scenario("hcca", 1, trace, TSPEC_54)
+        stopped = StationSpec(aid=1, trace=trace, tspec=TSPEC_54, stop_s=Fraction(2, 25))
+        result = run_scenario(replace(sc, stations=(stopped,)))
+        # frames at 0 and 40 ms; the one at the 80 ms stop is not generated
+        assert result.n_generated == 2
+        assert [r.sequence for r in result.records] == [0, 1]
+
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_stream_starting_at_interval_start_is_granted_in_it(self, scheduler):
+        trace = const_trace(5, 2700)
+        sc = make_scenario(scheduler, 1, trace, TSPEC_54)
+        stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
+                    StationSpec(aid=2, trace=trace, tspec=TSPEC_54, start_s=Fraction(1, 25)))
+        result = run_scenario(replace(sc, stations=stations))
+        assert [g.si_index for g in result.grant_log if g.aid == 2] == [1, 2, 3, 4]
+
+    def test_beacon_on_a_tick_before_the_end_is_counted(self):
+        trace = const_trace(3, 2700)
+        result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(1, 4)))
+        assert result.n_beacons == 3  # 0, 0.12 and 0.24 s within 0.25 s
+
+
 class TestRunResultWindow:
     def test_warmup_filters_records_and_grants(self):
         trace = const_trace(5, 2700)

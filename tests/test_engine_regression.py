@@ -157,3 +157,27 @@ def test_event_log_digest(scheduler, monkeypatch):
     assert digest(result) == DIGESTS[("mobility", scheduler)]
     log = "\n".join(result.event_log).encode()
     assert hashlib.sha256(log).hexdigest() == EVENT_LOG_DIGESTS[scheduler]
+
+
+# Streams that start or stop between two interval starts: their ADMIT and
+# STREAM-END lines fall between the RX lines of the slots around them, so
+# these logs pin where stream events sit among slots and interval starts.
+STREAM_EVENT_LOG_DIGESTS = {
+    ("mixed-msi", "hcca"): "fe1758f09ca3d15beb9bc539bd1302a6d27637be901a84f7d0b76443341afe29",
+    ("mixed-msi", "atxop"): "53f550cc0703311f1a2f6d4a0d1ce92b4b0a3f2d8a62088e2c429e52cefa13be",
+    ("mixed-msi", "amtxop"): "849d6692fca5762c0d1e6fa3e2f284360f7c52cc74fe0fab05434b15d4728759",
+    ("stop", "hcca"): "81f69b12774e95655f6ace779745ad0f9b4fd120ceda291e306bf0fc7f3862bd",
+    ("stop", "atxop"): "d85ee3ee9831b546a0fd1882f1bfc7c016c6a8d565251e55962058c3cd811e27",
+    ("stop", "amtxop"): "343562a76e9dd715233f7c8f6af503406a70ad636261c160af7bd304da7a35c5",
+}
+
+
+@pytest.mark.parametrize("case, scheduler", sorted(STREAM_EVENT_LOG_DIGESTS))
+def test_stream_event_log_digest(case, scheduler, monkeypatch):
+    monkeypatch.delenv("HCCASIM_LOG", raising=False)
+    result = run_scenario(replace(scenario(case, scheduler), log_events=True))
+    assert digest(result) == DIGESTS[(case, scheduler)]
+    log = "\n".join(result.event_log)
+    assert any(line.split()[1] in ("ADMIT", "STREAM-END") and not line.startswith("t=0.")
+               for line in result.event_log)
+    assert hashlib.sha256(log.encode()).hexdigest() == STREAM_EVENT_LOG_DIGESTS[(case, scheduler)]
