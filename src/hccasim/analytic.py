@@ -114,13 +114,14 @@ def aggregate_delay(scheduler: str, inputs: AnalyticInputs) -> Fraction:
     return sum(map(sum, position_delays(scheduler, inputs))) / inputs.m_intervals
 
 
-def aggregate_delay_alt(scheduler: str, inputs: AnalyticInputs) -> Fraction:
+def aggregate_delay_alt(inputs: AnalyticInputs, primary: Fraction) -> Fraction:
     """Alternative reading that counts the own payload time and one
-    interframe space twice per station. Reported alongside the primary
+    interframe space twice per station, given the primary model's
+    aggregate_delay on the same inputs. Reported alongside the primary
     model for comparison, never used for validation."""
     n_sifs = inputs.m_intervals * inputs.n_stations
     extra = sum(map(sum, inputs.payload_us)) + n_sifs * inputs.profile.sifs_us
-    return aggregate_delay(scheduler, inputs) + extra / inputs.m_intervals
+    return primary + extra / inputs.m_intervals
 
 
 def analytic_inputs(
@@ -129,16 +130,15 @@ def analytic_inputs(
     tspec: Tspec,
     si_s,
     profile: PhyProfile,
+    m_intervals: int,
     control_rate: int | None = None,
-    m_intervals: int | None = None,
-    start_interval: int = 0,
 ) -> AnalyticInputs:
     """Model inputs for n identical stations all streaming this trace in
-    lockstep. Frames are binned into service intervals by generation
-    time; each bin must fit its grant for the model to hold, which the
-    TSPEC guarantees at the mean rate. Given m_intervals, binning stops at
-    the first frame past the last interval: the frames are in display
-    order."""
+    lockstep over the first m_intervals service intervals. Frames are
+    binned into service intervals by generation time; each bin must fit
+    its grant for the model to hold, which the TSPEC guarantees at the
+    mean rate. Binning stops at the first frame past the last interval:
+    the frames are in display order."""
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     si = exact(si_s)
@@ -148,13 +148,10 @@ def analytic_inputs(
     bins = {}
     for frame in trace.generation_frames:
         k = math.floor(frame.display_time_ms / si_ms)
-        if m_intervals is not None and k >= start_interval + m_intervals:
+        if k >= m_intervals:
             break
         bins[k] = bins.get(k, 0) + frame.size
-    last = max(bins) if bins else 0
-    if m_intervals is None:
-        m_intervals = last + 1 - start_interval
-    sizes = [bins.get(k, 0) for k in range(start_interval, start_interval + m_intervals)]
+    sizes = [bins.get(k, 0) for k in range(m_intervals)]
 
     payload = tuple(
         (Fraction(s * 8 * US_PER_S, rate),) * n_stations for s in sizes

@@ -120,6 +120,8 @@ class StationSpec:
             raise ConfigError("aid must be > 0")
         if exact(self.start_s) < 0:
             raise ConfigError("start_s must be >= 0")
+        if self.stop_s is not None and exact(self.stop_s) <= exact(self.start_s):
+            raise ConfigError("stop_s must be > start_s")
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,7 @@ class RunResult:
     admitted_aids: tuple
     rejected_aids: tuple
     K: int                  # ticks per microsecond
+    warmup_tick: int        # deliveries and grants from it on are measured
     deliveries: list        # (aid, sequence, size_bytes, gen_tick, rx_tick) in rx order
     grants: list            # (si_index, aid, start_tick, duration_ticks, basis) in grant order
     n_generated: int
@@ -192,10 +195,6 @@ class RunResult:
     n_service_intervals: int
     tier_changes: tuple
     event_log: tuple
-
-    @property
-    def warmup_tick(self) -> int:
-        return int(exact(self.scenario.warmup_s) * US_PER_S * self.K)
 
     def _records(self, w=0) -> tuple:
         K = self.K
@@ -397,6 +396,7 @@ class _Sim:
             admitted_aids=admitted,
             rejected_aids=rejected,
             K=self.K,
+            warmup_tick=self.warmup_tick,
             deliveries=self.deliveries,
             grants=self.grants,
             n_generated=self.n_generated,
@@ -509,15 +509,14 @@ class _Sim:
         if not active:
             return
         for st, t, g_t in self._dispatch(tick, cap_end, active, k):
-            if t >= self.end_tick:
-                break   # the last interval may run past the end
             self._streams_to(t)
             self._pull(st, t)
             self._serve(st, t, g_t)
 
     def _dispatch(self, tick, cap_end, active, k):
         """Grant one TXOP per active station in polling order; the first
-        grant that would overrun the interval and all after it are deferred.
+        grant that would overrun the interval and all after it are deferred,
+        and no grant starts at or after the end of the run (nor is deferred).
         Returns the granted slots as (station, start tick, ticks)."""
         t = tick
         slots = []
@@ -535,6 +534,8 @@ class _Sim:
             # polled one by one: stations after a deferral keep their reports
             reports = (self.ledger.take(st.aid) for st in active)
         for st, size in zip(active, reports):
+            if t >= self.end_tick:
+                break
             if size is None:
                 g_t, basis = st.ref_t, GrantBasis.REFERENCE_MEAN
             else:

@@ -169,14 +169,16 @@ def load_config(path) -> ExperimentConfig:
 def _build_tspec(section, trace) -> Tspec:
     _check_keys("tspec", section)
     explicit = {k: v for k, v in section.items() if k != "derive"}
+    delay_bound_s = exact(explicit.pop("delay_bound_s", "0.08"))
+    min_rate_bps = int(explicit.pop("min_phy_rate_bps", 11_000_000))
+    msi_s = exact(explicit.pop("msi_s", "0.04"))
     if section.get("derive"):
-        stats = trace_stats(trace)
         derived = derive_tspec(
-            stats,
+            trace_stats(trace),
             max(f.size for f in trace.generation_frames),
-            delay_bound_s=exact(explicit.pop("delay_bound_s", "0.08")),
-            min_rate_bps=int(explicit.pop("min_phy_rate_bps", 11_000_000)),
-            msi_s=exact(explicit.pop("msi_s", "0.04")),
+            delay_bound_s=delay_bound_s,
+            min_rate_bps=min_rate_bps,
+            msi_s=msi_s,
         )
         if explicit:
             raise ConfigError(
@@ -191,9 +193,9 @@ def _build_tspec(section, trace) -> Tspec:
         mean_msdu_bytes=int(explicit["mean_msdu_bytes"]),
         max_msdu_bytes=int(explicit["max_msdu_bytes"]),
         mean_rate_bps=exact(explicit["mean_rate_bps"]),
-        delay_bound_s=exact(explicit.get("delay_bound_s", "0.08")),
-        min_phy_rate_bps=int(explicit.get("min_phy_rate_bps", 11_000_000)),
-        msi_s=exact(explicit.get("msi_s", "0.04")),
+        delay_bound_s=delay_bound_s,
+        min_phy_rate_bps=min_rate_bps,
+        msi_s=msi_s,
     )
 
 
@@ -309,10 +311,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     rows = [_row_from_result(r) for r in results]
     _fill_utilization(rows)
     if config.csv_path:
-        out = config.csv_path
-        if not os.path.isabs(out):
-            out = os.path.join(os.getcwd(), out)
-        write_csv(rows, out)
+        write_csv(rows, config.csv_path)
     return rows
 
 
@@ -335,17 +334,18 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     trace prefix and the model walks the same per-interval sizes."""
     if config.warmup_s != config.station_start_s:
         raise ConfigError("validation needs station_start_s == warmup_s")
-    results = _run_all(expand_scenarios(config), jobs)
-
-    rows = []
-    for result in results:
-        sc = result.scenario
-        data_rate = sc.data_rate if sc.data_rate is not None else sc.profile.data_rate
+    for name in config.profiles:
+        data_rate = PROFILES[name].data_rate if config.data_rate is None else config.data_rate
         if data_rate != config.tspec.min_phy_rate_bps:
             raise ConfigError(
                 "validation needs tspec.min_phy_rate_bps equal to the "
                 f"operative data rate ({data_rate})"
             )
+    results = _run_all(expand_scenarios(config), jobs)
+
+    rows = []
+    for result in results:
+        sc = result.scenario
         n = len(sc.stations)
         si = result.si_s
         report = result.report()
@@ -357,8 +357,9 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
             control_rate=sc.control_rate,
             m_intervals=m_intervals,
         )
-        model_us = aggregate_delay(sc.scheduler, inputs) / n
-        alt_us = aggregate_delay_alt(sc.scheduler, inputs) / n
+        primary = aggregate_delay(sc.scheduler, inputs)
+        model_us = primary / n
+        alt_us = aggregate_delay_alt(inputs, primary) / n
         sim_ms = report.mean_delay_ms
         model_ms = float(model_us) / 1000
         rows.append(

@@ -36,8 +36,6 @@ class PhyProfile:
     basic_rate: int       # bit/s
     mac_header_bytes: int
     sifs_us: int          # [us]
-    pifs_us: int          # [us]
-    slot_us: int          # [us]
     prop_delay_us: int    # [us]
 
     def __post_init__(self):
@@ -45,7 +43,7 @@ class PhyProfile:
                       "preamble_bytes", "plcp_header_bytes", "mac_header_bytes"):
             if getattr(self, field) <= 0:
                 raise ConfigError(f"profile {self.name!r}: {field} must be > 0")
-        for field in ("sifs_us", "pifs_us", "slot_us", "prop_delay_us"):
+        for field in ("sifs_us", "prop_delay_us"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"profile {self.name!r}: {field} must be >= 0")
 
@@ -59,8 +57,6 @@ PROFILE_11G = PhyProfile(
     basic_rate=1_000_000,
     mac_header_bytes=36,
     sifs_us=10,
-    pifs_us=30,
-    slot_us=9,
     prop_delay_us=2,
 )
 
@@ -73,8 +69,6 @@ PROFILE_11B = PhyProfile(
     basic_rate=1_000_000,
     mac_header_bytes=36,
     sifs_us=10,
-    pifs_us=30,
-    slot_us=20,
     prop_delay_us=2,
 )
 

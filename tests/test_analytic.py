@@ -167,7 +167,8 @@ class TestAggregate:
 
     def test_alt_reading_offset(self):
         inputs = make_inputs()
-        gap = aggregate_delay_alt("hcca", inputs) - aggregate_delay("hcca", inputs)
+        primary = aggregate_delay("hcca", inputs)
+        gap = aggregate_delay_alt(inputs, primary) - primary
         assert gap == 2 * MEAN + 2 * PROFILE_11G.sifs_us
 
     def test_varying_intervals(self):
@@ -206,7 +207,7 @@ class TestInputBuilder:
 
     def test_bins_follow_service_intervals(self):
         trace = parse_trace(self.TRACE)
-        inputs = analytic_inputs(trace, 2, self.tspec(), Fraction(1, 25), PROFILE_11G)
+        inputs = analytic_inputs(trace, 2, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=3)
         assert inputs.m_intervals == 3
         assert inputs.n_stations == 2
         assert inputs.payload_us == ((8000, 8000), (4000, 4000), (2000, 2000))
@@ -215,24 +216,21 @@ class TestInputBuilder:
 
     def test_window_slicing(self):
         trace = parse_trace(self.TRACE)
-        inputs = analytic_inputs(
-            trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G,
-            m_intervals=2, start_interval=1,
-        )
-        assert inputs.payload_us == ((4000,), (2000,))
+        inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=2)
+        assert inputs.payload_us == ((8000,), (4000,))
 
     def test_empty_interval_contributes_zero(self):
         trace = parse_trace("0 I 0 1000\n1 P 80 500\n")
-        inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G)
+        inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=3)
         assert inputs.payload_us == ((8000,), (0,), (4000,))
 
-    @pytest.mark.parametrize("si, m_intervals, start_interval", [
-        (Fraction(1, 25), 750, 0),
-        (Fraction(1, 25), 20, 13090),     # runs past the last frame
-        (Fraction(3, 50), 100, 500),
-        (Fraction(1, 20), 31, 17),        # frames straddle interval edges
+    @pytest.mark.parametrize("si, m_intervals", [
+        (Fraction(1, 25), 750),
+        (Fraction(1, 25), 13110),         # runs past the last frame
+        (Fraction(3, 50), 100),
+        (Fraction(1, 20), 31),            # frames straddle interval edges
     ])
-    def test_window_equals_full_binning(self, si, m_intervals, start_interval):
+    def test_window_equals_full_binning(self, si, m_intervals):
         """Binning stops past the window, yet every interval in it holds
         what binning the whole trace puts there."""
         trace = load_trace(ROOT / "traces" / "jp1_high.txt")
@@ -241,14 +239,14 @@ class TestInputBuilder:
         for frame in trace.generation_frames:
             k = math.floor(frame.display_time_ms / (si * 1000))
             bins[k] = bins.get(k, 0) + frame.size
-        sizes = [bins.get(k, 0) for k in range(start_interval, start_interval + m_intervals)]
+        sizes = [bins.get(k, 0) for k in range(m_intervals)]
         inputs = analytic_inputs(
-            trace, 2, tspec, si, PROFILE_11G, control_rate=1_000_000,
-            m_intervals=m_intervals, start_interval=start_interval,
+            trace, 2, tspec, si, PROFILE_11G, control_rate=1_000_000, m_intervals=m_intervals,
         )
         rate = tspec.min_phy_rate_bps
         assert inputs.payload_us == tuple((Fraction(s * 8_000_000, rate),) * 2 for s in sizes)
 
     def test_rejects_zero_stations(self):
         with pytest.raises(ValueError):
-            analytic_inputs(parse_trace(self.TRACE), 0, self.tspec(), Fraction(1, 25), PROFILE_11G)
+            analytic_inputs(parse_trace(self.TRACE), 0, self.tspec(), Fraction(1, 25), PROFILE_11G,
+                            m_intervals=3)

@@ -245,7 +245,7 @@ class TestSteadyStateMeans:
         trace = const_trace(50, 3820)
         inputs = analytic_inputs(
             trace, 3, self.TSPEC, Fraction(1, 25), PROFILE_11G,
-            control_rate=1_000_000, m_intervals=48, start_interval=1,
+            control_rate=1_000_000, m_intervals=48,
         )
         for scheduler in ("hcca", "atxop", "amtxop"):
             sim_mean_us = mean_delay_ms(self.run(scheduler).measured_records()) * 1000
@@ -313,7 +313,9 @@ class TestAdmissionInEngine:
         assert result.admitted_aids == (1, 2, 3, 4, 5)
         assert result.si_s == Fraction(1, 25)
         if scheduler == "hcca":
-            last = max(g.si_index for g in result.grant_log)
+            # the run ends inside the last interval, which issues no grant
+            # past the end; the one before it is granted in full
+            last = max(g.si_index for g in result.grant_log) - 1
             grants = [g.duration_us for g in result.grant_log if g.si_index == last]
             assert grants == [Fraction(77370, 11)] * 5
 
@@ -344,7 +346,9 @@ class TestAdmissionInEngine:
         # is offered at 500 ms, inside SI 4
         before, after = per_si[3], [per_si[i] for i in range(5, max(per_si) + 1)]
         assert after
-        assert all(gs == before for gs in after)
+        # the run ends inside the last interval, which issues no grant past the end
+        assert all(gs == before for gs in after[:-1])
+        assert after[-1] == before[:len(after[-1])]
 
     @given(
         msis=st.lists(st.sampled_from(["0.04", "0.06", "0.12"]), min_size=1, max_size=8),
@@ -768,6 +772,7 @@ class TestRunResultWindow:
         assert result.n_delivered == 5
         measured = result.measured_records()
         assert [r.sequence for r in measured] == [2, 3, 4]
+        assert result.warmup_tick == 80_000 * result.K
         assert all(g.start_us >= 80_000 for g in result.measured_grants())
         report = result.report()
         assert report.n_delivered == 3
@@ -803,3 +808,12 @@ class TestRunResultWindow:
                 ),
                 sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
             )
+
+    def test_stream_must_stop_after_it_starts(self):
+        """A stream that stops at or before its start would be admitted
+        and charged but never served."""
+        trace = const_trace(3, 2700)
+        for start, stop in [(0, 0), (Fraction(1, 10), Fraction(1, 10)),
+                            (Fraction(1, 5), Fraction(1, 10))]:
+            with pytest.raises(ConfigError, match="stop_s"):
+                StationSpec(aid=1, trace=trace, tspec=TSPEC_54, start_s=start, stop_s=stop)

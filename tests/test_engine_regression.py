@@ -151,8 +151,7 @@ EVENT_LOG_DIGESTS = {
 
 
 @pytest.mark.parametrize("scheduler", sorted(EVENT_LOG_DIGESTS))
-def test_event_log_digest(scheduler, monkeypatch):
-    monkeypatch.delenv("HCCASIM_LOG", raising=False)
+def test_event_log_digest(scheduler):
     result = run_scenario(replace(scenario("mobility", scheduler), log_events=True))
     assert digest(result) == DIGESTS[("mobility", scheduler)]
     log = "\n".join(result.event_log).encode()
@@ -173,11 +172,25 @@ STREAM_EVENT_LOG_DIGESTS = {
 
 
 @pytest.mark.parametrize("case, scheduler", sorted(STREAM_EVENT_LOG_DIGESTS))
-def test_stream_event_log_digest(case, scheduler, monkeypatch):
-    monkeypatch.delenv("HCCASIM_LOG", raising=False)
+def test_stream_event_log_digest(case, scheduler):
     result = run_scenario(replace(scenario(case, scheduler), log_events=True))
     assert digest(result) == DIGESTS[(case, scheduler)]
     log = "\n".join(result.event_log)
     assert any(line.split()[1] in ("ADMIT", "STREAM-END") and not line.startswith("t=0.")
                for line in result.event_log)
     assert hashlib.sha256(log.encode()).hexdigest() == STREAM_EVENT_LOG_DIGESTS[(case, scheduler)]
+
+
+def test_no_grant_past_the_end():
+    """A run that ends inside an interval issues no grant starting at or
+    after its end: such a grant is neither logged nor charged to the
+    aggregate TXOP, and it is not a deferral."""
+    sc = scenario("msi40", "amtxop")
+    cut = run_scenario(replace(sc, sim_time_s=Fraction(201, 1000), log_events=True))
+    end_us = Fraction(201_000)
+    assert len(cut.grant_log) == 21
+    assert all(g.start_us < end_us for g in cut.grant_log)
+    assert cut.n_deferred_slots == 0
+    assert not any(line.split()[1] == "DEFER" for line in cut.event_log)
+    longer = run_scenario(replace(sc, sim_time_s=Fraction(21, 100)))
+    assert cut.report().aggregate_txop_s < longer.report().aggregate_txop_s

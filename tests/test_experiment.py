@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hccasim import experiment
+from hccasim import analytic, experiment
 from hccasim.cli import main
 from hccasim.errors import ConfigError
 from hccasim.experiment import (
@@ -232,6 +232,34 @@ class TestValidateAnalytic:
         cfg = load_config(write_config(tmp_path, body=body))
         with pytest.raises(ConfigError, match="data rate"):
             validate_analytic(cfg)
+
+    @pytest.mark.parametrize("old, new", [
+        ("  min_phy_rate_bps: 4000000", "  min_phy_rate_bps: 6000000"),
+        ("  data_rate: 4000000\n", ""),    # the profile's 54 Mb/s is the data rate
+    ], ids=["tspec-rate", "profile-rate"])
+    def test_rate_checked_before_any_run(self, tmp_path, monkeypatch, old, new):
+        cfg = load_config(write_config(tmp_path, body=VALIDATE.replace(old, new)))
+
+        def no_run(scenario):
+            raise AssertionError(f"{scenario.name} ran before the rate check")
+
+        monkeypatch.setattr(experiment, "run_scenario", no_run)
+        with pytest.raises(ConfigError, match="data rate"):
+            validate_analytic(cfg)
+
+    def test_one_model_evaluation_per_row(self, tmp_path, monkeypatch):
+        body = VALIDATE.replace("stations: [1, 3]", "stations: [1]")
+        cfg = load_config(write_config(tmp_path, body=body))
+        evaluated = []
+        real = analytic.position_delays
+
+        def counted(scheduler, inputs):
+            evaluated.append(scheduler)
+            return real(scheduler, inputs)
+
+        monkeypatch.setattr(analytic, "position_delays", counted)
+        rows = validate_analytic(cfg)
+        assert [row["scheduler"] for row in rows] == evaluated == ["hcca", "atxop", "amtxop"]
 
 
 class TestCli:

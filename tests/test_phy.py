@@ -22,7 +22,7 @@ CTRL_2M = 2_000_000
 
 def test_profile_defaults_11g():
     p = PROFILE_11G
-    assert (p.sifs_us, p.pifs_us, p.slot_us) == (10, 30, 9)
+    assert p.sifs_us == 10
     assert (p.preamble_bytes, p.plcp_header_bytes) == (12, 3)
     assert p.plcp_rate == 1_000_000 and p.basic_rate == 1_000_000
     assert p.mac_header_bytes == 36
@@ -32,7 +32,6 @@ def test_profile_defaults_11g():
 
 def test_profile_defaults_11b():
     p = PROFILE_11B
-    assert (p.slot_us, p.pifs_us) == (20, 30)
     assert (p.preamble_bytes, p.plcp_header_bytes) == (18, 6)
     assert p.data_rate == 11_000_000
 
@@ -167,7 +166,5 @@ def test_invalid_profile_rejected():
             basic_rate=1_000_000,
             mac_header_bytes=36,
             sifs_us=10,
-            pifs_us=30,
-            slot_us=9,
             prop_delay_us=2,
         )
