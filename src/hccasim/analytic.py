@@ -9,8 +9,10 @@ multi-poll variant further removes the per-station poll frames in favor
 of a single broadcast poll.
 
 The sum over predecessors is a running sum over the polling order, so
-`position_delays` walks each interval once: O(M*N) for M intervals of N
-stations.
+the model walks each interval once: O(M*N) for M intervals of N
+stations. The inputs are exact (`Fraction` or `int` microseconds); the
+walk runs on integers over the lcm of their denominators, and each
+result is divided once.
 
 The model deliberately ignores PHY header time on data PPDUs and counts
 one interframe space around the own burst, so a discrete-event run sits
@@ -78,10 +80,16 @@ class AnalyticInputs:
         return airtime_multipoll(self.n_stations, self.profile, self.control_rate)
 
 
-def position_delays(scheduler: str, inputs: AnalyticInputs) -> tuple[tuple[Fraction, ...], ...]:
-    """Delay of every polling position in every service interval, in us:
-    element [k][i-1] is position i (1-based) in interval k. `lead` holds
-    the channel time of the predecessors walked so far."""
+def _scaled(values, den):
+    """Exact values as integers over den, a multiple of their denominators."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _walk(scheduler: str, inputs: AnalyticInputs):
+    """The model's delays as integers over one denominator: (rows, den)
+    where rows[k][i] / den us is the delay of polling position i+1 in
+    interval k. `lead` holds the channel time of the predecessors walked
+    so far."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected one of {SCHEDULERS}")
     sifs = inputs.profile.sifs_us
@@ -93,25 +101,38 @@ def position_delays(scheduler: str, inputs: AnalyticInputs) -> tuple[tuple[Fract
         first, shed = inputs.t_poll + 2 * sifs, 0
     refs = inputs.ref_payload_us
     steps = [td_i(ref, inputs.profile, inputs.control_rate) - shed for ref in refs]
+    payload = inputs.payload_us
+    den = math.lcm(first.denominator, *{v.denominator for v in (*refs, *steps)},
+                   *{p.denominator for row in payload for p in row})
+    first, *steps = _scaled((first, *steps), den)
+    refs = _scaled(refs, den)
     reclaim = scheduler != "hcca"
 
     rows = []
-    for own_row in inputs.payload_us:
+    for own_row in payload:
         lead = first
         row = []
-        for own, ref, step in zip(own_row, refs, steps):
+        for own, ref, step in zip(_scaled(own_row, den), refs, steps):
             row.append(lead + own)
             lead += step
             if reclaim and ref > own:
                 lead -= ref - own
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows, den
+
+
+def position_delays(scheduler: str, inputs: AnalyticInputs) -> tuple[tuple[Fraction, ...], ...]:
+    """Delay of every polling position in every service interval, in us:
+    element [k][i-1] is position i (1-based) in interval k."""
+    rows, den = _walk(scheduler, inputs)
+    return tuple(tuple(Fraction(d, den) for d in row) for row in rows)
 
 
 def aggregate_delay(scheduler: str, inputs: AnalyticInputs) -> Fraction:
     """Sum of all stations' delays in one service interval, averaged over
     the intervals, in us."""
-    return sum(map(sum, position_delays(scheduler, inputs))) / inputs.m_intervals
+    rows, den = _walk(scheduler, inputs)
+    return Fraction(sum(map(sum, rows)), den * inputs.m_intervals)
 
 
 def aggregate_delay_alt(inputs: AnalyticInputs, primary: Fraction) -> Fraction:
@@ -119,9 +140,11 @@ def aggregate_delay_alt(inputs: AnalyticInputs, primary: Fraction) -> Fraction:
     interframe space twice per station, given the primary model's
     aggregate_delay on the same inputs. Reported alongside the primary
     model for comparison, never used for validation."""
+    payload = inputs.payload_us
+    den = math.lcm(*{p.denominator for row in payload for p in row})
     n_sifs = inputs.m_intervals * inputs.n_stations
-    extra = sum(map(sum, inputs.payload_us)) + n_sifs * inputs.profile.sifs_us
-    return primary + extra / inputs.m_intervals
+    extra = sum(sum(_scaled(row, den)) for row in payload) + n_sifs * inputs.profile.sifs_us * den
+    return primary + Fraction(extra, den * inputs.m_intervals)
 
 
 def analytic_inputs(
@@ -142,15 +165,16 @@ def analytic_inputs(
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     si = exact(si_s)
-    si_ms = si * 1000
     rate = tspec.min_phy_rate_bps
 
+    # interval k holds the display times d with floor(d / display_den / (1000 si)) = k
+    num, den = si.numerator * 1000 * trace.display_den, si.denominator
     bins = {}
-    for frame in trace.generation_frames:
-        k = math.floor(frame.display_time_ms / si_ms)
+    for t, size in zip(trace.display, trace.sizes):
+        k = t * den // num
         if k >= m_intervals:
             break
-        bins[k] = bins.get(k, 0) + frame.size
+        bins[k] = bins.get(k, 0) + size
     sizes = [bins.get(k, 0) for k in range(m_intervals)]
 
     payload = tuple(

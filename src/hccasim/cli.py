@@ -81,7 +81,7 @@ def _cmd_stats(args):
     print(f"frames:            {len(trace)}")
     print(f"interval:          {float(trace.frame_interval_ms):g} ms")
     print(f"mean size:         {float(st.mean_size):.2f} bytes")
-    print(f"max size:          {max(f.size for f in trace.generation_frames)} bytes")
+    print(f"max size:          {max(trace.sizes)} bytes")
     print(f"cov:               {st.cov:.4f}")
     print(f"mean bitrate:      {float(st.mean_bitrate):.1f} bit/s")
     print(f"peak bitrate:      {float(st.peak_bitrate):.1f} bit/s ({args.window}s window)")

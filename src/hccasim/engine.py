@@ -230,7 +230,7 @@ class RunResult:
 class _Station:
     __slots__ = (
         "spec", "aid", "start_t", "stop_t", "admitted", "rejected",
-        "queue", "gen_frames", "gen_offsets", "next_gen_idx", "ref_t",
+        "queue", "trace", "gen_offsets", "next_gen_idx", "ref_t",
     )
 
     def __init__(self, spec, start_t, stop_t, gen_offsets):
@@ -240,7 +240,7 @@ class _Station:
         self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
         self.admitted = self.rejected = False
         self.queue = deque()      # (frame index, size, gen_tick) per queued frame
-        self.gen_frames = spec.trace.generation_frames
+        self.trace = spec.trace
         # generation ticks from the stream start: one list per trace, grown as the run reaches them
         self.gen_offsets = gen_offsets
         self.next_gen_idx = 0     # the first frame not yet generated
@@ -262,6 +262,7 @@ class _Sim:
         if scenario.mobility:
             rates.update(r for _, r in scenario.mobility.tiers)
         self.K = math.lcm(*(r // math.gcd(r, 8 * US_PER_S) for r in rates))
+        self.ms_t = 1000 * self.K   # ticks per millisecond, the unit of trace display times
 
         self.end_tick = self._sec_ticks(scenario.sim_time_s)
         self.warmup_tick = self._sec_ticks(scenario.warmup_s)
@@ -445,17 +446,21 @@ class _Sim:
         """Queue the station's frames generated up to and including tick,
         short of its stop tick."""
         limit = min(tick + 1, st.stop_t) - st.start_t
-        offsets, frames = st.gen_offsets, st.gen_frames
+        offsets, trace = st.gen_offsets, st.trace
         i = st.next_gen_idx
         while True:
             if i == len(offsets):
                 # the first station on this trace to reach the frame converts it
-                if i == len(frames):
+                if i == len(trace):
                     break
-                offsets.append(self._to_ticks(frames[i].display_time_ms * 1000))
+                ticks, rem = divmod(trace.display[i] * self.ms_t, trace.display_den)
+                if rem:
+                    us = Fraction(trace.display[i] * 1000, trace.display_den)
+                    raise ConfigError(f"duration {us} us is off the 1/{self.K} us tick grid")
+                offsets.append(ticks)
             if offsets[i] >= limit:
                 break
-            st.queue.append((i, frames[i].size, st.start_t + offsets[i]))
+            st.queue.append((i, trace.sizes[i], st.start_t + offsets[i]))
             i += 1
         self.n_generated += i - st.next_gen_idx
         st.next_gen_idx = i
@@ -554,8 +559,8 @@ class _Sim:
     def _next_report(self, st: _Station):
         if st.queue:
             return st.queue[0][1]
-        if st.next_gen_idx < len(st.gen_frames):
-            return st.gen_frames[st.next_gen_idx].size
+        if st.next_gen_idx < len(st.trace):
+            return st.trace.sizes[st.next_gen_idx]
         return None
 
     def _exchange(self, st, qframe, t, slot_end, lead_sifs):

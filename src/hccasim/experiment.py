@@ -175,7 +175,7 @@ def _build_tspec(section, trace) -> Tspec:
     if section.get("derive"):
         derived = derive_tspec(
             trace_stats(trace),
-            max(f.size for f in trace.generation_frames),
+            max(trace.sizes),
             delay_bound_s=delay_bound_s,
             min_rate_bps=min_rate_bps,
             msi_s=msi_s,

@@ -2,13 +2,19 @@
 
 Trace file format: plain text, one frame per line with 4 whitespace
 separated columns (sequence:int, type:char in {I,P,B}, display_time_ms,
-size_bytes:int). Lines starting with '#' and blank lines are ignored.
+size_bytes:int). Lines starting with '#' and blank lines are ignored. A
+display time is an integer or any form `Fraction` reads (`12.5`, `1e3`,
+`25/2`).
 
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
 order. The parser keeps the frames in generation order only: sorted by
 display time, which must not repeat. The packet generation schedule and
 the next-frame lookahead that stations piggyback both follow that order.
+
+A parsed trace holds integers: sizes in bytes and display times over one
+common denominator of a millisecond. The statistics are computed from
+integer sums and return exact `Fraction`s.
 """
 
 import math
@@ -22,30 +28,19 @@ FRAME_TYPES = ("I", "P", "B")
 
 
 @dataclass(frozen=True)
-class TraceFrame:
-    sequence: int
-    frame_type: str           # one of I, P, B
-    display_time_ms: Fraction
-    size: int                 # bytes
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise TraceParseError(f"frame {self.sequence}: size must be > 0")
-        if self.sequence < 0:
-            raise TraceParseError(f"frame sequence must be >= 0, got {self.sequence}")
-        if self.frame_type not in FRAME_TYPES:
-            raise TraceParseError(f"frame {self.sequence}: unknown frame type {self.frame_type!r}")
-
-
-@dataclass(frozen=True)
 class VideoTrace:
-    """Parsed trace: its frames in generation order."""
+    """Parsed trace in generation order: frame i is sizes[i] bytes,
+    displayed at display[i] / display_den ms, strictly increasing."""
 
-    generation_frames: tuple   # the frames by strictly increasing display time
+    sizes: tuple               # int bytes
+    display: tuple             # int, over display_den
+    display_den: int           # the lcm of every display time's denominator [1/ms]
     frame_interval_ms: Fraction
+    sequences: tuple           # the file's sequence numbers, only read by the tests
+    frame_types: tuple         # one of I, P, B per frame, only read by the tests
 
     def __len__(self):
-        return len(self.generation_frames)
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -86,15 +81,13 @@ class Tspec:
 def parse_trace(text) -> VideoTrace:
     """Parse a trace from a string, an open file, or an iterable of lines."""
     if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-    frames = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        text = text.splitlines()
+    seqs, types, times, sizes = [], [], [], []
+    den = 1
+    for lineno, raw in enumerate(text, start=1):
+        cols = raw.split()
+        if not cols or cols[0].startswith("#"):
             continue
-        cols = line.split()
         if len(cols) != 4:
             raise TraceParseError(f"line {lineno}: expected 4 columns, got {len(cols)}")
         seq_s, type_s, time_s, size_s = cols
@@ -105,28 +98,45 @@ def parse_trace(text) -> VideoTrace:
         if type_s not in FRAME_TYPES:
             raise TraceParseError(f"line {lineno}: unknown frame type {type_s!r}")
         try:
-            display = Fraction(time_s)
+            display = int(time_s)
         except ValueError:
-            raise TraceParseError(f"line {lineno}: non-numeric display time {time_s!r}") from None
+            # decimal, exponent or ratio forms; int and Fraction read integers alike
+            try:
+                display = Fraction(time_s)
+            except ValueError:
+                raise TraceParseError(f"line {lineno}: non-numeric display time {time_s!r}") from None
+            den = math.lcm(den, display.denominator)
         try:
             size = int(size_s)
         except ValueError:
             raise TraceParseError(f"line {lineno}: non-numeric size {size_s!r}") from None
         if size <= 0:
             raise TraceParseError(f"line {lineno}: size must be > 0")
-        frames.append(TraceFrame(seq, type_s, display, size))
-    if not frames:
+        if seq < 0:
+            raise TraceParseError(f"frame sequence must be >= 0, got {seq}")
+        seqs.append(seq)
+        types.append(type_s)
+        times.append(display)
+        sizes.append(size)
+    if not sizes:
         raise TraceParseError("empty trace: no frame lines found")
 
-    generation = tuple(sorted(frames, key=lambda f: f.display_time_ms))
-    # the gaps as integers over one common denominator; a single frame has interval 0
-    times = [f.display_time_ms for f in generation]
-    den = math.lcm(*(t.denominator for t in times))
-    ticks = [t.numerator * (den // t.denominator) for t in times]
-    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    if den > 1:
+        times = [t.numerator * (den // t.denominator) for t in times]
+    order = sorted(range(len(times)), key=times.__getitem__)
+    times = [times[i] for i in order]
+    # the gaps over the common denominator; a single frame has interval 0
+    gaps = [b - a for a, b in zip(times, times[1:])]
     if 0 in gaps:
         raise TraceParseError("display times are not strictly increasing after reorder")
-    return VideoTrace(generation, Fraction(math.gcd(*gaps), den))
+    return VideoTrace(
+        sizes=tuple(sizes[i] for i in order),
+        display=tuple(times),
+        display_den=den,
+        frame_interval_ms=Fraction(math.gcd(*gaps), den),
+        sequences=tuple(seqs[i] for i in order),
+        frame_types=tuple(types[i] for i in order),
+    )
 
 
 def load_trace(path) -> VideoTrace:
@@ -141,34 +151,33 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     tumbling windows of window_s anchored at the first display time; a
     single-frame trace spans exactly one window by definition.
     """
+    window_s = exact(window_s)
     if window_s <= 0:
         raise ValueError("window must be > 0")
-    frames = trace.generation_frames
-    n = len(frames)
-    sizes = [f.size for f in frames]
+    sizes = trace.sizes
+    n = len(sizes)
     total = sum(sizes)
     mean_size = Fraction(total, n)
-    var = sum((Fraction(s) - mean_size) ** 2 for s in sizes) / n
-    cov = math.sqrt(float(var)) / float(mean_size) if mean_size else 0.0
+    # population variance (n*sum(s^2) - sum(s)^2) / n^2, from integer sums
+    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
+    cov = math.sqrt(float(var)) / float(mean_size)
 
-    if n == 1 or trace.frame_interval_ms == 0:
-        duration_s = window_s
-        mean_rate = Fraction(total * 8) / duration_s
-        peak_rate = mean_rate
+    if n == 1:
+        mean_rate = peak_rate = Fraction(total * 8) / window_s
     else:
-        span_ms = frames[-1].display_time_ms - frames[0].display_time_ms + trace.frame_interval_ms
-        duration_s = span_ms / 1000
-        mean_rate = Fraction(total * 8) / duration_s
-        window_ms = window_s * 1000
-        t0 = frames[0].display_time_ms
+        display, den = trace.display, trace.display_den
+        t0 = display[0]
+        span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
+        mean_rate = Fraction(total * 8000) / span_ms
+        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k
+        num, wden = window_s.numerator * 1000 * den, window_s.denominator
         buckets = {}
-        for f in frames:
-            k = (f.display_time_ms - t0) // window_ms
-            buckets[k] = buckets.get(k, 0) + f.size * 8
-        peak_rate = max(Fraction(bits) / window_s for bits in buckets.values())
+        for t, size in zip(display, sizes):
+            k = (t - t0) * wden // num
+            buckets[k] = buckets.get(k, 0) + size
         # traces shorter than one window would otherwise dilute the peak
         # below the mean; floor it so peak_to_mean stays well defined
-        peak_rate = max(peak_rate, mean_rate)
+        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
     return TraceStats(
         mean_size=mean_size,
         cov=cov,

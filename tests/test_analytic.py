@@ -236,9 +236,9 @@ class TestInputBuilder:
         trace = load_trace(ROOT / "traces" / "jp1_high.txt")
         tspec = VALIDATION["jp1_high"]
         bins = {}
-        for frame in trace.generation_frames:
-            k = math.floor(frame.display_time_ms / (si * 1000))
-            bins[k] = bins.get(k, 0) + frame.size
+        for t, size in zip(trace.display, trace.sizes):
+            k = math.floor(Fraction(t, trace.display_den) / (si * 1000))
+            bins[k] = bins.get(k, 0) + size
         sizes = [bins.get(k, 0) for k in range(m_intervals)]
         inputs = analytic_inputs(
             trace, 2, tspec, si, PROFILE_11G, control_rate=1_000_000, m_intervals=m_intervals,

@@ -26,23 +26,23 @@ def corpus(request):
 def test_shape(corpus):
     name, trace = corpus
     assert len(trace) == 13100
-    frames = trace.generation_frames
-    assert [f.sequence for f in frames] == list(range(13100))
-    assert all(f.display_time_ms == 40 * k for k, f in enumerate(frames))
+    assert list(trace.sequences) == list(range(13100))
+    assert trace.display_den == 1
+    assert list(trace.display) == [40 * k for k in range(13100)]
     assert trace.frame_interval_ms == 40
 
 
 def test_gop_structure(corpus):
     _, trace = corpus
     gop = "IBBPBBPBBPBB"
-    for k, f in enumerate(trace.generation_frames):
-        assert f.frame_type == gop[k % 12]
+    for k, frame_type in enumerate(trace.frame_types):
+        assert frame_type == gop[k % 12]
 
 
 def test_exact_means_global_and_segmented(corpus):
     name, trace = corpus
     mean, _, _, _ = TARGETS[name]
-    sizes = [f.size for f in trace.generation_frames]
+    sizes = trace.sizes
     for a, b in ((0, 750), (750, 1000), (1000, 13100)):
         assert sum(sizes[a:b]) == mean * (b - a), (name, a, b)
     assert trace_stats(trace).mean_size == mean
@@ -53,7 +53,7 @@ def test_exact_means_global_and_segmented(corpus):
 def test_maximum_pinned(corpus):
     name, trace = corpus
     _, biggest, _, _ = TARGETS[name]
-    sizes = [f.size for f in trace.generation_frames]
+    sizes = trace.sizes
     assert max(sizes) == biggest
     assert min(sizes) >= 1
 
@@ -67,7 +67,7 @@ def test_cov_bands(corpus):
 def test_tspec_derivation_round_numbers(corpus):
     name, trace = corpus
     mean, biggest, _, _ = TARGETS[name]
-    sizes = [f.size for f in trace.generation_frames]
+    sizes = trace.sizes
     tspec = derive_tspec(
         trace_stats(trace),
         max(sizes),

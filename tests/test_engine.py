@@ -764,6 +764,30 @@ class TestEdgeTicks:
         assert result.n_beacons == 3  # 0, 0.12 and 0.24 s within 0.25 s
 
 
+class TestDecimalDisplayTimes:
+    """Display times in decimal milliseconds become generation ticks."""
+
+    TSPEC = make_tspec(500, 500, 300_000, 54_000_000)   # three 500-byte MSDUs per SI
+
+    def test_half_millisecond_grid_delivers_in_display_order(self):
+        # decode order in the file, display times on a 0.5 ms grid
+        trace = parse_trace("0 I 0 500\n1 P 20.5 500\n2 B 10.5 500\n3 P 30 500\n")
+        result = run_scenario(make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25)))
+        assert result.n_generated == result.n_delivered == 4
+        assert [r.sequence for r in result.records] == [0, 1, 2, 3]
+        assert [r.gen_time_us for r in result.records] == [0, 10_500, 20_500, 30_000]
+        # the three frames after the first wait for the 40 ms interval start
+        rx = [r.rx_time_us for r in result.records]
+        assert rx[0] < 40_000 < rx[1] < rx[2] < rx[3] < 80_000
+
+    def test_display_time_off_the_tick_grid_is_rejected(self):
+        # 40.0001 ms is 400001/10 us, not a whole number of 1/27 us ticks
+        trace = parse_trace("0 I 0 500\n1 P 40.0001 500\n")
+        sc = make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25))
+        with pytest.raises(ConfigError, match=r"duration 400001/10 us is off the 1/27 us tick grid"):
+            run_scenario(sc)
+
+
 class TestRunResultWindow:
     def test_warmup_filters_records_and_grants(self):
         trace = const_trace(5, 2700)

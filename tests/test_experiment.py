@@ -1,4 +1,5 @@
 import csv
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import load_trace
 
 ROOT = Path(__file__).resolve().parents[1]
+# `hccasim stats` stdout per shipped trace and window, pinned byte for byte
+STATS_OUT = json.loads((ROOT / "tests" / "data" / "cli_stats.json").read_text(encoding="ascii"))
 
 MINI = """\
 name: mini
@@ -251,13 +254,13 @@ class TestValidateAnalytic:
         body = VALIDATE.replace("stations: [1, 3]", "stations: [1]")
         cfg = load_config(write_config(tmp_path, body=body))
         evaluated = []
-        real = analytic.position_delays
+        real = analytic._walk
 
         def counted(scheduler, inputs):
             evaluated.append(scheduler)
             return real(scheduler, inputs)
 
-        monkeypatch.setattr(analytic, "position_delays", counted)
+        monkeypatch.setattr(analytic, "_walk", counted)
         rows = validate_analytic(cfg)
         assert [row["scheduler"] for row in rows] == evaluated == ["hcca", "atxop", "amtxop"]
 
@@ -267,6 +270,12 @@ class TestCli:
         assert main(["stats", str(ROOT / "traces" / "jp1_low.txt")]) == 0
         out = capsys.readouterr().out
         assert "mean size:         765.00 bytes" in out
+
+    @pytest.mark.parametrize("case", sorted(STATS_OUT))
+    def test_stats_output_unchanged(self, capsys, case):
+        name, _, window = case.split()
+        assert main(["stats", str(ROOT / "traces" / f"{name}.txt"), "--window", window]) == 0
+        assert capsys.readouterr().out == STATS_OUT[case]
 
     def test_stats_missing_file(self, capsys):
         assert main(["stats", "/no/such/trace.txt"]) == 2

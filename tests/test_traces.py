@@ -1,12 +1,17 @@
 """Trace parsing, statistics, lookahead, and TSPEC derivation."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hccasim.analytic import analytic_inputs
 from hccasim.errors import InvalidTspec, TraceParseError
+from hccasim.phy import PROFILE_11G, US_PER_S
 from hccasim.traces import (
+    TraceStats,
     Tspec,
     derive_tspec,
     parse_trace,
@@ -39,10 +44,9 @@ def two_frame_trace(sizes=(100, 300)):
 def test_parse_fields():
     # fourth and tenth in the file, sixth and last by display time
     t = parse_trace(SAMPLE_DECODE_ORDER)
-    f = t.generation_frames[5]
-    assert (f.sequence, f.frame_type, f.display_time_ms, f.size) == (485, "P", 19440, 1230)
-    i_frame = t.generation_frames[11]
-    assert (i_frame.sequence, i_frame.frame_type, i_frame.size) == (491, "I", 3159)
+    assert t.display_den == 1
+    assert (t.sequences[5], t.frame_types[5], t.display[5], t.sizes[5]) == (485, "P", 19440, 1230)
+    assert (t.sequences[11], t.frame_types[11], t.sizes[11]) == (491, "I", 3159)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -78,10 +82,9 @@ def test_parse_rejects_any_repeated_display_time():
 
 def test_generation_order_sorted_by_display_time():
     t = parse_trace(SAMPLE_DECODE_ORDER)
-    gen = t.generation_frames
-    times = [f.display_time_ms for f in gen]
+    times = list(t.display)
     assert times == sorted(times)
-    assert times[0] == 19240 and gen[0].size == 749
+    assert times[0] == 19240 and t.sizes[0] == 749
     assert t.frame_interval_ms == 40
 
 
@@ -142,3 +145,90 @@ def test_tspec_invariants():
         Tspec(500, 400, 100000, Fraction(2, 25), 11_000_000, Fraction(1, 25))
     with pytest.raises(InvalidTspec):
         Tspec(500, 600, 0, Fraction(2, 25), 11_000_000, Fraction(1, 25))
+
+
+# -- decimal display times against a plain-Fraction oracle ----------------
+
+ORACLE_TSPEC = Tspec(500, 1000, Fraction(100_000), Fraction("0.08"), 1_000_000, Fraction("0.04"))
+
+
+def oracle_interval(times):
+    """The largest interval every display gap is a whole multiple of."""
+    g = Fraction(0)
+    for a, b in zip(times, times[1:]):
+        gap = b - a
+        g = Fraction(math.gcd(g.numerator * gap.denominator, gap.numerator * g.denominator),
+                     g.denominator * gap.denominator)
+    return g
+
+
+def oracle_stats(times, sizes, window_s):
+    """trace_stats computed frame by frame in Fractions of milliseconds."""
+    n, total = len(sizes), sum(sizes)
+    mean_size = Fraction(total, n)
+    var = sum((Fraction(s) - mean_size) ** 2 for s in sizes) / n
+    cov = math.sqrt(float(var)) / float(mean_size)
+    if n == 1:
+        mean_rate = peak_rate = Fraction(total * 8) / window_s
+    else:
+        span_ms = times[-1] - times[0] + oracle_interval(times)
+        mean_rate = Fraction(total * 8) / (span_ms / 1000)
+        buckets = {}
+        for t, size in zip(times, sizes):
+            k = math.floor((t - times[0]) / (window_s * 1000))
+            buckets[k] = buckets.get(k, 0) + size * 8
+        peak_rate = max(max(Fraction(bits) / window_s for bits in buckets.values()), mean_rate)
+    return TraceStats(mean_size, cov, mean_rate, peak_rate, peak_rate / mean_rate)
+
+
+def oracle_bins(times, sizes, si, m_intervals):
+    """Bytes generated per service interval, binning Fraction times."""
+    bins = [0] * m_intervals
+    for t, size in zip(times, sizes):
+        k = math.floor(t / (si * 1000))
+        if 0 <= k < m_intervals:
+            bins[k] += size
+    return bins
+
+
+@st.composite
+def decimal_traces(draw):
+    """(file text, display times in display order, sizes in display order):
+    decimal display times such as 12.5 or 33.25, listed in shuffled order."""
+    den = draw(st.sampled_from([1, 2, 4, 5, 10, 100]))
+    ticks = sorted(draw(st.sets(st.integers(0, 40_000), min_size=1, max_size=40)))
+    sizes = draw(st.lists(st.integers(1, 20_000), min_size=len(ticks), max_size=len(ticks)))
+    order = draw(st.permutations(range(len(ticks))))
+    lines = [f"{i} {'IPB'[i % 3]} {Decimal(ticks[i]) / den} {sizes[i]}" for i in order]
+    return "\n".join(lines), [Fraction(t, den) for t in ticks], sizes
+
+
+@given(
+    trace=decimal_traces(),
+    window_s=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 10)]),
+    si=st.sampled_from([Fraction(1, 25), Fraction(3, 50), Fraction(1, 30)]),
+    m_intervals=st.integers(1, 12),
+)
+def test_decimal_display_times_match_fraction_oracle(trace, window_s, si, m_intervals):
+    text, times, sizes = trace
+    t = parse_trace(text)
+    assert [Fraction(d, t.display_den) for d in t.display] == times
+    assert list(t.sizes) == sizes
+    assert t.frame_interval_ms == oracle_interval(times)
+    assert trace_stats(t, window_s) == oracle_stats(times, sizes, window_s)
+    inputs = analytic_inputs(t, 1, ORACLE_TSPEC, si, PROFILE_11G, m_intervals)
+    rate = ORACLE_TSPEC.min_phy_rate_bps
+    assert inputs.payload_us == tuple(
+        (Fraction(b * 8 * US_PER_S, rate),) for b in oracle_bins(times, sizes, si, m_intervals)
+    )
+
+
+def test_display_time_tokens_read_like_fractions():
+    # the integer fast path and the Fraction fallback agree on every form
+    t = parse_trace("0 I 1_000 10\n1 P +40 10\n2 B 12.5 10\n3 B 1e2 10\n4 P 51/4 10")
+    assert [Fraction(d, t.display_den) for d in t.display] == [
+        Fraction(25, 2), Fraction(51, 4), 40, 100, 1000,
+    ]
+    assert t.display_den == 4
+    with pytest.raises(TraceParseError, match="line 1: non-numeric display time '1__0'"):
+        parse_trace("0 I 1__0 10")
