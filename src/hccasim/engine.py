@@ -262,7 +262,6 @@ class _Sim:
         if scenario.mobility:
             rates.update(r for _, r in scenario.mobility.tiers)
         self.K = math.lcm(*(r // math.gcd(r, 8 * US_PER_S) for r in rates))
-        self.ms_t = 1000 * self.K   # ticks per millisecond, the unit of trace display times
 
         self.end_tick = self._sec_ticks(scenario.sim_time_s)
         self.warmup_tick = self._sec_ticks(scenario.warmup_s)
@@ -319,10 +318,13 @@ class _Sim:
     # -- time plumbing ---------------------------------------------------
 
     def _to_ticks(self, us) -> int:
-        num, den = exact(us).as_integer_ratio()
+        return self._ratio_ticks(*exact(us).as_integer_ratio())
+
+    def _ratio_ticks(self, num, den) -> int:
+        """Ticks in num/den microseconds, which must lie on the tick grid."""
         ticks, rem = divmod(num * self.K, den)
         if rem:
-            raise ConfigError(f"duration {us} us is off the 1/{self.K} us tick grid")
+            raise ConfigError(f"duration {Fraction(num, den)} us is off the 1/{self.K} us tick grid")
         return ticks
 
     def _sec_ticks(self, s) -> int:
@@ -453,11 +455,7 @@ class _Sim:
                 # the first station on this trace to reach the frame converts it
                 if i == len(trace):
                     break
-                ticks, rem = divmod(trace.display[i] * self.ms_t, trace.display_den)
-                if rem:
-                    us = Fraction(trace.display[i] * 1000, trace.display_den)
-                    raise ConfigError(f"duration {us} us is off the 1/{self.K} us tick grid")
-                offsets.append(ticks)
+                offsets.append(self._ratio_ticks(trace.display[i] * 1000, trace.display_den))
             if offsets[i] >= limit:
                 break
             st.queue.append((i, trace.sizes[i], st.start_t + offsets[i]))

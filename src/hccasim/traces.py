@@ -105,7 +105,10 @@ def parse_trace(text) -> VideoTrace:
                 display = Fraction(time_s)
             except ValueError:
                 raise TraceParseError(f"line {lineno}: non-numeric display time {time_s!r}") from None
-            den = math.lcm(den, display.denominator)
+            if display.denominator == 1:   # 40.0, 1e2: an integer after all
+                display = display.numerator
+            else:
+                den = math.lcm(den, display.denominator)
         try:
             size = int(size_s)
         except ValueError:

@@ -194,12 +194,14 @@ def oracle_bins(times, sizes, si, m_intervals):
 @st.composite
 def decimal_traces(draw):
     """(file text, display times in display order, sizes in display order):
-    decimal display times such as 12.5 or 33.25, listed in shuffled order."""
+    decimal display times such as 12.5 or 33.25, listed in shuffled order.
+    Times may be padded to two places, so whole values read as 40.00."""
     den = draw(st.sampled_from([1, 2, 4, 5, 10, 100]))
     ticks = sorted(draw(st.sets(st.integers(0, 40_000), min_size=1, max_size=40)))
     sizes = draw(st.lists(st.integers(1, 20_000), min_size=len(ticks), max_size=len(ticks)))
     order = draw(st.permutations(range(len(ticks))))
-    lines = [f"{i} {'IPB'[i % 3]} {Decimal(ticks[i]) / den} {sizes[i]}" for i in order]
+    form = draw(st.sampled_from(["", ".2f"]))
+    lines = [f"{i} {'IPB'[i % 3]} {Decimal(ticks[i]) / den:{form}} {sizes[i]}" for i in order]
     return "\n".join(lines), [Fraction(t, den) for t in ticks], sizes
 
 
@@ -221,6 +223,17 @@ def test_decimal_display_times_match_fraction_oracle(trace, window_s, si, m_inte
     assert inputs.payload_us == tuple(
         (Fraction(b * 8 * US_PER_S, rate),) for b in oracle_bins(times, sizes, si, m_intervals)
     )
+
+
+def test_whole_decimal_display_times_stay_integers():
+    # 40.0 and 1e2 take the Fraction path but name whole milliseconds
+    t = parse_trace("0 I 0 10\n1 P 40.0 10\n2 B 1e2 10")
+    assert t.display == (0, 40, 100)
+    assert all(type(d) is int for d in t.display)
+    assert t.display_den == 1
+    assert t.frame_interval_ms == 20
+    one = parse_trace("0 I 40.0 10")
+    assert one.display == (40,) and type(one.display[0]) is int
 
 
 def test_display_time_tokens_read_like_fractions():
