@@ -34,11 +34,14 @@ candidate SI and charges the sum of the reference grants, poll included,
 against the contention-free budget, so it charges exactly what the engine
 grants under `hcca`; a rejected stream leaves every plan as it was.
 
-Under mobility the stations move as one group. At every interval start
-the engine evaluates the group's distance in closed form and looks up
-one rate, which becomes the run's rate; past the last tier the group is
-out of range for good: nobody is served, and a stream that starts while
-the group is past the last tier, between interval starts too, is rejected.
+Under mobility the stations move as one group whose distance never
+shrinks, so it lies past each tier bound from one tick on. The engine
+computes those crossing ticks once per run, in exact arithmetic, and
+finds the group's tier at a tick by bisecting them. At every interval
+start that tier's rate becomes the run's rate; past the last tier the
+group is out of range for good: nobody is served, and a stream that
+starts while the group is past the last tier, between interval starts
+too, is rejected.
 
 Deliveries and grants are kept in integer ticks; a run's report sums
 them and divides once per metric. Records and grant-log entries in
@@ -48,6 +51,7 @@ microseconds are built from the ticks on each access.
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,16 +99,6 @@ class Mobility:
             raise ConfigError("tier rates must be > 0")
         if exact(self.speed_mps) < 0 or exact(self.initial_distance_ft) < 0:
             raise ConfigError("speed and initial distance must be >= 0")
-
-
-def phy_rate_for_distance(distance, tiers):
-    """Rate of the innermost tier containing the distance, None when the
-    station is out of range entirely."""
-    d = exact(distance)
-    for max_ft, rate in tiers:
-        if d <= exact(max_ft):
-            return rate
-    return None
 
 
 @dataclass(frozen=True)
@@ -270,9 +264,12 @@ class _Sim:
         offsets = {}
         self.stations = {}
         for s in sorted(scenario.stations, key=lambda s: s.aid):
+            if id(s.trace) not in offsets:
+                self._check_grid(s.trace)
+                offsets[id(s.trace)] = []
             stop_t = self.end_tick if s.stop_s is None else self._sec_ticks(s.stop_s)
             self.stations[s.aid] = _Station(s, self._sec_ticks(s.start_s), min(stop_t, self.end_tick),
-                                            offsets.setdefault(id(s.trace), []))
+                                            offsets[id(s.trace)])
         self.polled = []          # admitted stations in polling order
         self.si_s = self.si_t = None
         self.ledger = SizeLedger()
@@ -304,6 +301,9 @@ class _Sim:
         if scenario.mobility is None:
             self._set_rate(base_rate)
         else:
+            self.tier_ticks = self._tier_ticks(scenario.mobility)
+            # the group's rate by the number of tier bounds it has passed
+            self.tier_rates = [r for _, r in scenario.mobility.tiers] + [None]
             self._apply_mobility(0)
 
         # stream starts (0) and stops (1) inside the run, last to be handled first
@@ -329,6 +329,15 @@ class _Sim:
 
     def _sec_ticks(self, s) -> int:
         return self._to_ticks(exact(s) * US_PER_S)
+
+    def _check_grid(self, trace: VideoTrace):
+        """Raise on the trace's first display time off the tick grid, so a
+        run fails before it starts, not when it reaches that frame."""
+        den, ms_t = trace.display_den, 1000 * self.K
+        # every display time is a multiple of their gcd
+        if ms_t % den and math.gcd(*trace.display) * ms_t % den:
+            for t in trace.display:
+                self._ratio_ticks(t * 1000, den)
 
     # -- the grant plan ---------------------------------------------------
 
@@ -455,7 +464,7 @@ class _Sim:
                 # the first station on this trace to reach the frame converts it
                 if i == len(trace):
                     break
-                offsets.append(self._ratio_ticks(trace.display[i] * 1000, trace.display_den))
+                offsets.append(trace.display[i] * 1000 * self.K // trace.display_den)
             if offsets[i] >= limit:
                 break
             st.queue.append((i, trace.sizes[i], st.start_t + offsets[i]))
@@ -465,7 +474,31 @@ class _Sim:
 
     # -- mobility ----------------------------------------------------------
 
+    def _tier_ticks(self, mob: Mobility) -> list:
+        """The tick from which the group lies past each tier bound, for the
+        bounds it ever passes. Its distance never shrinks, so the ticks
+        ascend and the bounds it never passes are the last ones."""
+        d0 = exact(mob.initial_distance_ft)
+        ft_per_s = exact(mob.speed_mps) * M_TO_FT
+        ticks = []
+        for bound, _ in mob.tiers:
+            b = exact(bound)
+            if d0 > b:
+                ticks.append(0)
+            elif ft_per_s == 0:
+                break
+            else:
+                # past b strictly after start_s + (b - d0) / speed
+                cross_s = exact(mob.start_s) + (b - d0) / ft_per_s
+                ticks.append(math.floor(cross_s * self.K * US_PER_S) + 1)
+        return ticks
+
+    def _tier_rate(self, tick):
+        """The rate of the group's tier at this tick, None out of range."""
+        return self.tier_rates[bisect_right(self.tier_ticks, tick)]
+
     def _group_distance(self, tick):
+        """The group's distance in feet at this tick, for the log."""
         mob = self.sc.mobility
         dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
         return exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
@@ -474,21 +507,21 @@ class _Sim:
         """Whether the group is inside the last tier at this tick. Unlike
         the run's rate, which moves only at interval starts, this is where
         the group is now."""
-        mob = self.sc.mobility
-        return mob is None or phy_rate_for_distance(self._group_distance(tick), mob.tiers) is not None
+        return self.sc.mobility is None or self._tier_rate(tick) is not None
 
     def _apply_mobility(self, tick):
-        """Move the group to its distance at this tick; when that changes its
-        rate, make it the run's rate, or take the group out of range."""
+        """Make the rate of the group's tier at this tick the run's rate
+        when it changes, or take the group out of range."""
         if self.sc.mobility is None or self.out_of_range:
             return
-        distance = self._group_distance(tick)
-        rate = phy_rate_for_distance(distance, self.sc.mobility.tiers)
+        rate = self._tier_rate(tick)
         if rate is None:
             # the distance never shrinks, so the group never returns
             self.out_of_range = True
-            for aid in self.stations:
-                self._log(tick, "DISASSOCIATE", aid, "distance={:.2f}ft", float(distance))
+            if self.logging:
+                distance = float(self._group_distance(tick))
+                for aid in self.stations:
+                    self._log(tick, "DISASSOCIATE", aid, "distance={:.2f}ft", distance)
             if self.rate is None:
                 return   # a group that starts out of range has no tier to change from
         elif rate == self.rate:

@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 
 from hccasim import engine
 from hccasim.analytic import aggregate_delay, analytic_inputs
-from hccasim.engine import (
-    Mobility,
-    Scenario,
-    StationSpec,
-    phy_rate_for_distance,
-    run_scenario,
-)
+from hccasim.engine import M_TO_FT, Mobility, Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis
 from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
-from hccasim.phy import PROFILE_11B, PROFILE_11G
+from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S
 from hccasim.traces import Tspec, parse_trace
 
 from conftest import mean_delay_ms, oracle_report
@@ -514,6 +508,20 @@ class TestLossAndDeterminism:
         return sc
 
 
+def phy_rate_for_distance(distance, tiers):
+    """Rate of the innermost tier containing the distance, None when the
+    group is out of range entirely: the oracle of the engine's tier lookup."""
+    for max_ft, rate in tiers:
+        if distance <= max_ft:
+            return rate
+    return None
+
+
+def group_distance(mob, t_s):
+    """The group's distance in feet at t_s seconds (speed in m/s)."""
+    return mob.initial_distance_ft + mob.speed_mps * M_TO_FT * max(0, t_s - mob.start_s)
+
+
 class TestMobility:
 
     def test_rate_lookup(self):
@@ -591,14 +599,7 @@ class TestMobility:
     def group_rates(mob, si_s, n_si):
         """The group's rate at each SI start k*si_s, from its closed-form
         distance (feet; speed in m/s)."""
-        return [
-            phy_rate_for_distance(
-                mob.initial_distance_ft
-                + mob.speed_mps * Fraction("3.28084") * max(0, k * si_s - mob.start_s),
-                mob.tiers,
-            )
-            for k in range(n_si)
-        ]
+        return [phy_rate_for_distance(group_distance(mob, k * si_s), mob.tiers) for k in range(n_si)]
 
     @staticmethod
     @st.composite
@@ -616,10 +617,19 @@ class TestMobility:
             st.integers(min_value=0, max_value=10 * last).map(lambda d: Fraction(d, 10)),
             st.integers(min_value=last + 1, max_value=last + 40),    # beyond the tiers
         ))
+        # sevenths of a m/s and milliseconds put most crossings between ticks
+        speed = draw(st.one_of(
+            st.integers(min_value=0, max_value=60).map(Fraction),
+            st.integers(min_value=0, max_value=420).map(lambda n: Fraction(n, 7)),
+        ))
+        start_s = draw(st.one_of(
+            st.integers(min_value=0, max_value=12).map(lambda n: Fraction(n, 10)),
+            st.integers(min_value=0, max_value=1200).map(lambda n: Fraction(n, 1000)),
+        ))
         return Mobility(
             tiers=tuple(zip(bounds, rates)),
-            speed_mps=Fraction(draw(st.integers(min_value=0, max_value=60))),
-            start_s=Fraction(draw(st.integers(min_value=0, max_value=12)), 10),
+            speed_mps=speed,
+            start_s=start_s,
             initial_distance_ft=Fraction(start_ft),
         )
 
@@ -710,6 +720,37 @@ class TestMobility:
             f"t=2000000.000000 ADMIT-REJECT aid={aid}" for aid in (1, 2, 3)
         ]
 
+    def test_streams_around_the_last_crossing_tick(self):
+        """A stream starting one tick before the group passes its last tier
+        is admitted and one starting at that tick is rejected, although
+        neither starts at an interval start."""
+        mob = Mobility(
+            tiers=((80, 54_000_000),), speed_mps=Fraction(20),
+            start_s=Fraction(0), initial_distance_ft=Fraction(30),
+        )
+        K = 27   # 54 Mb/s data and 2 Mb/s control
+        per_s = K * US_PER_S
+        # past 80 ft strictly after 50 ft / (20 m/s), about 0.762 s in
+        tick = math.floor(Fraction(50) / (20 * M_TO_FT) * per_s) + 1
+        assert phy_rate_for_distance(group_distance(mob, Fraction(tick - 1, per_s)), mob.tiers) is not None
+        assert phy_rate_for_distance(group_distance(mob, Fraction(tick, per_s)), mob.tiers) is None
+
+        tspec = make_tspec(200, 200, 40_000, 54_000_000)
+        stations = tuple(
+            StationSpec(aid=aid, trace=const_trace(30, 200), tspec=tspec, start_s=Fraction(t, per_s))
+            for aid, t in ((1, 0), (2, tick - 1), (3, tick))
+        )
+        sc = Scenario(
+            name="edge", scheduler="hcca", profile=PROFILE_11G, stations=stations,
+            sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
+            control_rate=2_000_000, mobility=mob,
+        )
+        result = run_scenario(sc)
+        assert result.K == K
+        assert tick % (40_000 * K) not in (0, 1)   # neither start is an interval start
+        assert result.admitted_aids == (1, 2)
+        assert result.rejected_aids == (3,)
+
     def test_mobility_validation(self):
         with pytest.raises(ConfigError):
             Mobility(tiers=(), speed_mps=1, start_s=0, initial_distance_ft=0)
@@ -785,6 +826,13 @@ class TestDecimalDisplayTimes:
         trace = parse_trace("0 I 0 500\n1 P 40.0001 500\n")
         sc = make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25))
         with pytest.raises(ConfigError, match=r"duration 400001/10 us is off the 1/27 us tick grid"):
+            run_scenario(sc)
+
+    def test_off_grid_display_time_past_the_run_is_rejected_up_front(self):
+        # the run ends at 120 ms and never reaches the one off-grid frame, 200.0001 ms
+        trace = parse_trace("0 I 0 500\n1 P 40 500\n2 P 160 500\n3 P 200.0001 500\n")
+        sc = make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25))
+        with pytest.raises(ConfigError, match=r"duration 2000001/10 us is off the 1/27 us tick grid"):
             run_scenario(sc)
 
 
