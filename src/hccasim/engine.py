@@ -13,6 +13,12 @@ Stream starts and stops are the only events off the interval grid: all
 of them up to and including a tick are handled before that tick's
 interval start or slot, in tick order, starts before stops, then by AID.
 
+A station's frames are generated in trace order and leave its queue from
+the head, delivered or lost, so the queue is a window of trace indices:
+frames head up to (not including) the next to be generated. The
+generation ticks of each trace's frames that can fall inside the run are
+computed once per run, and generating frames up to a tick is one bisection.
+
 Per service interval the AP issues one TXOP per admitted stream, in
 admission (= AID) order. Grant boundaries are rigid: a station that
 finishes early leaves the remainder idle, and a frame that does not fit
@@ -21,10 +27,14 @@ immediately when the preceding one ends, having counted down the
 predecessor durations from the broadcast poll; under the single-poll
 schedulers each TXOP begins with its poll frame.
 
-A lost uplink frame still consumes its full exchange time (the ACK slot
-runs dead), is dropped without retransmission, and carries its
-queue-size report down with it, so the following interval falls back to
-a mean-sized grant.
+Every uplink frame that arrives, a header-only one too, reports the size
+of the station's next frame: the head of its queue after the exchange, or
+when that is empty the next frame to be generated, or nothing past the end
+of its trace. The AP holds the latest report per station until a grant is
+sized from it. A lost uplink frame still consumes its full exchange time
+(the ACK slot runs dead), is dropped without retransmission, and carries
+its report down with it, so the following interval falls back to a
+mean-sized grant unless an earlier report is still held.
 
 Grant sizes are planned in integer ticks at the run's one PHY rate and
 re-planned whenever the service interval or that rate changes; per
@@ -51,12 +61,10 @@ microseconds are built from the ticks on each access.
 import itertools
 import math
 import random
-from bisect import bisect_right
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adaptive import SizeLedger
 from .analytic import SCHEDULERS
 from .errors import ConfigError
 from .hcca import (
@@ -224,7 +232,7 @@ class RunResult:
 class _Station:
     __slots__ = (
         "spec", "aid", "start_t", "stop_t", "admitted", "rejected",
-        "queue", "trace", "gen_offsets", "next_gen_idx", "ref_t",
+        "sizes", "gen_offsets", "head", "next_gen_idx", "report", "ref_t",
     )
 
     def __init__(self, spec, start_t, stop_t, gen_offsets):
@@ -233,11 +241,12 @@ class _Station:
         self.start_t = start_t
         self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
         self.admitted = self.rejected = False
-        self.queue = deque()      # (frame index, size, gen_tick) per queued frame
-        self.trace = spec.trace
-        # generation ticks from the stream start: one list per trace, grown as the run reaches them
+        self.sizes = spec.trace.sizes
+        # generation ticks from the stream start, one list per trace
         self.gen_offsets = gen_offsets
-        self.next_gen_idx = 0     # the first frame not yet generated
+        # the queue is the trace frames head .. next_gen_idx - 1
+        self.head = self.next_gen_idx = 0
+        self.report = None        # the size report held for the next grant, if any
         # the mean-based grant in ticks at the run's rate, from _Sim._size_grants
         self.ref_t = None
 
@@ -265,14 +274,12 @@ class _Sim:
         self.stations = {}
         for s in sorted(scenario.stations, key=lambda s: s.aid):
             if id(s.trace) not in offsets:
-                self._check_grid(s.trace)
-                offsets[id(s.trace)] = []
+                offsets[id(s.trace)] = self._gen_offsets(s.trace)
             stop_t = self.end_tick if s.stop_s is None else self._sec_ticks(s.stop_s)
             self.stations[s.aid] = _Station(s, self._sec_ticks(s.start_s), min(stop_t, self.end_tick),
                                             offsets[id(s.trace)])
         self.polled = []          # admitted stations in polling order
         self.si_s = self.si_t = None
-        self.ledger = SizeLedger()
         self.per = scenario.per
         self.rng = random.Random(scenario.seed)
 
@@ -282,6 +289,8 @@ class _Sim:
         # an ACK and a single poll are the same header-only PPDU
         self.ack_t = self.poll_t = self._to_ticks(airtime_control(self.profile, self.ctrl))
         self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
+        # an exchange ends SIFS, ACK, SIFS after its data frame
+        self.post_t = 2 * self.sifs_t + self.ack_t
         self.multipoll_t = {}     # multi-poll airtime ticks per station count
 
         self.deliveries = []
@@ -290,13 +299,13 @@ class _Sim:
         self.event_log = []
         self.logging = scenario.log_events
 
-        self.si_index = self.n_generated = self.n_deferred = 0
+        self.si_index = self.n_deferred = 0
         self.n_beacons = -(-self.end_tick // self._sec_ticks(self.bi))   # TBTTs before the end
         self.n_lost = self.n_lost_measured = self.n_null_lost = 0
 
-        # the run's PHY rate (None until set), ticks per payload byte and the
-        # report-sized grant for 0 bytes
-        self.rate = self.byte_t = self.one_t = None
+        # the run's PHY rate (None until set), ticks per payload byte, a data
+        # frame's ticks for 0 payload bytes and the report-sized grant for 0 bytes
+        self.rate = self.byte_t = self.hdr_t = self.one_t = None
         self.out_of_range = False
         if scenario.mobility is None:
             self._set_rate(base_rate)
@@ -339,6 +348,16 @@ class _Sim:
             for t in trace.display:
                 self._ratio_ticks(t * 1000, den)
 
+    def _gen_offsets(self, trace: VideoTrace) -> list:
+        """Generation ticks from a stream's start of the trace's frames
+        displayed before the end of the run; no later frame is ever
+        generated, as no stream starts before tick 0."""
+        self._check_grid(trace)
+        den, ms_t = trace.display_den, 1000 * self.K
+        # display * ms_t / den < end_tick, for integer display times
+        n = bisect_left(trace.display, -(-self.end_tick * den // ms_t))
+        return [t * ms_t // den for t in trace.display[:n]]
+
     # -- the grant plan ---------------------------------------------------
 
     def _ref_ticks(self, tspec: Tspec, si) -> int:
@@ -359,6 +378,7 @@ class _Sim:
         """Make rate the run's PHY rate and re-plan every grant at it."""
         self.rate = rate
         self.byte_t = self._to_ticks(Fraction(8 * US_PER_S, rate))
+        self.hdr_t = self.plcp_t + self.profile.mac_header_bytes * self.byte_t
         self._size_grants([self._ref_ticks(st.spec.tspec, self.si_s) for st in self.polled])
 
     # -- logging ---------------------------------------------------------
@@ -399,7 +419,7 @@ class _Sim:
     def _finalize(self) -> RunResult:
         admitted = tuple(st.aid for st in self.stations.values() if st.admitted)
         rejected = tuple(st.aid for st in self.stations.values() if st.rejected)
-        left = sum(len(st.queue) for st in self.stations.values())
+        left = sum(st.next_gen_idx - st.head for st in self.stations.values())
         return RunResult(
             scenario=self.sc,
             si_s=self.si_s,
@@ -411,7 +431,7 @@ class _Sim:
             warmup_tick=self.warmup_tick,
             deliveries=self.deliveries,
             grants=self.grants,
-            n_generated=self.n_generated,
+            n_generated=sum(st.next_gen_idx for st in self.stations.values()),
             n_delivered=len(self.deliveries),
             n_lost=self.n_lost,
             n_lost_measured=self.n_lost_measured,
@@ -451,26 +471,14 @@ class _Sim:
     def _on_stream_end(self, tick, st):
         if st.admitted:
             self._pull(st, tick)   # the log reports the queue as the stream stops
-        self._log(tick, "STREAM-END", st.aid, "queued={}", len(st.queue))
+        self._log(tick, "STREAM-END", st.aid, "queued={}", st.next_gen_idx - st.head)
 
-    def _pull(self, st: _Station, tick):
+    def _pull(self, st: _Station, tick) -> int:
         """Queue the station's frames generated up to and including tick,
-        short of its stop tick."""
-        limit = min(tick + 1, st.stop_t) - st.start_t
-        offsets, trace = st.gen_offsets, st.trace
-        i = st.next_gen_idx
-        while True:
-            if i == len(offsets):
-                # the first station on this trace to reach the frame converts it
-                if i == len(trace):
-                    break
-                offsets.append(trace.display[i] * 1000 * self.K // trace.display_den)
-            if offsets[i] >= limit:
-                break
-            st.queue.append((i, trace.sizes[i], st.start_t + offsets[i]))
-            i += 1
-        self.n_generated += i - st.next_gen_idx
-        st.next_gen_idx = i
+        short of its stop tick; returns the end of its queue."""
+        limit = (tick + 1 if tick < st.stop_t else st.stop_t) - st.start_t
+        st.next_gen_idx = bisect_left(st.gen_offsets, limit, st.next_gen_idx)
+        return st.next_gen_idx
 
     # -- mobility ----------------------------------------------------------
 
@@ -544,9 +552,10 @@ class _Sim:
         active = [] if self.out_of_range else [st for st in self.polled if st.stop_t > tick]
         if not active:
             return
+        events = self.stream_events
         for st, t, g_t in self._dispatch(tick, cap_end, active, k):
-            self._streams_to(t)
-            self._pull(st, t)
+            if events and events[-1][0] <= t:
+                self._streams_to(t)
             self._serve(st, t, g_t)
 
     def _dispatch(self, tick, cap_end, active, k):
@@ -558,87 +567,86 @@ class _Sim:
         slots = []
         if self.sc.scheduler == "hcca":
             reports = itertools.repeat(None)   # the reference scheduler ignores reports
-        elif self.multipoll:
-            # one frame carries every grant: all reports are consumed up front
-            reports = [self.ledger.take(st.aid) for st in active]
+        else:
+            reports = [st.report for st in active]
+        if self.multipoll:
+            # one frame carries every grant: every report is taken up front
+            for st in active:
+                st.report = None
             n = len(active)
             if n not in self.multipoll_t:
                 self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
             t += self.multipoll_t[n]
-            self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
-        else:
-            # polled one by one: stations after a deferral keep their reports
-            reports = (self.ledger.take(st.aid) for st in active)
+            if self.logging:
+                self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
+        end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
+        mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
         for st, size in zip(active, reports):
-            if t >= self.end_tick:
+            if t >= end_tick:
                 break
+            # a report sizes one grant only; polled one by one, the stations
+            # after a deferral keep theirs
+            st.report = None
             if size is None:
-                g_t, basis = st.ref_t, GrantBasis.REFERENCE_MEAN
+                g_t, basis = st.ref_t, mean
             else:
-                g_t, basis = self.one_t + size * self.byte_t, GrantBasis.PIGGYBACK_SIZE
+                g_t, basis = one_t + size * byte_t, piggyback
             if t + g_t > cap_end:
                 self.n_deferred += 1
-                self._log(t, "DEFER", st.aid, "si={}", k)
+                if self.logging:
+                    self._log(t, "DEFER", st.aid, "si={}", k)
                 break
-            self.grants.append((k, st.aid, t, g_t, basis))
+            grants.append((k, st.aid, t, g_t, basis))
             slots.append((st, t, g_t))
             t += g_t
         return slots
 
     # -- one TXOP ----------------------------------------------------------
 
-    def _next_report(self, st: _Station):
-        if st.queue:
-            return st.queue[0][1]
-        if st.next_gen_idx < len(st.trace):
-            return st.trace.sizes[st.next_gen_idx]
-        return None
-
-    def _exchange(self, st, qframe, t, slot_end, lead_sifs):
-        """One data/ACK exchange inside a TXOP, of a queued frame or, for
-        None, a header-only frame. Returns the tick after the exchange, or
-        None if it does not fit before slot_end."""
-        idx, size, gen_tick = qframe or (None, 0, None)
-        d_t = self.plcp_t + (self.profile.mac_header_bytes + size) * self.byte_t
-        lead = self.sifs_t if lead_sifs else 0
-        need = lead + d_t + self.sifs_t + self.ack_t + self.sifs_t
-        if t + need > slot_end:
-            return None
-        data_end = t + lead + d_t
-        # one draw per frame whatever the loss rate, so runs with different
-        # rates stay draw-aligned under one seed
-        ok = self.rng.random() >= self.per
-        if qframe is not None:
-            st.queue.popleft()
-        report = self._next_report(st)
-        if ok:
-            self.ledger.record(st.aid, report)
-            if qframe is not None:
-                self.deliveries.append((st.aid, idx, size, gen_tick, data_end + self.dp_t))
-                self._log(data_end, "RX", st.aid, "seq={} size={}", idx, size)
-        elif qframe is not None:
-            self.n_lost += 1
-            if gen_tick >= self.warmup_tick:
-                self.n_lost_measured += 1
-            self._log(data_end, "LOST", st.aid, "seq={} size={}", idx, size)
-        else:
-            self.n_null_lost += 1
-        return t + need
-
     def _serve(self, st, tick, g_t):
+        """One TXOP: the station's frames generated up to tick join its
+        queue and are sent from its head, one data/ACK exchange each, while
+        the next exchange fits in the grant; with nothing queued one
+        header-only frame carries the size report."""
+        end = self._pull(st, tick)
         slot_end = tick + g_t
         # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-        t = tick if self.multipoll else tick + self.poll_t
-        lead_sifs = not self.multipoll
-        if not st.queue:
-            # nothing pending: a header-only frame carries the size report
-            self._exchange(st, None, t, slot_end, lead_sifs)
-            return
-        while st.queue:
-            t = self._exchange(st, st.queue[0], t, slot_end, lead_sifs)
-            if t is None:
+        t, lead = (tick, 0) if self.multipoll else (tick + self.poll_t, self.sifs_t)
+        head, sizes = st.head, st.sizes
+        hdr_t, byte_t, post_t = self.hdr_t, self.byte_t, self.post_t
+        while True:
+            queued = head < end
+            size = sizes[head] if queued else 0
+            data_end = t + lead + hdr_t + size * byte_t
+            t = data_end + post_t
+            if t > slot_end:
                 break
-            lead_sifs = True
+            # one draw per frame whatever the loss rate, so runs with different
+            # rates stay draw-aligned under one seed
+            ok = self.rng.random() >= self.per
+            if queued:
+                seq = head
+                head += 1     # delivered or lost, the frame leaves the head
+                gen_tick = st.start_t + st.gen_offsets[seq]
+                if ok:
+                    self.deliveries.append((st.aid, seq, size, gen_tick, data_end + self.dp_t))
+                    if self.logging:
+                        self._log(data_end, "RX", st.aid, "seq={} size={}", seq, size)
+                else:
+                    self.n_lost += 1
+                    if gen_tick >= self.warmup_tick:
+                        self.n_lost_measured += 1
+                    if self.logging:
+                        self._log(data_end, "LOST", st.aid, "seq={} size={}", seq, size)
+            elif not ok:
+                self.n_null_lost += 1
+            if ok:
+                # the size of the next frame to send, queued or not yet generated
+                st.report = sizes[head] if head < len(sizes) else None
+            if head == end:
+                break
+            lead = self.sifs_t
+        st.head = head
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim.adaptive import SizeLedger
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
@@ -99,27 +98,65 @@ class TestAdaptiveGrant:
         assert g1.duration_us - g0.duration_us == Fraction(800 * 1_000_000, 11_000_000)
 
 
-class TestSizeLedger:
-    def test_take_consumes_report(self):
-        led = SizeLedger()
-        led.record(3, 1200)
-        assert led.take(3) == 1200
-        assert led.take(3) is None
+class TestReportRules:
+    """The report the AP holds per station, read off `atxop` grants."""
 
-    def test_none_marks_end_of_stream(self):
-        # nothing left to send: the pending report is dropped
-        led = SizeLedger()
-        led.record(3, 1200)
-        led.record(3, None)
-        assert led.take(3) is None
-        led.record(3, 500)
-        assert led.take(3) == 500
+    def test_report_sizes_one_grant_only(self):
+        # one 2700-byte frame per interval, served in its own interval: a
+        # grant is report-sized exactly when the previous interval's frame
+        # arrived, so a report taken by one grant never sizes the next
+        result = run("atxop", [const_trace(50, 2700)], TSPEC_54, per=0.5, seed=3,
+                     sim_time_s=Fraction(2))
+        delivered = {r.sequence for r in result.records}
+        bases = [g.basis for g in result.grant_log]
+        assert [g.si_index for g in result.grant_log] == list(range(len(bases)))
+        expect = [GrantBasis.REFERENCE_MEAN] + [
+            GrantBasis.PIGGYBACK_SIZE if k in delivered else GrantBasis.REFERENCE_MEAN
+            for k in range(len(bases) - 1)
+        ]
+        assert bases == expect
+        # a report-sized grant whose frame was lost: the next falls back
+        assert any(k - 1 in delivered and k not in delivered for k in range(1, len(bases) - 1))
 
-    def test_newer_report_overwrites(self):
-        led = SizeLedger()
-        led.record(3, 1200)
-        led.record(3, 700)
-        assert led.take(3) == 700
+    def test_last_frame_leaves_no_report(self):
+        trace = parse_trace("0 I 0 1000\n1 P 40 1000\n2 P 80 1000\n")
+        result = run("atxop", [trace], make_tspec(), profile=PROFILE_11B)
+        assert [g.basis for g in result.grant_log] == [
+            GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE, GrantBasis.PIGGYBACK_SIZE,
+            # the frame at 80 ms is the trace's last: nothing is reported
+            GrantBasis.REFERENCE_MEAN, GrantBasis.REFERENCE_MEAN,
+        ]
+        # nothing reported after the last frame also drops the report its
+        # predecessor made in the same TXOP
+        nxt = self.after_two_deliveries((1000, 1000))
+        assert nxt.basis is GrantBasis.REFERENCE_MEAN
+
+    def test_newer_report_wins(self):
+        # the first delivery reports 1000 bytes, the second 2000
+        nxt = self.after_two_deliveries((1000, 1000, 2000))
+        assert nxt.basis is GrantBasis.PIGGYBACK_SIZE
+        assert nxt.duration_us == O_ONE_11B + Fraction(2000 * 8, 11)
+
+    @staticmethod
+    def after_two_deliveries(sizes):
+        """Station 2's grant after a TXOP that delivers two frames: it
+        starts 10 ms into the grid station 1 opens, so its first,
+        mean-sized grant finds its frames at 0 and 25 ms queued."""
+        late = parse_trace("\n".join(
+            f"{i} P {ms} {size}" for i, (ms, size) in enumerate(zip((0, 25, 60), sizes))
+        ))
+        stations = (StationSpec(aid=1, trace=const_trace(5, 3800), tspec=make_tspec()),
+                    StationSpec(aid=2, trace=late, tspec=make_tspec(), start_s=Fraction(1, 100)))
+        result = run_scenario(Scenario(
+            name="two-deliveries", scheduler="atxop", profile=PROFILE_11B, stations=stations,
+            sim_time_s=Fraction(1, 5), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
+        ))
+        first, nxt = [g for g in result.grant_log if g.aid == 2][:2]
+        assert first.basis is GrantBasis.REFERENCE_MEAN
+        in_first = [r.sequence for r in result.records
+                    if r.aid == 2 and r.rx_time_us <= first.start_us + first.duration_us]
+        assert in_first == [0, 1]
+        return nxt
 
 
 # 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU

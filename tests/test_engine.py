@@ -805,6 +805,81 @@ class TestEdgeTicks:
         assert result.n_beacons == 3  # 0, 0.12 and 0.24 s within 0.25 s
 
 
+class TestWindowQueue:
+    """A station's queue is the trace frames from its head up to the next
+    to be generated; generation follows the trace's display times."""
+
+    # half-millisecond display times, so the display denominator is 2
+    TRACE = parse_trace("\n".join(
+        f"{i} {'I' if i % 12 == 0 else 'P'} {40 * i + (i % 3) / 2} {900 + 1300 * (i % 4)}"
+        for i in range(60)
+    ))
+
+    @given(
+        scheduler=st.sampled_from(["hcca", "atxop", "amtxop"]),
+        msi=st.sampled_from(["0.04", "0.06", "0.08"]),
+        per=st.floats(min_value=0, max_value=0.3),
+        starts_ms=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4),
+        stops_ms=st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=1500)),
+                          min_size=4, max_size=4),
+        sim_ms=st.integers(min_value=100, max_value=1500),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_window_generation_and_delivery_order(self, scheduler, msi, per, starts_ms,
+                                                  stops_ms, sim_ms, seed):
+        tspec = Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
+        stations = tuple(
+            StationSpec(aid=i + 1, trace=self.TRACE, tspec=tspec, start_s=Fraction(start, 1000),
+                        stop_s=None if stop is None else Fraction(start + stop, 1000))
+            for i, (start, stop) in enumerate(zip(starts_ms, stops_ms))
+        )
+        sc = Scenario(
+            name="window", scheduler=scheduler, profile=PROFILE_11G, stations=stations,
+            sim_time_s=Fraction(sim_ms, 1000), beacon_interval_s=Fraction(3, 25),
+            control_rate=2_000_000, per=per, seed=seed,
+        )
+        result = run_scenario(sc)
+        self.check_window(result)
+
+    def test_frames_at_the_stop_and_end_ticks_are_not_generated(self):
+        sc = make_scenario("hcca", 2, const_trace(3, 2700), TSPEC_54)
+        K = run_scenario(sc).K
+        tick_ms = Fraction(1, 1000 * K)
+        # frames one tick before and exactly on 80 ms (the stop of station
+        # 1) and 200 ms (the end of the run)
+        times = [0, 40, 80 - tick_ms, 80, 120, 160, 200 - tick_ms, 200, 240]
+        trace = parse_trace("\n".join(f"{i} P {t} 1000" for i, t in enumerate(times)))
+        stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54, stop_s=Fraction(2, 25)),
+                    StationSpec(aid=2, trace=trace, tspec=TSPEC_54))
+        result = run_scenario(replace(sc, stations=stations))
+        assert result.K == K
+        assert result.n_generated == 3 + 7
+        self.check_window(result)
+
+    @staticmethod
+    def check_window(result):
+        """Per station: delivered sequence numbers strictly increase, each
+        delivery's generation tick is its stream start plus its display
+        time, and frames are generated exactly before min(stop, end)."""
+        K, sc = result.K, result.scenario
+        generated = 0
+        for spec in sc.stations:
+            trace = spec.trace
+            start = spec.start_s * US_PER_S * K
+            offset = [Fraction(d, trace.display_den) * 1000 * K for d in trace.display]
+            seqs = [(seq, gen) for aid, seq, _size, gen, _rx in result.deliveries if aid == spec.aid]
+            assert all(a < b for (a, _), (b, _) in zip(seqs, seqs[1:]))
+            assert all(gen == start + offset[seq] for seq, gen in seqs)
+            if spec.aid in result.admitted_aids:
+                stop_s = sc.sim_time_s if spec.stop_s is None else min(spec.stop_s, sc.sim_time_s)
+                generated += sum(start + o < stop_s * US_PER_S * K for o in offset)
+            else:
+                assert not seqs
+        assert result.n_generated == generated
+        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+
+
 class TestDecimalDisplayTimes:
     """Display times in decimal milliseconds become generation ticks."""
 
