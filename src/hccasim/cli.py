@@ -66,11 +66,15 @@ def _cmd_table2(args):
 def _cmd_validate(args):
     config = load_config(args.config)
     rows = validate_analytic(config, jobs=args.jobs)
+    if not rows:
+        print("error: no scenario delivered a frame in the measured window; nothing to compare",
+              file=sys.stderr)
+        return 1
     _print_table(rows, VALIDATION_COLUMNS)
     if args.csv:
         write_validation_csv(rows, args.csv)
         print(f"wrote {args.csv}")
-    worst = max((r["rel_err"] for r in rows), default=0.0)
+    worst = max(r["rel_err"] for r in rows)
     print(f"max relative error: {worst:.4f} (bound {args.bound})")
     return 0 if worst < args.bound else 1
 

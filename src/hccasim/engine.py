@@ -53,9 +53,9 @@ group is out of range for good: nobody is served, and a stream that
 starts while the group is past the last tier, between interval starts
 too, is rejected.
 
-Deliveries and grants are kept in integer ticks; a run's report sums
-them and divides once per metric. Records and grant-log entries in
-microseconds are built from the ticks on each access.
+A run's results are integer ticks: deliveries, grants and tier changes.
+Its report sums them and divides once per metric; only the SI is kept in
+seconds, the unit it is configured in.
 """
 
 import itertools
@@ -64,6 +64,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analytic import SCHEDULERS
 from .errors import ConfigError
@@ -76,7 +77,7 @@ from .hcca import (
     reference_overhead,
     txop_reference,
 )
-from .metrics import MetricsReport, PacketRecord, build_report, delivery_sums
+from .metrics import MetricsReport, build_report, delivery_sums
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -165,13 +166,14 @@ class Scenario:
             raise ConfigError(f"per must be in [0, 1), got {self.per}")
 
 
-@dataclass(frozen=True)
-class GrantLogEntry:
+class Grant(NamedTuple):
+    """One granted TXOP, in ticks."""
+
     si_index: int
     aid: int
-    start_us: Fraction
-    duration_us: Fraction
-    basis: object
+    start_tick: int
+    duration_ticks: int
+    basis: GrantBasis
 
 
 @dataclass
@@ -185,7 +187,7 @@ class RunResult:
     K: int                  # ticks per microsecond
     warmup_tick: int        # deliveries and grants from it on are measured
     deliveries: list        # (aid, sequence, size_bytes, gen_tick, rx_tick) in rx order
-    grants: list            # (si_index, aid, start_tick, duration_ticks, basis) in grant order
+    grants: list            # Grant fields as plain tuples, in grant order
     n_generated: int
     n_delivered: int
     n_lost: int
@@ -195,28 +197,14 @@ class RunResult:
     n_deferred_slots: int
     n_beacons: int
     n_service_intervals: int
-    tier_changes: tuple
+    tier_changes: tuple     # (tick, rate), rate None once out of range
     event_log: tuple
 
-    def _records(self, w=0) -> tuple:
-        K = self.K
-        return tuple(PacketRecord(aid, seq, size, Fraction(gen, K), Fraction(rx, K))
-                     for aid, seq, size, gen, rx in self.deliveries if gen >= w)
-
-    def _grant_log(self, w=0) -> tuple:
-        K = self.K
-        return tuple(GrantLogEntry(k, aid, Fraction(start, K), Fraction(g, K), basis)
-                     for k, aid, start, g, basis in self.grants if start >= w)
-
-    # built on each access from the ticks, so a run holds no copy in us
-    records = property(_records)
-    grant_log = property(_grant_log)
-
-    def measured_records(self) -> tuple:
-        return self._records(self.warmup_tick)
-
-    def measured_grants(self) -> tuple:
-        return self._grant_log(self.warmup_tick)
+    @property
+    def grant_log(self) -> tuple:
+        """The grants as Grant tuples. Only perfbench/run.py reads it; it
+        goes once the benchmark reads grants directly."""
+        return tuple(map(Grant._make, self.grants))
 
     def report(self) -> MetricsReport:
         w = self.warmup_tick
@@ -536,7 +524,7 @@ class _Sim:
             return
         else:
             self._set_rate(rate)
-        self.tier_changes.append((Fraction(tick, self.K), rate))
+        self.tier_changes.append((tick, rate))
         self._log(tick, "TIER-CHANGE", 0, "rate={}", rate)
 
     # -- the contention-free period ---------------------------------------
@@ -651,5 +639,5 @@ class _Sim:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate one scenario to completion. Deterministic in (scenario,
-    seed): two calls yield identical records and grant logs."""
+    seed): two calls yield identical deliveries, grants and counters."""
     return _Sim(scenario).run()

@@ -19,6 +19,7 @@ import yaml
 from .analytic import aggregate_delay, aggregate_delay_alt, analytic_inputs
 from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
+from .hcca import compute_si
 from .metrics import utilization_improvement
 from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
 from .traces import Tspec, VideoTrace, derive_tspec, load_trace, trace_stats
@@ -341,6 +342,11 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
                 "validation needs tspec.min_phy_rate_bps equal to the "
                 f"operative data rate ({data_rate})"
             )
+    si = compute_si(config.beacon_interval_s, config.tspec.msi_s)
+    if config.sim_time_s - config.warmup_s < si:
+        raise ConfigError(
+            f"validation needs a measured window of at least one service interval ({float(si):g} s)"
+        )
     results = _run_all(expand_scenarios(config), jobs)
 
     rows = []

@@ -17,29 +17,6 @@ US_PER_MS = 1_000
 
 
 @dataclass(frozen=True)
-class PacketRecord:
-    """One delivered MSDU, in microseconds."""
-
-    aid: int
-    sequence: int
-    size_bytes: int
-    gen_time_us: Fraction
-    rx_time_us: Fraction
-
-    def __post_init__(self):
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        if self.rx_time_us < self.gen_time_us:
-            raise ValueError(
-                f"rx before generation: {self.rx_time_us} < {self.gen_time_us}"
-            )
-
-    @property
-    def delay_us(self) -> Fraction:
-        return self.rx_time_us - self.gen_time_us
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     n_delivered: int
     n_lost: int

@@ -36,8 +36,6 @@ class VideoTrace:
     display: tuple             # int, over display_den
     display_den: int           # the lcm of every display time's denominator [1/ms]
     frame_interval_ms: Fraction
-    sequences: tuple           # the file's sequence numbers, only read by the tests
-    frame_types: tuple         # one of I, P, B per frame, only read by the tests
 
     def __len__(self):
         return len(self.sizes)
@@ -82,7 +80,7 @@ def parse_trace(text) -> VideoTrace:
     """Parse a trace from a string, an open file, or an iterable of lines."""
     if isinstance(text, str):
         text = text.splitlines()
-    seqs, types, times, sizes = [], [], [], []
+    times, sizes = [], []
     den = 1
     for lineno, raw in enumerate(text, start=1):
         cols = raw.split()
@@ -117,8 +115,6 @@ def parse_trace(text) -> VideoTrace:
             raise TraceParseError(f"line {lineno}: size must be > 0")
         if seq < 0:
             raise TraceParseError(f"frame sequence must be >= 0, got {seq}")
-        seqs.append(seq)
-        types.append(type_s)
         times.append(display)
         sizes.append(size)
     if not sizes:
@@ -137,8 +133,6 @@ def parse_trace(text) -> VideoTrace:
         display=tuple(times),
         display_den=den,
         frame_interval_ms=Fraction(math.gcd(*gaps), den),
-        sequences=tuple(seqs[i] for i in order),
-        frame_types=tuple(types[i] for i in order),
     )
 
 

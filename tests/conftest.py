@@ -1,5 +1,5 @@
-"""Shared scenario builders with a session-scoped run cache, and an
-exact oracle for a run's report.
+"""Shared scenario builders with a session-scoped run cache, views of a
+run's results in microseconds, and an exact oracle for a run's report.
 
 Several acceptance checks read different aspects of the same sweeps
 (ordering, slope, throughput, channel time), so simulation results are
@@ -8,6 +8,7 @@ memoized by scenario name for the lifetime of the test session.
 
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -34,6 +35,57 @@ VALIDATION = {
 SCHEDULERS = ("hcca", "atxop", "amtxop")
 
 
+class Record(NamedTuple):
+    """One delivered MSDU, in microseconds."""
+
+    aid: int
+    sequence: int
+    size_bytes: int
+    gen_time_us: Fraction
+    rx_time_us: Fraction
+
+    @property
+    def delay_us(self) -> Fraction:
+        return self.rx_time_us - self.gen_time_us
+
+
+class GrantUs(NamedTuple):
+    """One granted TXOP, in microseconds."""
+
+    si_index: int
+    aid: int
+    start_us: Fraction
+    duration_us: Fraction
+    basis: object
+
+
+def records(result, from_tick=0) -> tuple:
+    """The run's deliveries generated at or after from_tick, in us."""
+    K = result.K
+    return tuple(Record(aid, seq, size, Fraction(gen, K), Fraction(rx, K))
+                 for aid, seq, size, gen, rx in result.deliveries if gen >= from_tick)
+
+
+def grants_us(result, from_tick=0) -> tuple:
+    """The run's grants starting at or after from_tick, in us."""
+    K = result.K
+    return tuple(GrantUs(k, aid, Fraction(start, K), Fraction(g, K), basis)
+                 for k, aid, start, g, basis in result.grants if start >= from_tick)
+
+
+def measured_records(result) -> tuple:
+    return records(result, result.warmup_tick)
+
+
+def measured_grants(result) -> tuple:
+    return grants_us(result, result.warmup_tick)
+
+
+def tier_changes_us(result) -> tuple:
+    """The run's tier changes as (us, rate)."""
+    return tuple((Fraction(tick, result.K), rate) for tick, rate in result.tier_changes)
+
+
 def mean_delay_ms(records):
     """Mean delay of the records in ms, summed as exact Fractions of
     microseconds record by record (NaN if there are none)."""
@@ -45,15 +97,15 @@ def mean_delay_ms(records):
 
 def oracle_report(result):
     """(mean delay ms, throughput bit/s, TXOP s) of a run as exact
-    Fractions, from the records and grant-log entries in microseconds
-    rather than from the tick sums report() divides."""
+    Fractions, from the records and grants in microseconds rather than
+    from the tick sums report() divides."""
     sc = result.scenario
-    records = result.measured_records()
+    measured = measured_records(result)
     duration = Fraction(sc.sim_time_s) - Fraction(sc.warmup_s)
     return (
-        mean_delay_ms(records),
-        Fraction(8 * sum(r.size_bytes for r in records)) / duration,
-        sum((g.duration_us for g in result.measured_grants()), Fraction(0)) / US_PER_S,
+        mean_delay_ms(measured),
+        Fraction(8 * sum(r.size_bytes for r in measured)) / duration,
+        sum((g.duration_us for g in measured_grants(result)), Fraction(0)) / US_PER_S,
     )
 
 

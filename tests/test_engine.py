@@ -17,7 +17,7 @@ from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S
 from hccasim.traces import Tspec, parse_trace
 
-from conftest import mean_delay_ms, oracle_report
+from conftest import grants_us, mean_delay_ms, measured_grants, measured_records, oracle_report, records
 
 
 def const_trace(n_frames, size, interval_ms=40):
@@ -66,10 +66,11 @@ class TestReferenceTimeline:
         result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
         # poll 264 + SIFS 10 + data (120 + 21888/54) + prop 2
         first_rx = Fraction(2404, 3)
-        assert result.records[0].gen_time_us == 0
-        assert result.records[0].rx_time_us == first_rx
-        assert result.records[1].gen_time_us == 40_000
-        assert result.records[1].rx_time_us == 40_000 + first_rx
+        recs = records(result)
+        assert recs[0].gen_time_us == 0
+        assert recs[0].rx_time_us == first_rx
+        assert recs[1].gen_time_us == 40_000
+        assert recs[1].rx_time_us == 40_000 + first_rx
         assert result.n_delivered == 5
         assert result.si_s == Fraction(1, 25)
 
@@ -77,7 +78,7 @@ class TestReferenceTimeline:
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("hcca", 2, trace, TSPEC_54))
         by_aid = {}
-        for r in result.records:
+        for r in records(result):
             by_aid.setdefault(r.aid, []).append(r)
         assert by_aid[1][0].rx_time_us == Fraction(2404, 3)
         # grant of station 1 is 400 + 2056/3 us, rigid boundary
@@ -86,10 +87,11 @@ class TestReferenceTimeline:
     def test_grants_constant_and_reference_based(self):
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("hcca", 2, trace, TSPEC_54))
-        assert len(result.grant_log) == 2 * 5
-        assert {g.duration_us for g in result.grant_log} == {Fraction(3256, 3)}
-        assert {g.basis for g in result.grant_log} == {GrantBasis.REFERENCE_MEAN}
-        for g in result.grant_log:
+        grants = grants_us(result)
+        assert len(grants) == 2 * 5
+        assert {g.duration_us for g in grants} == {Fraction(3256, 3)}
+        assert {g.basis for g in grants} == {GrantBasis.REFERENCE_MEAN}
+        for g in grants:
             assert g.start_us >= g.si_index * 40_000
 
     def test_two_msdus_per_interval_when_they_fit(self):
@@ -101,9 +103,10 @@ class TestReferenceTimeline:
         assert result.n_delivered == 4
         # interval 1 holds the 20 ms and 40 ms frames
         rx1 = 40_000 + Fraction(14836, 27)
-        assert result.records[1].rx_time_us == rx1
+        recs = records(result)
+        assert recs[1].rx_time_us == rx1
         # second exchange inside the same TXOP: SIFS + data + SIFS + ACK + SIFS
-        assert result.records[2].rx_time_us == rx1 + 294 + Fraction(7384, 27)
+        assert recs[2].rx_time_us == rx1 + 294 + Fraction(7384, 27)
 
     def test_leftover_frame_waits_for_next_interval(self):
         tspec = make_tspec(1000, 1000, 400_000, 54_000_000)
@@ -112,15 +115,16 @@ class TestReferenceTimeline:
         result = run_scenario(sc)
         # interval 1 starts with three queued frames but the grant holds two
         assert result.n_delivered == 4
-        assert [r.sequence for r in result.records] == [0, 1, 2, 3]
-        assert result.records[2].rx_time_us < 80_000 < result.records[3].rx_time_us
-        assert result.records[3].gen_time_us == 30_000
+        recs = records(result)
+        assert [r.sequence for r in recs] == [0, 1, 2, 3]
+        assert recs[2].rx_time_us < 80_000 < recs[3].rx_time_us
+        assert recs[3].gen_time_us == 30_000
 
     def test_empty_queue_sends_no_record_but_grants_continue(self):
         trace = parse_trace("0 I 0 2700\n")
         result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
         assert result.n_delivered == 1
-        assert len(result.grant_log) == 5  # one per interval, 0.2 s / 40 ms
+        assert len(result.grants) == 5  # one per interval, 0.2 s / 40 ms
         assert result.n_generated == 1
         assert result.n_left_queued == 0
 
@@ -131,7 +135,7 @@ class TestAdaptiveTimeline:
     def test_first_interval_falls_back_then_adapts(self):
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("atxop", 1, trace, self.TSPEC))
-        grants = result.grant_log
+        grants = grants_us(result)
         assert grants[0].basis is GrantBasis.REFERENCE_MEAN
         assert grants[0].duration_us == Fraction(4456, 3)   # 5400-byte budget
         for g in grants[1:]:
@@ -149,9 +153,10 @@ class TestAdaptiveTimeline:
             GrantBasis.PIGGYBACK_SIZE,
             GrantBasis.PIGGYBACK_SIZE,
         ]
-        assert [g.basis for g in result.grant_log] == expect
-        assert result.grant_log[1].duration_us == Fraction(1200 * 8, 54) + o_one
-        assert result.grant_log[2].duration_us == Fraction(600 * 8, 54) + o_one
+        grants = grants_us(result)
+        assert [g.basis for g in grants] == expect
+        assert grants[1].duration_us == Fraction(1200 * 8, 54) + o_one
+        assert grants[2].duration_us == Fraction(600 * 8, 54) + o_one
 
     def test_report_looks_ahead_in_generation_order(self):
         # decode order in the file: the 1000-byte B frame is shown (and
@@ -161,7 +166,7 @@ class TestAdaptiveTimeline:
         sc = make_scenario("atxop", 1, trace, tspec, sim_time_s=Fraction(3, 25))
         result = run_scenario(sc)
         o_one = Fraction(2056, 3)
-        assert [g.duration_us for g in result.grant_log[1:]] == [
+        assert [g.duration_us for g in grants_us(result)[1:]] == [
             Fraction(1000 * 8, 54) + o_one,
             Fraction(1500 * 8, 54) + o_one,
         ]
@@ -171,7 +176,7 @@ class TestAdaptiveTimeline:
         result = run_scenario(make_scenario("atxop", 1, trace, self.TSPEC))
         # after the only frame, every grant reverts to the mean-based size
         assert all(
-            g.basis is GrantBasis.REFERENCE_MEAN for g in result.grant_log
+            g.basis is GrantBasis.REFERENCE_MEAN for g in grants_us(result)
         )
 
 
@@ -181,14 +186,14 @@ class TestMultipollTimeline:
     def test_first_station_transmits_right_after_multipoll(self):
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
-        st1 = [r for r in result.records if r.aid == 1]
+        st1 = [r for r in records(result) if r.aid == 1]
         # multi-poll 300 us at 2 Mb/s, then data with no interframe gap
         assert st1[0].rx_time_us == 300 + Fraction(1576, 3) + 2
 
     def test_second_station_backoff_spans_first_grant(self):
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
-        st2 = [r for r in result.records if r.aid == 2]
+        st2 = [r for r in records(result) if r.aid == 2]
         # interval 0: fallback grant 800 + (2056/3 - 264) for 5400 bytes
         g_fb = 800 + Fraction(1264, 3)
         assert st2[0].rx_time_us == 300 + g_fb + Fraction(1576, 3) + 2
@@ -196,7 +201,7 @@ class TestMultipollTimeline:
     def test_steady_state_grants_shed_poll_overhead(self):
         trace = const_trace(5, 2700)
         result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
-        steady = [g for g in result.grant_log if g.si_index >= 1]
+        steady = [g for g in grants_us(result) if g.si_index >= 1]
         assert {g.duration_us for g in steady} == {400 + Fraction(1264, 3)}
         assert {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
 
@@ -221,18 +226,18 @@ class TestSteadyStateMeans:
 
     def test_reference_mean(self):
         result = self.run("hcca")
-        assert mean_delay_ms(result.measured_records()) == Fraction(9089, 2250)
+        assert mean_delay_ms(measured_records(result)) == Fraction(9089, 2250)
 
     def test_adaptive_mean(self):
         result = self.run("atxop")
-        assert mean_delay_ms(result.measured_records()) == Fraction(7249, 2250)
+        assert mean_delay_ms(measured_records(result)) == Fraction(7249, 2250)
 
     def test_multipoll_mean(self):
         result = self.run("amtxop")
-        assert mean_delay_ms(result.measured_records()) == Fraction(2617, 900)
+        assert mean_delay_ms(measured_records(result)) == Fraction(2617, 900)
 
     def test_scheduler_ordering(self):
-        means = {s: mean_delay_ms(self.run(s).measured_records()) for s in ("hcca", "atxop", "amtxop")}
+        means = {s: mean_delay_ms(measured_records(self.run(s))) for s in ("hcca", "atxop", "amtxop")}
         assert means["amtxop"] < means["atxop"] < means["hcca"]
 
     def test_model_tracks_simulation_within_ten_percent(self):
@@ -242,7 +247,7 @@ class TestSteadyStateMeans:
             control_rate=1_000_000, m_intervals=48,
         )
         for scheduler in ("hcca", "atxop", "amtxop"):
-            sim_mean_us = mean_delay_ms(self.run(scheduler).measured_records()) * 1000
+            sim_mean_us = mean_delay_ms(measured_records(self.run(scheduler))) * 1000
             model_mean_us = aggregate_delay(scheduler, inputs) / 3
             assert abs(model_mean_us - sim_mean_us) / sim_mean_us < Fraction(1, 10)
             assert model_mean_us < sim_mean_us  # model omits header time
@@ -276,7 +281,7 @@ class TestAdmissionInEngine:
             beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
         )
         result = run_scenario(sc)
-        st2 = [r for r in result.records if r.aid == 2]
+        st2 = [r for r in records(result) if r.aid == 2]
         assert st2[0].gen_time_us == 80_000
         assert st2[0].rx_time_us == 80_000 + Fraction(3256, 3) + Fraction(2404, 3)
 
@@ -309,8 +314,8 @@ class TestAdmissionInEngine:
         if scheduler == "hcca":
             # the run ends inside the last interval, which issues no grant
             # past the end; the one before it is granted in full
-            last = max(g.si_index for g in result.grant_log) - 1
-            grants = [g.duration_us for g in result.grant_log if g.si_index == last]
+            last = max(g.si_index for g in grants_us(result)) - 1
+            grants = [g.duration_us for g in grants_us(result) if g.si_index == last]
             assert grants == [Fraction(77370, 11)] * 5
 
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
@@ -334,7 +339,7 @@ class TestAdmissionInEngine:
         assert result.rejected_aids == (6,)
         assert result.si_s == Fraction(3, 25)
         per_si = {}
-        for g in result.grant_log:
+        for g in grants_us(result):
             per_si.setdefault(g.si_index, []).append((g.aid, g.duration_us))
         # SI 0 is the reports' fallback under atxop/amtxop; the sixth stream
         # is offered at 500 ms, inside SI 4
@@ -367,7 +372,7 @@ class TestAdmissionInEngine:
         result = run_scenario(sc)
         last_us = max(s.start_s for s in stations if s.aid in result.admitted_aids) * 1_000_000
         per_si = {}
-        for g in result.grant_log:
+        for g in grants_us(result):
             per_si.setdefault(g.si_index, []).append(g)
         budget = (bi - t_cp) / bi * result.si_s * 1_000_000
         # under hcca an SI's first grant starts with the SI
@@ -394,8 +399,8 @@ class TestLossAndDeterminism:
         sc = make_scenario("atxop", 3, trace, TSPEC_54, per=0.3, seed=7, sim_time_s=Fraction(2))
         a = run_scenario(sc)
         b = run_scenario(sc)
-        assert a.records == b.records
-        assert a.grant_log == b.grant_log
+        assert a.deliveries == b.deliveries
+        assert a.grants == b.grants
         assert a.n_lost == b.n_lost
 
     def test_seed_changes_loss_pattern(self):
@@ -403,25 +408,26 @@ class TestLossAndDeterminism:
         base = dict(per=0.3, sim_time_s=Fraction(2))
         a = run_scenario(make_scenario("hcca", 3, trace, TSPEC_54, seed=1, **base))
         b = run_scenario(make_scenario("hcca", 3, trace, TSPEC_54, seed=2, **base))
-        assert a.records != b.records
+        assert a.deliveries != b.deliveries
 
     def test_lost_report_forces_fallback_next_interval(self):
         trace = const_trace(50, 2700)
         tspec = make_tspec(2700, 5400, 540_000, 54_000_000)
         sc = make_scenario("atxop", 1, trace, tspec, per=0.5, seed=3, sim_time_s=Fraction(2))
         result = run_scenario(sc)
+        grants, recs = grants_us(result), records(result)
         lost_si = set()
-        for g in result.grant_log:
+        for g in grants:
             delivered = any(
-                r.sequence == g.si_index and r.aid == g.aid for r in result.records
+                r.sequence == g.si_index and r.aid == g.aid for r in recs
             )
             if not delivered:
                 lost_si.add(g.si_index)
-        fallbacks = {g.si_index for g in result.grant_log if g.basis is GrantBasis.REFERENCE_MEAN}
+        fallbacks = {g.si_index for g in grants if g.basis is GrantBasis.REFERENCE_MEAN}
         # one frame per interval: an undelivered interval k forces a
         # mean-based grant in k+1 (report went down with the frame)
         for k in lost_si:
-            if k + 1 in {g.si_index for g in result.grant_log}:
+            if k + 1 in {g.si_index for g in grants}:
                 assert k + 1 in fallbacks
 
     def test_invalid_per_rejected(self):
@@ -478,7 +484,7 @@ class TestLossAndDeterminism:
             report = result.report()
         (n, delay_t, payload, grant_t, k, duration), = sums
         delay, throughput, txop = oracle_report(result)
-        assert n == report.n_delivered == len(result.measured_records())
+        assert n == report.n_delivered == len(measured_records(result))
         assert report.n_lost == result.n_lost_measured
         if n:
             assert e2e_delay(delay_t, n, k) == delay
@@ -546,14 +552,14 @@ class TestMobility:
         result = run_scenario(sc)
         expect = (
             (0, 54_000_000),
-            (5_080_000, 36_000_000),
-            (12_400_000, 18_000_000),
-            (15_440_000, 6_000_000),
-            (20_000_000, None),
+            (5_080_000 * result.K, 36_000_000),
+            (12_400_000 * result.K, 18_000_000),
+            (15_440_000 * result.K, 6_000_000),
+            (20_000_000 * result.K, None),
         )
         assert result.tier_changes == expect
         # no service once out of range
-        assert max(g.start_us for g in result.grant_log) < 20_000_000
+        assert max(g.start_us for g in grants_us(result)) < 20_000_000
 
     def test_grants_resize_with_tier(self):
         trace = const_trace(560, 2700)
@@ -564,7 +570,7 @@ class TestMobility:
         sc = make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(21), mobility=mob)
         result = run_scenario(sc)
         dur_at = {}
-        for g in result.grant_log:
+        for g in grants_us(result):
             dur_at[g.start_us] = g.duration_us
         def grant_near(t_s):
             ticks = [t for t in dur_at if t >= t_s * 10**6]
@@ -588,7 +594,7 @@ class TestMobility:
         result = run_scenario(sc)
         assert result.n_deferred_slots > 0
         # after the rate drop only one 22568-us grant fits per 40-ms interval
-        late = [g for g in result.grant_log if g.start_us > 4_000_000]
+        late = [g for g in grants_us(result) if g.start_us > 4_000_000]
         by_si = {}
         for g in late:
             by_si.setdefault(g.si_index, []).append(g)
@@ -650,22 +656,22 @@ class TestMobility:
         rates = self.group_rates(mob, si_s, n_si)
         if rates[0] is None:
             assert result.admitted_aids == () and result.si_s is None
-            assert result.grant_log == () and result.tier_changes == ()
+            assert not result.grants and result.tier_changes == ()
             return
         assert result.si_s == si_s and result.n_service_intervals == n_si
 
         changes, last = [], None   # nothing to log before the first rate
         for k, rate in enumerate(rates):
             if rate != last:
-                changes.append((k * si_s * 1_000_000, rate))
+                changes.append((k * si_s * 1_000_000 * result.K, rate))
                 last = rate
         assert result.tier_changes == tuple(changes)
 
         # payload and MAC header at the rate; poll and ACK at 2 Mb/s, PLCP,
         # three SIFS and the propagation delay
-        for g in result.grant_log:
+        for g in grants_us(result):
             assert g.duration_us == Fraction((200 + 36) * 8_000_000, rates[g.si_index]) + 680
-        served = {(g.si_index, g.aid) for g in result.grant_log}
+        served = {(g.si_index, g.aid) for g in grants_us(result)}
         assert served == {
             (k, aid) for k, rate in enumerate(rates) if rate is not None
             for aid in range(1, n_stations + 1)
@@ -687,7 +693,7 @@ class TestMobility:
         assert result.admitted_aids == ()
         assert result.rejected_aids == (1, 2, 3)
         assert result.n_generated == 0
-        assert result.grant_log == () and result.tier_changes == ()
+        assert not result.grants and result.tier_changes == ()
         assert [line for line in result.event_log if "ADMIT" in line] == [
             f"t=0.000000 ADMIT-REJECT aid={aid}" for aid in (1, 2, 3)
         ]
@@ -714,7 +720,7 @@ class TestMobility:
         assert result.admitted_aids == ()
         assert result.rejected_aids == (1, 2, 3)
         assert result.n_generated == 0 and result.n_left_queued == 0
-        assert result.grant_log == () and result.n_service_intervals == 0
+        assert not result.grants and result.n_service_intervals == 0
         assert result.tier_changes == ((0, 54_000_000),)
         assert [line for line in result.event_log if "ADMIT" in line] == [
             f"t=2000000.000000 ADMIT-REJECT aid={aid}" for aid in (1, 2, 3)
@@ -767,7 +773,7 @@ class TestEdgeTicks:
         trace = const_trace(5, 2700)
         probe = run_scenario(make_scenario(scheduler, 2, trace, TSPEC_54))
         # station 2's first slot starts after station 1's (and the multi-poll)
-        slot = next(g for g in probe.grant_log if g.aid == 2)
+        slot = next(g for g in grants_us(probe) if g.aid == 2)
         assert slot.si_index == 0 and slot.start_us > 0
         # station 2's frames land on its slot starts instead of the interval starts
         late = parse_trace("\n".join(
@@ -776,8 +782,8 @@ class TestEdgeTicks:
         stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
                     StationSpec(aid=2, trace=late, tspec=TSPEC_54))
         result = run_scenario(replace(probe.scenario, stations=stations))
-        assert next(g for g in result.grant_log if g.aid == 2) == slot
-        first = next(r for r in result.records if r.aid == 2)
+        assert next(g for g in grants_us(result) if g.aid == 2) == slot
+        first = next(r for r in records(result) if r.aid == 2)
         assert first.sequence == 0 and first.gen_time_us == slot.start_us
         assert first.rx_time_us < slot.start_us + slot.duration_us
 
@@ -788,7 +794,7 @@ class TestEdgeTicks:
         result = run_scenario(replace(sc, stations=(stopped,)))
         # frames at 0 and 40 ms; the one at the 80 ms stop is not generated
         assert result.n_generated == 2
-        assert [r.sequence for r in result.records] == [0, 1]
+        assert [r.sequence for r in records(result)] == [0, 1]
 
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
     def test_stream_starting_at_interval_start_is_granted_in_it(self, scheduler):
@@ -797,7 +803,7 @@ class TestEdgeTicks:
         stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
                     StationSpec(aid=2, trace=trace, tspec=TSPEC_54, start_s=Fraction(1, 25)))
         result = run_scenario(replace(sc, stations=stations))
-        assert [g.si_index for g in result.grant_log if g.aid == 2] == [1, 2, 3, 4]
+        assert [g.si_index for g in grants_us(result) if g.aid == 2] == [1, 2, 3, 4]
 
     def test_beacon_on_a_tick_before_the_end_is_counted(self):
         trace = const_trace(3, 2700)
@@ -890,10 +896,11 @@ class TestDecimalDisplayTimes:
         trace = parse_trace("0 I 0 500\n1 P 20.5 500\n2 B 10.5 500\n3 P 30 500\n")
         result = run_scenario(make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25)))
         assert result.n_generated == result.n_delivered == 4
-        assert [r.sequence for r in result.records] == [0, 1, 2, 3]
-        assert [r.gen_time_us for r in result.records] == [0, 10_500, 20_500, 30_000]
+        recs = records(result)
+        assert [r.sequence for r in recs] == [0, 1, 2, 3]
+        assert [r.gen_time_us for r in recs] == [0, 10_500, 20_500, 30_000]
         # the three frames after the first wait for the 40 ms interval start
-        rx = [r.rx_time_us for r in result.records]
+        rx = [r.rx_time_us for r in recs]
         assert rx[0] < 40_000 < rx[1] < rx[2] < rx[3] < 80_000
 
     def test_display_time_off_the_tick_grid_is_rejected(self):
@@ -917,10 +924,10 @@ class TestRunResultWindow:
         sc = make_scenario("hcca", 1, trace, TSPEC_54, warmup_s=Fraction(2, 25))
         result = run_scenario(sc)
         assert result.n_delivered == 5
-        measured = result.measured_records()
+        measured = measured_records(result)
         assert [r.sequence for r in measured] == [2, 3, 4]
         assert result.warmup_tick == 80_000 * result.K
-        assert all(g.start_us >= 80_000 for g in result.measured_grants())
+        assert all(g.start_us >= 80_000 for g in measured_grants(result))
         report = result.report()
         assert report.n_delivered == 3
         assert report.throughput_bps == pytest.approx(3 * 2700 * 8 / 0.12)

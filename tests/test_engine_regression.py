@@ -19,6 +19,8 @@ from hccasim.hcca import GrantBasis
 from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import Tspec, load_trace
 
+from conftest import grants_us, records, tier_changes_us
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACE = load_trace(ROOT / "traces" / "jp1_high.txt")
 TIERS = ((80, 54_000_000), (200, 36_000_000), (250, 18_000_000), (325, 6_000_000))
@@ -105,10 +107,10 @@ def scenario(case, scheduler):
 
 def digest(result):
     h = hashlib.sha256()
-    for r in result.records:
+    for r in records(result):
         h.update(repr((r.aid, r.sequence, r.size_bytes, r.gen_time_us, r.rx_time_us)).encode())
     h.update(b"|grants|")
-    for g in result.grant_log:
+    for g in grants_us(result):
         assert isinstance(g.basis, GrantBasis)
         assert isinstance(g.start_us, Fraction) and isinstance(g.duration_us, Fraction)
         h.update(repr((g.si_index, g.aid, g.start_us, g.duration_us, g.basis)).encode())
@@ -118,7 +120,7 @@ def digest(result):
         result.rejected_aids, result.n_generated, result.n_delivered, result.n_lost,
         result.n_lost_measured, result.n_null_lost, result.n_left_queued,
         result.n_deferred_slots, result.n_beacons, result.n_service_intervals,
-        result.tier_changes,
+        tier_changes_us(result),
     )
     h.update(repr(counters).encode())
     return h.hexdigest()
@@ -136,7 +138,7 @@ def test_grid_exercises_every_path():
     """The grid is only a regression if it reaches the branches it names."""
     mixed = run_scenario(scenario("mixed-msi", "atxop"))
     assert mixed.si_s == Fraction(1, 25)
-    assert len({g.duration_us for g in mixed.grant_log if g.basis is GrantBasis.REFERENCE_MEAN}) > 1
+    assert len({g.duration_us for g in grants_us(mixed) if g.basis is GrantBasis.REFERENCE_MEAN}) > 1
     mob = run_scenario(scenario("mobility", "amtxop"))
     assert [rate for _, rate in mob.tier_changes] == [r for _, r in TIERS] + [None]
     assert mob.n_deferred_slots > 0 and mob.n_lost > 0
@@ -188,8 +190,8 @@ def test_no_grant_past_the_end():
     sc = scenario("msi40", "amtxop")
     cut = run_scenario(replace(sc, sim_time_s=Fraction(201, 1000), log_events=True))
     end_us = Fraction(201_000)
-    assert len(cut.grant_log) == 21
-    assert all(g.start_us < end_us for g in cut.grant_log)
+    assert len(cut.grants) == 21
+    assert all(g.start_us < end_us for g in grants_us(cut))
     assert cut.n_deferred_slots == 0
     assert not any(line.split()[1] == "DEFER" for line in cut.event_log)
     longer = run_scenario(replace(sc, sim_time_s=Fraction(21, 100)))

@@ -305,6 +305,27 @@ class TestCli:
         # an absurdly tight bound must flip the exit code
         assert main(["validate-analytic", str(path), "--bound", "0.0001"]) == 1
 
+    def test_validate_window_shorter_than_one_si(self, tmp_path, capsys, monkeypatch):
+        # 20 ms measured against a 40 ms SI: no whole interval to model
+        path = write_config(tmp_path, body=VALIDATE.replace("sim_time_s: 24", "sim_time_s: 20.02"))
+
+        def no_run(scenario):
+            raise AssertionError(f"{scenario.name} ran before the window check")
+
+        monkeypatch.setattr(experiment, "run_scenario", no_run)
+        assert main(["validate-analytic", str(path)]) == 2
+        assert "service interval" in capsys.readouterr().err
+
+    def test_validate_with_no_rows_fails(self, tmp_path, capsys):
+        # every frame is displayed after the 4 s window ends: nothing is compared
+        late = tmp_path / "late.txt"
+        late.write_text("".join(f"{k} I {5000 + 40 * k} 800\n" for k in range(50)))
+        path = write_config(tmp_path, body=VALIDATE.replace("{trace}", str(late)))
+        assert main(["validate-analytic", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "max relative error" not in captured.out
+        assert len(captured.err.splitlines()) == 1 and "no scenario" in captured.err
+
     @pytest.mark.parametrize("command", ["run", "validate-analytic"])
     def test_trace_file_parsed_once(self, tmp_path, monkeypatch, command):
         # the derived TSPEC and every scenario share the one parse

@@ -45,8 +45,10 @@ def test_parse_fields():
     # fourth and tenth in the file, sixth and last by display time
     t = parse_trace(SAMPLE_DECODE_ORDER)
     assert t.display_den == 1
-    assert (t.sequences[5], t.frame_types[5], t.display[5], t.sizes[5]) == (485, "P", 19440, 1230)
-    assert (t.sequences[11], t.frame_types[11], t.sizes[11]) == (491, "I", 3159)
+    assert t.display == tuple(range(19240, 19681, 40))
+    assert t.sizes == (749, 748, 946, 674, 685, 1230, 815, 804, 1208, 707, 645, 3159)
+    assert (t.display[5], t.sizes[5]) == (19440, 1230)
+    assert (t.display[11], t.sizes[11]) == (19680, 3159)
 
 
 def test_parse_skips_comments_and_blanks():
