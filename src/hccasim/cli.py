@@ -25,6 +25,28 @@ from .traces import load_trace, trace_stats
 from .util import exact
 
 
+def _positive_number(text):
+    """Check that text is an exact number above 0, such as 2, 0.5 or 1/3;
+    the text itself is kept, so output shows the value as it was given."""
+    try:
+        value = exact(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected an exact number, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return text
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -99,7 +121,7 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_run.set_defaults(func=_cmd_run)
 
     p_t2 = sub.add_parser("table2", help="poll vs multi-poll airtime")
@@ -110,14 +132,14 @@ def build_parser():
 
     p_val = sub.add_parser("validate-analytic", help="delay model vs simulation")
     p_val.add_argument("config")
-    p_val.add_argument("--jobs", type=int, default=1)
+    p_val.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_val.add_argument("--csv", default=None, help="write rows to this CSV")
     p_val.add_argument("--bound", type=float, default=0.10, help="pass/fail error bound")
     p_val.set_defaults(func=_cmd_validate)
 
     p_st = sub.add_parser("stats", help="trace statistics")
     p_st.add_argument("trace")
-    p_st.add_argument("--window", default="1", help="peak-rate window [s]")
+    p_st.add_argument("--window", type=_positive_number, default="1", help="peak-rate window [s]")
     p_st.set_defaults(func=_cmd_stats)
 
     return parser

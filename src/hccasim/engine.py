@@ -6,18 +6,22 @@ frame airtime and interframe space then lands exactly on the grid and a
 run is reproducible bit for bit.
 
 The run steps one service interval at a time, from the first admission
-on. At an interval start every grant of the interval is sized; its slots
-are then served in order, and before each slot the station's frames
-generated up to and including the slot's start tick join its queue.
-Stream starts and stops are the only events off the interval grid: all
-of them up to and including a tick are handled before that tick's
-interval start or slot, in tick order, starts before stops, then by AID.
+on, and one loop runs each interval. It sizes every grant of the
+interval first, then serves the granted slots in order, with the run's
+constants bound once per interval. Before each slot the stream events up
+to its start tick are handled, and the station's frames generated up to
+and including that tick join its queue. Stream starts and stops are the
+only events off the interval grid: all of them up to and including a
+tick are handled before that tick's interval start or slot, in tick
+order, starts before stops, then by AID. So a stream event between two
+slots of an interval changes none of its grants.
 
 A station's frames are generated in trace order and leave its queue from
 the head, delivered or lost, so the queue is a window of trace indices:
-frames head up to (not including) the next to be generated. The
-generation ticks of each trace's frames that can fall inside the run are
-computed once per run, and generating frames up to a tick is one bisection.
+frames head up to (not including) the next to be generated. Each station
+holds the generation ticks of its frames generated before its stop tick,
+computed once per run, and generating its frames up to a tick is one
+bisection of them.
 
 Per service interval the AP issues one TXOP per admitted stream, in
 admission (= AID) order. Grant boundaries are rigid: a station that
@@ -55,9 +59,12 @@ too, is rejected.
 
 A run's results are integer ticks: deliveries, grants and tier changes.
 Its report sums them and divides once per metric; only the SI is kept in
-seconds, the unit it is configured in.
+seconds, the unit it is configured in. A run builds no reference cycles,
+so it runs with the cyclic garbage collector suspended: a collection
+would rescan every result tuple built so far and free none of them.
 """
 
+import gc
 import itertools
 import math
 import random
@@ -220,18 +227,18 @@ class RunResult:
 class _Station:
     __slots__ = (
         "spec", "aid", "start_t", "stop_t", "admitted", "rejected",
-        "sizes", "gen_offsets", "head", "next_gen_idx", "report", "ref_t",
+        "sizes", "gen_ticks", "head", "next_gen_idx", "report", "ref_t",
     )
 
-    def __init__(self, spec, start_t, stop_t, gen_offsets):
+    def __init__(self, spec, start_t, stop_t, gen_ticks):
         self.spec = spec
         self.aid = spec.aid
         self.start_t = start_t
         self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
         self.admitted = self.rejected = False
         self.sizes = spec.trace.sizes
-        # generation ticks from the stream start, one list per trace
-        self.gen_offsets = gen_offsets
+        # the generation ticks of the frames generated before stop_t
+        self.gen_ticks = gen_ticks
         # the queue is the trace frames head .. next_gen_idx - 1
         self.head = self.next_gen_idx = 0
         self.report = None        # the size report held for the next grant, if any
@@ -263,9 +270,10 @@ class _Sim:
         for s in sorted(scenario.stations, key=lambda s: s.aid):
             if id(s.trace) not in offsets:
                 offsets[id(s.trace)] = self._gen_offsets(s.trace)
-            stop_t = self.end_tick if s.stop_s is None else self._sec_ticks(s.stop_s)
-            self.stations[s.aid] = _Station(s, self._sec_ticks(s.start_s), min(stop_t, self.end_tick),
-                                            offsets[id(s.trace)])
+            start_t = self._sec_ticks(s.start_s)
+            stop_t = self.end_tick if s.stop_s is None else min(self._sec_ticks(s.stop_s), self.end_tick)
+            self.stations[s.aid] = _Station(s, start_t, stop_t,
+                                            self._gen_ticks(offsets[id(s.trace)], start_t, stop_t))
         self.polled = []          # admitted stations in polling order
         self.si_s = self.si_t = None
         self.per = scenario.per
@@ -345,6 +353,13 @@ class _Sim:
         # display * ms_t / den < end_tick, for integer display times
         n = bisect_left(trace.display, -(-self.end_tick * den // ms_t))
         return [t * ms_t // den for t in trace.display[:n]]
+
+    @staticmethod
+    def _gen_ticks(offsets, start_t, stop_t) -> list:
+        """The generation ticks of a stream's frames generated before its
+        stop tick, from the generation offsets of its trace."""
+        n = bisect_left(offsets, stop_t - start_t)
+        return [start_t + o for o in offsets[:n]]
 
     # -- the grant plan ---------------------------------------------------
 
@@ -461,12 +476,9 @@ class _Sim:
             self._pull(st, tick)   # the log reports the queue as the stream stops
         self._log(tick, "STREAM-END", st.aid, "queued={}", st.next_gen_idx - st.head)
 
-    def _pull(self, st: _Station, tick) -> int:
-        """Queue the station's frames generated up to and including tick,
-        short of its stop tick; returns the end of its queue."""
-        limit = (tick + 1 if tick < st.stop_t else st.stop_t) - st.start_t
-        st.next_gen_idx = bisect_left(st.gen_offsets, limit, st.next_gen_idx)
-        return st.next_gen_idx
+    def _pull(self, st: _Station, tick):
+        """Queue the station's frames generated up to and including tick."""
+        st.next_gen_idx = bisect_right(st.gen_ticks, tick, st.next_gen_idx)
 
     # -- mobility ----------------------------------------------------------
 
@@ -530,34 +542,32 @@ class _Sim:
     # -- the contention-free period ---------------------------------------
 
     def _interval(self, tick):
-        """One service interval: size its grants, then serve its slots."""
+        """One service interval. Every grant of the interval is sized first,
+        one TXOP per active station in polling order: the first grant that
+        would overrun the interval and all after it are deferred, and no
+        grant starts at or after the end of the run (nor is deferred). Then
+        each granted slot is served: the stream events up to its start are
+        handled, the station's frames generated up to its start join its
+        queue and are sent from its head, one data/ACK exchange each, while
+        the next exchange fits in the grant; with nothing queued one
+        header-only frame carries the size report."""
         self._apply_mobility(tick)
         cap_end = self.next_si_t = tick + self.si_t
         k = self.si_index
         self.si_index += 1
 
-        # slots are served while the group is in range and the stream runs
+        # slots are granted while the group is in range and the stream runs
         active = [] if self.out_of_range else [st for st in self.polled if st.stop_t > tick]
         if not active:
             return
-        events = self.stream_events
-        for st, t, g_t in self._dispatch(tick, cap_end, active, k):
-            if events and events[-1][0] <= t:
-                self._streams_to(t)
-            self._serve(st, t, g_t)
-
-    def _dispatch(self, tick, cap_end, active, k):
-        """Grant one TXOP per active station in polling order; the first
-        grant that would overrun the interval and all after it are deferred,
-        and no grant starts at or after the end of the run (nor is deferred).
-        Returns the granted slots as (station, start tick, ticks)."""
+        logging = self.logging
         t = tick
-        slots = []
         if self.sc.scheduler == "hcca":
             reports = itertools.repeat(None)   # the reference scheduler ignores reports
         else:
             reports = [st.report for st in active]
-        if self.multipoll:
+        multipoll = self.multipoll
+        if multipoll:
             # one frame carries every grant: every report is taken up front
             for st in active:
                 st.report = None
@@ -565,10 +575,11 @@ class _Sim:
             if n not in self.multipoll_t:
                 self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
             t += self.multipoll_t[n]
-            if self.logging:
-                self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
+            if logging:
+                self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, n)
         end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
+        first = len(grants)
         for st, size in zip(active, reports):
             if t >= end_tick:
                 break
@@ -581,63 +592,75 @@ class _Sim:
                 g_t, basis = one_t + size * byte_t, piggyback
             if t + g_t > cap_end:
                 self.n_deferred += 1
-                if self.logging:
+                if logging:
                     self._log(t, "DEFER", st.aid, "si={}", k)
                 break
             grants.append((k, st.aid, t, g_t, basis))
-            slots.append((st, t, g_t))
             t += g_t
-        return slots
 
-    # -- one TXOP ----------------------------------------------------------
-
-    def _serve(self, st, tick, g_t):
-        """One TXOP: the station's frames generated up to tick join its
-        queue and are sent from its head, one data/ACK exchange each, while
-        the next exchange fits in the grant; with nothing queued one
-        header-only frame carries the size report."""
-        end = self._pull(st, tick)
-        slot_end = tick + g_t
+        # the rate changes only at interval starts, so these hold for every slot
+        events, deliveries, warmup_tick = self.stream_events, self.deliveries, self.warmup_tick
+        hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
+        per, rand = self.per, self.rng.random
         # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-        t, lead = (tick, 0) if self.multipoll else (tick + self.poll_t, self.sifs_t)
-        head, sizes = st.head, st.sizes
-        hdr_t, byte_t, post_t = self.hdr_t, self.byte_t, self.post_t
-        while True:
-            queued = head < end
-            size = sizes[head] if queued else 0
-            data_end = t + lead + hdr_t + size * byte_t
-            t = data_end + post_t
-            if t > slot_end:
-                break
-            # one draw per frame whatever the loss rate, so runs with different
-            # rates stay draw-aligned under one seed
-            ok = self.rng.random() >= self.per
-            if queued:
-                seq = head
-                head += 1     # delivered or lost, the frame leaves the head
-                gen_tick = st.start_t + st.gen_offsets[seq]
+        open_t, first_lead = (0, 0) if multipoll else (self.poll_t, sifs_t)
+        # the granted slots are the first grants of the active stations
+        for st, (_k, aid, slot_t, g_t, _basis) in zip(active, grants[first:]):
+            if events and events[-1][0] <= slot_t:
+                self._streams_to(slot_t)
+            # the frames generated up to the slot start join the queue, as in _pull
+            gen_ticks = st.gen_ticks
+            end = st.next_gen_idx = bisect_right(gen_ticks, slot_t, st.next_gen_idx)
+            slot_end = slot_t + g_t
+            t, lead = slot_t + open_t, first_lead
+            head, sizes = st.head, st.sizes
+            while True:
+                queued = head < end
+                size = sizes[head] if queued else 0
+                data_end = t + lead + hdr_t + size * byte_t
+                t = data_end + post_t
+                if t > slot_end:
+                    break
+                # one draw per frame whatever the loss rate, so runs with different
+                # rates stay draw-aligned under one seed
+                ok = rand() >= per
+                if queued:
+                    seq = head
+                    head += 1     # delivered or lost, the frame leaves the head
+                    if ok:
+                        deliveries.append((aid, seq, size, gen_ticks[seq], data_end + dp_t))
+                        if logging:
+                            self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
+                    else:
+                        self.n_lost += 1
+                        if gen_ticks[seq] >= warmup_tick:
+                            self.n_lost_measured += 1
+                        if logging:
+                            self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
+                elif not ok:
+                    self.n_null_lost += 1
                 if ok:
-                    self.deliveries.append((st.aid, seq, size, gen_tick, data_end + self.dp_t))
-                    if self.logging:
-                        self._log(data_end, "RX", st.aid, "seq={} size={}", seq, size)
-                else:
-                    self.n_lost += 1
-                    if gen_tick >= self.warmup_tick:
-                        self.n_lost_measured += 1
-                    if self.logging:
-                        self._log(data_end, "LOST", st.aid, "seq={} size={}", seq, size)
-            elif not ok:
-                self.n_null_lost += 1
-            if ok:
-                # the size of the next frame to send, queued or not yet generated
-                st.report = sizes[head] if head < len(sizes) else None
-            if head == end:
-                break
-            lead = self.sifs_t
-        st.head = head
+                    # the size of the next frame to send, queued or not yet generated
+                    st.report = sizes[head] if head < len(sizes) else None
+                if head == end:
+                    break
+                lead = sifs_t
+            st.head = head
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate one scenario to completion. Deterministic in (scenario,
-    seed): two calls yield identical deliveries, grants and counters."""
-    return _Sim(scenario).run()
+    seed): two calls yield identical deliveries, grants and counters.
+
+    The cyclic garbage collector is suspended for the run and left as it
+    was found. A run builds no reference cycles: its results are lists of
+    tuples of ints and enum members, and a station points only down to its
+    spec and trace. A collection during a run would rescan every result
+    tuple built so far and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Sim(scenario).run()
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hccasim.engine import M_TO_FT, Mobility, Scenario, StationSpec, run_scenari
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis
 from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
-from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S
+from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
 from conftest import grants_us, mean_delay_ms, measured_grants, measured_records, oracle_report, records
@@ -810,6 +811,50 @@ class TestEdgeTicks:
         result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(1, 4)))
         assert result.n_beacons == 3  # 0, 0.12 and 0.24 s within 0.25 s
 
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_grants_are_sized_before_any_slot(self, scheduler):
+        """A stream start between two slots of an interval changes neither
+        that interval's grants nor its slots: they were all sized at the
+        interval start. Each stream sends its one frame in interval 0 and
+        holds no report from then on, so every scheduler grants the
+        mean-based TXOP, which depends on the SI."""
+        trace = const_trace(1, 3800)
+        jp1_high = TestAdmissionInEngine.jp1_high
+        stations = tuple(StationSpec(aid=i + 1, trace=trace, tspec=jp1_high("0.12")) for i in range(3)) + (
+            StationSpec(aid=4, trace=trace, tspec=jp1_high("0.04"), start_s=Fraction(37, 100)),
+        )
+        sc = Scenario(
+            name="mid-interval", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
+            sim_time_s=Fraction(16, 25), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
+        )
+        result = run_scenario(sc)
+        K = result.K
+        assert result.admitted_aids == (1, 2, 3, 4)
+        assert result.si_s == Fraction(1, 25)
+        # the multi-poll replaces each slot's poll, which is 336 us at 2 Mb/s on 11b
+        shed = 336 * K if scheduler == "amtxop" else 0
+        at_120_ms, at_40_ms = 151_022 - shed, 77_370 - shed    # 13.729 and 7.034 ms at K = 11
+        assert K == 11
+
+        def lead(n):   # from the interval start to its first slot
+            return int(airtime_multipoll(n, PROFILE_11B, 2_000_000) * K) if shed else 0
+
+        per_si = {}
+        for k, aid, start, dur, _basis in result.grants:
+            per_si.setdefault(k, []).append((aid, start, dur))
+        # the interval at 360 ms: aid 4 starts at 370 ms, inside aid 1's slot
+        si_360 = 360_000 * K
+        assert per_si[3] == [(1, si_360 + lead(3), at_120_ms),
+                             (2, si_360 + lead(3) + at_120_ms, at_120_ms),
+                             (3, si_360 + lead(3) + 2 * at_120_ms, at_120_ms)]
+        assert per_si[3][0][1] < 370_000 * K < per_si[3][1][1]
+        # from 480 ms on, intervals of 40 ms grant all four streams at SI 40 ms
+        assert max(per_si) == 7
+        for k in range(4, 8):
+            si_start = (480_000 + 40_000 * (k - 4)) * K
+            assert per_si[k] == [(aid, si_start + lead(4) + i * at_40_ms, at_40_ms)
+                                 for i, aid in enumerate((1, 2, 3, 4))]
+
 
 class TestWindowQueue:
     """A station's queue is the trace frames from its head up to the next
@@ -962,6 +1007,25 @@ class TestRunResultWindow:
                 ),
                 sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
             )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, enabled):
+        """A run suspends the cyclic collector and restores the caller's
+        setting, also when the run raises."""
+        good = make_scenario("hcca", 1, const_trace(3, 2700), TSPEC_54)
+        # 40.0001 ms is off the 1/27 us tick grid: _Sim.__init__ raises
+        off_grid = replace(good, stations=(
+            StationSpec(aid=1, trace=parse_trace("0 I 0 500\n1 P 40.0001 500\n"), tspec=TSPEC_54),))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run_scenario(good).n_delivered == 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(ConfigError, match="tick grid"):
+                run_scenario(off_grid)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_stream_must_stop_after_it_starts(self):
         """A stream that stops at or before its start would be admitted

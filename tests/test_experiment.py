@@ -281,6 +281,27 @@ class TestCli:
         assert main(["stats", "/no/such/trace.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def rejected(capsys, argv):
+        """The one stderr line of a command line that argparse rejects."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        return errors[0]
+
+    @pytest.mark.parametrize("window", ["0", "-1", "abc", "1/0", "nan"])
+    def test_stats_rejects_a_window_that_is_not_positive(self, capsys, window):
+        trace = str(ROOT / "traces" / "jp1_high.txt")
+        assert "--window" in self.rejected(capsys, ["stats", trace, "--window", window])
+
+    @pytest.mark.parametrize("command", ["run", "validate-analytic"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        path = write_config(tmp_path)
+        assert "--jobs" in self.rejected(capsys, [command, str(path), "--jobs", jobs])
+
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")
         assert main(["run", str(path)]) == 2
