@@ -127,7 +127,7 @@ def build_parser():
     p_t2 = sub.add_parser("table2", help="poll vs multi-poll airtime")
     p_t2.add_argument("--profile", choices=tuple(PROFILES), default="11g")
     p_t2.add_argument("--control-rate", type=int, default=2_000_000)
-    p_t2.add_argument("--n-max", type=int, default=12)
+    p_t2.add_argument("--n-max", type=_positive_int, default=12)
     p_t2.set_defaults(func=_cmd_table2)
 
     p_val = sub.add_parser("validate-analytic", help="delay model vs simulation")

@@ -19,9 +19,9 @@ slots of an interval changes none of its grants.
 A station's frames are generated in trace order and leave its queue from
 the head, delivered or lost, so the queue is a window of trace indices:
 frames head up to (not including) the next to be generated. Each station
-holds the generation ticks of its frames generated before its stop tick,
-computed once per run, and generating its frames up to a tick is one
-bisection of them.
+holds the generation ticks of its frames generated before its stop tick
+and the end of the run, computed once per run, and generating its frames
+up to a tick is one bisection of them.
 
 Per service interval the AP issues one TXOP per admitted stream, in
 admission (= AID) order. Grant boundaries are rigid: a station that
@@ -40,13 +40,16 @@ sized from it. A lost uplink frame still consumes its full exchange time
 its report down with it, so the following interval falls back to a
 mean-sized grant unless an earlier report is still held.
 
-Grant sizes are planned in integer ticks at the run's one PHY rate and
-re-planned whenever the service interval or that rate changes; per
-interval a grant is then either the station's mean-based grant or a fixed
-part plus ticks per reported byte. Admission plans every stream at the
-candidate SI and charges the sum of the reference grants, poll included,
-against the contention-free budget, so it charges exactly what the engine
-grants under `hcca`; a rejected stream leaves every plan as it was.
+A stream's mean-based reference grant depends only on its traffic
+contract (its TSPEC), the SI and the PHY rate, so the run plans one per
+distinct TSPEC, in integer ticks at its one PHY rate, and re-plans them
+whenever the service interval or that rate changes. Per interval a grant
+is then either the reference grant of the station's contract or a fixed
+part plus ticks per reported byte. Admission plans every contract at the
+candidate SI and charges the sum of the admitted streams' reference
+grants, poll included, against the contention-free budget, so it charges
+exactly what the engine grants under `hcca`; a rejected stream leaves the
+plan as it was.
 
 Under mobility the stations move as one group whose distance never
 shrinks, so it lies past each tier bound from one tick on. The engine
@@ -79,7 +82,6 @@ from .hcca import (
     GrantBasis,
     admissible,
     compute_si,
-    min_msi,
     msdu_count,
     reference_overhead,
     txop_reference,
@@ -171,6 +173,10 @@ class Scenario:
             raise ConfigError("t_cp_s must be >= 0")
         if not 0 <= self.per < 1:
             raise ConfigError(f"per must be in [0, 1), got {self.per}")
+        for name in ("control_rate", "data_rate"):
+            rate = getattr(self, name)
+            if rate is not None and rate <= 0:
+                raise ConfigError(f"{name} must be > 0, got {rate}")
 
 
 class Grant(NamedTuple):
@@ -226,13 +232,14 @@ class RunResult:
 
 class _Station:
     __slots__ = (
-        "spec", "aid", "start_t", "stop_t", "admitted", "rejected",
-        "sizes", "gen_ticks", "head", "next_gen_idx", "report", "ref_t",
+        "spec", "aid", "contract", "start_t", "stop_t", "admitted", "rejected",
+        "sizes", "gen_ticks", "head", "next_gen_idx", "report",
     )
 
-    def __init__(self, spec, start_t, stop_t, gen_ticks):
+    def __init__(self, spec, contract, start_t, stop_t, gen_ticks):
         self.spec = spec
         self.aid = spec.aid
+        self.contract = contract  # the index of its TSPEC in _Sim.tspecs
         self.start_t = start_t
         self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
         self.admitted = self.rejected = False
@@ -242,8 +249,6 @@ class _Station:
         # the queue is the trace frames head .. next_gen_idx - 1
         self.head = self.next_gen_idx = 0
         self.report = None        # the size report held for the next grant, if any
-        # the mean-based grant in ticks at the run's rate, from _Sim._size_grants
-        self.ref_t = None
 
 
 class _Sim:
@@ -266,16 +271,19 @@ class _Sim:
         self.bi = exact(scenario.beacon_interval_s)
 
         offsets = {}
+        contracts = {}            # the distinct TSPECs, numbered in AID order
         self.stations = {}
         for s in sorted(scenario.stations, key=lambda s: s.aid):
             if id(s.trace) not in offsets:
                 offsets[id(s.trace)] = self._gen_offsets(s.trace)
             start_t = self._sec_ticks(s.start_s)
             stop_t = self.end_tick if s.stop_s is None else min(self._sec_ticks(s.stop_s), self.end_tick)
-            self.stations[s.aid] = _Station(s, start_t, stop_t,
-                                            self._gen_ticks(offsets[id(s.trace)], start_t, stop_t))
+            self.stations[s.aid] = _Station(s, contracts.setdefault(s.tspec, len(contracts)), start_t,
+                                            stop_t, self._gen_ticks(offsets[id(s.trace)], start_t, stop_t))
+        self.tspecs = tuple(contracts)
         self.polled = []          # admitted stations in polling order
-        self.si_s = self.si_t = None
+        # the SI and each contract's reference grant at it, from the first admission on
+        self.si_s = self.si_t = self.plan = None
         self.per = scenario.per
         self.rng = random.Random(scenario.seed)
 
@@ -287,6 +295,8 @@ class _Sim:
         self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
         # an exchange ends SIFS, ACK, SIFS after its data frame
         self.post_t = 2 * self.sifs_t + self.ack_t
+        # the broadcast multi-poll replaces every slot's own poll
+        self.shed_t = self.poll_t if self.multipoll else 0
         self.multipoll_t = {}     # multi-poll airtime ticks per station count
 
         self.deliveries = []
@@ -363,26 +373,20 @@ class _Sim:
 
     # -- the grant plan ---------------------------------------------------
 
-    def _ref_ticks(self, tspec: Tspec, si) -> int:
-        """The stream's mean-based reference grant at the SI and the run's
-        rate, in ticks and poll included: what admission charges."""
-        return self._to_ticks(txop_reference(tspec, si, self.profile, self.ctrl, self.rate))
-
-    def _size_grants(self, refs):
-        """Adopt the polled stations' reference grants (poll-included ticks,
-        in polling order) and size the report-sized grant for 0 bytes."""
-        # the broadcast multi-poll replaces every slot's own poll
-        shed_t = self.poll_t if self.multipoll else 0
-        for st, ref_t in zip(self.polled, refs):
-            st.ref_t = ref_t - shed_t
-        self.one_t = self._to_ticks(reference_overhead(1, self.profile, self.ctrl, self.rate)) - shed_t
+    def _plan(self, si) -> list:
+        """Each contract's mean-based reference grant at the SI and the
+        run's rate, in ticks and poll included: what admission charges."""
+        return [self._to_ticks(txop_reference(tspec, si, self.profile, self.ctrl, self.rate))
+                for tspec in self.tspecs]
 
     def _set_rate(self, rate):
         """Make rate the run's PHY rate and re-plan every grant at it."""
         self.rate = rate
         self.byte_t = self._to_ticks(Fraction(8 * US_PER_S, rate))
         self.hdr_t = self.plcp_t + self.profile.mac_header_bytes * self.byte_t
-        self._size_grants([self._ref_ticks(st.spec.tspec, self.si_s) for st in self.polled])
+        self.one_t = self._to_ticks(reference_overhead(1, self.profile, self.ctrl, rate)) - self.shed_t
+        if self.si_s is not None:
+            self.plan = self._plan(self.si_s)
 
     # -- logging ---------------------------------------------------------
 
@@ -408,8 +412,6 @@ class _Sim:
             self._streams_to(self.next_si_t)
             self._interval(self.next_si_t)
         self._streams_to(self.end_tick)
-        for st in self.polled:
-            self._pull(st, self.end_tick)
         return self._finalize()
 
     def _streams_to(self, tick):
@@ -422,7 +424,8 @@ class _Sim:
     def _finalize(self) -> RunResult:
         admitted = tuple(st.aid for st in self.stations.values() if st.admitted)
         rejected = tuple(st.aid for st in self.stations.values() if st.rejected)
-        left = sum(st.next_gen_idx - st.head for st in self.stations.values())
+        # by the end of the run an admitted stream has generated all its frames
+        generated = sum(len(st.gen_ticks) for st in self.polled)
         return RunResult(
             scenario=self.sc,
             si_s=self.si_s,
@@ -434,12 +437,12 @@ class _Sim:
             warmup_tick=self.warmup_tick,
             deliveries=self.deliveries,
             grants=self.grants,
-            n_generated=sum(st.next_gen_idx for st in self.stations.values()),
+            n_generated=generated,
             n_delivered=len(self.deliveries),
             n_lost=self.n_lost,
             n_lost_measured=self.n_lost_measured,
             n_null_lost=self.n_null_lost,
-            n_left_queued=left,
+            n_left_queued=generated - sum(st.head for st in self.polled),
             n_deferred_slots=self.n_deferred,
             n_beacons=self.n_beacons,
             n_service_intervals=self.si_index,
@@ -452,19 +455,19 @@ class _Sim:
     def _on_stream_start(self, tick, st):
         polled = self.polled + [st]
         # the new stream may shrink the SI, which changes every plan
-        si = compute_si(self.bi, min_msi(p.spec.tspec.msi_s for p in polled))
+        si = compute_si(self.bi, min(p.spec.tspec.msi_s for p in polled))
         si_t = self._sec_ticks(si)
         # every scheduler is charged the reference grants, poll included; a
         # group out of range now would never serve the stream
-        refs = [self._ref_ticks(p.spec.tspec, si) for p in polled] if self._in_range(tick) else None
-        if refs is None or not admissible(sum(refs), si_t, self.bi, self.sc.t_cp_s):
+        plan = self._plan(si) if self._in_range(tick) else None
+        if plan is None or not admissible(sum(plan[p.contract] for p in polled),
+                                          si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
             self._log(tick, "ADMIT-REJECT", st.aid)
             return
-        self.si_s, self.si_t = si, si_t
+        self.si_s, self.si_t, self.plan = si, si_t, plan
         st.admitted = True
         self.polled = polled
-        self._size_grants(refs)
         tspec = st.spec.tspec
         self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
                   float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
@@ -472,13 +475,9 @@ class _Sim:
             self.next_si_t = tick
 
     def _on_stream_end(self, tick, st):
-        if st.admitted:
-            self._pull(st, tick)   # the log reports the queue as the stream stops
-        self._log(tick, "STREAM-END", st.aid, "queued={}", st.next_gen_idx - st.head)
-
-    def _pull(self, st: _Station, tick):
-        """Queue the station's frames generated up to and including tick."""
-        st.next_gen_idx = bisect_right(st.gen_ticks, tick, st.next_gen_idx)
+        # by its stop tick a stream has generated every frame it generates
+        queued = len(st.gen_ticks) - st.head if st.admitted else 0
+        self._log(tick, "STREAM-END", st.aid, "queued={}", queued)
 
     # -- mobility ----------------------------------------------------------
 
@@ -578,6 +577,7 @@ class _Sim:
             if logging:
                 self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, n)
         end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
+        plan, shed_t = self.plan, self.shed_t
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
         first = len(grants)
         for st, size in zip(active, reports):
@@ -587,7 +587,7 @@ class _Sim:
             # after a deferral keep theirs
             st.report = None
             if size is None:
-                g_t, basis = st.ref_t, mean
+                g_t, basis = plan[st.contract] - shed_t, mean
             else:
                 g_t, basis = one_t + size * byte_t, piggyback
             if t + g_t > cap_end:
@@ -608,7 +608,7 @@ class _Sim:
         for st, (_k, aid, slot_t, g_t, _basis) in zip(active, grants[first:]):
             if events and events[-1][0] <= slot_t:
                 self._streams_to(slot_t)
-            # the frames generated up to the slot start join the queue, as in _pull
+            # the frames generated up to the slot start join the queue
             gen_ticks = st.gen_ticks
             end = st.next_gen_idx = bisect_right(gen_ticks, slot_t, st.next_gen_idx)
             slot_end = slot_t + g_t

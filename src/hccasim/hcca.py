@@ -2,9 +2,9 @@
 
 The reference scheduler sizes every grant from the TSPEC means, so grants
 are constant for a fixed admitted set. Admission charges these reference
-grants: the engine sizes every stream's grant at the candidate SI and asks
-`admissible` whether their sum fits the contention-free share of the
-beacon interval. All arithmetic is exact; durations are Fractions of
+grants: the engine sizes every traffic contract's grant at the candidate
+SI and asks `admissible` whether the admitted streams' sum fits the
+contention-free share of the beacon interval. All arithmetic is exact; durations are Fractions of
 microseconds and intervals Fractions of seconds.
 """
 
@@ -21,16 +21,6 @@ from .util import exact
 class GrantBasis(Enum):
     REFERENCE_MEAN = "reference_mean"
     PIGGYBACK_SIZE = "piggyback_size"
-
-
-def min_msi(msis) -> Fraction:
-    """Smallest maximum service interval of the given streams."""
-    msis = list(msis)
-    if not msis:
-        raise ValueError("need at least one MSI")
-    if any(m <= 0 for m in msis):
-        raise ValueError("MSIs must be > 0")
-    return min(exact(m) for m in msis)
 
 
 def compute_si(beacon_interval_s, msi_min_s) -> Fraction:

@@ -350,6 +350,58 @@ class TestAdmissionInEngine:
         assert all(gs == before for gs in after[:-1])
         assert after[-1] == before[:len(after[-1])]
 
+    # two contracts at one MSI, so at a given SI the stations' reference
+    # grants differ only by contract
+    BIG = Tspec(3800, 7500, Fraction(770_000), Fraction("0.08"), 11_000_000, Fraction("0.04"))
+    SMALL = Tspec(770, 1100, Fraction(150_000), Fraction("0.08"), 11_000_000, Fraction("0.04"))
+
+    def mixed(self, scheduler, n, **kw):
+        """n 11b streams from tick 0, BIG at the odd AIDs and SMALL at the
+        even ones."""
+        big, small = const_trace(30, 3800), const_trace(30, 770)
+        stations = tuple(
+            StationSpec(aid=aid, trace=big, tspec=self.BIG) if aid % 2
+            else StationSpec(aid=aid, trace=small, tspec=self.SMALL)
+            for aid in range(1, n + 1)
+        )
+        return run_scenario(Scenario(
+            name="mixed", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
+            beacon_interval_s=Fraction(3, 25), control_rate=2_000_000, **kw,
+        ))
+
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_mixed_contracts_are_charged_and_granted_their_own(self, scheduler):
+        # at SI 40 ms BIG is charged 77370/11 us and SMALL 18944/11 us: the
+        # ninth and eleventh streams would overrun the 40 ms budget, the
+        # smaller tenth and twelfth still fit (423144/11 us in all)
+        result = self.mixed(scheduler, 12, sim_time_s=Fraction(1, 5))
+        assert result.admitted_aids == (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)
+        assert result.rejected_aids == (9, 11)
+        assert result.si_s == Fraction(1, 25)
+        # SI 0 holds no report yet: every grant is its contract's reference
+        # grant, less the 336 us poll that the multi-poll sheds
+        shed = 336 if scheduler == "amtxop" else 0
+        big, small = Fraction(77370, 11) - shed, Fraction(18944, 11) - shed
+        assert [(g.aid, g.duration_us) for g in grants_us(result) if g.si_index == 0] == [
+            (aid, big if aid % 2 else small) for aid in result.admitted_aids
+        ]
+
+    def test_mixed_contracts_are_re_planned_at_a_tier_change(self):
+        # (80 - 30) ft at 20 m/s takes 0.76 s: from the interval start at
+        # 0.8 s on, every contract is granted at 5.5 Mb/s
+        mob = Mobility(
+            tiers=((80, 11_000_000), (1000, 5_500_000)), speed_mps=Fraction(20),
+            start_s=Fraction(0), initial_distance_ft=Fraction(30),
+        )
+        result = self.mixed("hcca", 4, sim_time_s=Fraction(1), mobility=mob)
+        assert result.admitted_aids == (1, 2, 3, 4)
+        assert result.tier_changes == ((0, 11_000_000), (800_000 * result.K, 5_500_000))
+        grants = grants_us(result)
+        assert {(g.aid % 2, g.start_us >= 800_000, g.duration_us) for g in grants} == {
+            (1, False, Fraction(77370, 11)), (0, False, Fraction(18944, 11)),
+            (1, True, Fraction(138746, 11)), (0, True, Fraction(28032, 11)),
+        }
+
     @given(
         msis=st.lists(st.sampled_from(["0.04", "0.06", "0.12"]), min_size=1, max_size=8),
         starts=st.lists(st.integers(min_value=0, max_value=5), min_size=8, max_size=8),
@@ -1007,6 +1059,14 @@ class TestRunResultWindow:
                 ),
                 sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
             )
+
+    @pytest.mark.parametrize("field", ["control_rate", "data_rate"])
+    @pytest.mark.parametrize("rate", [0, -2_000_000])
+    def test_rates_must_be_positive(self, field, rate):
+        """A data rate of 0 would run at the profile's rate, and a control
+        rate of 0 would divide by zero."""
+        with pytest.raises(ConfigError, match=f"{field} must be > 0"):
+            make_scenario("hcca", 1, const_trace(3, 2700), TSPEC_54, **{field: rate})
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_as_it_found_it(self, enabled):

@@ -302,6 +302,18 @@ class TestCli:
         path = write_config(tmp_path)
         assert "--jobs" in self.rejected(capsys, [command, str(path), "--jobs", jobs])
 
+    def test_table2_rejects_n_max_below_one(self, capsys):
+        for n_max in ("0", "-3"):
+            assert "--n-max" in self.rejected(capsys, ["table2", "--n-max", n_max])
+
+    @pytest.mark.parametrize("phy", ["control_rate: 0", "control_rate: 2000000\n  data_rate: 0"])
+    def test_run_rejects_a_rate_that_is_not_positive(self, tmp_path, capsys, phy):
+        path = write_config(tmp_path, body=MINI.replace("control_rate: 2000000", phy))
+        assert main(["run", str(path)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error:") and "rate must be > 0" in errors[0]
+
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")
         assert main(["run", str(path)]) == 2

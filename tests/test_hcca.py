@@ -8,7 +8,6 @@ from hccasim.errors import ConfigError
 from hccasim.hcca import (
     admissible,
     compute_si,
-    min_msi,
     msdu_count,
     reference_bytes,
     reference_overhead,
@@ -62,13 +61,6 @@ class TestServiceInterval:
         si = compute_si(bi, msi)
         assert 0 < si <= msi
         assert (bi / si).denominator == 1
-
-    def test_min_msi_picks_smallest(self):
-        assert min_msi([0.06, 0.04, 0.12]) == Fraction(1, 25)
-        with pytest.raises(ValueError):
-            min_msi([])
-        with pytest.raises(ValueError):
-            min_msi([0.04, 0])
 
 
 class TestMsduCount:
