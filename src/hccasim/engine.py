@@ -61,10 +61,13 @@ starts while the group is past the last tier, between interval starts
 too, is rejected.
 
 A run's results are integer ticks: deliveries, grants and tier changes.
-Its report sums them and divides once per metric; only the SI is kept in
-seconds, the unit it is configured in. A run builds no reference cycles,
-so it runs with the cyclic garbage collector suspended: a collection
-would rescan every result tuple built so far and free none of them.
+Deliveries and grants are flat lists of ints, five values per event, so a
+run builds no container per event. The measured sums (deliveries, delay
+ticks, payload bytes, granted ticks) are kept as the records are made,
+and the report divides each once; only the SI is kept in seconds, the
+unit it is configured in. A run builds no reference cycles, so it runs
+with the cyclic garbage collector suspended: a collection during the run
+would free nothing.
 """
 
 import gc
@@ -86,7 +89,7 @@ from .hcca import (
     reference_overhead,
     txop_reference,
 )
-from .metrics import MetricsReport, build_report, delivery_sums
+from .metrics import MetricsReport, build_report
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -199,8 +202,11 @@ class RunResult:
     rejected_aids: tuple
     K: int                  # ticks per microsecond
     warmup_tick: int        # deliveries and grants from it on are measured
-    deliveries: list        # (aid, sequence, size_bytes, gen_tick, rx_tick) in rx order
-    grants: list            # Grant fields as plain tuples, in grant order
+    deliveries: list        # aid, sequence, size_bytes, gen_tick, rx_tick per delivery, in rx order
+    grants: list            # the Grant fields per grant, in grant order
+    # delivered, delay ticks and payload bytes of the frames generated from
+    # warmup_tick on, and ticks of the grants starting from it
+    measured: tuple
     n_generated: int
     n_delivered: int
     n_lost: int
@@ -217,13 +223,12 @@ class RunResult:
     def grant_log(self) -> tuple:
         """The grants as Grant tuples. Only perfbench/run.py reads it; it
         goes once the benchmark reads grants directly."""
-        return tuple(map(Grant._make, self.grants))
+        g = self.grants
+        return tuple(Grant(*g[i:i + 5]) for i in range(0, len(g), 5))
 
     def report(self) -> MetricsReport:
-        w = self.warmup_tick
         return build_report(
-            *delivery_sums(self.deliveries, w),
-            sum(g for _k, _aid, start, g, _basis in self.grants if start >= w),
+            *self.measured,
             self.K,
             exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s),
             n_lost=self.n_lost_measured,
@@ -301,6 +306,7 @@ class _Sim:
 
         self.deliveries = []
         self.grants = []
+        self.measured = (0, 0, 0, 0)   # see RunResult.measured
         self.tier_changes = []
         self.event_log = []
         self.logging = scenario.log_events
@@ -437,8 +443,9 @@ class _Sim:
             warmup_tick=self.warmup_tick,
             deliveries=self.deliveries,
             grants=self.grants,
+            measured=self.measured,
             n_generated=generated,
-            n_delivered=len(self.deliveries),
+            n_delivered=len(self.deliveries) // 5,
             n_lost=self.n_lost,
             n_lost_measured=self.n_lost_measured,
             n_null_lost=self.n_null_lost,
@@ -458,8 +465,9 @@ class _Sim:
         si = compute_si(self.bi, min(p.spec.tspec.msi_s for p in polled))
         si_t = self._sec_ticks(si)
         # every scheduler is charged the reference grants, poll included; a
-        # group out of range now would never serve the stream
-        plan = self._plan(si) if self._in_range(tick) else None
+        # group out of range now would never serve the stream; self.plan is
+        # always the plan at self.si_s and the run's rate
+        plan = (self.plan if si == self.si_s else self._plan(si)) if self._in_range(tick) else None
         if plan is None or not admissible(sum(plan[p.contract] for p in polled),
                                           si_t, self.bi, self.sc.t_cp_s):
             st.rejected = True
@@ -468,9 +476,10 @@ class _Sim:
         self.si_s, self.si_t, self.plan = si, si_t, plan
         st.admitted = True
         self.polled = polled
-        tspec = st.spec.tspec
-        self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
-                  float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
+        if self.logging:
+            tspec = st.spec.tspec
+            self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
+                      float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
         if self.next_si_t is None:
             self.next_si_t = tick
 
@@ -577,8 +586,9 @@ class _Sim:
             if logging:
                 self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, n)
         end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
-        plan, shed_t = self.plan, self.shed_t
+        plan, shed_t, warmup_tick = self.plan, self.shed_t, self.warmup_tick
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
+        n_meas, delay_meas, payload_meas, granted_meas = self.measured
         first = len(grants)
         for st, size in zip(active, reports):
             if t >= end_tick:
@@ -595,17 +605,19 @@ class _Sim:
                 if logging:
                     self._log(t, "DEFER", st.aid, "si={}", k)
                 break
-            grants.append((k, st.aid, t, g_t, basis))
+            grants += (k, st.aid, t, g_t, basis)
+            if t >= warmup_tick:
+                granted_meas += g_t
             t += g_t
 
         # the rate changes only at interval starts, so these hold for every slot
-        events, deliveries, warmup_tick = self.stream_events, self.deliveries, self.warmup_tick
+        events, deliveries = self.stream_events, self.deliveries
         hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
         per, rand = self.per, self.rng.random
         # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
         open_t, first_lead = (0, 0) if multipoll else (self.poll_t, sifs_t)
         # the granted slots are the first grants of the active stations
-        for st, (_k, aid, slot_t, g_t, _basis) in zip(active, grants[first:]):
+        for st, slot_t, g_t in zip(active, grants[first + 2::5], grants[first + 3::5]):
             if events and events[-1][0] <= slot_t:
                 self._streams_to(slot_t)
             # the frames generated up to the slot start join the queue
@@ -613,7 +625,7 @@ class _Sim:
             end = st.next_gen_idx = bisect_right(gen_ticks, slot_t, st.next_gen_idx)
             slot_end = slot_t + g_t
             t, lead = slot_t + open_t, first_lead
-            head, sizes = st.head, st.sizes
+            aid, head, sizes = st.aid, st.head, st.sizes
             while True:
                 queued = head < end
                 size = sizes[head] if queued else 0
@@ -628,7 +640,12 @@ class _Sim:
                     seq = head
                     head += 1     # delivered or lost, the frame leaves the head
                     if ok:
-                        deliveries.append((aid, seq, size, gen_ticks[seq], data_end + dp_t))
+                        gen, rx = gen_ticks[seq], data_end + dp_t
+                        deliveries += (aid, seq, size, gen, rx)
+                        if gen >= warmup_tick:
+                            n_meas += 1
+                            delay_meas += rx - gen
+                            payload_meas += size
                         if logging:
                             self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
                     else:
@@ -646,6 +663,7 @@ class _Sim:
                     break
                 lead = sifs_t
             st.head = head
+        self.measured = (n_meas, delay_meas, payload_meas, granted_meas)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -653,10 +671,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     seed): two calls yield identical deliveries, grants and counters.
 
     The cyclic garbage collector is suspended for the run and left as it
-    was found. A run builds no reference cycles: its results are lists of
-    tuples of ints and enum members, and a station points only down to its
-    spec and trace. A collection during a run would rescan every result
-    tuple built so far and free nothing."""
+    was found. A run builds no reference cycles: its results are flat lists
+    of ints and enum members, and a station points only down to its spec
+    and trace. A collection during a run would free nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -1,7 +1,7 @@
 """Per-run metrics: end-to-end delay, throughput, TXOP time, utilization.
 
-A run's deliveries and grants arrive in integer ticks at K ticks per
-microsecond. They are summed as integers and each metric divides its sum
+A run sums its measured deliveries and grants as integers, in ticks at K
+ticks per microsecond, while it makes them. Each metric divides its sum
 once, exactly; the float is taken last. Empty inputs yield NaN rather
 than raising, so sweep code can emit a row per configuration without
 special-casing runs that delivered nothing.
@@ -23,20 +23,6 @@ class MetricsReport:
     mean_delay_ms: float
     throughput_bps: float
     aggregate_txop_s: float
-
-
-def delivery_sums(deliveries, warmup_tick=0):
-    """Count, total delay ticks and total payload bytes of the deliveries
-    (aid, sequence, size, gen_tick, rx_tick) generated at or after warmup_tick."""
-    n = delay = payload = 0
-    for _aid, _seq, size, gen, rx in deliveries:
-        if gen >= warmup_tick:
-            if rx < gen:
-                raise ValueError(f"rx before generation: tick {rx} < {gen}")
-            n += 1
-            delay += rx - gen
-            payload += size
-    return n, delay, payload
 
 
 def e2e_delay(delay_ticks, n, ticks_per_us):

@@ -59,18 +59,23 @@ class GrantUs(NamedTuple):
     basis: object
 
 
+def entries(flat):
+    """The entries of a run's flat deliveries or grants, five values each."""
+    return zip(*[iter(flat)] * 5)
+
+
 def records(result, from_tick=0) -> tuple:
     """The run's deliveries generated at or after from_tick, in us."""
     K = result.K
     return tuple(Record(aid, seq, size, Fraction(gen, K), Fraction(rx, K))
-                 for aid, seq, size, gen, rx in result.deliveries if gen >= from_tick)
+                 for aid, seq, size, gen, rx in entries(result.deliveries) if gen >= from_tick)
 
 
 def grants_us(result, from_tick=0) -> tuple:
     """The run's grants starting at or after from_tick, in us."""
     K = result.K
     return tuple(GrantUs(k, aid, Fraction(start, K), Fraction(g, K), basis)
-                 for k, aid, start, g, basis in result.grants if start >= from_tick)
+                 for k, aid, start, g, basis in entries(result.grants) if start >= from_tick)
 
 
 def measured_records(result) -> tuple:

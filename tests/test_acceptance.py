@@ -15,7 +15,7 @@ from hccasim.experiment import emit_table2
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
 from hccasim.traces import parse_trace
 
-from conftest import CANONICAL, SCHEDULERS, VALIDATION
+from conftest import CANONICAL, SCHEDULERS, VALIDATION, entries
 
 BI = Fraction(3, 25)
 
@@ -261,7 +261,7 @@ def test_criterion_10_property_suites(lab):
     for result in lab.results():
         if result.scenario.mobility is None and result.scenario.warmup_s == 20:
             si_t = 40_000 * result.K
-            for si_index, _aid, start_t, g_t, _basis in result.grants:
+            for si_index, _aid, start_t, g_t, _basis in entries(result.grants):
                 cap_start_t = (20_000_000 + si_index * 40_000) * result.K
                 budget_ok &= cap_start_t <= start_t
                 budget_ok &= start_t + g_t <= cap_start_t + si_t

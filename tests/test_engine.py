@@ -18,7 +18,9 @@ from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
-from conftest import grants_us, mean_delay_ms, measured_grants, measured_records, oracle_report, records
+from conftest import (
+    entries, grants_us, mean_delay_ms, measured_grants, measured_records, oracle_report, records,
+)
 
 
 def const_trace(n_frames, size, interval_ms=40):
@@ -125,7 +127,7 @@ class TestReferenceTimeline:
         trace = parse_trace("0 I 0 2700\n")
         result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
         assert result.n_delivered == 1
-        assert len(result.grants) == 5  # one per interval, 0.2 s / 40 ms
+        assert len(grants_us(result)) == 5  # one per interval, 0.2 s / 40 ms
         assert result.n_generated == 1
         assert result.n_left_queued == 0
 
@@ -528,7 +530,7 @@ class TestLossAndDeterminism:
             warmup_s=Fraction(3, 25) * warmup_bi + Fraction(warmup_ms, 1000),
         )
         result = run_scenario(sc)
-        assert all(rx >= gen for _aid, _seq, _size, gen, rx in result.deliveries)
+        assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
 
         sums = []
         real = engine.build_report
@@ -892,7 +894,7 @@ class TestEdgeTicks:
             return int(airtime_multipoll(n, PROFILE_11B, 2_000_000) * K) if shed else 0
 
         per_si = {}
-        for k, aid, start, dur, _basis in result.grants:
+        for k, aid, start, dur, _basis in entries(result.grants):
             per_si.setdefault(k, []).append((aid, start, dur))
         # the interval at 360 ms: aid 4 starts at 370 ms, inside aid 1's slot
         si_360 = 360_000 * K
@@ -971,7 +973,8 @@ class TestWindowQueue:
             trace = spec.trace
             start = spec.start_s * US_PER_S * K
             offset = [Fraction(d, trace.display_den) * 1000 * K for d in trace.display]
-            seqs = [(seq, gen) for aid, seq, _size, gen, _rx in result.deliveries if aid == spec.aid]
+            seqs = [(seq, gen) for aid, seq, _size, gen, _rx in entries(result.deliveries)
+                    if aid == spec.aid]
             assert all(a < b for (a, _), (b, _) in zip(seqs, seqs[1:]))
             assert all(gen == start + offset[seq] for seq, gen in seqs)
             if spec.aid in result.admitted_aids:

@@ -7,19 +7,22 @@ multi-poll start times, admission as the service interval shrinks, loss,
 mobility across rate tiers, stream stop and the 11b profile.
 """
 
+import gc
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from hccasim import engine
 from hccasim.engine import Mobility, Scenario, StationSpec, run_scenario
 from hccasim.hcca import GrantBasis
 from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import Tspec, load_trace
 
-from conftest import grants_us, records, tier_changes_us
+from conftest import entries, grants_us, measured_records, oracle_report, records, tier_changes_us
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE = load_trace(ROOT / "traces" / "jp1_high.txt")
@@ -131,6 +134,12 @@ def digest(result):
 def test_engine_digest(case, scheduler):
     result = run_scenario(scenario(case, scheduler))
     assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+    assert all(gen <= rx for _aid, _seq, _size, gen, rx in entries(result.deliveries))
+    # the sums kept during the run divide into the report the records give
+    report = result.report()
+    assert report.n_delivered == len(measured_records(result))
+    assert (report.mean_delay_ms, report.throughput_bps, report.aggregate_txop_s) == tuple(
+        map(float, oracle_report(result)))
     assert digest(result) == DIGESTS[(case, scheduler)]
 
 
@@ -190,9 +199,36 @@ def test_no_grant_past_the_end():
     sc = scenario("msi40", "amtxop")
     cut = run_scenario(replace(sc, sim_time_s=Fraction(201, 1000), log_events=True))
     end_us = Fraction(201_000)
-    assert len(cut.grants) == 21
+    assert len(grants_us(cut)) == 21
     assert all(g.start_us < end_us for g in grants_us(cut))
     assert cut.n_deferred_slots == 0
     assert not any(line.split()[1] == "DEFER" for line in cut.event_log)
     longer = run_scenario(replace(sc, sim_time_s=Fraction(21, 100)))
     assert cut.report().aggregate_txop_s < longer.report().aggregate_txop_s
+
+
+def test_contracts_are_planned_once_per_si_and_rate():
+    """A one-contract run plans its contract once per distinct SI and once
+    per rate change, however many streams it admits, and with logging off
+    works out no ADMIT detail."""
+    sc = scenario("mobility", "atxop")
+    with mock.patch.object(engine, "txop_reference", wraps=engine.txop_reference) as plans, \
+            mock.patch.object(engine, "msdu_count", wraps=engine.msdu_count) as counts:
+        result = run_scenario(sc)
+    assert len({s.tspec for s in sc.stations}) == 1 and result.n_admitted == 4
+    # one SI; the rate changes from 54 to 36, 18 and 6 Mb/s after the first
+    # admission, and the 54 Mb/s tier is set before it
+    assert [rate for _, rate in result.tier_changes[1:-1]] == [36_000_000, 18_000_000, 6_000_000]
+    assert plans.call_count == 1 + 3
+    assert counts.call_count == 0
+
+
+def test_a_run_leaves_no_per_event_container():
+    """Deliveries and grants are flat lists of ints: a run of 200 grants
+    and 200 deliveries leaves the collector (almost) nothing new to track."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = run_scenario(scenario("msi40", "atxop"))
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
+    assert len(grants_us(result)) == 200
