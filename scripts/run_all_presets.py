@@ -4,7 +4,9 @@ results/. Delay/TXOP/mobility presets go through `run`; the analytic
 presets go through `validate-analytic`. Takes a few minutes serially;
 pass --jobs to spread runs over worker processes. Ends with the SHA-256
 of every CSV written and exits 1 when one differs from presets/SHA256SUMS
-(sha256sum format, paths relative to the working directory)."""
+(sha256sum format, paths relative to the working directory), when
+SHA256SUMS names a CSV no preset wrote, or when a presets/*.yaml is in
+neither list below, so it would never run."""
 
 import argparse
 import hashlib
@@ -36,7 +38,12 @@ def main():
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    failures = []
+    listed = set(RUN_PRESETS) | set(VALIDATE_PRESETS)
+    failures = [
+        f"{path.name} (in neither RUN_PRESETS nor VALIDATE_PRESETS)"
+        for path in sorted((ROOT / "presets").glob("*.yaml"))
+        if path.stem not in listed
+    ]
     written = []
     for name in RUN_PRESETS:
         path = ROOT / "presets" / f"{name}.yaml"
@@ -69,8 +76,10 @@ def main():
         name = os.path.relpath(csv_path)
         digest = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.is_file() else "missing"
         print(f"{digest}  {name}")
-        if digest != expected.get(name):
-            failures.append(f"{name} digest (expected {expected.get(name)})")
+        want = expected.pop(name, None)
+        if digest != want:
+            failures.append(f"{name} digest (expected {want})")
+    failures += [f"{name} (in SHA256SUMS, not written)" for name in expected]
 
     if failures:
         print("FAILED:", ", ".join(failures))

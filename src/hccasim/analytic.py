@@ -23,12 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcca import reference_bytes
+from .hcca import SCHEDULERS, reference_bytes
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll
 from .traces import Tspec, VideoTrace
 from .util import exact
-
-SCHEDULERS = ("hcca", "atxop", "amtxop")
 
 
 def td_i(payload_us, profile: PhyProfile, control_rate: int | None = None) -> Fraction:

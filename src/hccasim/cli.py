@@ -56,9 +56,6 @@ def _fmt(value):
 
 
 def _print_table(rows, columns):
-    if not rows:
-        print("(no rows)")
-        return
     cells = [[_fmt(row[c]) for c in columns] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)

@@ -79,9 +79,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analytic import SCHEDULERS
 from .errors import ConfigError
 from .hcca import (
+    SCHEDULERS,
     GrantBasis,
     admissible,
     compute_si,
@@ -238,7 +238,7 @@ class RunResult:
 class _Station:
     __slots__ = (
         "spec", "aid", "contract", "start_t", "stop_t", "admitted", "rejected",
-        "sizes", "gen_ticks", "head", "next_gen_idx", "report",
+        "sizes", "gen_ticks", "head", "report",
     )
 
     def __init__(self, spec, contract, start_t, stop_t, gen_ticks):
@@ -251,8 +251,8 @@ class _Station:
         self.sizes = spec.trace.sizes
         # the generation ticks of the frames generated before stop_t
         self.gen_ticks = gen_ticks
-        # the queue is the trace frames head .. next_gen_idx - 1
-        self.head = self.next_gen_idx = 0
+        # the queue is the trace frames from head up to the last one generated
+        self.head = 0
         self.report = None        # the size report held for the next grant, if any
 
 
@@ -622,7 +622,7 @@ class _Sim:
                 self._streams_to(slot_t)
             # the frames generated up to the slot start join the queue
             gen_ticks = st.gen_ticks
-            end = st.next_gen_idx = bisect_right(gen_ticks, slot_t, st.next_gen_idx)
+            end = bisect_right(gen_ticks, slot_t, st.head)
             slot_end = slot_t + g_t
             t, lead = slot_t + open_t, first_lead
             aid, head, sizes = st.aid, st.head, st.sizes

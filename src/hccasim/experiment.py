@@ -11,7 +11,7 @@ import csv
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import yaml
@@ -19,7 +19,7 @@ import yaml
 from .analytic import aggregate_delay, aggregate_delay_alt, analytic_inputs
 from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
-from .hcca import compute_si
+from .hcca import SCHEDULERS, compute_si
 from .metrics import utilization_improvement
 from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
 from .traces import Tspec, VideoTrace, derive_tspec, load_trace, trace_stats
@@ -53,7 +53,7 @@ _SECTION_KEYS = {
         "msi_s",
     },
     "run": {"sim_time_s", "warmup_s", "station_start_s", "beacon_interval_s", "t_cp_s", "seed"},
-    "sweep": {"stations", "per", "speed_mps"},
+    "sweep": {"stations", "per"},
     "mobility": {"tiers", "speed_mps", "start_s", "initial_distance_ft"},
     "output": {"csv"},
 }
@@ -76,8 +76,7 @@ class ExperimentConfig:
     seed: int
     stations_sweep: tuple
     per_sweep: tuple
-    speed_sweep: tuple
-    mobility: Mobility | None
+    mobilities: tuple            # one Mobility per group speed; () without mobility
     csv_path: str | None
 
 
@@ -89,8 +88,13 @@ def _check_keys(section, mapping):
             raise ConfigError(f"unknown config key: {where}")
 
 
-def _as_list(value):
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+def _axis(mapping, key, default, name):
+    """A sweep axis: one value or a non-empty list of them, as a tuple."""
+    value = mapping.get(key, default)
+    values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if not values:
+        raise ConfigError(f"{name} must list at least one value")
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
@@ -106,7 +110,7 @@ def load_config(path) -> ExperimentConfig:
 
     phy = doc["phy"]
     _check_keys("phy", phy)
-    profiles = tuple(_as_list(phy.get("profile", "11g")))
+    profiles = _axis(phy, "profile", "11g", "phy.profile")
     for p in profiles:
         if p not in PROFILES:
             raise ConfigError(f"phy.profile: unknown profile {p!r}")
@@ -129,16 +133,15 @@ def load_config(path) -> ExperimentConfig:
     output = doc.get("output", {})
     _check_keys("output", output)
 
-    mob = None
+    mobilities = ()
     if "mobility" in doc:
         m = doc["mobility"]
         _check_keys("mobility", m)
         tiers = tuple((exact(d), int(r)) for d, r in m["tiers"])
-        mob = Mobility(
-            tiers=tiers,
-            speed_mps=exact(m.get("speed_mps", 0)),
-            start_s=exact(m.get("start_s", 0)),
-            initial_distance_ft=exact(m.get("initial_distance_ft", 0)),
+        start_s, distance_ft = exact(m.get("start_s", 0)), exact(m.get("initial_distance_ft", 0))
+        mobilities = tuple(
+            Mobility(tiers, exact(speed), start_s, distance_ft)
+            for speed in _axis(m, "speed_mps", 0, "mobility.speed_mps")
         )
 
     # parsed once here; every scenario of the experiment shares it
@@ -147,7 +150,7 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         name=doc.get("name", os.path.splitext(os.path.basename(path))[0]),
-        schedulers=tuple(_as_list(doc.get("scheduler", ["hcca", "atxop", "amtxop"]))),
+        schedulers=_axis(doc, "scheduler", SCHEDULERS, "scheduler"),
         profiles=profiles,
         control_rate=int(phy["control_rate"]) if "control_rate" in phy else None,
         data_rate=int(phy["data_rate"]) if "data_rate" in phy else None,
@@ -159,10 +162,9 @@ def load_config(path) -> ExperimentConfig:
         beacon_interval_s=exact(run.get("beacon_interval_s", "0.12")),
         t_cp_s=exact(run.get("t_cp_s", 0)),
         seed=int(run.get("seed", 0)),
-        stations_sweep=tuple(int(n) for n in _as_list(sweep.get("stations", [1]))),
-        per_sweep=tuple(float(p) for p in _as_list(sweep.get("per", [0.0]))),
-        speed_sweep=tuple(exact(s) for s in _as_list(sweep.get("speed_mps", []))),
-        mobility=mob,
+        stations_sweep=tuple(int(n) for n in _axis(sweep, "stations", 1, "sweep.stations")),
+        per_sweep=tuple(float(p) for p in _axis(sweep, "per", 0.0, "sweep.per")),
+        mobilities=mobilities,
         csv_path=output.get("csv"),
     )
 
@@ -202,18 +204,12 @@ def _build_tspec(section, trace) -> Tspec:
 
 def expand_scenarios(config: ExperimentConfig):
     """Cartesian sweep in a fixed order so run seeds are reproducible."""
-    speeds = config.speed_sweep or (None,)
     scenarios = []
     index = 0
-    for profile_name, scheduler, n, per, speed in itertools.product(
+    for profile_name, scheduler, n, per, mob in itertools.product(
         config.profiles, config.schedulers, config.stations_sweep,
-        config.per_sweep, speeds,
+        config.per_sweep, config.mobilities or (None,),
     ):
-        mob = config.mobility
-        if speed is not None:
-            if mob is None:
-                raise ConfigError("sweep.speed_mps needs a mobility section")
-            mob = replace(mob, speed_mps=speed)
         stations = tuple(
             StationSpec(
                 aid=i + 1,
@@ -275,7 +271,7 @@ def _fill_utilization(rows):
     for row in rows:
         key = (row["phy"], row["n_offered"], row["per"], row["speed_mps"])
         if row["scheduler"] == "hcca":
-            row["util_improvement"] = 0.0 if key in baseline else None
+            row["util_improvement"] = 0.0
         elif key in baseline and baseline[key] > 0:
             row["util_improvement"] = float(
                 utilization_improvement(baseline[key], row["aggregate_txop_s"])
@@ -335,6 +331,8 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     trace prefix and the model walks the same per-interval sizes."""
     if config.warmup_s != config.station_start_s:
         raise ConfigError("validation needs station_start_s == warmup_s")
+    if config.mobilities:
+        raise ConfigError("validation needs a fixed data rate: the model has no mobility")
     for name in config.profiles:
         data_rate = PROFILES[name].data_rate if config.data_rate is None else config.data_rate
         if data_rate != config.tspec.min_phy_rate_bps:

@@ -1,4 +1,5 @@
-"""Reference polled-TXOP scheduler: service interval, grants, admission.
+"""Polled-TXOP schedulers: their names, and the reference scheduler's
+service interval, grants and admission.
 
 The reference scheduler sizes every grant from the TSPEC means, so grants
 are constant for a fixed admitted set. Admission charges these reference
@@ -16,6 +17,8 @@ from .errors import ConfigError
 from .phy import US_PER_S, PhyProfile, airtime_control, airtime_data
 from .traces import Tspec
 from .util import exact
+
+SCHEDULERS = ("hcca", "atxop", "amtxop")
 
 
 class GrantBasis(Enum):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,25 @@ class TestReportRules:
                     if r.aid == 2 and r.rx_time_us <= first.start_us + first.duration_us]
         assert in_first == [0, 1]
         return nxt
+
+
+class TestLostExchanges:
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    @pytest.mark.parametrize("per", [0.5, 0.0])
+    def test_one_draw_per_exchange_header_only_too(self, scheduler, per):
+        # two stations with one 2700-byte frame each: every one of the 100
+        # grants holds one exchange, the frame in the first interval and a
+        # header-only frame after it, and each exchange takes one draw
+        trace = parse_trace("0 I 0 2700\n")
+        result = run(scheduler, [trace, trace], TSPEC_54, per=per, seed=4,
+                     sim_time_s=Fraction(2))
+        assert len(grants_us(result)) == 100
+        rng = random.Random(4)
+        lost = [rng.random() < per for _ in range(100)]
+        assert (result.n_lost, result.n_null_lost) == (sum(lost[:2]), sum(lost[2:]))
+        assert result.n_delivered == 2 - result.n_lost
+        if per:
+            assert (result.n_lost, result.n_null_lost) == (2, 52)
 
 
 # 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU

@@ -16,6 +16,7 @@ from hccasim.experiment import (
     run_experiment,
     validate_analytic,
 )
+from hccasim.metrics import utilization_improvement
 from hccasim.phy import PROFILE_11B, PROFILE_11G
 from hccasim.traces import load_trace
 
@@ -46,6 +47,13 @@ sweep:
 """
 
 
+def mobility(speeds):
+    """A mobility section: from 70 ft, a group walking at 5 m/s drops from
+    54 to 6 Mb/s about 0.6 s in; at 1 m/s it keeps 54 Mb/s for 3 s."""
+    return ("mobility:\n  tiers: [[80, 54000000], [200, 6000000]]\n"
+            f"  speed_mps: {speeds}\n  start_s: 0\n  initial_distance_ft: 70")
+
+
 def write_config(tmp_path, extra="", body=None):
     text = (body or MINI).format(trace=ROOT / "traces" / "jp1_low.txt", extra=extra)
     path = tmp_path / "config.yaml"
@@ -64,6 +72,7 @@ class TestLoadConfig:
         assert cfg.warmup_s == Fraction(1, 5)
         assert cfg.stations_sweep == (1, 2)
         assert cfg.per_sweep == (0.0,)
+        assert cfg.mobilities == ()
         assert cfg.csv_path is None
         assert cfg.tspec.mean_msdu_bytes == 770
 
@@ -128,10 +137,42 @@ class TestSweepExpansion:
         ]
         assert [s.seed for s in scenarios] == [40 + i for i in range(8)]
 
-    def test_speed_sweep_needs_mobility(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, extra="  speed_mps: [5]"))
-        with pytest.raises(ConfigError, match="mobility"):
-            expand_scenarios(cfg)
+    def test_speed_axis_is_the_last_product_axis(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, extra=mobility("[1, 5]")))
+        scenarios = expand_scenarios(cfg)
+        combos = [(s.scheduler, len(s.stations), s.mobility.speed_mps) for s in scenarios]
+        assert combos == [
+            ("hcca", 1, 1), ("hcca", 1, 5), ("hcca", 2, 1), ("hcca", 2, 5),
+            ("atxop", 1, 1), ("atxop", 1, 5), ("atxop", 2, 1), ("atxop", 2, 5),
+        ]
+        assert [s.seed for s in scenarios] == [40 + i for i in range(8)]
+        assert {s.mobility.tiers for s in scenarios} == {((80, 54_000_000), (200, 6_000_000))}
+        assert {(s.mobility.start_s, s.mobility.initial_distance_ft) for s in scenarios} == {(0, 70)}
+
+    def test_scalar_speed_is_one_scenario(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, extra=mobility("5")))
+        assert [s.mobility.speed_mps for s in expand_scenarios(cfg)] == [5] * 4
+
+    def test_sweep_speed_is_unknown(self, tmp_path, capsys):
+        path = write_config(tmp_path, extra="  speed_mps: [5]\n" + mobility("5"))
+        with pytest.raises(ConfigError, match="unknown config key: sweep.speed_mps"):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        assert "sweep.speed_mps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("scheduler", "scheduler: [hcca, atxop]", "scheduler: []"),
+        ("phy.profile", "profile: 11g", "profile: []"),
+        ("sweep.stations", "stations: [1, 2]", "stations: []"),
+        ("sweep.per", "stations: [1, 2]", "stations: [1, 2]\n  per: []"),
+        ("mobility.speed_mps", "{extra}", mobility("[]")),
+    ], ids=["scheduler", "phy.profile", "sweep.stations", "sweep.per", "mobility.speed_mps"])
+    def test_empty_axis_rejected(self, tmp_path, capsys, name, old, new):
+        path = write_config(tmp_path, body=MINI.replace(old, new))
+        with pytest.raises(ConfigError, match=f"^{name} must list at least one value$"):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {name} must list at least one value\n"
 
 
 class TestRunExperiment:
@@ -156,6 +197,24 @@ class TestRunExperiment:
         assert len(got) == 5
         speed_col = got[0].index("speed_mps")
         assert all(line[speed_col] == "" for line in got[1:])
+
+    def test_util_per_speed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        extra = mobility("[1, 5]") + "\noutput:\n  csv: rows.csv"
+        rows = run_experiment(load_config(write_config(tmp_path, extra=extra)))
+        assert [row["speed_mps"] for row in rows] == [1.0, 5.0] * 4
+        baseline = {(row["n_offered"], row["speed_mps"]): row["aggregate_txop_s"]
+                    for row in rows if row["scheduler"] == "hcca"}
+        # the walk at 5 m/s reaches 6 Mb/s, so the baselines differ per speed
+        assert baseline[1, 1.0] != baseline[1, 5.0]
+        for row in rows:
+            base = baseline[row["n_offered"], row["speed_mps"]]
+            assert row["util_improvement"] == float(
+                utilization_improvement(base, row["aggregate_txop_s"])
+            )
+        with open(tmp_path / "rows.csv", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert [line["speed_mps"] for line in got] == ["1.0", "5.0"] * 4
 
     def test_util_blank_without_baseline(self, tmp_path):
         body = MINI.replace("[hcca, atxop]", "[atxop]")
@@ -249,6 +308,21 @@ class TestValidateAnalytic:
         monkeypatch.setattr(experiment, "run_scenario", no_run)
         with pytest.raises(ConfigError, match="data rate"):
             validate_analytic(cfg)
+
+    def test_mobility_rejected_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # the model prices payload at one rate; a walking group changes it
+        extra = ("mobility:\n  tiers: [[80, 4000000], [200, 1000000]]\n"
+                 "  speed_mps: 10\n  start_s: 20\n  initial_distance_ft: 30")
+        path = write_config(tmp_path, body=VALIDATE, extra=extra)
+
+        def no_run(scenario):
+            raise AssertionError(f"{scenario.name} ran before the mobility check")
+
+        monkeypatch.setattr(experiment, "run_scenario", no_run)
+        with pytest.raises(ConfigError, match="mobility"):
+            validate_analytic(load_config(path))
+        assert main(["validate-analytic", str(path)]) == 2
+        assert "mobility" in capsys.readouterr().err
 
     def test_one_model_evaluation_per_row(self, tmp_path, monkeypatch):
         body = VALIDATE.replace("stations: [1, 3]", "stations: [1]")
