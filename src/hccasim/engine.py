@@ -24,7 +24,8 @@ and the end of the run, computed once per run, and generating its frames
 up to a tick is one bisection of them.
 
 Per service interval the AP issues one TXOP per admitted stream, in
-admission (= AID) order. Grant boundaries are rigid: a station that
+admission order, which is not AID order when a stream with a higher AID
+starts first. Grant boundaries are rigid: a station that
 finishes early leaves the remainder idle, and a frame that does not fit
 stays queued. Under the multi-poll scheduler stations start their TXOP
 immediately when the preceding one ends, having counted down the

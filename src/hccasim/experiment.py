@@ -1,11 +1,10 @@
-"""Experiment configs, sweep expansion, and result tables.
+"""Experiment configs and result tables.
 
 A YAML config describes one experiment: a trace, a traffic contract, a
-PHY, run timing, and the sweep axes. run_experiment expands the sweep
-into scenarios (cartesian product: profile, scheduler, stations, loss
-rate, speed), runs them, and emits one CSV row per run. Rows carry the
-per-run seed so any line can be reproduced in isolation.
-"""
+PHY, run timing, and the sweep axes. load_config expands the sweep into
+scenarios (cartesian product: profile, scheduler, stations, loss rate,
+speed); run_experiment runs them and emits one CSV row per run. Rows
+carry the per-run seed so any line can be reproduced in isolation."""
 
 import csv
 import itertools
@@ -61,26 +60,16 @@ _SECTION_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    schedulers: tuple
-    profiles: tuple              # profile names, e.g. ("11g",)
-    control_rate: int | None
-    data_rate: int | None
-    trace: VideoTrace
-    tspec: Tspec
-    sim_time_s: Fraction
-    warmup_s: Fraction
-    station_start_s: Fraction
-    beacon_interval_s: Fraction
-    t_cp_s: Fraction
-    seed: int
-    stations_sweep: tuple
-    per_sweep: tuple
-    mobilities: tuple            # one Mobility per group speed; () without mobility
+    """An experiment: the scenarios of its sweep in run order, and the CSV
+    its rows go to (None: not written)."""
+
+    scenarios: tuple
     csv_path: str | None
 
 
 def _check_keys(section, mapping):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section} must be a mapping")
     allowed = _SECTION_KEYS[section]
     for key in mapping:
         if key not in allowed:
@@ -88,114 +77,134 @@ def _check_keys(section, mapping):
             raise ConfigError(f"unknown config key: {where}")
 
 
-def _axis(mapping, key, default, name):
-    """A sweep axis: one value or a non-empty list of them, as a tuple."""
-    value = mapping.get(key, default)
-    values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+def _convert(where, convert, value):
+    """convert(value), or a ConfigError naming the key the value is under."""
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: invalid value {value!r}") from None
+
+
+_REQUIRED = object()
+
+
+def _value(mapping, where, convert, default=_REQUIRED):
+    """The value of key where ("section.key") in mapping through convert;
+    a missing key gives default as is."""
+    key = where.rpartition(".")[2]
+    if key in mapping:
+        return _convert(where, convert, mapping[key])
+    if default is _REQUIRED:
+        raise ConfigError(f"{where} is required")
+    return default
+
+
+def _axis(mapping, where, convert, default):
+    """A sweep axis: one value or a non-empty list of them, the default
+    too, each through convert, as a tuple."""
+    value = mapping.get(where.rpartition(".")[2], default)
+    values = value if isinstance(value, (list, tuple)) else (value,)
     if not values:
-        raise ConfigError(f"{name} must list at least one value")
-    return values
+        raise ConfigError(f"{where} must list at least one value")
+    return tuple(_convert(where, convert, v) for v in values)
 
 
 def load_config(path) -> ExperimentConfig:
+    """The experiment a YAML config describes. Its sweep is the cartesian
+    product of profile, scheduler, stations, loss rate and speed, in that
+    order, and scenario i runs with seed run.seed + i, so any row can be
+    reproduced in isolation."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            at = f" at line {mark.line + 1}" if mark else ""
+            raise ConfigError(f"{path}: not valid YAML{at}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     _check_keys(None, doc)
-
     for section in ("phy", "traffic", "run"):
         if section not in doc:
             raise ConfigError(f"{path}: missing section {section!r}")
+    sections = {section: doc.get(section, {}) for section in _SECTION_KEYS if section}
+    sections["tspec"] = doc.get("tspec", {"derive": True})
+    for section, mapping in sections.items():
+        _check_keys(section, mapping)
+    phy, run, sweep = sections["phy"], sections["run"], sections["sweep"]
 
-    phy = doc["phy"]
-    _check_keys("phy", phy)
-    profiles = _axis(phy, "profile", "11g", "phy.profile")
-    for p in profiles:
-        if p not in PROFILES:
-            raise ConfigError(f"phy.profile: unknown profile {p!r}")
-
-    traffic = doc["traffic"]
-    _check_keys("traffic", traffic)
-    if "trace" not in traffic:
-        raise ConfigError("traffic.trace is required")
-    base = os.path.dirname(os.path.abspath(path))
-    trace_path = traffic["trace"]
+    trace_path = _value(sections["traffic"], "traffic.trace", os.fspath)
     if not os.path.isabs(trace_path):
+        base = os.path.dirname(os.path.abspath(path))
         trace_path = os.path.normpath(os.path.join(base, trace_path))
-
-    run = doc["run"]
-    _check_keys("run", run)
-
-    sweep = doc.get("sweep", {})
-    _check_keys("sweep", sweep)
-
-    output = doc.get("output", {})
-    _check_keys("output", output)
-
-    mobilities = ()
-    if "mobility" in doc:
-        m = doc["mobility"]
-        _check_keys("mobility", m)
-        tiers = tuple((exact(d), int(r)) for d, r in m["tiers"])
-        start_s, distance_ft = exact(m.get("start_s", 0)), exact(m.get("initial_distance_ft", 0))
-        mobilities = tuple(
-            Mobility(tiers, exact(speed), start_s, distance_ft)
-            for speed in _axis(m, "speed_mps", 0, "mobility.speed_mps")
-        )
-
     # parsed once here; every scenario of the experiment shares it
     trace = load_trace(trace_path)
-    tspec = _build_tspec(doc.get("tspec", {"derive": True}), trace)
+    tspec = _build_tspec(sections["tspec"], trace)
 
-    return ExperimentConfig(
-        name=doc.get("name", os.path.splitext(os.path.basename(path))[0]),
-        schedulers=_axis(doc, "scheduler", SCHEDULERS, "scheduler"),
-        profiles=profiles,
-        control_rate=int(phy["control_rate"]) if "control_rate" in phy else None,
-        data_rate=int(phy["data_rate"]) if "data_rate" in phy else None,
-        trace=trace,
-        tspec=tspec,
-        sim_time_s=exact(run["sim_time_s"]),
-        warmup_s=exact(run.get("warmup_s", 0)),
-        station_start_s=exact(run.get("station_start_s", 0)),
-        beacon_interval_s=exact(run.get("beacon_interval_s", "0.12")),
-        t_cp_s=exact(run.get("t_cp_s", 0)),
-        seed=int(run.get("seed", 0)),
-        stations_sweep=tuple(int(n) for n in _axis(sweep, "stations", 1, "sweep.stations")),
-        per_sweep=tuple(float(p) for p in _axis(sweep, "per", 0.0, "sweep.per")),
-        mobilities=mobilities,
-        csv_path=output.get("csv"),
+    mobilities = (None,)
+    if "mobility" in doc:
+        m = sections["mobility"]
+        tiers = _value(m, "mobility.tiers", lambda ts: tuple((exact(d), int(r)) for d, r in ts))
+        start_s = _value(m, "mobility.start_s", exact, Fraction(0))
+        distance_ft = _value(m, "mobility.initial_distance_ft", exact, Fraction(0))
+        mobilities = tuple(
+            Mobility(tiers, speed, start_s, distance_ft)
+            for speed in _axis(m, "mobility.speed_mps", exact, 0)
+        )
+
+    station_start_s = _value(run, "run.station_start_s", exact, Fraction(0))
+    counts = _axis(sweep, "sweep.stations", int, 1)
+    stations = {
+        n: tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec, start_s=station_start_s)
+                 for i in range(n))
+        for n in counts
+    }
+    shared = dict(
+        sim_time_s=_value(run, "run.sim_time_s", exact),
+        beacon_interval_s=_value(run, "run.beacon_interval_s", exact, Fraction("0.12")),
+        t_cp_s=_value(run, "run.t_cp_s", exact, Fraction(0)),
+        warmup_s=_value(run, "run.warmup_s", exact, Fraction(0)),
+        control_rate=_value(phy, "phy.control_rate", int, None),
+        data_rate=_value(phy, "phy.data_rate", int, None),
     )
+    name = _value(doc, "name", str, os.path.splitext(os.path.basename(path))[0])
+    seed = _value(run, "run.seed", int, 0)
+    sweep_axes = itertools.product(
+        _axis(phy, "phy.profile", PROFILES.__getitem__, "11g"),
+        _axis(doc, "scheduler", str, SCHEDULERS),
+        counts,
+        _axis(sweep, "sweep.per", float, 0.0),
+        mobilities,
+    )
+    scenarios = tuple(
+        Scenario(name=f"{name}[{i}]", scheduler=scheduler, profile=profile,
+                 stations=stations[n], per=per, seed=seed + i, mobility=mobility, **shared)
+        for i, (profile, scheduler, n, per, mobility) in enumerate(sweep_axes)
+    )
+    return ExperimentConfig(scenarios, _value(sections["output"], "output.csv", os.fspath, None))
 
 
 def _build_tspec(section, trace) -> Tspec:
-    _check_keys("tspec", section)
-    explicit = {k: v for k, v in section.items() if k != "derive"}
-    delay_bound_s = exact(explicit.pop("delay_bound_s", "0.08"))
-    min_rate_bps = int(explicit.pop("min_phy_rate_bps", 11_000_000))
-    msi_s = exact(explicit.pop("msi_s", "0.04"))
+    delay_bound_s = _value(section, "tspec.delay_bound_s", exact, Fraction("0.08"))
+    min_rate_bps = _value(section, "tspec.min_phy_rate_bps", int, 11_000_000)
+    msi_s = _value(section, "tspec.msi_s", exact, Fraction("0.04"))
     if section.get("derive"):
-        derived = derive_tspec(
+        explicit = {"mean_msdu_bytes", "max_msdu_bytes", "mean_rate_bps"} & set(section)
+        if explicit:
+            raise ConfigError(
+                f"tspec.derive conflicts with explicit keys: {sorted(explicit)}"
+            )
+        return derive_tspec(
             trace_stats(trace),
             max(trace.sizes),
             delay_bound_s=delay_bound_s,
             min_rate_bps=min_rate_bps,
             msi_s=msi_s,
         )
-        if explicit:
-            raise ConfigError(
-                f"tspec.derive conflicts with explicit keys: {sorted(explicit)}"
-            )
-        return derived
-    required = {"mean_msdu_bytes", "max_msdu_bytes", "mean_rate_bps"}
-    missing = required - set(explicit)
-    if missing:
-        raise ConfigError(f"tspec is missing keys: {sorted(missing)}")
     return Tspec(
-        mean_msdu_bytes=int(explicit["mean_msdu_bytes"]),
-        max_msdu_bytes=int(explicit["max_msdu_bytes"]),
-        mean_rate_bps=exact(explicit["mean_rate_bps"]),
+        mean_msdu_bytes=_value(section, "tspec.mean_msdu_bytes", int),
+        max_msdu_bytes=_value(section, "tspec.max_msdu_bytes", int),
+        mean_rate_bps=_value(section, "tspec.mean_rate_bps", exact),
         delay_bound_s=delay_bound_s,
         min_phy_rate_bps=min_rate_bps,
         msi_s=msi_s,
@@ -203,41 +212,8 @@ def _build_tspec(section, trace) -> Tspec:
 
 
 def expand_scenarios(config: ExperimentConfig):
-    """Cartesian sweep in a fixed order so run seeds are reproducible."""
-    scenarios = []
-    index = 0
-    for profile_name, scheduler, n, per, mob in itertools.product(
-        config.profiles, config.schedulers, config.stations_sweep,
-        config.per_sweep, config.mobilities or (None,),
-    ):
-        stations = tuple(
-            StationSpec(
-                aid=i + 1,
-                trace=config.trace,
-                tspec=config.tspec,
-                start_s=config.station_start_s,
-            )
-            for i in range(n)
-        )
-        scenarios.append(
-            Scenario(
-                name=f"{config.name}[{index}]",
-                scheduler=scheduler,
-                profile=PROFILES[profile_name],
-                stations=stations,
-                sim_time_s=config.sim_time_s,
-                beacon_interval_s=config.beacon_interval_s,
-                t_cp_s=config.t_cp_s,
-                warmup_s=config.warmup_s,
-                control_rate=config.control_rate,
-                data_rate=config.data_rate,
-                per=per,
-                seed=config.seed + index,
-                mobility=mob,
-            )
-        )
-        index += 1
-    return scenarios
+    """The experiment's scenarios, in run order, as a list."""
+    return list(config.scenarios)
 
 
 def _row_from_result(result):
@@ -304,7 +280,7 @@ def _run_all(scenarios, jobs):
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
     """Run the full sweep; returns the result rows and writes the CSV
     when the config names one."""
-    results = _run_all(expand_scenarios(config), jobs)
+    results = _run_all(config.scenarios, jobs)
     rows = [_row_from_result(r) for r in results]
     _fill_utilization(rows)
     if config.csv_path:
@@ -323,57 +299,61 @@ def emit_table2(profile, control_rate=None, n_max=12):
 VALIDATION_COLUMNS = ("scheduler", "n", "model_ms", "sim_ms", "rel_err", "model_alt_ms")
 
 
-def validate_analytic(config: ExperimentConfig, jobs: int = 1):
-    """Closed-form delay versus simulated delay over the sweep.
-
-    The model and the simulator must see the same measured window: the
-    stations start at the warmup boundary, so measured frames are the
-    trace prefix and the model walks the same per-interval sizes."""
-    if config.warmup_s != config.station_start_s:
+def _check_modelable(sc):
+    """The model's preconditions on one scenario. The model and the
+    simulator must see the same measured window: the stations start at the
+    warmup boundary, so measured frames are the trace prefix and the model
+    walks the same per-interval sizes."""
+    if any(st.start_s != sc.warmup_s for st in sc.stations):
         raise ConfigError("validation needs station_start_s == warmup_s")
-    if config.mobilities:
+    if sc.mobility is not None:
         raise ConfigError("validation needs a fixed data rate: the model has no mobility")
-    for name in config.profiles:
-        data_rate = PROFILES[name].data_rate if config.data_rate is None else config.data_rate
-        if data_rate != config.tspec.min_phy_rate_bps:
-            raise ConfigError(
-                "validation needs tspec.min_phy_rate_bps equal to the "
-                f"operative data rate ({data_rate})"
-            )
-    si = compute_si(config.beacon_interval_s, config.tspec.msi_s)
-    if config.sim_time_s - config.warmup_s < si:
+    data_rate = sc.profile.data_rate if sc.data_rate is None else sc.data_rate
+    if any(st.tspec.min_phy_rate_bps != data_rate for st in sc.stations):
+        raise ConfigError(
+            "validation needs tspec.min_phy_rate_bps equal to the "
+            f"operative data rate ({data_rate})"
+        )
+    si = compute_si(sc.beacon_interval_s, min(st.tspec.msi_s for st in sc.stations))
+    if sc.sim_time_s - sc.warmup_s < si:
         raise ConfigError(
             f"validation needs a measured window of at least one service interval ({float(si):g} s)"
         )
-    results = _run_all(expand_scenarios(config), jobs)
 
+
+def validate_analytic(config: ExperimentConfig, jobs: int = 1):
+    """Closed-form delay versus simulated delay, one row per scenario that
+    delivered a frame in its measured window. Every scenario is checked
+    before any runs. The model covers the streams the scenario admitted,
+    with the trace and TSPEC its stations share; the n column is the
+    offered count."""
+    for sc in config.scenarios:
+        _check_modelable(sc)
     rows = []
-    for result in results:
+    for result in _run_all(config.scenarios, jobs):
         sc = result.scenario
-        n = len(sc.stations)
-        si = result.si_s
         report = result.report()
         if not report.n_delivered:
             continue
-        m_intervals = int((sc.sim_time_s - sc.warmup_s) / si)
+        n = result.n_admitted
+        si = result.si_s
+        spec = sc.stations[0]
         inputs = analytic_inputs(
-            config.trace, n, config.tspec, si, sc.profile,
+            spec.trace, n, spec.tspec, si, sc.profile,
             control_rate=sc.control_rate,
-            m_intervals=m_intervals,
+            m_intervals=int((sc.sim_time_s - sc.warmup_s) / si),
         )
         primary = aggregate_delay(sc.scheduler, inputs)
-        model_us = primary / n
-        alt_us = aggregate_delay_alt(inputs, primary) / n
+        model_ms = float(primary / n) / 1000
         sim_ms = report.mean_delay_ms
-        model_ms = float(model_us) / 1000
         rows.append(
             {
                 "scheduler": sc.scheduler,
-                "n": n,
+                "n": result.n_offered,
                 "model_ms": model_ms,
                 "sim_ms": sim_ms,
                 "rel_err": abs(model_ms - sim_ms) / sim_ms,
-                "model_alt_ms": float(alt_us) / 1000,
+                "model_alt_ms": float(aggregate_delay_alt(inputs, primary) / n) / 1000,
             }
         )
     return rows

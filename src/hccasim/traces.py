@@ -192,9 +192,8 @@ def derive_tspec(
     msi_s,
 ) -> Tspec:
     """Build a traffic contract from measured statistics plus caller limits."""
-    mean = int(stats.mean_size) if stats.mean_size.denominator == 1 else int(round(float(stats.mean_size)))
     return Tspec(
-        mean_msdu_bytes=mean,
+        mean_msdu_bytes=round(stats.mean_size),
         max_msdu_bytes=max_size,
         mean_rate_bps=Fraction(stats.mean_bitrate),
         delay_bound_s=exact(delay_bound_s),

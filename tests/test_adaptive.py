@@ -267,7 +267,7 @@ class TestBuildMultipoll:
         first = by_si(result)[0]
         assert [(g.duration_us, g.basis) for g in first] == [(FALLBACK, GrantBasis.REFERENCE_MEAN)] * 3
 
-    def test_ledger_consumed_by_build(self):
+    def test_lost_report_gives_mean_grant_next_interval(self):
         # a report sizes one grant only: after a lost frame (and with it
         # the report it carried) the next interval falls back
         result = run("amtxop", [const_trace(50, 2700)] * 2, TSPEC_54,
@@ -282,7 +282,7 @@ class TestBuildMultipoll:
                 checked += 1
         assert checked > 0
 
-    def test_fallback_overhead_override(self):
+    def test_fallback_is_reference_grant_without_poll(self):
         # the multi-poll fallback is the mean-based grant without its own poll
         result = run("amtxop", [const_trace(5, 2700)], TSPEC_54)
         hcca = grants_us(run("hcca", [const_trace(5, 2700)], TSPEC_54))[0]
@@ -293,7 +293,7 @@ class TestBuildMultipoll:
         for grants in by_si(mixed_run()).values():
             assert [g.aid for g in grants] == [1, 2, 3]
 
-    def test_empty_polling_list_rejected(self):
+    def test_no_multipoll_without_active_station(self):
         # no active station, no multi-poll: every stream stops after 0.1 s
         with pytest.raises(ValueError):
             airtime_multipoll(0, PROFILE_11G, 2_000_000)

@@ -272,6 +272,20 @@ class TestAdmissionInEngine:
         # rejected stream generates nothing
         assert result.n_generated == 5 * 3
 
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_polling_follows_admission_not_aid(self, scheduler):
+        # aid 2 starts at 0 and aid 1 at 0.1 s: every interval polls aid 2 first
+        trace = const_trace(10, 2700)
+        sc = replace(
+            make_scenario(scheduler, 1, trace, TSPEC_54, sim_time_s=Fraction(2, 5)),
+            stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54, start_s=Fraction(1, 10)),
+                      StationSpec(aid=2, trace=trace, tspec=TSPEC_54)),
+        )
+        by_si = {}
+        for g in grants_us(run_scenario(sc)):
+            by_si.setdefault(g.si_index, []).append(g.aid)
+        assert [by_si[k] for k in sorted(by_si)] == [[2]] * 3 + [[2, 1]] * 7
+
     def test_late_starter_joins_running_schedule(self):
         trace = const_trace(5, 2700)
         stations = (

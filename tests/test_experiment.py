@@ -64,17 +64,22 @@ def write_config(tmp_path, extra="", body=None):
 class TestLoadConfig:
     def test_minimal(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.name == "mini"
-        assert cfg.schedulers == ("hcca", "atxop")
-        assert cfg.profiles == ("11g",)
-        assert cfg.control_rate == 2_000_000
-        assert cfg.sim_time_s == 1
-        assert cfg.warmup_s == Fraction(1, 5)
-        assert cfg.stations_sweep == (1, 2)
-        assert cfg.per_sweep == (0.0,)
-        assert cfg.mobilities == ()
+        scs = cfg.scenarios
+
+        def axis(values):
+            return tuple(dict.fromkeys(values))
+
+        assert [s.name for s in scs] == [f"mini[{i}]" for i in range(4)]
+        assert axis(s.scheduler for s in scs) == ("hcca", "atxop")
+        assert axis(s.profile.name for s in scs) == ("11g",)
+        assert axis(s.control_rate for s in scs) == (2_000_000,)
+        assert axis(s.sim_time_s for s in scs) == (1,)
+        assert axis(s.warmup_s for s in scs) == (Fraction(1, 5),)
+        assert axis(len(s.stations) for s in scs) == (1, 2)
+        assert axis(s.per for s in scs) == (0.0,)
+        assert axis(s.mobility for s in scs) == (None,)
         assert cfg.csv_path is None
-        assert cfg.tspec.mean_msdu_bytes == 770
+        assert axis(st.tspec.mean_msdu_bytes for s in scs for st in s.stations) == (770,)
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = write_config(tmp_path, extra="output:\n  csvv: x.csv")
@@ -102,7 +107,7 @@ class TestLoadConfig:
         path = sub / "config.yaml"
         path.write_text(body.format(extra=""))
         cfg = load_config(path)
-        assert cfg.trace == load_trace(sub / "t.txt")
+        assert {st.trace for s in cfg.scenarios for st in s.stations} == {load_trace(sub / "t.txt")}
 
     def test_derived_tspec_matches_trace(self, tmp_path):
         extra = ""
@@ -111,10 +116,11 @@ class TestLoadConfig:
             "tspec:\n  derive: true\n  min_phy_rate_bps: 4000000",
         )
         cfg = load_config(write_config(tmp_path, extra=extra, body=body))
-        assert cfg.tspec.mean_msdu_bytes == 765
-        assert cfg.tspec.max_msdu_bytes == 1100
-        assert cfg.tspec.mean_rate_bps == 153_000
-        assert cfg.tspec.min_phy_rate_bps == 4_000_000
+        (tspec,) = {st.tspec for s in cfg.scenarios for st in s.stations}
+        assert tspec.mean_msdu_bytes == 765
+        assert tspec.max_msdu_bytes == 1100
+        assert tspec.mean_rate_bps == 153_000
+        assert tspec.min_phy_rate_bps == 4_000_000
 
     def test_unknown_profile(self, tmp_path):
         path = write_config(tmp_path)
@@ -283,6 +289,16 @@ class TestValidateAnalytic:
             assert row["model_ms"] < row["sim_ms"]
             assert row["model_alt_ms"] > row["model_ms"]
 
+    def test_model_covers_the_admitted_streams(self, tmp_path):
+        # at 4 Mb/s 12 streams are admitted: the 13th offered one is
+        # rejected, so both rows model, and run, the same 12 streams
+        body = (VALIDATE.replace("[hcca, atxop, amtxop]", "[hcca]")
+                .replace("stations: [1, 3]", "stations: [12, 13]"))
+        rows = validate_analytic(load_config(write_config(tmp_path, body=body)))
+        assert [row["n"] for row in rows] == [12, 13]
+        assert rows[0]["model_ms"] == rows[1]["model_ms"]
+        assert rows[0]["sim_ms"] == rows[1]["sim_ms"]
+
     def test_requires_aligned_start(self, tmp_path):
         body = VALIDATE.replace("station_start_s: 20", "station_start_s: 0")
         cfg = load_config(write_config(tmp_path, body=body))
@@ -387,6 +403,27 @@ class TestCli:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1
         assert errors[0].startswith("error:") and "rate must be > 0" in errors[0]
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("{extra}", mobility("5").replace("  tiers: [[80, 54000000], [200, 6000000]]\n", ""),
+         "mobility.tiers is required"),
+        ("stations: [1, 2]", "stations: [three]", "sweep.stations: invalid value 'three'"),
+        ("stations: [1, 2]", "stations: [1, 2]\n  per: [x]", "sweep.per: invalid value 'x'"),
+        ("run:\n  sim_time_s: 1\n  warmup_s: 0.2\n  beacon_interval_s: 0.12\n  seed: 40",
+         "run: 5", "run must be a mapping"),
+        ("sim_time_s: 1", "sim_time_s: abc", "run.sim_time_s: invalid value 'abc'"),
+        ("control_rate: 2000000", "control_rate: fast", "phy.control_rate: invalid value 'fast'"),
+        ("{extra}", mobility("5").replace("[80, 54000000]", "[80]"),
+         "mobility.tiers: invalid value [[80], [200, 6000000]]"),
+        ("[hcca, atxop]", "[hcca, atxop", "not valid YAML at line"),
+    ], ids=["no-tiers", "stations", "per", "run-not-mapping", "sim-time", "control-rate",
+            "short-tier", "yaml-syntax"])
+    def test_malformed_value_is_one_error_line(self, tmp_path, capsys, old, new, message):
+        path = write_config(tmp_path, body=MINI.replace(old, new))
+        assert main(["run", str(path)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ") and message in errors[0]
 
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")

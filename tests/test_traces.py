@@ -136,6 +136,18 @@ def test_derive_tspec_carries_stats():
     assert ts.delay_bound_s == Fraction(2, 25)
 
 
+@pytest.mark.parametrize("sizes, exact_mean, mean", [
+    ((100, 301), Fraction(401, 2), 200),
+    ((100, 303), Fraction(403, 2), 202),
+])
+def test_derive_tspec_rounds_a_half_integer_mean_to_even(sizes, exact_mean, mean):
+    s = trace_stats(two_frame_trace(sizes))
+    assert s.mean_size == exact_mean
+    ts = derive_tspec(s, max_size=max(sizes), delay_bound_s=0.08, min_rate_bps=11_000_000,
+                      msi_s=0.04)
+    assert ts.mean_msdu_bytes == mean
+
+
 def test_derive_tspec_rejects_msi_above_delay_bound():
     s = trace_stats(two_frame_trace())
     with pytest.raises(InvalidTspec):
