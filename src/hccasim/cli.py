@@ -18,7 +18,6 @@ from .experiment import (
     load_config,
     run_experiment,
     validate_analytic,
-    write_validation_csv,
 )
 from .phy import PROFILES
 from .traces import load_trace, trace_stats
@@ -90,9 +89,8 @@ def _cmd_validate(args):
               file=sys.stderr)
         return 1
     _print_table(rows, VALIDATION_COLUMNS)
-    if args.csv:
-        write_validation_csv(rows, args.csv)
-        print(f"wrote {args.csv}")
+    if config.csv_path:
+        print(f"wrote {config.csv_path}")
     worst = max(r["rel_err"] for r in rows)
     print(f"max relative error: {worst:.4f} (bound {args.bound})")
     return 0 if worst < args.bound else 1
@@ -130,7 +128,6 @@ def build_parser():
     p_val = sub.add_parser("validate-analytic", help="delay model vs simulation")
     p_val.add_argument("config")
     p_val.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
-    p_val.add_argument("--csv", default=None, help="write rows to this CSV")
     p_val.add_argument("--bound", type=float, default=0.10, help="pass/fail error bound")
     p_val.set_defaults(func=_cmd_validate)
 

@@ -3,11 +3,13 @@
 A YAML config describes one experiment: a trace, a traffic contract, a
 PHY, run timing, and the sweep axes. load_config expands the sweep into
 scenarios (cartesian product: profile, scheduler, stations, loss rate,
-speed); run_experiment runs them and emits one CSV row per run. Rows
+speed); run_experiment and validate_analytic run them, emit one row per
+run and write the rows to the config's output.csv when it names one. Rows
 carry the per-run seed so any line can be reproduced in isolation."""
 
 import csv
 import itertools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from .errors import ConfigError
 from .hcca import SCHEDULERS, compute_si
 from .metrics import utilization_improvement
 from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
-from .traces import Tspec, VideoTrace, derive_tspec, load_trace, trace_stats
+from .traces import Tspec, derive_tspec, load_trace, trace_stats
 from .util import exact
 
 CSV_COLUMNS = (
@@ -85,6 +87,14 @@ def _convert(where, convert, value):
         raise ConfigError(f"{where}: invalid value {value!r}") from None
 
 
+def _integer(value):
+    """value as an int; a bool or a value with a fractional part raises."""
+    number = exact(value)
+    if isinstance(value, bool) or number.denominator != 1:
+        raise ValueError(value)
+    return int(number)
+
+
 _REQUIRED = object()
 
 
@@ -144,7 +154,8 @@ def load_config(path) -> ExperimentConfig:
     mobilities = (None,)
     if "mobility" in doc:
         m = sections["mobility"]
-        tiers = _value(m, "mobility.tiers", lambda ts: tuple((exact(d), int(r)) for d, r in ts))
+        tiers = _value(m, "mobility.tiers",
+                       lambda ts: tuple((exact(d), _integer(r)) for d, r in ts))
         start_s = _value(m, "mobility.start_s", exact, Fraction(0))
         distance_ft = _value(m, "mobility.initial_distance_ft", exact, Fraction(0))
         mobilities = tuple(
@@ -153,7 +164,7 @@ def load_config(path) -> ExperimentConfig:
         )
 
     station_start_s = _value(run, "run.station_start_s", exact, Fraction(0))
-    counts = _axis(sweep, "sweep.stations", int, 1)
+    counts = _axis(sweep, "sweep.stations", _integer, 1)
     stations = {
         n: tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec, start_s=station_start_s)
                  for i in range(n))
@@ -164,11 +175,11 @@ def load_config(path) -> ExperimentConfig:
         beacon_interval_s=_value(run, "run.beacon_interval_s", exact, Fraction("0.12")),
         t_cp_s=_value(run, "run.t_cp_s", exact, Fraction(0)),
         warmup_s=_value(run, "run.warmup_s", exact, Fraction(0)),
-        control_rate=_value(phy, "phy.control_rate", int, None),
-        data_rate=_value(phy, "phy.data_rate", int, None),
+        control_rate=_value(phy, "phy.control_rate", _integer, None),
+        data_rate=_value(phy, "phy.data_rate", _integer, None),
     )
     name = _value(doc, "name", str, os.path.splitext(os.path.basename(path))[0])
-    seed = _value(run, "run.seed", int, 0)
+    seed = _value(run, "run.seed", _integer, 0)
     sweep_axes = itertools.product(
         _axis(phy, "phy.profile", PROFILES.__getitem__, "11g"),
         _axis(doc, "scheduler", str, SCHEDULERS),
@@ -186,7 +197,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _build_tspec(section, trace) -> Tspec:
     delay_bound_s = _value(section, "tspec.delay_bound_s", exact, Fraction("0.08"))
-    min_rate_bps = _value(section, "tspec.min_phy_rate_bps", int, 11_000_000)
+    min_rate_bps = _value(section, "tspec.min_phy_rate_bps", _integer, 11_000_000)
     msi_s = _value(section, "tspec.msi_s", exact, Fraction("0.04"))
     if section.get("derive"):
         explicit = {"mean_msdu_bytes", "max_msdu_bytes", "mean_rate_bps"} & set(section)
@@ -202,8 +213,8 @@ def _build_tspec(section, trace) -> Tspec:
             msi_s=msi_s,
         )
     return Tspec(
-        mean_msdu_bytes=_value(section, "tspec.mean_msdu_bytes", int),
-        max_msdu_bytes=_value(section, "tspec.max_msdu_bytes", int),
+        mean_msdu_bytes=_value(section, "tspec.mean_msdu_bytes", _integer),
+        max_msdu_bytes=_value(section, "tspec.max_msdu_bytes", _integer),
         mean_rate_bps=_value(section, "tspec.mean_rate_bps", exact),
         delay_bound_s=delay_bound_s,
         min_phy_rate_bps=min_rate_bps,
@@ -239,19 +250,14 @@ def _fill_utilization(rows):
     """Relative TXOP saving versus the reference scheduler run with the
     same PHY, population, loss rate, and speed. Reference rows get 0;
     rows with no reference stay blank."""
-    baseline = {}
+    point = operator.itemgetter("phy", "n_offered", "per", "speed_mps")
+    baseline = {point(row): row["aggregate_txop_s"] for row in rows if row["scheduler"] == "hcca"}
     for row in rows:
-        if row["scheduler"] == "hcca":
-            key = (row["phy"], row["n_offered"], row["per"], row["speed_mps"])
-            baseline[key] = row["aggregate_txop_s"]
-    for row in rows:
-        key = (row["phy"], row["n_offered"], row["per"], row["speed_mps"])
+        base = baseline.get(point(row), 0)
         if row["scheduler"] == "hcca":
             row["util_improvement"] = 0.0
-        elif key in baseline and baseline[key] > 0:
-            row["util_improvement"] = float(
-                utilization_improvement(baseline[key], row["aggregate_txop_s"])
-            )
+        elif base > 0:
+            row["util_improvement"] = float(utilization_improvement(base, row["aggregate_txop_s"]))
 
 
 def _write_table(rows, path, columns):
@@ -299,6 +305,10 @@ def emit_table2(profile, control_rate=None, n_max=12):
 VALIDATION_COLUMNS = ("scheduler", "n", "model_ms", "sim_ms", "rel_err", "model_alt_ms")
 
 
+def write_validation_csv(rows, path):
+    _write_table(rows, path, VALIDATION_COLUMNS)
+
+
 def _check_modelable(sc):
     """The model's preconditions on one scenario. The model and the
     simulator must see the same measured window: the stations start at the
@@ -323,10 +333,11 @@ def _check_modelable(sc):
 
 def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     """Closed-form delay versus simulated delay, one row per scenario that
-    delivered a frame in its measured window. Every scenario is checked
-    before any runs. The model covers the streams the scenario admitted,
-    with the trace and TSPEC its stations share; the n column is the
-    offered count."""
+    delivered a frame in its measured window; writes the rows (only the
+    header when there are none) to the CSV the config names. Every
+    scenario is checked before any runs. The model covers the streams the
+    scenario admitted, with the trace and TSPEC its stations share; the n
+    column is the offered count."""
     for sc in config.scenarios:
         _check_modelable(sc)
     rows = []
@@ -356,8 +367,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
                 "model_alt_ms": float(aggregate_delay_alt(inputs, primary) / n) / 1000,
             }
         )
+    if config.csv_path:
+        write_validation_csv(rows, config.csv_path)
     return rows
 
-
-def write_validation_csv(rows, path):
-    _write_table(rows, path, VALIDATION_COLUMNS)

@@ -81,6 +81,15 @@ class TestLoadConfig:
         assert cfg.csv_path is None
         assert axis(st.tspec.mean_msdu_bytes for s in scs for st in s.stations) == (770,)
 
+    def test_integral_values_read_as_ints(self, tmp_path):
+        body = (MINI.replace("control_rate: 2000000", "control_rate: 2000000.0")
+                .replace("stations: [1, 2]", "stations: [1.0, '2']")
+                .replace("seed: 40", "seed: 4.0e+1"))
+        scs = load_config(write_config(tmp_path, body=body)).scenarios
+        assert [(s.control_rate, len(s.stations), s.seed) for s in scs] == [
+            (2_000_000, 1, 40), (2_000_000, 2, 41), (2_000_000, 1, 42), (2_000_000, 2, 43)]
+        assert all(type(s.control_rate) is int and type(s.seed) is int for s in scs)
+
     def test_unknown_key_named_in_error(self, tmp_path):
         path = write_config(tmp_path, extra="output:\n  csvv: x.csv")
         with pytest.raises(ConfigError, match="output.csvv"):
@@ -416,8 +425,21 @@ class TestCli:
         ("{extra}", mobility("5").replace("[80, 54000000]", "[80]"),
          "mobility.tiers: invalid value [[80], [200, 6000000]]"),
         ("[hcca, atxop]", "[hcca, atxop", "not valid YAML at line"),
+        ("stations: [1, 2]", "stations: [2.5]", "sweep.stations: invalid value 2.5"),
+        ("seed: 40", "seed: 6.7", "run.seed: invalid value 6.7"),
+        ("control_rate: 2000000", "control_rate: true", "phy.control_rate: invalid value True"),
+        ("control_rate: 2000000", "control_rate: 2000000\n  data_rate: 54000000.5",
+         "phy.data_rate: invalid value 54000000.5"),
+        ("max_msdu_bytes: 1100", "max_msdu_bytes: 1100.5",
+         "tspec.max_msdu_bytes: invalid value 1100.5"),
+        ("mean_rate_bps: 150000", "mean_rate_bps: 150000\n  min_phy_rate_bps: false",
+         "tspec.min_phy_rate_bps: invalid value False"),
+        ("{extra}", mobility("5").replace("[200, 6000000]", "[200, 6000000.25]"),
+         "mobility.tiers: invalid value [[80, 54000000], [200, 6000000.25]]"),
     ], ids=["no-tiers", "stations", "per", "run-not-mapping", "sim-time", "control-rate",
-            "short-tier", "yaml-syntax"])
+            "short-tier", "yaml-syntax", "fractional-stations", "fractional-seed",
+            "bool-control-rate", "fractional-data-rate", "fractional-msdu-bytes",
+            "bool-min-phy-rate", "fractional-tier-rate"])
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, body=MINI.replace(old, new))
         assert main(["run", str(path)]) == 2
@@ -440,14 +462,37 @@ class TestCli:
         assert main(["table2", "--n-max", "4"]) == 0
         assert "multipoll" in capsys.readouterr().out
 
+    @staticmethod
+    def validate_config(tmp_path):
+        """VALIDATE at 2 stations, its rows written to v.csv in tmp_path."""
+        body = VALIDATE.replace("stations: [1, 3]", "stations: [2]")
+        return write_config(tmp_path, body=body, extra=f"output:\n  csv: {tmp_path / 'v.csv'}")
+
     def test_validate_gate(self, tmp_path, capsys):
-        path = write_config(tmp_path, body=VALIDATE.replace("stations: [1, 3]", "stations: [2]"))
-        assert main(["validate-analytic", str(path), "--csv", str(tmp_path / "v.csv")]) == 0
+        path = self.validate_config(tmp_path)
+        assert main(["validate-analytic", str(path)]) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
+        assert f"wrote {tmp_path / 'v.csv'}" in out
         assert (tmp_path / "v.csv").exists()
         # an absurdly tight bound must flip the exit code
         assert main(["validate-analytic", str(path), "--bound", "0.0001"]) == 1
+
+    def test_validate_writes_output_csv(self, tmp_path):
+        # the bytes `validate-analytic --csv` wrote before output.csv named the file
+        assert main(["validate-analytic", str(self.validate_config(tmp_path))]) == 0
+        assert (tmp_path / "v.csv").read_bytes() == (
+            b"scheduler,n,model_ms,sim_ms,rel_err,model_alt_ms\r\n"
+            b"hcca,2,3.4843800000000003,3.76438,0.0743814386432825,5.02676\r\n"
+            b"atxop,2,3.15057,3.43079,0.08167798087320993,4.69295\r\n"
+            b"amtxop,2,3.00857,3.28879,0.08520458892176147,4.550949999999999\r\n"
+        )
+
+    def test_validate_csv_flag_is_gone(self, tmp_path, capsys):
+        path = self.validate_config(tmp_path)
+        argv = ["validate-analytic", str(path), "--csv", str(tmp_path / "other.csv")]
+        assert "--csv" in self.rejected(capsys, argv)
+        assert not (tmp_path / "other.csv").exists()
 
     def test_validate_window_shorter_than_one_si(self, tmp_path, capsys, monkeypatch):
         # 20 ms measured against a 40 ms SI: no whole interval to model
@@ -464,11 +509,13 @@ class TestCli:
         # every frame is displayed after the 4 s window ends: nothing is compared
         late = tmp_path / "late.txt"
         late.write_text("".join(f"{k} I {5000 + 40 * k} 800\n" for k in range(50)))
-        path = write_config(tmp_path, body=VALIDATE.replace("{trace}", str(late)))
+        path = write_config(tmp_path, body=VALIDATE.replace("{trace}", str(late)),
+                            extra=f"output:\n  csv: {tmp_path / 'v.csv'}")
         assert main(["validate-analytic", str(path)]) == 1
         captured = capsys.readouterr()
         assert "max relative error" not in captured.out
         assert len(captured.err.splitlines()) == 1 and "no scenario" in captured.err
+        assert (tmp_path / "v.csv").read_bytes() == b"scheduler,n,model_ms,sim_ms,rel_err,model_alt_ms\r\n"
 
     @pytest.mark.parametrize("command", ["run", "validate-analytic"])
     def test_trace_file_parsed_once(self, tmp_path, monkeypatch, command):

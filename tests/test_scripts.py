@@ -1,0 +1,56 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PRESET = """\
+scheduler: hcca
+phy:
+  profile: 11g
+traffic:
+  trace: {trace}
+tspec:
+  mean_msdu_bytes: 770
+  max_msdu_bytes: 1100
+  mean_rate_bps: 150000
+run:
+  sim_time_s: 0.5
+{output}"""
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunAllPresets:
+    def test_every_failure_is_reported(self, tmp_path, monkeypatch, capsys):
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        trace = ROOT / "traces" / "jp1_low.txt"
+        outputs = {
+            "with_csv": "output:\n  csv: results/with_csv.csv\n",
+            "no_csv": "",
+            "unlisted": "output:\n  csv: results/unlisted.csv\n",
+        }
+        for name, output in outputs.items():
+            (presets / f"{name}.yaml").write_text(PRESET.format(trace=trace, output=output))
+        (presets / "SHA256SUMS").write_text(
+            f"{'0' * 64}  results/with_csv.csv\n{'1' * 64}  results/gone.csv\n")
+        script = load_script("run_all_presets")
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        monkeypatch.setattr(script, "PRESETS", {"with_csv": "run", "no_csv": "run"})
+        monkeypatch.setattr(sys, "argv", ["run_all_presets.py"])
+        monkeypatch.chdir(tmp_path)
+        assert script.main() == 1
+        failed = capsys.readouterr().out.splitlines()[-1]
+        assert failed == (
+            "FAILED: unlisted.yaml (not in PRESETS), no_csv (no output.csv), "
+            f"results/with_csv.csv digest (expected {'0' * 64}), "
+            "results/gone.csv (in SHA256SUMS, not written)"
+        )
+        assert (tmp_path / "results" / "with_csv.csv").is_file()
+        assert not (tmp_path / "results" / "unlisted.csv").exists()
