@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,18 @@ from hypothesis import strategies as st
 from hccasim.analytic import (
     SCHEDULERS,
     AnalyticInputs,
+    _walk,
     aggregate_delay,
     aggregate_delay_alt,
     analytic_inputs,
     position_delays,
     td_i,
 )
-from hccasim.phy import PROFILE_11G, airtime_multipoll
+from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_control, airtime_data, airtime_multipoll
 from hccasim.traces import Tspec, load_trace, parse_trace
 
-from conftest import ROOT, VALIDATION
+from conftest import ROOT, VALIDATION, entries
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s
 REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
@@ -250,3 +253,78 @@ class TestInputBuilder:
         with pytest.raises(ValueError):
             analytic_inputs(parse_trace(self.TRACE), 0, self.tspec(), Fraction(1, 25), PROFILE_11G,
                             m_intervals=3)
+
+
+def _identity_misses(result, inputs, control_rate, rate):
+    """Measured frames of a model-comparison run whose simulated delay is
+    not the model's delay plus the two header terms the model leaves out,
+    to the tick, and the count of measured frames.
+
+    Every station starts at the warmup boundary, in AID order, so polling
+    position i is AID i+1, and SI = frame interval, so interval k holds one
+    frame per station, generated at the interval start. The model omits
+    c1, a data frame's PLCP and MAC header, once per predecessor, and
+    c0 = c1 + prop - SIFS around the own burst. In interval 0 no report is
+    held yet, so every grant is mean-sized and nothing is reclaimed: the
+    adaptive schedulers grant as hcca does, and under amtxop a broadcast
+    poll replaces each slot's own poll."""
+    scheduler, profile, K = result.scenario.scheduler, result.scenario.profile, result.K
+    c1 = airtime_data(0, profile, rate)
+    c0 = c1 + profile.prop_delay_us - profile.sifs_us
+    # the model's delays as integers over den, and c0 + i*c1 in ticks over den
+    rows, den = _walk(scheduler, inputs)
+    offsets = [_int(K * (c0 + i * c1) * den) for i in range(inputs.n_stations)]
+    if scheduler != "hcca":
+        row = position_delays("hcca", replace(inputs, payload_us=inputs.payload_us[:1]))[0]
+        if scheduler == "amtxop":
+            t_poll = airtime_control(profile, control_rate)
+            t_mpoll = airtime_multipoll(inputs.n_stations, profile, control_rate)
+            row = [d + t_mpoll - (i + 1) * t_poll - profile.sifs_us for i, d in enumerate(row)]
+        rows[0] = [_int(d * den) for d in row]
+    si_t = _int(K * US_PER_S * result.si_s)
+    misses = frames = 0
+    for aid, _seq, _size, gen, rx in entries(result.deliveries):
+        if gen >= result.warmup_tick:
+            frames += 1
+            i = aid - 1
+            misses += (rx - gen) * den != K * rows[(gen - result.warmup_tick) // si_t][i] + offsets[i]
+    return misses, frames
+
+
+def _int(x):
+    """An exact value as an int when it is whole, so that comparing it is cheap."""
+    return int(x) if x.denominator == 1 else x
+
+
+class TestModelPinnedToEngine:
+    """At SI = frame interval and without loss, the model and the engine
+    are two implementations of one timing: they agree on every frame to
+    the tick, up to the terms the model leaves out."""
+
+    def test_validation_runs(self, lab):
+        # the runs of the analytic-validation acceptance check: 11g, 1 Mb/s
+        # control, payload at the contract rate, 750 measured intervals
+        for trace_name in ("jp1_high", "jp1_low"):
+            tspec = VALIDATION[trace_name]
+            for n in range(1, 13):
+                inputs = analytic_inputs(lab.trace(trace_name), n, tspec, Fraction(1, 25), PROFILE_11G,
+                                         control_rate=1_000_000, m_intervals=750)
+                for scheduler in SCHEDULERS:
+                    result = lab.validation_run(trace_name, scheduler, n)
+                    got = _identity_misses(result, inputs, 1_000_000, tspec.min_phy_rate_bps)
+                    assert got == (0, 750 * n), (trace_name, scheduler, n)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_11b_runs(self, lab, scheduler, n):
+        tspec = VALIDATION["jp1_low"]
+        trace = lab.trace("jp1_low")
+        result = run_scenario(Scenario(
+            name="pin-11b", scheduler=scheduler, profile=PROFILE_11B,
+            stations=tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n)),
+            sim_time_s=Fraction(10), beacon_interval_s=Fraction(3, 25),
+            control_rate=2_000_000, data_rate=tspec.min_phy_rate_bps,
+        ))
+        inputs = analytic_inputs(trace, n, tspec, Fraction(1, 25), PROFILE_11B,
+                                 control_rate=2_000_000, m_intervals=250)
+        assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * n)
