@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run every bundled experiment preset through the subcommand PRESETS
 names for it, each writing the CSV its config names under output.csv.
-Takes about 6 s serially on a 2-vCPU host; --jobs spreads runs over worker
-processes. Ends with the SHA-256 of every CSV written and exits 1 when one
-differs from presets/SHA256SUMS (sha256sum format, paths relative to the
-working directory), when SHA256SUMS names a CSV no preset wrote, or when a
-presets/*.yaml is not in PRESETS, so it would never run, or names no
-output.csv."""
+Takes about 3 s serially on a 2-vCPU host; --jobs spreads runs over
+worker processes. Ends with the SHA-256 of every CSV written and exits 1
+when one differs from presets/SHA256SUMS (sha256sum format, paths
+relative to the working directory), when SHA256SUMS names a CSV no preset
+wrote, or when a presets/*.yaml is not in PRESETS, so it would never run,
+or names no output.csv."""
 
 import argparse
 import hashlib
@@ -47,14 +47,14 @@ def main():
     written = []
     for name, command in PRESETS.items():
         path = ROOT / "presets" / f"{name}.yaml"
-        csv_path = load_config(path).csv_path
-        if not csv_path:
+        config = load_config(path)
+        if not config.csv_path:
             failures.append(f"{name} (no output.csv)")
             continue
-        written.append(Path.cwd() / csv_path)
+        written.append(Path.cwd() / config.csv_path)
         print(f"=== {command} {name} ===", flush=True)
         t0 = time.time()
-        code = cli_main([command, str(path), "--jobs", str(args.jobs)])
+        code = cli_main([command, str(path), "--jobs", str(args.jobs)], config)
         print(f"--- {name}: exit {code} in {time.time() - t0:.1f}s\n", flush=True)
         if code != 0:
             failures.append(name)

@@ -14,9 +14,12 @@ stations. The inputs are exact (`Fraction` or `int` microseconds); the
 walk runs on integers over the lcm of their denominators, and each
 result is divided once.
 
-The model deliberately ignores PHY header time on data PPDUs and counts
-one interframe space around the own burst, so a discrete-event run sits
-a few percent above it, uniformly across schedulers and loads.
+Every term is priced from `phy.exchange` at the payload rate. Against a
+loss-free run at SI = frame interval the model leaves out exactly two
+terms, both the header time `hdr` of a data PPDU: c1 = hdr for each
+predecessor and c0 = hdr + prop - sifs for the own burst. Except in
+interval 0 of atxop/amtxop: no report is held there yet, so the run's
+grants are mean-sized and reclaim nothing, where the model reclaims.
 """
 
 import math
@@ -24,17 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcca import SCHEDULERS, reference_bytes
-from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll
+from .phy import Exchange, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
 from .util import exact
 
 
-def td_i(payload_us, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
+def td_i(payload_us, price: Exchange) -> Fraction:
     """Time one predecessor burst occupies the channel: its payload time
     plus a poll, an ACK, three interframe spaces and one propagation
     delay."""
-    t_poll = t_ack = airtime_control(profile, control_rate)
-    return exact(payload_us) + t_poll + t_ack + 3 * profile.sifs_us + profile.prop_delay_us
+    return exact(payload_us) + price.poll + price.ack + 3 * price.sifs + price.prop
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,10 @@ class AnalyticInputs:
     reference payload time its mean-based grant would cover.
     """
 
-    profile: PhyProfile
+    price: Exchange       # the exchange at the payload rate
+    t_mpoll: Fraction     # one multi-poll for all the stations
     ref_payload_us: tuple
     payload_us: tuple
-    control_rate: int | None = None
 
     def __post_init__(self):
         if not self.ref_payload_us:
@@ -69,14 +71,6 @@ class AnalyticInputs:
     def m_intervals(self) -> int:
         return len(self.payload_us)
 
-    @property
-    def t_poll(self) -> Fraction:
-        return airtime_control(self.profile, self.control_rate)
-
-    @property
-    def t_mpoll(self) -> Fraction:
-        return airtime_multipoll(self.n_stations, self.profile, self.control_rate)
-
 
 def _scaled(values, den):
     """Exact values as integers over den, a multiple of their denominators."""
@@ -90,15 +84,15 @@ def _walk(scheduler: str, inputs: AnalyticInputs):
     so far."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected one of {SCHEDULERS}")
-    sifs = inputs.profile.sifs_us
+    price = inputs.price
     if scheduler == "amtxop":
         # multi-poll: one broadcast poll up front, predecessors shed their
         # individual polls, the own burst follows its backoff after one SIFS
-        first, shed = inputs.t_mpoll + sifs, inputs.t_poll
+        first, shed = inputs.t_mpoll + price.sifs, price.poll
     else:
-        first, shed = inputs.t_poll + 2 * sifs, 0
+        first, shed = price.poll + 2 * price.sifs, 0
     refs = inputs.ref_payload_us
-    steps = [td_i(ref, inputs.profile, inputs.control_rate) - shed for ref in refs]
+    steps = [td_i(ref, price) - shed for ref in refs]
     payload = inputs.payload_us
     den = math.lcm(first.denominator, *{v.denominator for v in (*refs, *steps)},
                    *{p.denominator for row in payload for p in row})
@@ -141,7 +135,7 @@ def aggregate_delay_alt(inputs: AnalyticInputs, primary: Fraction) -> Fraction:
     payload = inputs.payload_us
     den = math.lcm(*{p.denominator for row in payload for p in row})
     n_sifs = inputs.m_intervals * inputs.n_stations
-    extra = sum(sum(_scaled(row, den)) for row in payload) + n_sifs * inputs.profile.sifs_us * den
+    extra = sum(sum(_scaled(row, den)) for row in payload) + n_sifs * inputs.price.sifs * den
     return primary + Fraction(extra, den * inputs.m_intervals)
 
 
@@ -163,7 +157,7 @@ def analytic_inputs(
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     si = exact(si_s)
-    rate = tspec.min_phy_rate_bps
+    price = exchange(profile, control_rate, tspec.min_phy_rate_bps)
 
     # interval k holds the display times d with floor(d / display_den / (1000 si)) = k
     num, den = si.numerator * 1000 * trace.display_den, si.denominator
@@ -175,13 +169,10 @@ def analytic_inputs(
         bins[k] = bins.get(k, 0) + size
     sizes = [bins.get(k, 0) for k in range(m_intervals)]
 
-    payload = tuple(
-        (Fraction(s * 8 * US_PER_S, rate),) * n_stations for s in sizes
-    )
-    ref = Fraction(reference_bytes(tspec, si) * 8 * US_PER_S, rate)
+    b_num, b_den = price.byte.as_integer_ratio()   # cheaper per interval than s * price.byte
     return AnalyticInputs(
-        profile=profile,
-        ref_payload_us=(ref,) * n_stations,
-        payload_us=payload,
-        control_rate=control_rate,
+        price=price,
+        t_mpoll=airtime_multipoll(n_stations, profile, control_rate),
+        ref_payload_us=(Fraction(reference_bytes(tspec, si) * b_num, b_den),) * n_stations,
+        payload_us=tuple((Fraction(s * b_num, b_den),) * n_stations for s in sizes),
     )

@@ -65,11 +65,10 @@ def _print_table(rows, columns):
 
 
 def _cmd_run(args):
-    config = load_config(args.config)
-    rows = run_experiment(config, jobs=args.jobs)
+    rows = run_experiment(args.config, jobs=args.jobs)
     _print_table(rows, CSV_COLUMNS)
-    if config.csv_path:
-        print(f"wrote {config.csv_path}")
+    if args.config.csv_path:
+        print(f"wrote {args.config.csv_path}")
     return 0
 
 
@@ -82,15 +81,14 @@ def _cmd_table2(args):
 
 
 def _cmd_validate(args):
-    config = load_config(args.config)
-    rows = validate_analytic(config, jobs=args.jobs)
+    rows = validate_analytic(args.config, jobs=args.jobs)
     if not rows:
         print("error: no scenario delivered a frame in the measured window; nothing to compare",
               file=sys.stderr)
         return 1
     _print_table(rows, VALIDATION_COLUMNS)
-    if config.csv_path:
-        print(f"wrote {config.csv_path}")
+    if args.config.csv_path:
+        print(f"wrote {args.config.csv_path}")
     worst = max(r["rel_err"] for r in rows)
     print(f"max relative error: {worst:.4f} (bound {args.bound})")
     return 0 if worst < args.bound else 1
@@ -139,10 +137,12 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None, config=None) -> int:
+    """Run the command line argv; config, if given, is the config file it names, parsed."""
+    args = build_parser().parse_args(argv)
     try:
+        if "config" in vars(args):
+            args.config = load_config(args.config) if config is None else config
         return args.func(args)
     except (ConfigError, InvalidTspec, TraceParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,7 +91,7 @@ from .hcca import (
     txop_reference,
 )
 from .metrics import MetricsReport, build_report
-from .phy import US_PER_S, PhyProfile, airtime_control, airtime_multipoll, plcp_time_us
+from .phy import US_PER_S, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
 from .util import exact
 
@@ -293,16 +293,6 @@ class _Sim:
         self.per = scenario.per
         self.rng = random.Random(scenario.seed)
 
-        # per-exchange constants (integer ticks)
-        self.sifs_t = self.profile.sifs_us * self.K
-        self.dp_t = self.profile.prop_delay_us * self.K
-        # an ACK and a single poll are the same header-only PPDU
-        self.ack_t = self.poll_t = self._to_ticks(airtime_control(self.profile, self.ctrl))
-        self.plcp_t = self._to_ticks(plcp_time_us(self.profile))
-        # an exchange ends SIFS, ACK, SIFS after its data frame
-        self.post_t = 2 * self.sifs_t + self.ack_t
-        # the broadcast multi-poll replaces every slot's own poll
-        self.shed_t = self.poll_t if self.multipoll else 0
         self.multipoll_t = {}     # multi-poll airtime ticks per station count
 
         self.deliveries = []
@@ -316,9 +306,8 @@ class _Sim:
         self.n_beacons = -(-self.end_tick // self._sec_ticks(self.bi))   # TBTTs before the end
         self.n_lost = self.n_lost_measured = self.n_null_lost = 0
 
-        # the run's PHY rate (None until set), ticks per payload byte, a data
-        # frame's ticks for 0 payload bytes and the report-sized grant for 0 bytes
-        self.rate = self.byte_t = self.hdr_t = self.one_t = None
+        # the run's PHY rate and the exchange at it, None until set
+        self.rate = self.price = None
         self.out_of_range = False
         if scenario.mobility is None:
             self._set_rate(base_rate)
@@ -383,15 +372,25 @@ class _Sim:
     def _plan(self, si) -> list:
         """Each contract's mean-based reference grant at the SI and the
         run's rate, in ticks and poll included: what admission charges."""
-        return [self._to_ticks(txop_reference(tspec, si, self.profile, self.ctrl, self.rate))
-                for tspec in self.tspecs]
+        return [self._to_ticks(txop_reference(tspec, si, self.price)) for tspec in self.tspecs]
 
     def _set_rate(self, rate):
-        """Make rate the run's PHY rate and re-plan every grant at it."""
+        """Make rate the run's PHY rate, price one exchange at it in ticks,
+        and re-plan every grant at it."""
         self.rate = rate
-        self.byte_t = self._to_ticks(Fraction(8 * US_PER_S, rate))
-        self.hdr_t = self.plcp_t + self.profile.mac_header_bytes * self.byte_t
-        self.one_t = self._to_ticks(reference_overhead(1, self.profile, self.ctrl, rate)) - self.shed_t
+        self.price = price = exchange(self.profile, self.ctrl, rate)
+        self.sifs_t = self._to_ticks(price.sifs)
+        self.dp_t = self._to_ticks(price.prop)
+        self.poll_t = self._to_ticks(price.poll)
+        # a data frame's ticks for 0 payload bytes, and per payload byte
+        self.hdr_t = self._to_ticks(price.hdr)
+        self.byte_t = self._to_ticks(price.byte)
+        # an exchange ends SIFS, ACK, SIFS after its data frame
+        self.post_t = 2 * self.sifs_t + self._to_ticks(price.ack)
+        # the broadcast multi-poll replaces every slot's own poll
+        self.shed_t = self.poll_t if self.multipoll else 0
+        # the report-sized grant for 0 bytes
+        self.one_t = self._to_ticks(reference_overhead(1, price)) - self.shed_t
         if self.si_s is not None:
             self.plan = self._plan(self.si_s)
 

@@ -5,8 +5,9 @@ The reference scheduler sizes every grant from the TSPEC means, so grants
 are constant for a fixed admitted set. Admission charges these reference
 grants: the engine sizes every traffic contract's grant at the candidate
 SI and asks `admissible` whether the admitted streams' sum fits the
-contention-free share of the beacon interval. All arithmetic is exact; durations are Fractions of
-microseconds and intervals Fractions of seconds.
+contention-free share of the beacon interval. All arithmetic is exact;
+durations are Fractions of microseconds and intervals Fractions of
+seconds.
 """
 
 import math
@@ -14,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError
-from .phy import US_PER_S, PhyProfile, airtime_control, airtime_data
+from .phy import Exchange
 from .traces import Tspec
 from .util import exact
 
@@ -53,22 +54,14 @@ def msdu_count(si_s, rho_bps, mean_msdu_bytes: int) -> int:
     return max(1, n)
 
 
-def reference_overhead(
-    n_msdus: int,
-    profile: PhyProfile,
-    control_rate: int | None = None,
-    data_rate_override: int | None = None,
-) -> Fraction:
+def reference_overhead(n_msdus: int, price: Exchange) -> Fraction:
     """Per-TXOP overhead: one poll, then per MSDU an ACK, the data frame's
     preamble/PLCP/MAC header, and three interframe spaces, plus one
-    propagation delay. The MAC header goes at data_rate_override, by
-    default the profile data rate."""
+    propagation delay."""
     if n_msdus < 1:
         raise ValueError("n_msdus must be >= 1")
-    t_poll = t_ack = airtime_control(profile, control_rate)
-    t_hdr = airtime_data(0, profile, data_rate_override)
-    per_msdu = t_ack + t_hdr + 3 * profile.sifs_us
-    return t_poll + n_msdus * per_msdu + profile.prop_delay_us
+    per_msdu = price.ack + price.hdr + 3 * price.sifs
+    return price.poll + n_msdus * per_msdu + price.prop
 
 
 def reference_bytes(tspec: Tspec, si_s) -> int:
@@ -78,19 +71,12 @@ def reference_bytes(tspec: Tspec, si_s) -> int:
     return max(n * tspec.mean_msdu_bytes, tspec.max_msdu_bytes)
 
 
-def txop_reference(
-    tspec: Tspec,
-    si_s,
-    profile: PhyProfile,
-    control_rate: int | None,
-    rate: int,
-) -> Fraction:
+def txop_reference(tspec: Tspec, si_s, price: Exchange) -> Fraction:
     """The mean-based grant in microseconds, poll included: the reference
-    payload plus the overhead of one MSDU exchange per mean MSDU, payload
-    and MAC headers both at the PHY rate given."""
+    payload plus the overhead of one MSDU exchange per mean MSDU, at the
+    exchange's price."""
     n = msdu_count(si_s, tspec.mean_rate_bps, tspec.mean_msdu_bytes)
-    t_payload = Fraction(reference_bytes(tspec, si_s) * 8 * US_PER_S, rate)
-    return t_payload + reference_overhead(n, profile, control_rate, rate)
+    return reference_bytes(tspec, si_s) * price.byte + reference_overhead(n, price)
 
 
 def admissible(load, si, beacon_interval_s, t_cp_s) -> bool:

@@ -8,6 +8,7 @@ the effective PHY rate of the frame.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -127,14 +128,35 @@ def airtime_multipoll(n_stations: int, profile: PhyProfile, control_rate: int | 
     return _control_ppdu_us(body_bytes, profile, control_rate)
 
 
+class Exchange(NamedTuple):
+    """The parts of one polled exchange, in us: a poll, then per frame a
+    data PPDU and its ACK, with interframe spaces between them and one
+    propagation delay."""
+
+    poll: Fraction    # a single poll, and an ACK: the same header-only PPDU
+    hdr: Fraction     # a data PPDU carrying no payload
+    byte: Fraction    # one payload byte of a data PPDU
+    sifs: int
+    prop: int
+
+    @property
+    def ack(self) -> Fraction:
+        return self.poll
+
+
+def exchange(profile: PhyProfile, control_rate: int | None, rate: int) -> Exchange:
+    """The price of one polled exchange: polls and ACKs at control_rate
+    (the profile basic rate when None), data PPDUs at rate."""
+    return Exchange(airtime_control(profile, control_rate), airtime_data(0, profile, rate),
+                    _bits_time_us(8, rate), profile.sifs_us, profile.prop_delay_us)
+
+
 def poll_gain_ratio(n_stations: int, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
     """Relative poll-overhead saving of one multi-poll over n single polls.
 
     Clamped at zero: with a single station the multi-poll is slightly
     longer than a single poll and there is nothing to gain.
     """
-    if n_stations < 1:
-        raise ValueError("n_stations must be >= 1")
     single = airtime_control(profile, control_rate)
     multi = airtime_multipoll(n_stations, profile, control_rate)
     raw = 1 - multi / (n_stations * single)

@@ -12,7 +12,7 @@ from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, p
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.hcca import admissible, compute_si, txop_reference
 from hccasim.experiment import emit_table2
-from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
+from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll, exchange
 from hccasim.traces import parse_trace
 
 from conftest import CANONICAL, SCHEDULERS, VALIDATION, entries
@@ -32,7 +32,7 @@ def _admission_capacity(profile, data_rate, control_rate, tspec, limit=30):
     """Admit identical streams, each charged its reference grant per SI,
     until one is rejected."""
     si = compute_si(BI, tspec.msi_s)
-    grant = txop_reference(tspec, si, profile, control_rate, data_rate)
+    grant = txop_reference(tspec, si, exchange(profile, control_rate, data_rate))
     count = 0
     while count < limit and admissible((count + 1) * grant, si * 1_000_000, BI, 0):
         count += 1
@@ -284,16 +284,16 @@ def test_criterion_10_property_suites(lab):
     # closed-form identity: the multi-poll delay differs from the
     # single-poll adaptive delay by exactly the poll restructuring
     inputs = AnalyticInputs(
-        profile=PROFILE_11G,
+        price=exchange(PROFILE_11G, 2_000_000, PROFILE_11G.data_rate),
+        t_mpoll=airtime_multipoll(5, PROFILE_11G, 2_000_000),
         ref_payload_us=(Fraction(2000),) * 5,
         payload_us=tuple(
             tuple(Fraction(900 + 13 * i + 7 * k) for i in range(5)) for k in range(3)
         ),
-        control_rate=2_000_000,
     )
     am_rows, at_rows = position_delays("amtxop", inputs), position_delays("atxop", inputs)
     identity = all(
-        am - at == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
+        am - at == inputs.t_mpoll - i * inputs.price.poll - PROFILE_11G.sifs_us
         for am_row, at_row in zip(am_rows, at_rows)
         for i, (am, at) in enumerate(zip(am_row, at_row), start=1)
     )

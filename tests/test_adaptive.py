@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from hccasim.engine import Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
-from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll
+from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll, exchange
 from hccasim.traces import Tspec, parse_trace
 
 from conftest import grants_us, records
 
 # one MSDU exchange at 11 Mb/s behind its own 2 Mb/s poll: the report-sized
 # grant for 0 bytes on 802.11b
-O_ONE_11B = reference_overhead(1, PROFILE_11B, 2_000_000)    # Fraction(10144, 11)
+O_ONE_11B = reference_overhead(1, exchange(PROFILE_11B, 2_000_000, 11_000_000))   # 10144/11
 
 
 def make_tspec(L=3800, M=7500, rho=770_000, R=11_000_000):
@@ -74,7 +74,7 @@ class TestAdaptiveGrant:
         result = run("atxop", [trace], TSPEC_54, sim_time_s=Fraction(3, 25))
         big = grants_us(result)[1]
         assert big.basis is GrantBasis.PIGGYBACK_SIZE
-        one = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000)
+        one = reference_overhead(1, exchange(PROFILE_11G, 2_000_000, 54_000_000))
         assert big.duration_us == Fraction(12000 * 8, 54) + one
         assert big.duration_us > REF_54
         assert (1, 12000) in {(r.sequence, r.size_bytes) for r in records(result)}
@@ -85,7 +85,7 @@ class TestAdaptiveGrant:
         result = run("atxop", [const_trace(5, 3800)], ts, profile=PROFILE_11B)
         first = grants_us(result)[0]
         assert first.basis is GrantBasis.REFERENCE_MEAN
-        expect = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
+        expect = txop_reference(ts, Fraction(1, 25), exchange(PROFILE_11B, 2_000_000, 11_000_000))
         assert first.duration_us == expect
         assert first.duration_us == Fraction(77370, 11)
 
@@ -186,8 +186,9 @@ class TestLostExchanges:
 # per interval, a 5400-byte maximum, and slots without a poll of their own
 TSPEC_54 = make_tspec(2700, 5400, 540_000, 54_000_000)
 O_POLL_11G = airtime_control(PROFILE_11G, 2_000_000)   # 264
-O_SLOT = reference_overhead(1, PROFILE_11G, 2_000_000, 54_000_000) - O_POLL_11G   # 1264/3
-REF_54 = txop_reference(TSPEC_54, Fraction(1, 25), PROFILE_11G, 2_000_000, 54_000_000)
+PRICE_54 = exchange(PROFILE_11G, 2_000_000, 54_000_000)
+O_SLOT = reference_overhead(1, PRICE_54) - O_POLL_11G   # 1264/3
+REF_54 = txop_reference(TSPEC_54, Fraction(1, 25), PRICE_54)
 FALLBACK = REF_54 - O_POLL_11G   # 800 + 1264/3
 
 

@@ -17,7 +17,15 @@ from hccasim.analytic import (
     td_i,
 )
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_control, airtime_data, airtime_multipoll
+from hccasim.phy import (
+    PROFILE_11B,
+    PROFILE_11G,
+    US_PER_S,
+    airtime_control,
+    airtime_data,
+    airtime_multipoll,
+    exchange,
+)
 from hccasim.traces import Tspec, load_trace, parse_trace
 
 from conftest import ROOT, VALIDATION, entries
@@ -27,13 +35,18 @@ REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
 MEAN = Fraction(3820 * 8 * 10**6, 36_000_000)     # 7640/9 us
 
 
-def make_inputs(n=2, m=1, ref=REF, payload=MEAN, control_rate=1_000_000):
+def inputs_11g(refs, payload, control_rate=1_000_000):
+    """Model inputs on 11g with the payload at 36 Mb/s."""
     return AnalyticInputs(
-        profile=PROFILE_11G,
-        ref_payload_us=(ref,) * n,
-        payload_us=tuple(((payload,) * n) for _ in range(m)),
-        control_rate=control_rate,
+        price=exchange(PROFILE_11G, control_rate, 36_000_000),
+        t_mpoll=airtime_multipoll(len(refs), PROFILE_11G, control_rate),
+        ref_payload_us=tuple(refs),
+        payload_us=tuple(payload),
     )
+
+
+def make_inputs(n=2, m=1, ref=REF, payload=MEAN, control_rate=1_000_000):
+    return inputs_11g((ref,) * n, (((payload,) * n) for _ in range(m)), control_rate)
 
 
 def fractions(lo, hi):
@@ -48,44 +61,39 @@ def random_inputs(draw):
     payload = tuple(
         tuple(draw(fractions(0, 5000)) for _ in range(n)) for _ in range(m)
     )
-    return AnalyticInputs(
-        profile=PROFILE_11G,
-        ref_payload_us=refs,
-        payload_us=payload,
-        control_rate=draw(st.sampled_from([None, 1_000_000, 2_000_000])),
-    )
+    return inputs_11g(refs, payload, draw(st.sampled_from([None, 1_000_000, 2_000_000])))
 
 
 class TestPredecessorTerm:
     def test_composition_at_54_control(self):
         # one mean MSDU at 54 Mb/s with control frames at the data rate
         payload = Fraction(3800 * 8 * 10**6, 54_000_000)
-        assert td_i(payload, PROFILE_11G, 54_000_000) == Fraction(22832, 27)
+        assert td_i(payload, exchange(PROFILE_11G, 54_000_000, 54_000_000)) == Fraction(22832, 27)
 
     def test_composition_at_1_control(self):
-        assert td_i(REF, PROFILE_11G, 1_000_000) == REF + 848
+        assert td_i(REF, exchange(PROFILE_11G, 1_000_000, 36_000_000)) == REF + 848
 
 
 def _d_si_reference(scheduler, i, inputs, k):
     """Delay of position i in interval k as the direct sum over its
     predecessors j < i: the quadratic form of the model, kept as the
     oracle for position_delays."""
-    sifs = inputs.profile.sifs_us
+    sifs, t_poll = inputs.price.sifs, inputs.price.poll
     refs, actual = inputs.ref_payload_us, inputs.payload_us[k]
     own = actual[i - 1]
     preds = range(1, i)
-    td = [td_i(refs[j - 1], inputs.profile, inputs.control_rate) for j in preds]
+    td = [td_i(refs[j - 1], inputs.price) for j in preds]
 
     def unused(j):
         gap = refs[j - 1] - actual[j - 1]
         return gap if gap > 0 else Fraction(0)
 
     if scheduler == "hcca":
-        return sum(td, Fraction(0)) + own + inputs.t_poll + 2 * sifs
+        return sum(td, Fraction(0)) + own + t_poll + 2 * sifs
     if scheduler == "atxop":
         reclaimed = sum((unused(j) for j in preds), Fraction(0))
-        return sum(td, Fraction(0)) - reclaimed + own + inputs.t_poll + 2 * sifs
-    reclaimed = sum((unused(j) + inputs.t_poll for j in preds), Fraction(0))
+        return sum(td, Fraction(0)) - reclaimed + own + t_poll + 2 * sifs
+    reclaimed = sum((unused(j) + t_poll for j in preds), Fraction(0))
     return inputs.t_mpoll + sum(td, Fraction(0)) - reclaimed + own + sifs
 
 
@@ -108,7 +116,7 @@ class TestPerStationDelay:
         inputs = make_inputs()
         sifs = PROFILE_11G.sifs_us
         hcca, atxop, amtxop = (position_delays(s, inputs)[0][0] for s in SCHEDULERS)
-        assert hcca == MEAN + inputs.t_poll + 2 * sifs
+        assert hcca == MEAN + inputs.price.poll + 2 * sifs
         assert atxop == hcca
         assert amtxop == inputs.t_mpoll + MEAN + sifs
 
@@ -137,7 +145,7 @@ class TestPerStationDelay:
         rows = zip(position_delays("amtxop", inputs), position_delays("atxop", inputs))
         for am_row, at_row in rows:
             for i, (am, at) in enumerate(zip(am_row, at_row), start=1):
-                assert am - at == inputs.t_mpoll - i * inputs.t_poll - PROFILE_11G.sifs_us
+                assert am - at == inputs.t_mpoll - i * inputs.price.poll - PROFILE_11G.sifs_us
 
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
@@ -175,24 +183,18 @@ class TestAggregate:
         assert gap == 2 * MEAN + 2 * PROFILE_11G.sifs_us
 
     def test_varying_intervals(self):
-        inputs = AnalyticInputs(
-            profile=PROFILE_11G,
-            ref_payload_us=(REF,),
-            payload_us=((MEAN,), (Fraction(0),)),
-            control_rate=1_000_000,
-        )
+        inputs = inputs_11g((REF,), ((MEAN,), (Fraction(0),)))
         (d0,), (d1,) = position_delays("hcca", inputs)
         assert aggregate_delay("hcca", inputs) == (d0 + d1) / 2
 
     def test_shape_validation(self):
+        price = exchange(PROFILE_11G, 1_000_000, 36_000_000)
+        t_mpoll = airtime_multipoll(1, PROFILE_11G, 1_000_000)
         with pytest.raises(ValueError):
-            AnalyticInputs(
-                profile=PROFILE_11G,
-                ref_payload_us=(REF,),
-                payload_us=((MEAN, MEAN),),
-            )
+            AnalyticInputs(price=price, t_mpoll=t_mpoll, ref_payload_us=(REF,),
+                           payload_us=((MEAN, MEAN),))
         with pytest.raises(ValueError):
-            AnalyticInputs(profile=PROFILE_11G, ref_payload_us=(), payload_us=())
+            AnalyticInputs(price=price, t_mpoll=t_mpoll, ref_payload_us=(), payload_us=())
 
 
 class TestInputBuilder:
@@ -286,8 +288,8 @@ def _identity_misses(result, inputs, control_rate, rate):
     for aid, _seq, _size, gen, rx in entries(result.deliveries):
         if gen >= result.warmup_tick:
             frames += 1
-            i = aid - 1
-            misses += (rx - gen) * den != K * rows[(gen - result.warmup_tick) // si_t][i] + offsets[i]
+            k, i = (gen - result.warmup_tick) // si_t, aid - 1
+            misses += (rx - gen) * den != K * rows[k][i] + offsets[i]
     return misses, frames
 
 
@@ -307,8 +309,8 @@ class TestModelPinnedToEngine:
         for trace_name in ("jp1_high", "jp1_low"):
             tspec = VALIDATION[trace_name]
             for n in range(1, 13):
-                inputs = analytic_inputs(lab.trace(trace_name), n, tspec, Fraction(1, 25), PROFILE_11G,
-                                         control_rate=1_000_000, m_intervals=750)
+                inputs = analytic_inputs(lab.trace(trace_name), n, tspec, Fraction(1, 25),
+                                         PROFILE_11G, control_rate=1_000_000, m_intervals=750)
                 for scheduler in SCHEDULERS:
                     result = lab.validation_run(trace_name, scheduler, n)
                     got = _identity_misses(result, inputs, 1_000_000, tspec.min_phy_rate_bps)

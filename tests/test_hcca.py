@@ -13,7 +13,7 @@ from hccasim.hcca import (
     reference_overhead,
     txop_reference,
 )
-from hccasim.phy import PROFILE_11B, PROFILE_11G
+from hccasim.phy import PROFILE_11B, PROFILE_11G, exchange
 from hccasim.traces import Tspec
 
 
@@ -98,29 +98,31 @@ class TestMsduCount:
 
 class TestOverheadAndGrant:
     def test_overhead_composition_11g_two_msdus(self):
-        got = reference_overhead(2, PROFILE_11G, control_rate=2_000_000)
+        got = reference_overhead(2, exchange(PROFILE_11G, 2_000_000, 54_000_000))
         assert got == Fraction(3314, 3)
 
     def test_overhead_composition_11g_single(self):
-        assert reference_overhead(1, PROFILE_11G, 2_000_000) == Fraction(2056, 3)
+        got = reference_overhead(1, exchange(PROFILE_11G, 2_000_000, 54_000_000))
+        assert got == Fraction(2056, 3)
 
     def test_overhead_11b_two_msdus(self):
-        assert reference_overhead(2, PROFILE_11B, 2_000_000) == Fraction(16570, 11)
+        got = reference_overhead(2, exchange(PROFILE_11B, 2_000_000, 11_000_000))
+        assert got == Fraction(16570, 11)
 
     def test_overhead_header_follows_data_rate_override(self):
         # at 6 Mb/s the per-MSDU header term is 168 us instead of 376/3
-        got = reference_overhead(2, PROFILE_11G, 2_000_000, data_rate_override=6_000_000)
+        got = reference_overhead(2, exchange(PROFILE_11G, 2_000_000, 6_000_000))
         assert got == Fraction(1190)
 
     def test_overhead_rejects_zero_msdus(self):
         with pytest.raises(ValueError):
-            reference_overhead(0, PROFILE_11G)
+            reference_overhead(0, exchange(PROFILE_11G, None, 54_000_000))
 
     def test_grant_mean_dominated(self):
         # two mean MSDUs outweigh one max MSDU: 60800 bits vs 60000 bits
         ts = make_tspec()
         assert reference_bytes(ts, Fraction(1, 25)) == 7600
-        g = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
+        g = txop_reference(ts, Fraction(1, 25), exchange(PROFILE_11B, 2_000_000, 11_000_000))
         assert g == Fraction(60800 * 1_000_000, 11_000_000) + Fraction(16570, 11)
         assert g == Fraction(77370, 11)
 
@@ -128,26 +130,27 @@ class TestOverheadAndGrant:
         # one max MSDU longer than the mean batch
         ts = make_tspec(M=16745)
         assert reference_bytes(ts, Fraction(1, 25)) == 16745
-        g = txop_reference(ts, Fraction(1, 25), PROFILE_11B, 2_000_000, 11_000_000)
+        g = txop_reference(ts, Fraction(1, 25), exchange(PROFILE_11B, 2_000_000, 11_000_000))
         assert g - Fraction(16570, 11) == Fraction(16745 * 8 * 1_000_000, 11_000_000)
         assert g - Fraction(16570, 11) == Fraction(133960, 11)
 
     def test_grant_at_54mbps(self):
         ts = make_tspec(R=54_000_000)
-        g = txop_reference(ts, Fraction(1, 25), PROFILE_11G, 2_000_000, 54_000_000)
+        g = txop_reference(ts, Fraction(1, 25), exchange(PROFILE_11G, 2_000_000, 54_000_000))
         assert g == Fraction(60226, 27)  # ~2230.59 us
 
     def test_grant_prices_payload_and_headers_at_one_rate(self):
         # the rate given, not the TSPEC's 11 Mb/s, prices both: 60800 bits
         # of payload at 6 Mb/s plus the 6 Mb/s overhead of two MSDUs
-        g = txop_reference(make_tspec(), Fraction(1, 25), PROFILE_11G, 2_000_000, 6_000_000)
+        price = exchange(PROFILE_11G, 2_000_000, 6_000_000)
+        g = txop_reference(make_tspec(), Fraction(1, 25), price)
         assert g == Fraction(60800, 6) + 1190
 
     @given(si=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 5)))
     def test_grant_monotone_in_si(self, si):
         ts = make_tspec()
-        g1 = txop_reference(ts, si, PROFILE_11B, 2_000_000, 11_000_000)
-        g2 = txop_reference(ts, si * 2, PROFILE_11B, 2_000_000, 11_000_000)
+        g1 = txop_reference(ts, si, exchange(PROFILE_11B, 2_000_000, 11_000_000))
+        g2 = txop_reference(ts, si * 2, exchange(PROFILE_11B, 2_000_000, 11_000_000))
         assert g2 >= g1
 
 
@@ -160,7 +163,8 @@ class TestAdmission:
         charged its reference grant per 40 ms SI, with 2 Mb/s polls and
         ACKs and payload at the TSPEC rate. Returns the outcomes and the
         admitted load in us per SI."""
-        grant = txop_reference(tspec, Fraction(1, 25), profile, 2_000_000, tspec.min_phy_rate_bps)
+        price = exchange(profile, 2_000_000, tspec.min_phy_rate_bps)
+        grant = txop_reference(tspec, Fraction(1, 25), price)
         load = Fraction(0)
         outcomes = []
         for _ in range(count):

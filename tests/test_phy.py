@@ -9,10 +9,12 @@ from hccasim.errors import ConfigError
 from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
+    Exchange,
     PhyProfile,
     airtime_control,
     airtime_data,
     airtime_multipoll,
+    exchange,
     plcp_time_us,
     poll_gain_ratio,
 )
@@ -153,6 +155,19 @@ def test_gain_ratio_monotone_toward_asymptote():
 
 def test_plcp_time_11g_is_120us():
     assert plcp_time_us(PROFILE_11G) == 120
+
+
+def test_exchange_parts():
+    # 11g at 54 Mb/s: a 264 us poll at 2 Mb/s, a 120 us preamble/PLCP plus
+    # a 36-byte MAC header at 54 Mb/s, and 8 bits per payload byte
+    g = exchange(PROFILE_11G, CTRL_2M, 54_000_000)
+    assert g == Exchange(poll=264, hdr=Fraction(376, 3), byte=Fraction(4, 27), sifs=10, prop=2)
+    # 11b at 11 Mb/s: a 192 us preamble/PLCP
+    b = exchange(PROFILE_11B, CTRL_2M, 11_000_000)
+    assert b == Exchange(poll=336, hdr=Fraction(2400, 11), byte=Fraction(8, 11), sifs=10, prop=2)
+    # an ACK is a poll's PPDU, and no control rate is the profile basic rate
+    assert g.ack == g.poll and b.ack == b.poll
+    assert exchange(PROFILE_11G, None, 54_000_000).poll == airtime_control(PROFILE_11G, 1_000_000)
 
 
 def test_invalid_profile_rejected():

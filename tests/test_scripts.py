@@ -2,6 +2,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from hccasim import cli
+from hccasim.experiment import load_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 PRESET = """\
@@ -54,3 +57,27 @@ class TestRunAllPresets:
         )
         assert (tmp_path / "results" / "with_csv.csv").is_file()
         assert not (tmp_path / "results" / "unlisted.csv").exists()
+
+    def test_each_preset_is_parsed_once(self, tmp_path, monkeypatch):
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        trace = ROOT / "traces" / "jp1_low.txt"
+        output = "output:\n  csv: results/one.csv\n"
+        (presets / "one.yaml").write_text(PRESET.format(trace=trace, output=output))
+        (presets / "SHA256SUMS").write_text("")
+        script = load_script("run_all_presets")
+        parsed = []
+
+        def counting_load_config(path):
+            parsed.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        monkeypatch.setattr(script, "PRESETS", {"one": "run"})
+        monkeypatch.setattr(script, "load_config", counting_load_config)
+        monkeypatch.setattr(cli, "load_config", counting_load_config)
+        monkeypatch.setattr(sys, "argv", ["run_all_presets.py"])
+        monkeypatch.chdir(tmp_path)
+        script.main()
+        assert parsed == [presets / "one.yaml"]
+        assert (tmp_path / "results" / "one.csv").is_file()
