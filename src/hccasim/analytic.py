@@ -10,9 +10,9 @@ of a single broadcast poll.
 
 The sum over predecessors is a running sum over the polling order, so
 the model walks each interval once: O(M*N) for M intervals of N
-stations. The inputs are exact (`Fraction` or `int` microseconds); the
-walk runs on integers over the lcm of their denominators, and each
-result is divided once.
+stations. The inputs are integers over one denominator, built where
+they are made, so the walk runs on integers and each result is divided
+once.
 
 Every term is priced from `phy.exchange` at the payload rate. Against a
 loss-free run at SI = frame interval the model leaves out exactly two
@@ -39,72 +39,76 @@ def td_i(payload_us, price: Exchange) -> Fraction:
     return exact(payload_us) + price.poll + price.ack + 3 * price.sifs + price.prop
 
 
+def _price_den(price: Exchange, t_mpoll: Fraction) -> int:
+    """The least denominator over which the walk's fixed prices are integers."""
+    return math.lcm(*(x.denominator for x in (t_mpoll, price.poll, price.ack, price.sifs, price.prop)))
+
+
 @dataclass(frozen=True)
 class AnalyticInputs:
-    """Inputs of the delay model for one admitted set.
-
-    payload_us[k][i] is the actual payload airtime of polling position
-    i+1 during service interval k; ref_payload_us[i] the constant
-    reference payload time its mean-based grant would cover.
-    """
+    """Inputs of the delay model for one admitted set, in us over den (a
+    multiple of _price_den): payload[k][i] / den is the actual payload
+    airtime of polling position i+1 in service interval k, ref_payload[i]
+    / den the reference payload time its mean-based grant would cover."""
 
     price: Exchange       # the exchange at the payload rate
     t_mpoll: Fraction     # one multi-poll for all the stations
-    ref_payload_us: tuple
-    payload_us: tuple
+    den: int
+    ref_payload: tuple
+    payload: tuple
 
     def __post_init__(self):
-        if not self.ref_payload_us:
+        if not self.ref_payload:
             raise ValueError("need at least one station")
-        if not self.payload_us:
+        if not self.payload:
             raise ValueError("need at least one service interval")
-        n = len(self.ref_payload_us)
-        for k, row in enumerate(self.payload_us):
+        n = len(self.ref_payload)
+        for k, row in enumerate(self.payload):
             if len(row) != n:
                 raise ValueError(f"interval {k} has {len(row)} stations, expected {n}")
+        if self.den % _price_den(self.price, self.t_mpoll):
+            raise ValueError(f"den {self.den} leaves the prices fractional")
+
+    @classmethod
+    def from_us(cls, price: Exchange, t_mpoll: Fraction, ref_payload_us, payload_us):
+        """Inputs from exact payload times in us (`Fraction` or `int`)."""
+        rows = [[exact(v) for v in row] for row in (ref_payload_us, *payload_us)]
+        den = math.lcm(_price_den(price, t_mpoll), *(v.denominator for row in rows for v in row))
+        ref, *payload = (tuple(int(v * den) for v in row) for row in rows)
+        return cls(price, t_mpoll, den, ref, tuple(payload))
 
     @property
     def n_stations(self) -> int:
-        return len(self.ref_payload_us)
+        return len(self.ref_payload)
 
     @property
     def m_intervals(self) -> int:
-        return len(self.payload_us)
-
-
-def _scaled(values, den):
-    """Exact values as integers over den, a multiple of their denominators."""
-    return [v.numerator * (den // v.denominator) for v in values]
+        return len(self.payload)
 
 
 def _walk(scheduler: str, inputs: AnalyticInputs):
-    """The model's delays as integers over one denominator: (rows, den)
-    where rows[k][i] / den us is the delay of polling position i+1 in
-    interval k. `lead` holds the channel time of the predecessors walked
-    so far."""
+    """The model's delays as integers over inputs.den: (rows, den) where
+    rows[k][i] / den us is the delay of polling position i+1 in interval
+    k. `lead` holds the channel time of the predecessors walked so far."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected one of {SCHEDULERS}")
-    price = inputs.price
+    price, den = inputs.price, inputs.den
     if scheduler == "amtxop":
         # multi-poll: one broadcast poll up front, predecessors shed their
         # individual polls, the own burst follows its backoff after one SIFS
         first, shed = inputs.t_mpoll + price.sifs, price.poll
     else:
         first, shed = price.poll + 2 * price.sifs, 0
-    refs = inputs.ref_payload_us
-    steps = [td_i(ref, price) - shed for ref in refs]
-    payload = inputs.payload_us
-    den = math.lcm(first.denominator, *{v.denominator for v in (*refs, *steps)},
-                   *{p.denominator for row in payload for p in row})
-    first, *steps = _scaled((first, *steps), den)
-    refs = _scaled(refs, den)
+    first, fixed = int(first * den), int((td_i(0, price) - shed) * den)
+    refs = inputs.ref_payload
+    steps = [ref + fixed for ref in refs]
     reclaim = scheduler != "hcca"
 
     rows = []
-    for own_row in payload:
+    for own_row in inputs.payload:
         lead = first
         row = []
-        for own, ref, step in zip(_scaled(own_row, den), refs, steps):
+        for own, ref, step in zip(own_row, refs, steps):
             row.append(lead + own)
             lead += step
             if reclaim and ref > own:
@@ -132,11 +136,9 @@ def aggregate_delay_alt(inputs: AnalyticInputs, primary: Fraction) -> Fraction:
     interframe space twice per station, given the primary model's
     aggregate_delay on the same inputs. Reported alongside the primary
     model for comparison, never used for validation."""
-    payload = inputs.payload_us
-    den = math.lcm(*{p.denominator for row in payload for p in row})
     n_sifs = inputs.m_intervals * inputs.n_stations
-    extra = sum(sum(_scaled(row, den)) for row in payload) + n_sifs * inputs.price.sifs * den
-    return primary + Fraction(extra, den * inputs.m_intervals)
+    extra = sum(map(sum, inputs.payload)) + n_sifs * inputs.price.sifs * inputs.den
+    return primary + Fraction(extra, inputs.den * inputs.m_intervals)
 
 
 def analytic_inputs(
@@ -169,10 +171,8 @@ def analytic_inputs(
         bins[k] = bins.get(k, 0) + size
     sizes = [bins.get(k, 0) for k in range(m_intervals)]
 
-    b_num, b_den = price.byte.as_integer_ratio()   # cheaper per interval than s * price.byte
-    return AnalyticInputs(
-        price=price,
-        t_mpoll=airtime_multipoll(n_stations, profile, control_rate),
-        ref_payload_us=(Fraction(reference_bytes(tspec, si) * b_num, b_den),) * n_stations,
-        payload_us=tuple((Fraction(s * b_num, b_den),) * n_stations for s in sizes),
-    )
+    t_mpoll = airtime_multipoll(n_stations, profile, control_rate)
+    den = math.lcm(price.byte.denominator, _price_den(price, t_mpoll))
+    byte = int(price.byte * den)
+    return AnalyticInputs(price, t_mpoll, den, (reference_bytes(tspec, si) * byte,) * n_stations,
+                          tuple((s * byte,) * n_stations for s in sizes))

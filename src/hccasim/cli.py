@@ -8,6 +8,7 @@ Subcommands:
 """
 
 import argparse
+import math
 import sys
 
 from .errors import ConfigError, InvalidTspec, TraceParseError
@@ -34,6 +35,14 @@ def _positive_number(text):
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return text
+
+
+def _finite_positive(text):
+    """A _positive_number that is finite, as a float."""
+    value = float(_positive_number(text))
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _positive_int(text):
@@ -126,7 +135,7 @@ def build_parser():
     p_val = sub.add_parser("validate-analytic", help="delay model vs simulation")
     p_val.add_argument("config")
     p_val.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
-    p_val.add_argument("--bound", type=float, default=0.10, help="pass/fail error bound")
+    p_val.add_argument("--bound", type=_finite_positive, default=0.10, help="pass/fail error bound")
     p_val.set_defaults(func=_cmd_validate)
 
     p_st = sub.add_parser("stats", help="trace statistics")

@@ -91,6 +91,14 @@ def tier_changes_us(result) -> tuple:
     return tuple((Fraction(tick, result.K), rate) for tick, rate in result.tier_changes)
 
 
+def inputs_us(inputs) -> tuple:
+    """The delay model's payload times in us: its reference row and its
+    interval rows."""
+    den = inputs.den
+    return (tuple(Fraction(c, den) for c in inputs.ref_payload),
+            tuple(tuple(Fraction(c, den) for c in row) for row in inputs.payload))
+
+
 def mean_delay_ms(records):
     """Mean delay of the records in ms, summed as exact Fractions of
     microseconds record by record (NaN if there are none)."""

@@ -283,11 +283,11 @@ def test_criterion_10_property_suites(lab):
 
     # closed-form identity: the multi-poll delay differs from the
     # single-poll adaptive delay by exactly the poll restructuring
-    inputs = AnalyticInputs(
-        price=exchange(PROFILE_11G, 2_000_000, PROFILE_11G.data_rate),
-        t_mpoll=airtime_multipoll(5, PROFILE_11G, 2_000_000),
-        ref_payload_us=(Fraction(2000),) * 5,
-        payload_us=tuple(
+    inputs = AnalyticInputs.from_us(
+        exchange(PROFILE_11G, 2_000_000, PROFILE_11G.data_rate),
+        airtime_multipoll(5, PROFILE_11G, 2_000_000),
+        (Fraction(2000),) * 5,
+        tuple(
             tuple(Fraction(900 + 13 * i + 7 * k) for i in range(5)) for k in range(3)
         ),
     )

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hccasim.analytic import (
@@ -17,6 +18,7 @@ from hccasim.analytic import (
     td_i,
 )
 from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.hcca import reference_bytes
 from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
@@ -28,7 +30,7 @@ from hccasim.phy import (
 )
 from hccasim.traces import Tspec, load_trace, parse_trace
 
-from conftest import ROOT, VALIDATION, entries
+from conftest import ROOT, VALIDATION, entries, inputs_us
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s
 REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
@@ -37,11 +39,11 @@ MEAN = Fraction(3820 * 8 * 10**6, 36_000_000)     # 7640/9 us
 
 def inputs_11g(refs, payload, control_rate=1_000_000):
     """Model inputs on 11g with the payload at 36 Mb/s."""
-    return AnalyticInputs(
-        price=exchange(PROFILE_11G, control_rate, 36_000_000),
-        t_mpoll=airtime_multipoll(len(refs), PROFILE_11G, control_rate),
-        ref_payload_us=tuple(refs),
-        payload_us=tuple(payload),
+    return AnalyticInputs.from_us(
+        exchange(PROFILE_11G, control_rate, 36_000_000),
+        airtime_multipoll(len(refs), PROFILE_11G, control_rate),
+        refs,
+        payload,
     )
 
 
@@ -79,7 +81,8 @@ def _d_si_reference(scheduler, i, inputs, k):
     predecessors j < i: the quadratic form of the model, kept as the
     oracle for position_delays."""
     sifs, t_poll = inputs.price.sifs, inputs.price.poll
-    refs, actual = inputs.ref_payload_us, inputs.payload_us[k]
+    refs, payload = inputs_us(inputs)
+    actual = payload[k]
     own = actual[i - 1]
     preds = range(1, i)
     td = [td_i(refs[j - 1], inputs.price) for j in preds]
@@ -157,7 +160,7 @@ class TestPerStationDelay:
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
     def test_reference_delay_grows_with_position(self, inputs):
-        for delays, own in zip(position_delays("hcca", inputs), inputs.payload_us):
+        for delays, own in zip(position_delays("hcca", inputs), inputs_us(inputs)[1]):
             # strip the own payload term: the positional part is strictly increasing
             positional = [d - t for d, t in zip(delays, own)]
             assert positional == sorted(positional)
@@ -191,10 +194,17 @@ class TestAggregate:
         price = exchange(PROFILE_11G, 1_000_000, 36_000_000)
         t_mpoll = airtime_multipoll(1, PROFILE_11G, 1_000_000)
         with pytest.raises(ValueError):
-            AnalyticInputs(price=price, t_mpoll=t_mpoll, ref_payload_us=(REF,),
-                           payload_us=((MEAN, MEAN),))
+            AnalyticInputs.from_us(price, t_mpoll, (REF,), ((MEAN, MEAN),))
         with pytest.raises(ValueError):
-            AnalyticInputs(price=price, t_mpoll=t_mpoll, ref_payload_us=(), payload_us=())
+            AnalyticInputs.from_us(price, t_mpoll, (), ())
+
+    def test_den_makes_the_prices_integers(self):
+        # a poll at 5.5 Mb/s lasts 120 + 576/11 us: den must be a multiple of 11
+        price = exchange(PROFILE_11G, 5_500_000, 36_000_000)
+        t_mpoll = airtime_multipoll(1, PROFILE_11G, 5_500_000)
+        with pytest.raises(ValueError):
+            AnalyticInputs(price, t_mpoll, 9, (0,), ((0,),))
+        assert AnalyticInputs(price, t_mpoll, 99, (0,), ((0,),)).den == 99
 
 
 class TestInputBuilder:
@@ -215,19 +225,20 @@ class TestInputBuilder:
         inputs = analytic_inputs(trace, 2, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=3)
         assert inputs.m_intervals == 3
         assert inputs.n_stations == 2
-        assert inputs.payload_us == ((8000, 8000), (4000, 4000), (2000, 2000))
+        refs, payload = inputs_us(inputs)
+        assert payload == ((8000, 8000), (4000, 4000), (2000, 2000))
         # one 500-byte MSDU per SI, but the 1000-byte maximum dominates
-        assert inputs.ref_payload_us == (8000, 8000)
+        assert refs == (8000, 8000)
 
     def test_window_slicing(self):
         trace = parse_trace(self.TRACE)
         inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=2)
-        assert inputs.payload_us == ((8000,), (4000,))
+        assert inputs_us(inputs)[1] == ((8000,), (4000,))
 
     def test_empty_interval_contributes_zero(self):
         trace = parse_trace("0 I 0 1000\n1 P 80 500\n")
         inputs = analytic_inputs(trace, 1, self.tspec(), Fraction(1, 25), PROFILE_11G, m_intervals=3)
-        assert inputs.payload_us == ((8000,), (0,), (4000,))
+        assert inputs_us(inputs)[1] == ((8000,), (0,), (4000,))
 
     @pytest.mark.parametrize("si, m_intervals", [
         (Fraction(1, 25), 750),
@@ -249,7 +260,46 @@ class TestInputBuilder:
             trace, 2, tspec, si, PROFILE_11G, control_rate=1_000_000, m_intervals=m_intervals,
         )
         rate = tspec.min_phy_rate_bps
-        assert inputs.payload_us == tuple((Fraction(s * 8_000_000, rate),) * 2 for s in sizes)
+        assert inputs_us(inputs)[1] == tuple((Fraction(s * 8_000_000, rate),) * 2 for s in sizes)
+
+    @given(
+        profile=st.sampled_from([PROFILE_11B, PROFILE_11G]),
+        control_rate=st.sampled_from([None, 1_000_000, 2_000_000, 5_500_000]),
+        rate=st.sampled_from([5_500_000, 11_000_000, 36_000_000, 54_000_000]),
+        n=st.integers(1, 12),
+        si=st.sampled_from([Fraction(1, 25), Fraction(3, 50), Fraction(1, 30)]),
+        m_intervals=st.integers(1, 5),
+        mean_msdu=st.integers(1, 4000),
+        frames=st.lists(st.tuples(st.integers(1, 70), st.integers(1, 20_000)), min_size=1, max_size=12),
+    )
+    # a poll at 5.5 Mb/s and a byte at 54 Mb/s: denominators 11 and 27
+    @example(profile=PROFILE_11G, control_rate=5_500_000, rate=54_000_000, n=3,
+             si=Fraction(1, 25), m_intervals=2, mean_msdu=3800, frames=[(1, 7000), (40, 3000)])
+    @settings(max_examples=60, deadline=None)
+    def test_integer_inputs_are_the_exact_times(self, profile, control_rate, rate, n, si,
+                                                m_intervals, mean_msdu, frames):
+        """Every cell over den is its interval's bytes at the payload rate,
+        and the model on these inputs is the direct sum over predecessors."""
+        tspec = Tspec(mean_msdu_bytes=mean_msdu, max_msdu_bytes=4000,
+                      mean_rate_bps=Fraction(300_000), delay_bound_s=Fraction("0.2"),
+                      min_phy_rate_bps=rate, msi_s=Fraction("0.1"))
+        # each frame is displayed gap ms after the one before it
+        times = list(accumulate(gap for gap, _ in frames))
+        sizes = [size for _, size in frames]
+        trace = parse_trace("".join(f"{i} P {t} {size}\n"
+                                    for i, (t, size) in enumerate(zip(times, sizes))))
+        bins = [0] * m_intervals
+        for t, size in zip(times, sizes):
+            k = math.floor(Fraction(t) / (si * 1000))
+            if k < m_intervals:
+                bins[k] += size
+        inputs = analytic_inputs(trace, n, tspec, si, profile, m_intervals, control_rate)
+        refs, payload = inputs_us(inputs)
+        assert payload == tuple((Fraction(b * 8 * US_PER_S, rate),) * n for b in bins)
+        assert refs == (Fraction(reference_bytes(tspec, si) * 8 * US_PER_S, rate),) * n
+        for s in SCHEDULERS:
+            for k, row in enumerate(position_delays(s, inputs)):
+                assert row == tuple(_d_si_reference(s, i, inputs, k) for i in range(1, n + 1))
 
     def test_rejects_zero_stations(self):
         with pytest.raises(ValueError):
@@ -277,7 +327,7 @@ def _identity_misses(result, inputs, control_rate, rate):
     rows, den = _walk(scheduler, inputs)
     offsets = [_int(K * (c0 + i * c1) * den) for i in range(inputs.n_stations)]
     if scheduler != "hcca":
-        row = position_delays("hcca", replace(inputs, payload_us=inputs.payload_us[:1]))[0]
+        row = position_delays("hcca", replace(inputs, payload=inputs.payload[:1]))[0]
         if scheduler == "amtxop":
             t_poll = airtime_control(profile, control_rate)
             t_mpoll = airtime_multipoll(inputs.n_stations, profile, control_rate)

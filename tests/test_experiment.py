@@ -401,6 +401,13 @@ class TestCli:
         path = write_config(tmp_path)
         assert "--jobs" in self.rejected(capsys, [command, str(path), "--jobs", jobs])
 
+    @pytest.mark.parametrize("bound", ["nan", "-1", "0", "inf"])
+    def test_validate_rejects_a_bound_that_is_not_finite_and_positive(self, tmp_path, capsys,
+                                                                      monkeypatch, bound):
+        monkeypatch.setattr("hccasim.cli.validate_analytic", None)   # no scenario may run
+        path = write_config(tmp_path, body=VALIDATE)
+        assert "--bound" in self.rejected(capsys, ["validate-analytic", str(path), "--bound", bound])
+
     def test_table2_rejects_n_max_below_one(self, capsys):
         for n_max in ("0", "-3"):
             assert "--n-max" in self.rejected(capsys, ["table2", "--n-max", n_max])

@@ -18,6 +18,8 @@ from hccasim.traces import (
     trace_stats,
 )
 
+from conftest import inputs_us
+
 # A decode-order fragment: display times jump backwards after each anchor
 # frame, exercising the generation-order re-sort.
 SAMPLE_DECODE_ORDER = """\
@@ -234,7 +236,7 @@ def test_decimal_display_times_match_fraction_oracle(trace, window_s, si, m_inte
     assert trace_stats(t, window_s) == oracle_stats(times, sizes, window_s)
     inputs = analytic_inputs(t, 1, ORACLE_TSPEC, si, PROFILE_11G, m_intervals)
     rate = ORACLE_TSPEC.min_phy_rate_bps
-    assert inputs.payload_us == tuple(
+    assert inputs_us(inputs)[1] == tuple(
         (Fraction(b * 8 * US_PER_S, rate),) for b in oracle_bins(times, sizes, si, m_intervals)
     )
 
