@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hccasim.cli import main as cli_main  # noqa: E402
+from hccasim.cli import _positive_int, main as cli_main  # noqa: E402
 from hccasim.experiment import load_config  # noqa: E402
 
 PRESETS = {
@@ -36,7 +36,7 @@ PRESETS = {
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     args = parser.parse_args()
 
     failures = [

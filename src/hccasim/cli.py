@@ -153,7 +153,7 @@ def main(argv=None, config=None) -> int:
         if "config" in vars(args):
             args.config = load_config(args.config) if config is None else config
         return args.func(args)
-    except (ConfigError, InvalidTspec, TraceParseError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidTspec, TraceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

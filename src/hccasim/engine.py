@@ -90,7 +90,7 @@ from .hcca import (
     reference_overhead,
     txop_reference,
 )
-from .metrics import MetricsReport, build_report
+from .metrics import MetricsReport
 from .phy import US_PER_S, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -228,11 +228,17 @@ class RunResult:
         return tuple(Grant(*g[i:i + 5]) for i in range(0, len(g), 5))
 
     def report(self) -> MetricsReport:
-        return build_report(
-            *self.measured,
-            self.K,
-            exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s),
+        """The measured sums, each divided once, exactly, and the float taken
+        last: mean delay in ms (NaN when nothing was delivered), payload bits
+        per second of the measured window, and granted seconds."""
+        n, delay_t, payload, granted_t = self.measured
+        window_s = exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s)
+        return MetricsReport(
+            n_delivered=n,
             n_lost=self.n_lost_measured,
+            mean_delay_ms=float(Fraction(delay_t, n * self.K * 1000)) if n else math.nan,
+            throughput_bps=float(8 * payload / window_s),
+            aggregate_txop_s=float(Fraction(granted_t, self.K * US_PER_S)),
         )
 
 

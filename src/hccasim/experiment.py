@@ -22,7 +22,7 @@ from .engine import Mobility, Scenario, StationSpec, run_scenario
 from .errors import ConfigError
 from .hcca import SCHEDULERS, compute_si
 from .metrics import utilization_improvement
-from .phy import PROFILES, airtime_control, airtime_multipoll, poll_gain_ratio
+from .phy import PROFILES, airtime_control, airtime_multipoll
 from .traces import Tspec, derive_tspec, load_trace, trace_stats
 from .util import exact
 
@@ -87,10 +87,17 @@ def _convert(where, convert, value):
         raise ConfigError(f"{where}: invalid value {value!r}") from None
 
 
+def _number(value):
+    """value as an exact number; a bool (YAML's true, false, yes, no) raises."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return exact(value)
+
+
 def _integer(value):
     """value as an int; a bool or a value with a fractional part raises."""
-    number = exact(value)
-    if isinstance(value, bool) or number.denominator != 1:
+    number = _number(value)
+    if number.denominator != 1:
         raise ValueError(value)
     return int(number)
 
@@ -155,15 +162,15 @@ def load_config(path) -> ExperimentConfig:
     if "mobility" in doc:
         m = sections["mobility"]
         tiers = _value(m, "mobility.tiers",
-                       lambda ts: tuple((exact(d), _integer(r)) for d, r in ts))
-        start_s = _value(m, "mobility.start_s", exact, Fraction(0))
-        distance_ft = _value(m, "mobility.initial_distance_ft", exact, Fraction(0))
+                       lambda ts: tuple((_number(d), _integer(r)) for d, r in ts))
+        start_s = _value(m, "mobility.start_s", _number, Fraction(0))
+        distance_ft = _value(m, "mobility.initial_distance_ft", _number, Fraction(0))
         mobilities = tuple(
             Mobility(tiers, speed, start_s, distance_ft)
-            for speed in _axis(m, "mobility.speed_mps", exact, 0)
+            for speed in _axis(m, "mobility.speed_mps", _number, 0)
         )
 
-    station_start_s = _value(run, "run.station_start_s", exact, Fraction(0))
+    station_start_s = _value(run, "run.station_start_s", _number, Fraction(0))
     counts = _axis(sweep, "sweep.stations", _integer, 1)
     stations = {
         n: tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec, start_s=station_start_s)
@@ -171,10 +178,10 @@ def load_config(path) -> ExperimentConfig:
         for n in counts
     }
     shared = dict(
-        sim_time_s=_value(run, "run.sim_time_s", exact),
-        beacon_interval_s=_value(run, "run.beacon_interval_s", exact, Fraction("0.12")),
-        t_cp_s=_value(run, "run.t_cp_s", exact, Fraction(0)),
-        warmup_s=_value(run, "run.warmup_s", exact, Fraction(0)),
+        sim_time_s=_value(run, "run.sim_time_s", _number),
+        beacon_interval_s=_value(run, "run.beacon_interval_s", _number, Fraction("0.12")),
+        t_cp_s=_value(run, "run.t_cp_s", _number, Fraction(0)),
+        warmup_s=_value(run, "run.warmup_s", _number, Fraction(0)),
         control_rate=_value(phy, "phy.control_rate", _integer, None),
         data_rate=_value(phy, "phy.data_rate", _integer, None),
     )
@@ -184,7 +191,7 @@ def load_config(path) -> ExperimentConfig:
         _axis(phy, "phy.profile", PROFILES.__getitem__, "11g"),
         _axis(doc, "scheduler", str, SCHEDULERS),
         counts,
-        _axis(sweep, "sweep.per", float, 0.0),
+        _axis(sweep, "sweep.per", lambda v: float(_number(v)), 0.0),
         mobilities,
     )
     scenarios = tuple(
@@ -196,10 +203,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_tspec(section, trace) -> Tspec:
-    delay_bound_s = _value(section, "tspec.delay_bound_s", exact, Fraction("0.08"))
+    delay_bound_s = _value(section, "tspec.delay_bound_s", _number, Fraction("0.08"))
     min_rate_bps = _value(section, "tspec.min_phy_rate_bps", _integer, 11_000_000)
-    msi_s = _value(section, "tspec.msi_s", exact, Fraction("0.04"))
-    if section.get("derive"):
+    msi_s = _value(section, "tspec.msi_s", _number, Fraction("0.04"))
+    derive = section.get("derive", False)
+    if not isinstance(derive, bool):
+        raise ConfigError(f"tspec.derive: invalid value {derive!r}")
+    if derive:
         explicit = {"mean_msdu_bytes", "max_msdu_bytes", "mean_rate_bps"} & set(section)
         if explicit:
             raise ConfigError(
@@ -215,7 +225,7 @@ def _build_tspec(section, trace) -> Tspec:
     return Tspec(
         mean_msdu_bytes=_value(section, "tspec.mean_msdu_bytes", _integer),
         max_msdu_bytes=_value(section, "tspec.max_msdu_bytes", _integer),
-        mean_rate_bps=_value(section, "tspec.mean_rate_bps", exact),
+        mean_rate_bps=_value(section, "tspec.mean_rate_bps", _number),
         delay_bound_s=delay_bound_s,
         min_phy_rate_bps=min_rate_bps,
         msi_s=msi_s,
@@ -295,11 +305,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
 
 
 def emit_table2(profile, control_rate=None, n_max=12):
-    """Polling-airtime comparison rows: one poll per station versus a
-    single multi-poll, for 1..n_max stations."""
+    """Polling-airtime comparison rows for 1..n_max stations: one poll per
+    station, a single multi-poll, and the multi-poll's relative saving,
+    clamped at zero (one station's multi-poll is longer than its poll)."""
     t_poll = airtime_control(profile, control_rate)
-    return [(n, n * t_poll, airtime_multipoll(n, profile, control_rate),
-             poll_gain_ratio(n, profile, control_rate)) for n in range(1, n_max + 1)]
+    rows = [(n, n * t_poll, airtime_multipoll(n, profile, control_rate)) for n in range(1, n_max + 1)]
+    return [(n, polls, multi, max(1 - multi / polls, 0)) for n, polls, multi in rows]
 
 
 VALIDATION_COLUMNS = ("scheduler", "n", "model_ms", "sim_ms", "rel_err", "model_alt_ms")

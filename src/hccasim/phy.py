@@ -149,15 +149,3 @@ def exchange(profile: PhyProfile, control_rate: int | None, rate: int) -> Exchan
     (the profile basic rate when None), data PPDUs at rate."""
     return Exchange(airtime_control(profile, control_rate), airtime_data(0, profile, rate),
                     _bits_time_us(8, rate), profile.sifs_us, profile.prop_delay_us)
-
-
-def poll_gain_ratio(n_stations: int, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
-    """Relative poll-overhead saving of one multi-poll over n single polls.
-
-    Clamped at zero: with a single station the multi-poll is slightly
-    longer than a single poll and there is nothing to gain.
-    """
-    single = airtime_control(profile, control_rate)
-    multi = airtime_multipoll(n_stations, profile, control_rate)
-    raw = 1 - multi / (n_stations * single)
-    return raw if raw > 0 else Fraction(0)

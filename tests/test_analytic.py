@@ -380,3 +380,43 @@ class TestModelPinnedToEngine:
         inputs = analytic_inputs(trace, n, tspec, Fraction(1, 25), PROFILE_11B,
                                  control_rate=2_000_000, m_intervals=250)
         assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * n)
+
+    @given(
+        profile_rates=st.sampled_from([
+            (PROFILE_11B, (1_000_000, 2_000_000, 5_500_000, 11_000_000)),
+            (PROFILE_11G, (6_000_000, 9_000_000, 18_000_000, 36_000_000, 54_000_000)),
+        ]),
+        data=st.data(),
+        control_rate=st.sampled_from([None, 1_000_000, 2_000_000, 5_500_000]),
+        n=st.integers(1, 6),
+        max_msdu=st.integers(1, 1500),
+        warmup_si=st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_runs(self, profile_rates, data, control_rate, n, max_msdu, warmup_si):
+        """Any trace of one frame per 40 ms at SI = 40 ms, on either PHY, at
+        any control rate and the data rate its contract names: every
+        measured frame of every scheduler keeps the identity."""
+        profile, rates = profile_rates
+        rate = data.draw(st.sampled_from(rates), label="rate")
+        sizes = data.draw(st.lists(st.integers(1, max_msdu), min_size=2, max_size=8), label="sizes")
+        mean_msdu = data.draw(st.integers(1, max_msdu), label="mean_msdu")
+        # one mean MSDU per service interval, as the trace sends one frame
+        tspec = Tspec(mean_msdu, max_msdu, Fraction(200 * mean_msdu), Fraction("0.08"), rate,
+                      Fraction(1, 25))
+        trace = parse_trace("".join(f"{i} P {40 * i} {size}\n" for i, size in enumerate(sizes)))
+        warmup = Fraction(warmup_si, 25)
+        m = len(sizes)
+        for scheduler in SCHEDULERS:
+            result = run_scenario(Scenario(
+                name="pin-drawn", scheduler=scheduler, profile=profile,
+                stations=tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec, start_s=warmup)
+                               for i in range(n)),
+                sim_time_s=warmup + Fraction(m, 25), beacon_interval_s=Fraction(3, 25),
+                warmup_s=warmup, control_rate=control_rate, data_rate=rate,
+            ))
+            assert result.si_s == Fraction(1, 25) and result.n_deferred_slots == 0
+            k = result.n_admitted
+            inputs = analytic_inputs(trace, k, tspec, result.si_s, profile,
+                                     control_rate=control_rate, m_intervals=m)
+            assert _identity_misses(result, inputs, control_rate, rate) == (0, m * k), scheduler

@@ -3,18 +3,15 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim import engine
 from hccasim.analytic import aggregate_delay, analytic_inputs
 from hccasim.engine import M_TO_FT, Mobility, Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis
-from hccasim.metrics import aggregate_throughput, aggregate_txop, e2e_delay
 from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
@@ -546,22 +543,19 @@ class TestLossAndDeterminism:
         result = run_scenario(sc)
         assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
 
-        sums = []
-        real = engine.build_report
-        with mock.patch.object(engine, "build_report",
-                               lambda *a, **kw: sums.append(a) or real(*a, **kw)):
-            report = result.report()
-        (n, delay_t, payload, grant_t, k, duration), = sums
+        report = result.report()
+        n, delay_t, payload, grant_t = result.measured
+        k, duration = result.K, sc.sim_time_s - sc.warmup_s
         delay, throughput, txop = oracle_report(result)
         assert n == report.n_delivered == len(measured_records(result))
         assert report.n_lost == result.n_lost_measured
         if n:
-            assert e2e_delay(delay_t, n, k) == delay
+            assert Fraction(delay_t, n * k * 1000) == delay
             assert report.mean_delay_ms == float(delay)
         else:
             assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
-        assert aggregate_throughput(payload, duration) == throughput
-        assert aggregate_txop(grant_t, k) == txop
+        assert 8 * payload / duration == throughput
+        assert Fraction(grant_t, k * US_PER_S) == txop
         assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
 
     def space_scenario(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):

@@ -47,6 +47,9 @@ sweep:
 """
 
 
+TSPEC = "tspec:\n  mean_msdu_bytes: 770\n  max_msdu_bytes: 1100\n  mean_rate_bps: 150000"
+
+
 def mobility(speeds):
     """A mobility section: from 70 ft, a group walking at 5 m/s drops from
     54 to 6 Mb/s about 0.6 s in; at 1 m/s it keeps 54 Mb/s for 3 s."""
@@ -120,10 +123,7 @@ class TestLoadConfig:
 
     def test_derived_tspec_matches_trace(self, tmp_path):
         extra = ""
-        body = MINI.replace(
-            "tspec:\n  mean_msdu_bytes: 770\n  max_msdu_bytes: 1100\n  mean_rate_bps: 150000",
-            "tspec:\n  derive: true\n  min_phy_rate_bps: 4000000",
-        )
+        body = MINI.replace(TSPEC, "tspec:\n  derive: true\n  min_phy_rate_bps: 4000000")
         cfg = load_config(write_config(tmp_path, extra=extra, body=body))
         (tspec,) = {st.tspec for s in cfg.scenarios for st in s.stations}
         assert tspec.mean_msdu_bytes == 765
@@ -443,16 +443,45 @@ class TestCli:
          "tspec.min_phy_rate_bps: invalid value False"),
         ("{extra}", mobility("5").replace("[200, 6000000]", "[200, 6000000.25]"),
          "mobility.tiers: invalid value [[80, 54000000], [200, 6000000.25]]"),
+        ("stations: [1, 2]", "stations: [1, 2]\n  per: [false]", "sweep.per: invalid value False"),
+        ("warmup_s: 0.2", "warmup_s: false", "run.warmup_s: invalid value False"),
+        ("beacon_interval_s: 0.12", "beacon_interval_s: true",
+         "run.beacon_interval_s: invalid value True"),
+        ("{extra}", mobility("true"), "mobility.speed_mps: invalid value True"),
+        ("{extra}", mobility("5").replace("[80, 54000000]", "[true, 54000000]"),
+         "mobility.tiers: invalid value [[True, 54000000], [200, 6000000]]"),
+        (TSPEC, 'tspec:\n  derive: "false"', "tspec.derive: invalid value 'false'"),
+        (TSPEC, "tspec:\n  derive: 1", "tspec.derive: invalid value 1"),
     ], ids=["no-tiers", "stations", "per", "run-not-mapping", "sim-time", "control-rate",
             "short-tier", "yaml-syntax", "fractional-stations", "fractional-seed",
             "bool-control-rate", "fractional-data-rate", "fractional-msdu-bytes",
-            "bool-min-phy-rate", "fractional-tier-rate"])
+            "bool-min-phy-rate", "fractional-tier-rate", "bool-per", "bool-warmup",
+            "bool-beacon-interval", "bool-speed", "bool-tier-distance", "string-derive",
+            "int-derive"])
     def test_malformed_value_is_one_error_line(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, body=MINI.replace(old, new))
         assert main(["run", str(path)]) == 2
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1
         assert errors[0].startswith("error: ") and message in errors[0]
+
+    @pytest.mark.parametrize("case", ["stats-directory", "trace-directory", "csv-under-file"])
+    def test_path_error_is_one_error_line(self, tmp_path, capsys, case):
+        """A directory where a file is read, or a file where a directory is
+        made: exit 2 with one error line, not a traceback."""
+        if case == "stats-directory":
+            argv = ["stats", str(ROOT / "traces")]
+        elif case == "trace-directory":
+            body = MINI.replace("{trace}", str(ROOT / "traces"))
+            argv = ["run", str(write_config(tmp_path, body=body))]
+        else:
+            (tmp_path / "plain.txt").write_text("")
+            extra = f"output:\n  csv: {tmp_path / 'plain.txt' / 'out.csv'}"
+            argv = ["run", str(write_config(tmp_path, extra=extra))]
+        assert main(argv) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ")
 
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")

@@ -1,62 +1,71 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hccasim.metrics import (
-    MetricsReport,
-    aggregate_throughput,
-    aggregate_txop,
-    build_report,
-    e2e_delay,
-    utilization_improvement,
-)
+from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.metrics import MetricsReport, utilization_improvement
+from hccasim.phy import PROFILE_11G
+from hccasim.traces import Tspec, parse_trace
+
+
+@pytest.fixture(scope="module")
+def run():
+    """A real run of one station for 0.2 s, whose sums the cases replace."""
+    trace = parse_trace("".join(f"{i} P {40 * i} 1000\n" for i in range(5)))
+    tspec = Tspec(1000, 1000, Fraction(200_000), Fraction("0.08"), 54_000_000, Fraction("0.04"))
+    return run_scenario(Scenario(
+        name="metrics", scheduler="hcca", profile=PROFILE_11G,
+        stations=(StationSpec(aid=1, trace=trace, tspec=tspec),),
+        sim_time_s=Fraction(1, 5), beacon_interval_s=Fraction(3, 25),
+    ))
+
+
+def report(run, measured, ticks_per_us=1, duration_s=1, n_lost=0):
+    """The report of run with its measured sums (delivered, delay ticks,
+    payload bytes, granted ticks), K and measured window replaced."""
+    scenario = replace(run.scenario, sim_time_s=Fraction(duration_s), warmup_s=Fraction(0))
+    return replace(run, scenario=scenario, K=ticks_per_us, measured=measured,
+                   n_lost_measured=n_lost).report()
 
 
 class TestDelay:
-    def test_mean_in_ms(self):
-        assert e2e_delay(2000 + 4000, 2, 1) == 3  # (2 ms + 4 ms) / 2
+    def test_mean_in_ms(self, run):
+        # (2 ms + 4 ms) / 2
+        assert report(run, (2, 2000 + 4000, 0, 0)).mean_delay_ms == 3
 
-    def test_empty_is_nan(self):
-        assert math.isnan(e2e_delay(0, 0, 1))
+    def test_empty_is_nan(self, run):
+        assert math.isnan(report(run, (0, 0, 0, 0)).mean_delay_ms)
 
-    def test_exact_fractions_survive(self):
+    def test_exact_fractions_survive(self, run):
         # one delivery of 22970/11 us at 11 ticks per us
-        assert e2e_delay(22970, 1, 11) == Fraction(2297, 1100)
+        got = report(run, (1, 22970, 0, 0), ticks_per_us=11).mean_delay_ms
+        assert got == float(Fraction(2297, 1100))
 
 
 class TestThroughput:
-    def test_bits_over_duration(self):
-        assert aggregate_throughput(1000 + 500, 2) == 6000
+    def test_bits_over_duration(self, run):
+        assert report(run, (2, 0, 1000 + 500, 0), duration_s=2).throughput_bps == 6000
 
-    def test_identity_bits_equals_rate_times_duration(self):
-        rate = aggregate_throughput(100 + 900 + 5500, Fraction(13, 10))
+    def test_identity_bits_equals_rate_times_duration(self, run):
+        rate = report(run, (3, 0, 100 + 900 + 5500, 0), duration_s=Fraction(13, 10)).throughput_bps
         assert rate * Fraction(13, 10) == 8 * 6500
 
-    def test_empty_is_zero(self):
-        assert aggregate_throughput(0, 1) == 0
-
-    def test_bad_duration(self):
-        with pytest.raises(ValueError):
-            aggregate_throughput(0, 0)
-
-    @given(sizes=st.lists(st.integers(min_value=0, max_value=10000), max_size=30))
-    def test_additive_over_concatenation(self, sizes):
-        half = len(sizes) // 2
-        a = aggregate_throughput(sum(sizes[:half]), 7)
-        b = aggregate_throughput(sum(sizes[half:]), 7)
-        assert a + b == aggregate_throughput(sum(sizes), 7)
+    def test_empty_is_zero(self, run):
+        assert report(run, (0, 0, 0, 0)).throughput_bps == 0
 
 
 class TestTxopTime:
-    def test_sums_durations(self):
+    def test_sums_durations(self, run):
         # 2000 + 1001/2 + 1500 us at 2 ticks per us
-        assert aggregate_txop(4000 + 1001 + 3000, 2) == Fraction(8001, 2 * 10**6)
+        got = report(run, (0, 0, 0, 4000 + 1001 + 3000), ticks_per_us=2).aggregate_txop_s
+        assert got == float(Fraction(8001, 2 * 10**6))
 
-    def test_empty(self):
-        assert aggregate_txop(0, 1) == 0
+    def test_empty(self, run):
+        assert report(run, (0, 0, 0, 0)).aggregate_txop_s == 0
 
 
 class TestUtilization:
@@ -78,10 +87,9 @@ class TestUtilization:
 
 
 class TestReport:
-    def test_build(self):
+    def test_build(self, run):
         # one 1000-byte delivery after 2000 us, 3000 us granted, over 2 s
-        report = build_report(1, 2000, 1000, 3000, 1, 2, n_lost=3)
-        assert report == MetricsReport(
+        assert report(run, (1, 2000, 1000, 3000), duration_s=2, n_lost=3) == MetricsReport(
             n_delivered=1,
             n_lost=3,
             mean_delay_ms=2.0,
@@ -89,8 +97,8 @@ class TestReport:
             aggregate_txop_s=0.003,
         )
 
-    def test_empty_run(self):
-        report = build_report(0, 0, 0, 0, 1, 1)
-        assert report.n_delivered == 0
-        assert math.isnan(report.mean_delay_ms)
-        assert report.throughput_bps == 0
+    def test_empty_run(self, run):
+        got = report(run, (0, 0, 0, 0))
+        assert got.n_delivered == 0
+        assert math.isnan(got.mean_delay_ms)
+        assert got.throughput_bps == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hccasim.errors import ConfigError
+from hccasim.experiment import emit_table2
 from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
@@ -16,10 +17,14 @@ from hccasim.phy import (
     airtime_multipoll,
     exchange,
     plcp_time_us,
-    poll_gain_ratio,
 )
 
 CTRL_2M = 2_000_000
+
+
+def gains(n_max):
+    """The gain column of table2 on 11g with 2 Mb/s control, n = 1..n_max."""
+    return [gain for _n, _polls, _multi, gain in emit_table2(PROFILE_11G, CTRL_2M, n_max)]
 
 
 def test_profile_defaults_11g():
@@ -101,9 +106,10 @@ def test_poll_table_exact_closed_forms():
 
 
 def test_gain_ratio_values():
-    assert poll_gain_ratio(1, PROFILE_11G, CTRL_2M) == 0
-    assert float(poll_gain_ratio(2, PROFILE_11G, CTRL_2M)) == pytest.approx(0.43, abs=0.005)
-    assert float(poll_gain_ratio(9, PROFILE_11G, CTRL_2M)) == pytest.approx(0.83, abs=0.005)
+    g = gains(9)
+    assert g[0] == 0
+    assert float(g[1]) == pytest.approx(0.43, abs=0.005)
+    assert float(g[8]) == pytest.approx(0.83, abs=0.005)
 
 
 @given(payload=st.integers(min_value=0, max_value=100_000))
@@ -141,16 +147,16 @@ def test_multipoll_linear_in_record_count(n, rate):
 
 @given(n=st.integers(min_value=1, max_value=200))
 def test_gain_ratio_bounded(n):
-    g = poll_gain_ratio(n, PROFILE_11G, CTRL_2M)
+    g = gains(n)[-1]
     assert 0 <= g < 1
 
 
 def test_gain_ratio_monotone_toward_asymptote():
-    gains = [poll_gain_ratio(n, PROFILE_11G, CTRL_2M) for n in range(1, 21)]
-    assert all(b >= a for a, b in zip(gains, gains[1:]))
+    g = gains(20)
+    assert all(b >= a for a, b in zip(g, g[1:]))
     # limit is 1 - (4 bytes at control rate) / (one single poll)
     limit = 1 - Fraction(16, 264)
-    assert gains[-1] < limit
+    assert g[-1] < limit
 
 
 def test_plcp_time_11g_is_120us():

@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from hccasim import cli
 from hccasim.experiment import load_config
 
@@ -81,3 +83,16 @@ class TestRunAllPresets:
         script.main()
         assert parsed == [presets / "one.yaml"]
         assert (tmp_path / "results" / "one.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_rejected_before_any_preset(self, monkeypatch, capsys, jobs):
+        script = load_script("run_all_presets")
+        monkeypatch.setattr(script, "load_config", None)   # no preset may be read
+        monkeypatch.setattr(script, "cli_main", None)      # nor run
+        monkeypatch.setattr(sys, "argv", ["run_all_presets.py", "--jobs", jobs])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --jobs" in err
