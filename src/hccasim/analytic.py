@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcca import SCHEDULERS, reference_bytes
+from .hcca import reference_bytes
 from .phy import Exchange, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
 from .util import exact
@@ -36,7 +36,7 @@ def td_i(payload_us, price: Exchange) -> Fraction:
     """Time one predecessor burst occupies the channel: its payload time
     plus a poll, an ACK, three interframe spaces and one propagation
     delay."""
-    return exact(payload_us) + price.poll + price.ack + 3 * price.sifs + price.prop
+    return payload_us + price.poll + price.ack + 3 * price.sifs + price.prop
 
 
 def _price_den(price: Exchange, t_mpoll: Fraction) -> int:
@@ -90,8 +90,6 @@ def _walk(scheduler: str, inputs: AnalyticInputs):
     """The model's delays as integers over inputs.den: (rows, den) where
     rows[k][i] / den us is the delay of polling position i+1 in interval
     k. `lead` holds the channel time of the predecessors walked so far."""
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}, expected one of {SCHEDULERS}")
     price, den = inputs.price, inputs.den
     if scheduler == "amtxop":
         # multi-poll: one broadcast poll up front, predecessors shed their
@@ -145,7 +143,7 @@ def analytic_inputs(
     trace: VideoTrace,
     n_stations: int,
     tspec: Tspec,
-    si_s,
+    si_s: Fraction,
     profile: PhyProfile,
     m_intervals: int,
     control_rate: int | None = None,
@@ -156,13 +154,10 @@ def analytic_inputs(
     its grant for the model to hold, which the TSPEC guarantees at the
     mean rate. Binning stops at the first frame past the last interval:
     the frames are in display order."""
-    if n_stations < 1:
-        raise ValueError("n_stations must be >= 1")
-    si = exact(si_s)
     price = exchange(profile, control_rate, tspec.min_phy_rate_bps)
 
     # interval k holds the display times d with floor(d / display_den / (1000 si)) = k
-    num, den = si.numerator * 1000 * trace.display_den, si.denominator
+    num, den = si_s.numerator * 1000 * trace.display_den, si_s.denominator
     bins = {}
     for t, size in zip(trace.display, trace.sizes):
         k = t * den // num
@@ -174,5 +169,5 @@ def analytic_inputs(
     t_mpoll = airtime_multipoll(n_stations, profile, control_rate)
     den = math.lcm(price.byte.denominator, _price_den(price, t_mpoll))
     byte = int(price.byte * den)
-    return AnalyticInputs(price, t_mpoll, den, (reference_bytes(tspec, si) * byte,) * n_stations,
+    return AnalyticInputs(price, t_mpoll, den, (reference_bytes(tspec, si_s) * byte,) * n_stations,
                           tuple((s * byte,) * n_stations for s in sizes))

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .errors import ConfigError, InvalidTspec, TraceParseError
+from .errors import ConfigError
 from .experiment import (
     CSV_COLUMNS,
     VALIDATION_COLUMNS,
@@ -128,7 +128,7 @@ def build_parser():
 
     p_t2 = sub.add_parser("table2", help="poll vs multi-poll airtime")
     p_t2.add_argument("--profile", choices=tuple(PROFILES), default="11g")
-    p_t2.add_argument("--control-rate", type=int, default=2_000_000)
+    p_t2.add_argument("--control-rate", type=_positive_int, default=2_000_000)
     p_t2.add_argument("--n-max", type=_positive_int, default=12)
     p_t2.set_defaults(func=_cmd_table2)
 
@@ -153,7 +153,7 @@ def main(argv=None, config=None) -> int:
         if "config" in vars(args):
             args.config = load_config(args.config) if config is None else config
         return args.func(args)
-    except (ConfigError, InvalidTspec, TraceParseError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,7 +93,7 @@ from .hcca import (
 from .metrics import MetricsReport
 from .phy import US_PER_S, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
-from .util import exact
+from .util import exact, exact_fields
 
 M_TO_FT = Fraction("3.28084")
 
@@ -112,14 +112,16 @@ class Mobility:
     initial_distance_ft: Fraction
 
     def __post_init__(self):
+        exact_fields(self, "speed_mps", "start_s", "initial_distance_ft")
+        object.__setattr__(self, "tiers", tuple((exact(d), r) for d, r in self.tiers))
         if not self.tiers:
             raise ConfigError("mobility needs at least one rate tier")
-        dists = [exact(d) for d, _ in self.tiers]
+        dists = [d for d, _ in self.tiers]
         if dists != sorted(dists) or len(set(dists)) != len(dists):
             raise ConfigError("tier distances must be strictly ascending")
         if any(r <= 0 for _, r in self.tiers):
             raise ConfigError("tier rates must be > 0")
-        if exact(self.speed_mps) < 0 or exact(self.initial_distance_ft) < 0:
+        if self.speed_mps < 0 or self.initial_distance_ft < 0:
             raise ConfigError("speed and initial distance must be >= 0")
 
 
@@ -132,11 +134,12 @@ class StationSpec:
     stop_s: Fraction | None = None
 
     def __post_init__(self):
+        exact_fields(self, "start_s", "stop_s")
         if self.aid <= 0:
             raise ConfigError("aid must be > 0")
-        if exact(self.start_s) < 0:
+        if self.start_s < 0:
             raise ConfigError("start_s must be >= 0")
-        if self.stop_s is not None and exact(self.stop_s) <= exact(self.start_s):
+        if self.stop_s is not None and self.stop_s <= self.start_s:
             raise ConfigError("stop_s must be > start_s")
 
 
@@ -158,6 +161,7 @@ class Scenario:
     log_events: bool = False
 
     def __post_init__(self):
+        exact_fields(self, "sim_time_s", "beacon_interval_s", "t_cp_s", "warmup_s")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(
                 f"unknown scheduler {self.scheduler!r}, expected one of {SCHEDULERS}"
@@ -167,13 +171,13 @@ class Scenario:
         aids = [s.aid for s in self.stations]
         if len(set(aids)) != len(aids):
             raise ConfigError(f"duplicate aids: {aids}")
-        if exact(self.sim_time_s) <= 0:
+        if self.sim_time_s <= 0:
             raise ConfigError("sim_time_s must be > 0")
-        if exact(self.beacon_interval_s) <= 0:
+        if self.beacon_interval_s <= 0:
             raise ConfigError("beacon_interval_s must be > 0")
-        if not 0 <= exact(self.warmup_s) < exact(self.sim_time_s):
+        if not 0 <= self.warmup_s < self.sim_time_s:
             raise ConfigError("warmup_s must lie inside the simulated time")
-        if exact(self.t_cp_s) < 0:
+        if self.t_cp_s < 0:
             raise ConfigError("t_cp_s must be >= 0")
         if not 0 <= self.per < 1:
             raise ConfigError(f"per must be in [0, 1), got {self.per}")
@@ -232,7 +236,7 @@ class RunResult:
         last: mean delay in ms (NaN when nothing was delivered), payload bits
         per second of the measured window, and granted seconds."""
         n, delay_t, payload, granted_t = self.measured
-        window_s = exact(self.scenario.sim_time_s) - exact(self.scenario.warmup_s)
+        window_s = self.scenario.sim_time_s - self.scenario.warmup_s
         return MetricsReport(
             n_delivered=n,
             n_lost=self.n_lost_measured,
@@ -280,7 +284,7 @@ class _Sim:
 
         self.end_tick = self._sec_ticks(scenario.sim_time_s)
         self.warmup_tick = self._sec_ticks(scenario.warmup_s)
-        self.bi = exact(scenario.beacon_interval_s)
+        self.bi = scenario.beacon_interval_s
 
         offsets = {}
         contracts = {}            # the distinct TSPECs, numbered in AID order
@@ -335,7 +339,7 @@ class _Sim:
     # -- time plumbing ---------------------------------------------------
 
     def _to_ticks(self, us) -> int:
-        return self._ratio_ticks(*exact(us).as_integer_ratio())
+        return self._ratio_ticks(*us.as_integer_ratio())
 
     def _ratio_ticks(self, num, den) -> int:
         """Ticks in num/den microseconds, which must lie on the tick grid."""
@@ -345,7 +349,7 @@ class _Sim:
         return ticks
 
     def _sec_ticks(self, s) -> int:
-        return self._to_ticks(exact(s) * US_PER_S)
+        return self._to_ticks(s * US_PER_S)
 
     def _check_grid(self, trace: VideoTrace):
         """Raise on the trace's first display time off the tick grid, so a
@@ -500,18 +504,17 @@ class _Sim:
         """The tick from which the group lies past each tier bound, for the
         bounds it ever passes. Its distance never shrinks, so the ticks
         ascend and the bounds it never passes are the last ones."""
-        d0 = exact(mob.initial_distance_ft)
-        ft_per_s = exact(mob.speed_mps) * M_TO_FT
+        d0 = mob.initial_distance_ft
+        ft_per_s = mob.speed_mps * M_TO_FT
         ticks = []
-        for bound, _ in mob.tiers:
-            b = exact(bound)
+        for b, _ in mob.tiers:
             if d0 > b:
                 ticks.append(0)
             elif ft_per_s == 0:
                 break
             else:
                 # past b strictly after start_s + (b - d0) / speed
-                cross_s = exact(mob.start_s) + (b - d0) / ft_per_s
+                cross_s = mob.start_s + (b - d0) / ft_per_s
                 ticks.append(math.floor(cross_s * self.K * US_PER_S) + 1)
         return ticks
 
@@ -522,8 +525,8 @@ class _Sim:
     def _group_distance(self, tick):
         """The group's distance in feet at this tick, for the log."""
         mob = self.sc.mobility
-        dt_s = max(0, Fraction(tick, self.K * US_PER_S) - exact(mob.start_s))
-        return exact(mob.initial_distance_ft) + exact(mob.speed_mps) * M_TO_FT * dt_s
+        dt_s = max(0, Fraction(tick, self.K * US_PER_S) - mob.start_s)
+        return mob.initial_distance_ft + mob.speed_mps * M_TO_FT * dt_s
 
     def _in_range(self, tick) -> bool:
         """Whether the group is inside the last tier at this tick. Unlike

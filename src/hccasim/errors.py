@@ -1,13 +1,6 @@
-"""Error types shared across the package."""
+"""The package's one error type."""
 
 
 class ConfigError(ValueError):
-    """Invalid scenario or experiment configuration."""
-
-
-class TraceParseError(ValueError):
-    """Malformed video trace file; message names the offending line."""
-
-
-class InvalidTspec(ValueError):
-    """Traffic specification violates its own invariants."""
+    """Invalid input: a scenario or experiment configuration, a traffic
+    contract, or a video trace, whose per-line messages name the line."""

@@ -23,9 +23,8 @@ class MetricsReport:
 
 def utilization_improvement(b_hcca, b_proposed):
     """Fractional reduction in TXOP time relative to the reference
-    scheduler: (B_ref - B_new) / B_ref. NaN when the reference used none."""
+    scheduler: (B_ref - B_new) / B_ref, for a reference that used some.
+    The reports' floats are read as decimals, as a config's are."""
     ref = exact(b_hcca)
     new = exact(b_proposed)
-    if ref == 0:
-        return float("nan")
     return (ref - new) / ref

@@ -4,13 +4,14 @@ Every duration is returned in microseconds as an exact Fraction; rounding
 happens only when values are printed. The preamble and PLCP header of a
 PPDU always go out at the (slow) PLCP rate, the MAC header and payload at
 the effective PHY rate of the frame.
+
+The profiles are the two constants below and every rate is checked where
+it enters, so these functions take their arguments as given.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-from .errors import ConfigError
 
 US_PER_S = 1_000_000
 
@@ -38,15 +39,6 @@ class PhyProfile:
     mac_header_bytes: int
     sifs_us: int          # [us]
     prop_delay_us: int    # [us]
-
-    def __post_init__(self):
-        for field in ("plcp_rate", "data_rate", "basic_rate",
-                      "preamble_bytes", "plcp_header_bytes", "mac_header_bytes"):
-            if getattr(self, field) <= 0:
-                raise ConfigError(f"profile {self.name!r}: {field} must be > 0")
-        for field in ("sifs_us", "prop_delay_us"):
-            if getattr(self, field) < 0:
-                raise ConfigError(f"profile {self.name!r}: {field} must be >= 0")
 
 
 PROFILE_11G = PhyProfile(
@@ -92,11 +84,7 @@ def airtime_data(payload_bytes: int, profile: PhyProfile, rate_override: int | N
     The MAC header and payload travel at the profile data rate unless
     rate_override is given.
     """
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be >= 0")
     rate = profile.data_rate if rate_override is None else rate_override
-    if rate <= 0:
-        raise ConfigError("effective PHY rate must be > 0")
     body_bits = (profile.mac_header_bytes + payload_bytes) * 8
     return plcp_time_us(profile) + _bits_time_us(body_bits, rate)
 
@@ -105,8 +93,6 @@ def _control_ppdu_us(body_bytes: int, profile: PhyProfile, control_rate: int | N
     """A control PPDU with a body_bytes MAC frame at control_rate, which
     defaults to the profile basic rate."""
     rate = profile.basic_rate if control_rate is None else control_rate
-    if rate <= 0:
-        raise ConfigError("control_rate must be > 0")
     return plcp_time_us(profile) + _bits_time_us(body_bytes * 8, rate)
 
 
@@ -118,8 +104,6 @@ def airtime_control(profile: PhyProfile, control_rate: int | None = None) -> Fra
 
 def airtime_multipoll(n_stations: int, profile: PhyProfile, control_rate: int | None = None) -> Fraction:
     """Airtime of one broadcast multi-poll frame for n_stations records."""
-    if n_stations < 1:
-        raise ValueError("n_stations must be >= 1")
     body_bytes = (
         MULTIPOLL_MAC_HEADER_BYTES
         + MULTIPOLL_FIXED_BODY_BYTES

@@ -15,14 +15,18 @@ the next-frame lookahead that stations piggyback both follow that order.
 A parsed trace holds integers: sizes in bytes and display times over one
 common denominator of a millisecond. The statistics are computed from
 integer sums and return exact `Fraction`s.
+
+The parser and `Tspec` check a trace and a contract where they enter and
+raise `ConfigError`, naming the line of a bad frame; no display time is
+negative, as no frame is generated before its stream starts.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidTspec, TraceParseError
-from .util import exact
+from .errors import ConfigError
+from .util import exact_fields
 
 FRAME_TYPES = ("I", "P", "B")
 
@@ -62,16 +66,17 @@ class Tspec:
     msi_s: Fraction            # maximum service interval
 
     def __post_init__(self):
+        exact_fields(self, "mean_rate_bps", "delay_bound_s", "msi_s")
         if not (0 < self.mean_msdu_bytes <= self.max_msdu_bytes):
-            raise InvalidTspec(
+            raise ConfigError(
                 f"need 0 < mean MSDU <= max MSDU, got {self.mean_msdu_bytes}/{self.max_msdu_bytes}"
             )
         if self.mean_rate_bps <= 0:
-            raise InvalidTspec("mean rate must be > 0")
+            raise ConfigError("mean rate must be > 0")
         if self.min_phy_rate_bps <= 0:
-            raise InvalidTspec("min PHY rate must be > 0")
+            raise ConfigError("min PHY rate must be > 0")
         if not (0 < self.msi_s <= self.delay_bound_s):
-            raise InvalidTspec(
+            raise ConfigError(
                 f"need 0 < MSI <= delay bound, got MSI={self.msi_s}, D={self.delay_bound_s}"
             )
 
@@ -87,14 +92,14 @@ def parse_trace(text) -> VideoTrace:
         if not cols or cols[0].startswith("#"):
             continue
         if len(cols) != 4:
-            raise TraceParseError(f"line {lineno}: expected 4 columns, got {len(cols)}")
+            raise ConfigError(f"line {lineno}: expected 4 columns, got {len(cols)}")
         seq_s, type_s, time_s, size_s = cols
         try:
             seq = int(seq_s)
         except ValueError:
-            raise TraceParseError(f"line {lineno}: non-numeric sequence {seq_s!r}") from None
+            raise ConfigError(f"line {lineno}: non-numeric sequence {seq_s!r}") from None
         if type_s not in FRAME_TYPES:
-            raise TraceParseError(f"line {lineno}: unknown frame type {type_s!r}")
+            raise ConfigError(f"line {lineno}: unknown frame type {type_s!r}")
         try:
             display = int(time_s)
         except ValueError:
@@ -102,23 +107,25 @@ def parse_trace(text) -> VideoTrace:
             try:
                 display = Fraction(time_s)
             except ValueError:
-                raise TraceParseError(f"line {lineno}: non-numeric display time {time_s!r}") from None
+                raise ConfigError(f"line {lineno}: non-numeric display time {time_s!r}") from None
             if display.denominator == 1:   # 40.0, 1e2: an integer after all
                 display = display.numerator
             else:
                 den = math.lcm(den, display.denominator)
+        if display < 0:
+            raise ConfigError(f"line {lineno}: display time must be >= 0, got {time_s}")
         try:
             size = int(size_s)
         except ValueError:
-            raise TraceParseError(f"line {lineno}: non-numeric size {size_s!r}") from None
+            raise ConfigError(f"line {lineno}: non-numeric size {size_s!r}") from None
         if size <= 0:
-            raise TraceParseError(f"line {lineno}: size must be > 0")
+            raise ConfigError(f"line {lineno}: size must be > 0")
         if seq < 0:
-            raise TraceParseError(f"frame sequence must be >= 0, got {seq}")
+            raise ConfigError(f"line {lineno}: frame sequence must be >= 0, got {seq}")
         times.append(display)
         sizes.append(size)
     if not sizes:
-        raise TraceParseError("empty trace: no frame lines found")
+        raise ConfigError("empty trace: no frame lines found")
 
     if den > 1:
         times = [t.numerator * (den // t.denominator) for t in times]
@@ -127,7 +134,7 @@ def parse_trace(text) -> VideoTrace:
     # the gaps over the common denominator; a single frame has interval 0
     gaps = [b - a for a, b in zip(times, times[1:])]
     if 0 in gaps:
-        raise TraceParseError("display times are not strictly increasing after reorder")
+        raise ConfigError("display times are not strictly increasing after reorder")
     return VideoTrace(
         sizes=tuple(sizes[i] for i in order),
         display=tuple(times),
@@ -148,9 +155,6 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     tumbling windows of window_s anchored at the first display time; a
     single-frame trace spans exactly one window by definition.
     """
-    window_s = exact(window_s)
-    if window_s <= 0:
-        raise ValueError("window must be > 0")
     sizes = trace.sizes
     n = len(sizes)
     total = sum(sizes)
@@ -191,12 +195,14 @@ def derive_tspec(
     min_rate_bps: int,
     msi_s,
 ) -> Tspec:
-    """Build a traffic contract from measured statistics plus caller limits."""
+    """Build a traffic contract from measured statistics plus caller limits.
+    The mean MSDU size is the mean frame size rounded up, so at SI = frame
+    interval the contract counts one MSDU per SI, as many as arrive."""
     return Tspec(
-        mean_msdu_bytes=round(stats.mean_size),
+        mean_msdu_bytes=math.ceil(stats.mean_size),
         max_msdu_bytes=max_size,
-        mean_rate_bps=Fraction(stats.mean_bitrate),
-        delay_bound_s=exact(delay_bound_s),
+        mean_rate_bps=stats.mean_bitrate,
+        delay_bound_s=delay_bound_s,
         min_phy_rate_bps=min_rate_bps,
-        msi_s=exact(msi_s),
+        msi_s=msi_s,
     )

@@ -12,3 +12,11 @@ def exact(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
+
+
+def exact_fields(obj, *names):
+    """Make each named field of a frozen dataclass exact; None stays None."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            object.__setattr__(obj, name, exact(value))

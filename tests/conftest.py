@@ -1,11 +1,13 @@
 """Shared scenario builders with a session-scoped run cache, views of a
-run's results in microseconds, and an exact oracle for a run's report.
+run's results in microseconds, an exact oracle for a run's report, and
+check_run, which asserts the engine's rules on one run.
 
 Several acceptance checks read different aspects of the same sweeps
 (ordering, slope, throughput, channel time), so simulation results are
 memoized by scenario name for the lifetime of the test session.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -13,7 +15,8 @@ from typing import NamedTuple
 import pytest
 
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.phy import PROFILE_11G, US_PER_S
+from hccasim.hcca import GrantBasis, compute_si, txop_reference
+from hccasim.phy import PROFILE_11G, US_PER_S, airtime_multipoll, exchange
 from hccasim.traces import Tspec, load_trace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +123,74 @@ def oracle_report(result):
         Fraction(8 * sum(r.size_bytes for r in measured)) / duration,
         sum((g.duration_us for g in measured_grants(result)), Fraction(0)) / US_PER_S,
     )
+
+
+def check_run(result):
+    """Assert the rules the engine.py docstring states on one run, from the
+    scenario and the run's records alone:
+
+    - the service intervals step from the first admission by the SI of the
+      streams admitted so far, up to the end of the run;
+    - the grants of an interval go, in polling (admission) order, to a
+      prefix of the streams active at its start, disjoint, after its
+      multi-poll under amtxop, inside the interval and starting before the
+      end of the run;
+    - an interval that grants fewer streams than are active, with time
+      left in the run, is one deferral;
+    - under hcca every grant is the stream's reference grant at the
+      interval's SI and PHY rate;
+    - every delivery is a frame of its station's trace, generated before
+      it is received, received inside a grant of its own station, and a
+      station's delivered sequence numbers strictly increase.
+    """
+    sc, K = result.scenario, result.K
+    per_s = K * US_PER_S   # ticks per second
+    stations = {s.aid: s for s in sc.stations}
+    polled = sorted((stations[aid] for aid in result.admitted_aids), key=lambda s: (s.start_s, s.aid))
+    base_rate = sc.data_rate or sc.profile.data_rate
+    changes = [tick for tick, _ in result.tier_changes]
+
+    by_si = {}
+    for k, aid, start, g, basis in entries(result.grants):
+        by_si.setdefault(k, []).append((aid, start, g, basis))
+    end_t = sc.sim_time_s * per_s
+    t = polled[0].start_s if polled else sc.sim_time_s
+    k = deferred = 0
+    while t < sc.sim_time_s:
+        admitted = [s for s in polled if s.start_s <= t]
+        si = compute_si(sc.beacon_interval_s, min(s.tspec.msi_s for s in admitted))
+        i = bisect_right(changes, t * per_s)
+        rate = result.tier_changes[i - 1][1] if i else base_rate
+        active = [] if rate is None else [s for s in admitted if s.stop_s is None or s.stop_s > t]
+        grants = by_si.pop(k, [])
+        assert [aid for aid, *_ in grants] == [s.aid for s in active[:len(grants)]], k
+        end = t * per_s
+        if sc.scheduler == "amtxop" and active:
+            end += airtime_multipoll(len(active), sc.profile, sc.control_rate) * K
+        for aid, start, g, basis in grants:
+            assert end <= start < end_t and g > 0, (k, aid)
+            end = start + g
+            if sc.scheduler == "hcca":
+                ref = txop_reference(stations[aid].tspec, si, exchange(sc.profile, sc.control_rate, rate))
+                assert (g, basis) == (ref * K, GrantBasis.REFERENCE_MEAN), (k, aid)
+        assert end <= (t + si) * per_s, k
+        deferred += len(grants) < len(active) and end < end_t
+        t, k = t + si, k + 1
+    assert (k, deferred, by_si) == (result.n_service_intervals, result.n_deferred_slots, {})
+
+    spans = {}
+    for _k, aid, start, g, _basis in entries(result.grants):
+        starts, ends = spans.setdefault(aid, ([], []))
+        starts.append(start)
+        ends.append(start + g)
+    last = {}
+    for aid, seq, size, gen, rx in entries(result.deliveries):
+        assert size == stations[aid].trace.sizes[seq] and gen < rx, (aid, seq)
+        assert seq > last.get(aid, -1), (aid, seq)
+        last[aid] = seq
+        starts, ends = spans[aid]
+        i = bisect_right(starts, rx) - 1
+        assert i >= 0 and rx <= ends[i], (aid, seq)
 
 
 class SimLab:

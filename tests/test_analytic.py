@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hccasim.analytic import (
-    SCHEDULERS,
     AnalyticInputs,
     _walk,
     aggregate_delay,
@@ -18,7 +17,7 @@ from hccasim.analytic import (
     td_i,
 )
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.hcca import reference_bytes
+from hccasim.hcca import SCHEDULERS, reference_bytes
 from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
@@ -122,10 +121,6 @@ class TestPerStationDelay:
         assert hcca == MEAN + inputs.price.poll + 2 * sifs
         assert atxop == hcca
         assert amtxop == inputs.t_mpoll + MEAN + sifs
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            position_delays("edca", make_inputs())
 
     @given(inputs=random_inputs())
     @settings(max_examples=50, deadline=None)
@@ -300,11 +295,6 @@ class TestInputBuilder:
         for s in SCHEDULERS:
             for k, row in enumerate(position_delays(s, inputs)):
                 assert row == tuple(_d_si_reference(s, i, inputs, k) for i in range(1, n + 1))
-
-    def test_rejects_zero_stations(self):
-        with pytest.raises(ValueError):
-            analytic_inputs(parse_trace(self.TRACE), 0, self.tspec(), Fraction(1, 25), PROFILE_11G,
-                            m_intervals=3)
 
 
 def _identity_misses(result, inputs, control_rate, rate):

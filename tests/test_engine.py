@@ -1106,3 +1106,28 @@ class TestRunResultWindow:
                             (Fraction(1, 5), Fraction(1, 10))]:
             with pytest.raises(ConfigError, match="stop_s"):
                 StationSpec(aid=1, trace=trace, tspec=TSPEC_54, start_s=start, stop_s=stop)
+
+
+class TestEntryConversion:
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    def test_floats_run_as_their_decimal_fractions(self, scheduler):
+        """Scenario, StationSpec, Mobility and Tspec read a float field as
+        the decimal it prints as, once, where it enters; the code below
+        them takes the values as given."""
+        def build(number):
+            tspec = Tspec(2700, 2700, number("540000"), number("0.08"), 54_000_000, number("0.04"))
+            trace = const_trace(8, 2700)
+            return Scenario(
+                name="entry", scheduler=scheduler, profile=PROFILE_11G,
+                stations=(StationSpec(aid=1, trace=trace, tspec=tspec),
+                          StationSpec(aid=2, trace=trace, tspec=tspec, start_s=number("0.04"))),
+                sim_time_s=number("0.2"), beacon_interval_s=number("0.12"), control_rate=2_000_000,
+                mobility=Mobility(tiers=TIERS, speed_mps=number("1.5"), start_s=number("0"),
+                                  initial_distance_ft=number("79.5")),
+            )
+
+        floats, fractions = build(float), build(Fraction)
+        assert floats == fractions
+        result = run_scenario(floats)
+        assert [rate for _, rate in result.tier_changes] == [54_000_000, 36_000_000]
+        assert result == run_scenario(fractions)

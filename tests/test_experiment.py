@@ -412,6 +412,10 @@ class TestCli:
         for n_max in ("0", "-3"):
             assert "--n-max" in self.rejected(capsys, ["table2", "--n-max", n_max])
 
+    def test_table2_rejects_a_control_rate_below_one(self, capsys):
+        for rate in ("0", "-2000000"):
+            assert "--control-rate" in self.rejected(capsys, ["table2", "--control-rate", rate])
+
     @pytest.mark.parametrize("phy", ["control_rate: 0", "control_rate: 2000000\n  data_rate: 0"])
     def test_run_rejects_a_rate_that_is_not_positive(self, tmp_path, capsys, phy):
         path = write_config(tmp_path, body=MINI.replace("control_rate: 2000000", phy))

@@ -72,9 +72,6 @@ class TestUtilization:
     def test_reduction_fraction(self):
         assert utilization_improvement(100, 80) == Fraction(1, 5)
 
-    def test_no_baseline_is_nan(self):
-        assert math.isnan(utilization_improvement(0, 10))
-
     def test_negative_when_worse(self):
         assert utilization_improvement(100, 120) == Fraction(-1, 5)
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hccasim.analytic import analytic_inputs
-from hccasim.errors import InvalidTspec, TraceParseError
+from hccasim.errors import ConfigError
+from hccasim.hcca import msdu_count
 from hccasim.phy import PROFILE_11G, US_PER_S
 from hccasim.traces import (
     TraceStats,
@@ -59,28 +60,40 @@ def test_parse_skips_comments_and_blanks():
 
 
 def test_parse_rejects_unknown_frame_type():
-    with pytest.raises(TraceParseError, match="line 1.*unknown frame type"):
+    with pytest.raises(ConfigError, match="line 1.*unknown frame type"):
         parse_trace("485 X 19440 1230")
 
 
 def test_parse_rejects_bad_columns():
-    with pytest.raises(TraceParseError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2"):
         parse_trace("1 I 0 100\n2 B 40\n")
-    with pytest.raises(TraceParseError, match="non-numeric size"):
+    with pytest.raises(ConfigError, match="non-numeric size"):
         parse_trace("1 I 0 10x0")
-    with pytest.raises(TraceParseError, match="non-numeric sequence"):
+    with pytest.raises(ConfigError, match="non-numeric sequence"):
         parse_trace("q I 0 100")
 
 
+@pytest.mark.parametrize("time", ["-40", "-0.5"])
+def test_parse_rejects_a_negative_display_time(time):
+    # such a frame would be generated before its stream starts
+    with pytest.raises(ConfigError, match="line 2: display time must be >= 0"):
+        parse_trace(f"0 I 0 1000\n1 P {time} 1000\n2 B 40 1000\n3 P 80 1000")
+
+
+def test_parse_names_the_line_of_a_negative_sequence():
+    with pytest.raises(ConfigError, match="line 2: frame sequence must be >= 0"):
+        parse_trace("0 I 0 1000\n-1 P 40 1000")
+
+
 def test_parse_rejects_empty():
-    with pytest.raises(TraceParseError, match="empty trace"):
+    with pytest.raises(ConfigError, match="empty trace"):
         parse_trace("# only a comment\n")
 
 
 def test_parse_rejects_any_repeated_display_time():
     # a tie among frames that otherwise advance, in file order or after the re-sort
     for text in ("0 I 0 100\n1 P 0 200\n2 P 40 300", "0 I 0 1\n1 P 80 1\n2 B 40 1\n3 B 80 1"):
-        with pytest.raises(TraceParseError, match="not strictly increasing"):
+        with pytest.raises(ConfigError, match="not strictly increasing"):
             parse_trace(text)
 
 
@@ -130,7 +143,8 @@ def test_stats_invariants_hold(sizes):
 
 def test_derive_tspec_carries_stats():
     s = trace_stats(two_frame_trace())
-    ts = derive_tspec(s, max_size=300, delay_bound_s=0.08, min_rate_bps=11_000_000, msi_s=0.04)
+    ts = derive_tspec(s, max_size=300, delay_bound_s=Fraction("0.08"), min_rate_bps=11_000_000,
+                      msi_s=Fraction("0.04"))
     assert ts.mean_msdu_bytes == 200
     assert ts.max_msdu_bytes == 300
     assert ts.mean_rate_bps == s.mean_bitrate
@@ -139,27 +153,43 @@ def test_derive_tspec_carries_stats():
 
 
 @pytest.mark.parametrize("sizes, exact_mean, mean", [
-    ((100, 301), Fraction(401, 2), 200),
+    ((100, 301), Fraction(401, 2), 201),
     ((100, 303), Fraction(403, 2), 202),
+    ((1, 1, 2), Fraction(4, 3), 2),
 ])
-def test_derive_tspec_rounds_a_half_integer_mean_to_even(sizes, exact_mean, mean):
+def test_derive_tspec_takes_the_ceiling_of_a_fractional_mean(sizes, exact_mean, mean):
     s = trace_stats(two_frame_trace(sizes))
     assert s.mean_size == exact_mean
-    ts = derive_tspec(s, max_size=max(sizes), delay_bound_s=0.08, min_rate_bps=11_000_000,
-                      msi_s=0.04)
+    ts = derive_tspec(s, max_size=max(sizes), delay_bound_s=Fraction("0.08"),
+                      min_rate_bps=11_000_000, msi_s=Fraction("0.04"))
     assert ts.mean_msdu_bytes == mean
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=20000), min_size=2, max_size=40),
+    interval_ms=st.integers(min_value=1, max_value=200),
+)
+def test_derived_contract_counts_one_msdu_per_frame_interval(sizes, interval_ms):
+    """One frame arrives per SI at SI = frame interval, and the derived
+    contract never counts more."""
+    trace = parse_trace("\n".join(f"{i} P {interval_ms * i} {s}" for i, s in enumerate(sizes)))
+    si = Fraction(interval_ms, 1000)
+    ts = derive_tspec(trace_stats(trace), max(sizes), delay_bound_s=Fraction(1),
+                      min_rate_bps=11_000_000, msi_s=si)
+    assert msdu_count(si, ts.mean_rate_bps, ts.mean_msdu_bytes) == 1
 
 
 def test_derive_tspec_rejects_msi_above_delay_bound():
     s = trace_stats(two_frame_trace())
-    with pytest.raises(InvalidTspec):
-        derive_tspec(s, max_size=300, delay_bound_s=0.04, min_rate_bps=11_000_000, msi_s=0.08)
+    with pytest.raises(ConfigError):
+        derive_tspec(s, max_size=300, delay_bound_s=Fraction("0.04"), min_rate_bps=11_000_000,
+                     msi_s=Fraction("0.08"))
 
 
 def test_tspec_invariants():
-    with pytest.raises(InvalidTspec):
+    with pytest.raises(ConfigError):
         Tspec(500, 400, 100000, Fraction(2, 25), 11_000_000, Fraction(1, 25))
-    with pytest.raises(InvalidTspec):
+    with pytest.raises(ConfigError):
         Tspec(500, 600, 0, Fraction(2, 25), 11_000_000, Fraction(1, 25))
 
 
@@ -259,5 +289,5 @@ def test_display_time_tokens_read_like_fractions():
         Fraction(25, 2), Fraction(51, 4), 40, 100, 1000,
     ]
     assert t.display_den == 4
-    with pytest.raises(TraceParseError, match="line 1: non-numeric display time '1__0'"):
+    with pytest.raises(ConfigError, match="line 1: non-numeric display time '1__0'"):
         parse_trace("0 I 1__0 10")
