@@ -1,10 +1,17 @@
 """Video trace parsing, statistics, and TSPEC derivation.
 
-Trace file format: plain text, one frame per line with 4 whitespace
-separated columns (sequence:int, type:char in {I,P,B}, display_time_ms,
-size_bytes:int). Lines starting with '#' and blank lines are ignored. A
-display time is an integer or any form `Fraction` reads (`12.5`, `1e3`,
-`25/2`).
+Trace file format: ASCII text, one frame per line (a line ends at LF,
+CR LF or CR) with 4 whitespace separated columns (sequence:int,
+type:char in {I,P,B}, display_time_ms, size_bytes:int). Lines starting
+with '#' and blank lines are ignored. A display time is an integer or
+any form `Fraction` reads (`12.5`, `1e3`, `25/2`).
+
+Text in the plain form is read in bulk: leading '#' lines of printable
+ASCII, then only lines of exactly `<digits> <I|P|B> <digits> <digits>`,
+single spaced, the last line's newline optional. The shipped traces and
+those of the benchmark are in this form. All other text is read line by
+line and parses exactly as before, with the same line-numbered errors;
+both readers feed one tail that orders and checks the frames.
 
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
@@ -22,8 +29,12 @@ negative, as no frame is generated before its stream starts.
 """
 
 import math
+import operator
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 
 from .errors import ConfigError
 from .util import exact_fields
@@ -81,13 +92,53 @@ class Tspec:
             )
 
 
-def parse_trace(text) -> VideoTrace:
-    """Parse a trace from a string, an open file, or an iterable of lines."""
-    if isinstance(text, str):
-        text = text.splitlines()
+# Lines end at \n, \r\n or \r, as when a file is read in text mode.
+_LINES = re.compile(r"\r\n?|\n").split
+# The plain form's frame line. Its comment lines are printable ASCII, so
+# they hold no \r.
+_FRAME = r"[0-9]+ [IPB] [0-9]+ [0-9]+"
+_FRAME_LINE = re.compile(_FRAME + "$", re.M).match
+_FIRST_NOT_COMMENT = re.compile(r"^(?!#[\t -~]*$)", re.M).search
+# a line break followed by anything but a frame line: one lookahead per
+# line, as a group repeated over all lines would stack an entry per line
+_BREAK_NOT_FRAME = re.compile(r"\n(?!" + _FRAME + "$)", re.M).search
+_CHUNK = 1 << 14   # characters split into tokens at a time, bounding the token list
+
+
+def _read_plain(text):
+    """(display times, sizes, 1) of a trace in the plain form, else None.
+
+    The plain form is leading '#' lines of printable ASCII, then at least
+    one line of exactly `<digits> <I|P|B> <digits> <digits>`, single
+    spaced, the last line break optional, and no size 0. Every check the
+    line loop makes holds of such text, so it is read in bulk."""
+    end = len(text) - text.endswith("\n")
+    body = _FIRST_NOT_COMMENT(text, 0, end)
+    if body is None:
+        return None
+    start = body.start()
+    if not _FRAME_LINE(text, start, end) or _BREAK_NOT_FRAME(text, start, end):
+        return None
+    times, sizes = [], []
+    while start < end:
+        stop = text.find("\n", start + _CHUNK, end)
+        if stop < 0:
+            stop = end
+        tokens = text[start:stop].split()
+        times += map(int, tokens[2::4])
+        sizes += map(int, tokens[3::4])
+        start = stop + 1
+    if min(sizes) == 0:
+        return None   # the line loop names the line
+    return times, sizes, 1
+
+
+def _read_lines(text):
+    """(display times, sizes, den) of any trace text, line by line; a
+    display time is an int, or a Fraction over a divisor of den."""
     times, sizes = [], []
     den = 1
-    for lineno, raw in enumerate(text, start=1):
+    for lineno, raw in enumerate(_LINES(text), start=1):
         cols = raw.split()
         if not cols or cols[0].startswith("#"):
             continue
@@ -124,28 +175,53 @@ def parse_trace(text) -> VideoTrace:
             raise ConfigError(f"line {lineno}: frame sequence must be >= 0, got {seq}")
         times.append(display)
         sizes.append(size)
+    return times, sizes, den
+
+
+def _in_generation_order(times, sizes, den) -> VideoTrace:
+    """The trace both readers' frames make: times over den, sorted."""
     if not sizes:
         raise ConfigError("empty trace: no frame lines found")
-
     if den > 1:
         times = [t.numerator * (den // t.denominator) for t in times]
-    order = sorted(range(len(times)), key=times.__getitem__)
-    times = [times[i] for i in order]
+    if not all(map(operator.lt, times, times[1:])):
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times = [times[i] for i in order]
+        sizes = [sizes[i] for i in order]
     # the gaps over the common denominator; a single frame has interval 0
-    gaps = [b - a for a, b in zip(times, times[1:])]
+    gaps = list(map(operator.sub, times[1:], times))
     if 0 in gaps:
         raise ConfigError("display times are not strictly increasing after reorder")
     return VideoTrace(
-        sizes=tuple(sizes[i] for i in order),
+        sizes=tuple(sizes),
         display=tuple(times),
         display_den=den,
         frame_interval_ms=Fraction(math.gcd(*gaps), den),
     )
 
 
+def parse_trace(text: str) -> VideoTrace:
+    """Parse a trace from its text: in bulk if it is in the plain form,
+    else line by line."""
+    return _in_generation_order(*(_read_plain(text) or _read_lines(text)))
+
+
+def _read_ascii(path) -> str:
+    # its own function, so that the file's bytes are freed before the
+    # parse, which can then reuse their memory
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not ASCII"
+        ) from None
+
+
 def load_trace(path) -> VideoTrace:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_trace(fh)
+    """Parse the trace file at path, which must be ASCII."""
+    return parse_trace(_read_ascii(path))
 
 
 def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceStats:
@@ -160,7 +236,7 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     total = sum(sizes)
     mean_size = Fraction(total, n)
     # population variance (n*sum(s^2) - sum(s)^2) / n^2, from integer sums
-    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
+    var = Fraction(n * sum(map(operator.mul, sizes, sizes)) - total * total, n * n)
     cov = math.sqrt(float(var)) / float(mean_size)
 
     if n == 1:
@@ -170,15 +246,28 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
         t0 = display[0]
         span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
         mean_rate = Fraction(total * 8000) / span_ms
-        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k
+        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k,
+        # which is (d - t0) * wden // num = k; its bytes are a difference of
+        # prefix sums, cut at the index of its first frame
         num, wden = window_s.numerator * 1000 * den, window_s.denominator
-        buckets = {}
-        for t, size in zip(display, sizes):
-            k = (t - t0) * wden // num
-            buckets[k] = buckets.get(k, 0) + size
+        windows = (display[-1] - t0) * wden // num + 1
+        if windows <= n:
+            # bisect at each window's start, t0 + ceil(k num / wden) = t0 - (-k num // wden)
+            starts = map(operator.sub, repeat(t0),
+                         map(operator.floordiv, range(0, -windows * num, -num), repeat(wden)))
+            cuts = [*map(bisect_left, repeat(display), starts), n]
+        else:
+            # windows outnumber frames, so most hold none and a bisect each
+            # would cost more than one pass: cut where a frame's window
+            # is not its predecessor's
+            ks = [(t - t0) * wden // num for t in display]
+            cuts = [0, *compress(range(1, n), map(operator.ne, ks, ks[1:])), n]
+        prefix = [0, *accumulate(sizes)]
+        at_cuts = list(map(prefix.__getitem__, cuts))
+        peak_bytes = max(map(operator.sub, at_cuts[1:], at_cuts))
         # traces shorter than one window would otherwise dilute the peak
         # below the mean; floor it so peak_to_mean stays well defined
-        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
+        peak_rate = max(Fraction(peak_bytes * 8) / window_s, mean_rate)
     return TraceStats(
         mean_size=mean_size,
         cov=cov,

@@ -487,6 +487,17 @@ class TestCli:
         assert len(errors) == 1
         assert errors[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["stats", "run"])
+    def test_non_ascii_trace_is_one_error_line(self, tmp_path, capsys, command):
+        trace = tmp_path / "t.txt"
+        trace.write_bytes(b"# caf\xc3\xa9\n0 I 0 100\n")
+        if command == "stats":
+            argv = ["stats", str(trace)]
+        else:
+            argv = ["run", str(write_config(tmp_path, body=MINI.replace("{trace}", str(trace))))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {trace}: byte 0xc3 at offset 5 is not ASCII\n"
+
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")
         assert main(["run", str(path)]) == 2

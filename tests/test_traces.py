@@ -1,5 +1,6 @@
 """Trace parsing, statistics, lookahead, and TSPEC derivation."""
 
+import importlib.util
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hccasim import traces
 from hccasim.analytic import analytic_inputs
 from hccasim.errors import ConfigError
 from hccasim.hcca import msdu_count
@@ -15,11 +17,12 @@ from hccasim.traces import (
     TraceStats,
     Tspec,
     derive_tspec,
+    load_trace,
     parse_trace,
     trace_stats,
 )
 
-from conftest import inputs_us
+from conftest import ROOT, inputs_us
 
 # A decode-order fragment: display times jump backwards after each anchor
 # frame, exercising the generation-order re-sort.
@@ -291,3 +294,153 @@ def test_display_time_tokens_read_like_fractions():
     assert t.display_den == 4
     with pytest.raises(ConfigError, match="line 1: non-numeric display time '1__0'"):
         parse_trace("0 I 1__0 10")
+
+
+# -- the bulk reader of plain text against the line loop ------------------
+
+def outcome(parse, text):
+    """What parse makes of text: a VideoTrace, or the ConfigError's text."""
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def by_lines(text):
+    """parse_trace as the line loop alone reads text."""
+    return traces._in_generation_order(*traces._read_lines(text))
+
+
+@st.composite
+def plain_traces(draw):
+    """(text, whether a size is 0): plain-form traces with leading comments,
+    display times listed out of order and possibly repeated."""
+    header = draw(st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126)), max_size=3))
+    frames = draw(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from("IPB"),
+                                     st.integers(0, 2000), st.integers(0, 20_000)),
+                           min_size=1, max_size=30))
+    lines = [f"#{c}" for c in header] + [f"{q} {k} {t} {s}" for q, k, t, s in frames]
+    end = draw(st.sampled_from(["", "\n"]))
+    return "\n".join(lines) + end, any(s == 0 for *_, s in frames)
+
+
+@given(trace=plain_traces())
+def test_the_bulk_reader_agrees_with_the_line_loop(trace):
+    text, size_zero = trace
+    # a size 0 is left to the line loop, which names its line
+    assert (traces._read_plain(text) is None) == size_zero
+    assert outcome(parse_trace, text) == outcome(by_lines, text)
+
+
+NEAR_MISSES = [
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line.replace(" ", "  ", 1),
+    lambda line: line + "\r",
+    lambda line: line + "\n# a comment after the first frame",
+    lambda line: "\n" + line,                       # a blank line
+    lambda line: " " + line,
+    lambda line: line + " ",
+    *(lambda line, time=time: " ".join([*line.split()[:2], time, line.split()[3]])
+      for time in ["12.5", "1e2", "51/4", "1_000", "+40", "\u0664\u0660"]),
+    lambda line: line + "\u0660",                   # an Arabic-Indic digit in a size
+]
+
+
+@given(trace=plain_traces(), case=st.sampled_from(range(len(NEAR_MISSES))), data=st.data())
+def test_near_misses_of_the_plain_form_take_the_line_loop(trace, case, data):
+    text, _ = trace
+    lines = text.splitlines()
+    frames = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    i = data.draw(st.sampled_from(frames))
+    lines[i] = NEAR_MISSES[case](lines[i])
+    missed = "\n".join(lines)
+    assert traces._read_plain(missed) is None
+    assert outcome(parse_trace, missed) == outcome(by_lines, missed)
+
+
+def test_token_count_is_not_enough_for_the_plain_form():
+    # 3 + 5 tokens make two frames' worth, but no line is a frame
+    text = "5 B 200\n6 7 P 240 2763\n"
+    assert traces._read_plain(text) is None
+    with pytest.raises(ConfigError, match="line 1: expected 4 columns, got 3"):
+        parse_trace(text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_lines_end_as_in_a_file_read_as_text(tmp_path, newline):
+    # a form feed ends no line; \r\n and \r end one, as \n does
+    path = tmp_path / "t.txt"
+    path.write_bytes(newline.join(["# c", "0 I 0\f100", "1 P 40 200", ""]).encode("ascii"))
+    t = load_trace(path)
+    assert (t.display, t.sizes) == ((0, 40), (100, 200))
+    with pytest.raises(ConfigError, match="^line 3: expected 4 columns, got 3$"):
+        parse_trace(newline.join(["# c", "0 I 0 100", "1 P 40", ""]))
+
+
+def load_perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_traces_take_the_bulk_reader(tmp_path):
+    rotated = load_perfbench_workloads().make("canonical", 1, tmp_path, ROOT)
+    assert rotated.trace_offset > 0
+    paths = [*sorted((ROOT / "traces").glob("*.txt")), tmp_path / "trace.txt"]
+    for path in paths:
+        text = path.read_text(encoding="ascii")
+        assert traces._read_plain(text) is not None, path
+        assert load_trace(path) == by_lines(text)
+
+
+def test_a_non_ascii_byte_names_the_file_and_its_offset(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("# caf\u00e9\n0 I 0 100\n".encode("utf-8"))
+    with pytest.raises(ConfigError, match=f"^{path}: byte 0xc3 at offset 5 is not ASCII$"):
+        load_trace(path)
+
+
+# -- trace_stats against the per-frame bucket loop ------------------------
+
+def loop_stats(trace, window_s):
+    """trace_stats summed frame by frame, each frame into a dict of windows."""
+    sizes, display, den = trace.sizes, trace.display, trace.display_den
+    n, total = len(sizes), sum(sizes)
+    mean_size = Fraction(total, n)
+    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
+    cov = math.sqrt(float(var)) / float(mean_size)
+    if n == 1:
+        mean_rate = peak_rate = Fraction(total * 8) / window_s
+    else:
+        t0 = display[0]
+        span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
+        mean_rate = Fraction(total * 8000) / span_ms
+        num, wden = window_s.numerator * 1000 * den, window_s.denominator
+        buckets = {}
+        for t, size in zip(display, sizes):
+            k = (t - t0) * wden // num
+            buckets[k] = buckets.get(k, 0) + size
+        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
+    return TraceStats(mean_size, cov, mean_rate, peak_rate, peak_rate / mean_rate)
+
+
+# windows from a millisecond, which most frames have to themselves, to
+# over an hour, which holds every drawn trace
+WINDOWS = st.builds(Fraction, st.integers(1, 4000), st.sampled_from([1, 3, 7, 100, 1000]))
+
+
+@given(trace=decimal_traces(), window_s=WINDOWS)
+def test_stats_match_the_per_frame_bucket_loop(trace, window_s):
+    t = parse_trace(trace[0])
+    assert trace_stats(t, window_s) == loop_stats(t, window_s)
+
+
+@pytest.fixture(scope="module", params=["f1_high", "jp1_low"])
+def shipped_trace(request):
+    return load_trace(ROOT / "traces" / f"{request.param}.txt")
+
+
+@pytest.mark.parametrize("window_s", [Fraction(1), Fraction(1, 3), Fraction(7, 2), Fraction(1, 100)])
+def test_shipped_trace_stats_match_the_per_frame_bucket_loop(shipped_trace, window_s):
+    assert trace_stats(shipped_trace, window_s) == loop_stats(shipped_trace, window_s)
