@@ -8,10 +8,11 @@ any form `Fraction` reads (`12.5`, `1e3`, `25/2`).
 
 Text in the plain form is read in bulk: leading '#' lines of printable
 ASCII, then only lines of exactly `<digits> <I|P|B> <digits> <digits>`,
-single spaced, the last line's newline optional. The shipped traces and
-those of the benchmark are in this form. All other text is read line by
-line and parses exactly as before, with the same line-numbered errors;
-both readers feed one tail that orders and checks the frames.
+single spaced, of at most 640 digits a number, the last line's newline
+optional. The shipped traces and those of the benchmark are in this
+form. All other text is read line by line and parses exactly as before,
+with the same line-numbered errors; both readers feed one tail that
+orders and checks the frames.
 
 Trace files commonly list frames in decode order while the display time
 column is presentation time, so display times are not monotone in file
@@ -31,10 +32,8 @@ negative, as no frame is generated before its stream starts.
 import math
 import operator
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
 
 from .errors import ConfigError
 from .util import exact_fields
@@ -95,8 +94,11 @@ class Tspec:
 # Lines end at \n, \r\n or \r, as when a file is read in text mode.
 _LINES = re.compile(r"\r\n?|\n").split
 # The plain form's frame line. Its comment lines are printable ASCII, so
-# they hold no \r.
-_FRAME = r"[0-9]+ [IPB] [0-9]+ [0-9]+"
+# they hold no \r. A number has at most 640 digits, the least limit that
+# sys.set_int_max_str_digits can put on int(), so the bulk read's int()
+# never raises; a longer one takes the line loop, which names its line.
+_DIGITS = "[0-9]{1,640}"
+_FRAME = f"{_DIGITS} [IPB] {_DIGITS} {_DIGITS}"
 _FRAME_LINE = re.compile(_FRAME + "$", re.M).match
 _FIRST_NOT_COMMENT = re.compile(r"^(?!#[\t -~]*$)", re.M).search
 # a line break followed by anything but a frame line: one lookahead per
@@ -110,8 +112,9 @@ def _read_plain(text):
 
     The plain form is leading '#' lines of printable ASCII, then at least
     one line of exactly `<digits> <I|P|B> <digits> <digits>`, single
-    spaced, the last line break optional, and no size 0. Every check the
-    line loop makes holds of such text, so it is read in bulk."""
+    spaced, each number at most 640 digits, the last line break optional,
+    and no size 0. Every check the line loop makes holds of such text, so
+    it is read in bulk."""
     end = len(text) - text.endswith("\n")
     body = _FIRST_NOT_COMMENT(text, 0, end)
     if body is None:
@@ -236,7 +239,7 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     total = sum(sizes)
     mean_size = Fraction(total, n)
     # population variance (n*sum(s^2) - sum(s)^2) / n^2, from integer sums
-    var = Fraction(n * sum(map(operator.mul, sizes, sizes)) - total * total, n * n)
+    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
     cov = math.sqrt(float(var)) / float(mean_size)
 
     if n == 1:
@@ -246,28 +249,15 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
         t0 = display[0]
         span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
         mean_rate = Fraction(total * 8000) / span_ms
-        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k,
-        # which is (d - t0) * wden // num = k; its bytes are a difference of
-        # prefix sums, cut at the index of its first frame
+        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k
         num, wden = window_s.numerator * 1000 * den, window_s.denominator
-        windows = (display[-1] - t0) * wden // num + 1
-        if windows <= n:
-            # bisect at each window's start, t0 + ceil(k num / wden) = t0 - (-k num // wden)
-            starts = map(operator.sub, repeat(t0),
-                         map(operator.floordiv, range(0, -windows * num, -num), repeat(wden)))
-            cuts = [*map(bisect_left, repeat(display), starts), n]
-        else:
-            # windows outnumber frames, so most hold none and a bisect each
-            # would cost more than one pass: cut where a frame's window
-            # is not its predecessor's
-            ks = [(t - t0) * wden // num for t in display]
-            cuts = [0, *compress(range(1, n), map(operator.ne, ks, ks[1:])), n]
-        prefix = [0, *accumulate(sizes)]
-        at_cuts = list(map(prefix.__getitem__, cuts))
-        peak_bytes = max(map(operator.sub, at_cuts[1:], at_cuts))
+        buckets = {}
+        for t, size in zip(display, sizes):
+            k = (t - t0) * wden // num
+            buckets[k] = buckets.get(k, 0) + size
         # traces shorter than one window would otherwise dilute the peak
         # below the mean; floor it so peak_to_mean stays well defined
-        peak_rate = max(Fraction(peak_bytes * 8) / window_s, mean_rate)
+        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
     return TraceStats(
         mean_size=mean_size,
         cov=cov,

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hccasim import traces
 from hccasim.analytic import analytic_inputs
@@ -324,6 +324,7 @@ def plain_traces(draw):
     return "\n".join(lines) + end, any(s == 0 for *_, s in frames)
 
 
+@settings(max_examples=50, deadline=None)
 @given(trace=plain_traces())
 def test_the_bulk_reader_agrees_with_the_line_loop(trace):
     text, size_zero = trace
@@ -346,6 +347,7 @@ NEAR_MISSES = [
 ]
 
 
+@settings(max_examples=50, deadline=None)
 @given(trace=plain_traces(), case=st.sampled_from(range(len(NEAR_MISSES))), data=st.data())
 def test_near_misses_of_the_plain_form_take_the_line_loop(trace, case, data):
     text, _ = trace
@@ -377,6 +379,20 @@ def test_lines_end_as_in_a_file_read_as_text(tmp_path, newline):
         parse_trace(newline.join(["# c", "0 I 0 100", "1 P 40", ""]))
 
 
+@pytest.mark.parametrize("digits", [641, 5000])
+@pytest.mark.parametrize("column", [0, 2, 3])
+def test_a_number_too_long_for_the_bulk_reader_takes_the_line_loop(digits, column):
+    # int() may be limited to as few as 640 digits, and by default refuses
+    # over 4300, which the line loop turns into its line-numbered error
+    cols = ["0", "I", "0", "100"]
+    cols[column] = "1" * digits
+    text = " ".join(cols) + "\n1 P 40 200\n"
+    assert traces._read_plain(text) is None
+    assert outcome(parse_trace, text) == outcome(by_lines, text)
+    cols[column] = "1" * 640
+    assert traces._read_plain(" ".join(cols)) is not None
+
+
 def load_perfbench_workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -391,7 +407,6 @@ def test_shipped_and_benchmark_traces_take_the_bulk_reader(tmp_path):
     for path in paths:
         text = path.read_text(encoding="ascii")
         assert traces._read_plain(text) is not None, path
-        assert load_trace(path) == by_lines(text)
 
 
 def test_a_non_ascii_byte_names_the_file_and_its_offset(tmp_path):
@@ -399,48 +414,3 @@ def test_a_non_ascii_byte_names_the_file_and_its_offset(tmp_path):
     path.write_bytes("# caf\u00e9\n0 I 0 100\n".encode("utf-8"))
     with pytest.raises(ConfigError, match=f"^{path}: byte 0xc3 at offset 5 is not ASCII$"):
         load_trace(path)
-
-
-# -- trace_stats against the per-frame bucket loop ------------------------
-
-def loop_stats(trace, window_s):
-    """trace_stats summed frame by frame, each frame into a dict of windows."""
-    sizes, display, den = trace.sizes, trace.display, trace.display_den
-    n, total = len(sizes), sum(sizes)
-    mean_size = Fraction(total, n)
-    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
-    cov = math.sqrt(float(var)) / float(mean_size)
-    if n == 1:
-        mean_rate = peak_rate = Fraction(total * 8) / window_s
-    else:
-        t0 = display[0]
-        span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
-        mean_rate = Fraction(total * 8000) / span_ms
-        num, wden = window_s.numerator * 1000 * den, window_s.denominator
-        buckets = {}
-        for t, size in zip(display, sizes):
-            k = (t - t0) * wden // num
-            buckets[k] = buckets.get(k, 0) + size
-        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
-    return TraceStats(mean_size, cov, mean_rate, peak_rate, peak_rate / mean_rate)
-
-
-# windows from a millisecond, which most frames have to themselves, to
-# over an hour, which holds every drawn trace
-WINDOWS = st.builds(Fraction, st.integers(1, 4000), st.sampled_from([1, 3, 7, 100, 1000]))
-
-
-@given(trace=decimal_traces(), window_s=WINDOWS)
-def test_stats_match_the_per_frame_bucket_loop(trace, window_s):
-    t = parse_trace(trace[0])
-    assert trace_stats(t, window_s) == loop_stats(t, window_s)
-
-
-@pytest.fixture(scope="module", params=["f1_high", "jp1_low"])
-def shipped_trace(request):
-    return load_trace(ROOT / "traces" / f"{request.param}.txt")
-
-
-@pytest.mark.parametrize("window_s", [Fraction(1), Fraction(1, 3), Fraction(7, 2), Fraction(1, 100)])
-def test_shipped_trace_stats_match_the_per_frame_bucket_loop(shipped_trace, window_s):
-    assert trace_stats(shipped_trace, window_s) == loop_stats(shipped_trace, window_s)
