@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every bundled experiment preset through the subcommand PRESETS
 names for it, each writing the CSV its config names under output.csv.
-Takes about 3 s serially on a 2-vCPU host; --jobs spreads runs over
+Takes about 4 s serially on a 2-vCPU host; --jobs spreads runs over
 worker processes. Ends with the SHA-256 of every CSV written and exits 1
 when one differs from presets/SHA256SUMS (sha256sum format, paths
 relative to the working directory), when SHA256SUMS names a CSV no preset

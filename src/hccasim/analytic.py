@@ -2,11 +2,11 @@
 
 Predicts, for polling position i in one service interval, the time from
 the interval start to the end of that station's burst. Predecessor j
-contributes a term TD_j built from its reference payload time; the two
-adaptive schedulers subtract the unused tail T_u_j = max(0, ref_j - t_j)
-that a mean-sized grant would have wasted on the actual traffic, and the
-multi-poll variant further removes the per-station poll frames in favor
-of a single broadcast poll.
+occupies the channel for the reference grant `hcca.txop_reference` sizes
+for it, less c1; the two adaptive schedulers subtract the unused tail
+T_u_j = max(0, ref_j - t_j) that a mean-sized grant would have wasted on
+the actual traffic, and the multi-poll variant further removes the
+per-station poll frames in favor of a single broadcast poll.
 
 The sum over predecessors is a running sum over the polling order, so
 the model walks each interval once: O(M*N) for M intervals of N
@@ -14,29 +14,23 @@ stations. The inputs are integers over one denominator, built where
 they are made, so the walk runs on integers and each result is divided
 once.
 
-Every term is priced from `phy.exchange` at the payload rate. Against a
-loss-free run at SI = frame interval the model leaves out exactly two
-terms, both the header time `hdr` of a data PPDU: c1 = hdr for each
-predecessor and c0 = hdr + prop - sifs for the own burst. Except in
-interval 0 of atxop/amtxop: no report is held there yet, so the run's
-grants are mean-sized and reclaim nothing, where the model reclaims.
+Every term is priced from `phy.exchange` at the payload rate, and every
+reference grant by `hcca`, as the engine plans it. Against a loss-free
+run at SI = frame interval the model leaves out exactly two terms, both
+the header time `hdr` of a data PPDU: c1 = hdr for each predecessor and
+c0 = hdr + prop - sifs for the own burst. Except in interval 0 of
+atxop/amtxop: no report is held there yet, so the run's grants are
+mean-sized and reclaim nothing, where the model reclaims.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcca import reference_bytes
+from .hcca import reference_overhead, txop_reference
 from .phy import Exchange, PhyProfile, airtime_multipoll, exchange
 from .traces import Tspec, VideoTrace
 from .util import exact
-
-
-def td_i(payload_us, price: Exchange) -> Fraction:
-    """Time one predecessor burst occupies the channel: its payload time
-    plus a poll, an ACK, three interframe spaces and one propagation
-    delay."""
-    return payload_us + price.poll + price.ack + 3 * price.sifs + price.prop
 
 
 def _price_den(price: Exchange, t_mpoll: Fraction) -> int:
@@ -48,21 +42,24 @@ def _price_den(price: Exchange, t_mpoll: Fraction) -> int:
 class AnalyticInputs:
     """Inputs of the delay model for one admitted set, in us over den (a
     multiple of _price_den): payload[k][i] / den is the actual payload
-    airtime of polling position i+1 in service interval k, ref_payload[i]
-    / den the reference payload time its mean-based grant would cover."""
+    airtime of polling position i+1 in service interval k, ref_excess[i]
+    / den the time its reference grant spans beyond one exchange (the
+    reference payload plus n - 1 exchange overheads for n mean MSDUs per
+    SI). The walk adds that exchange less c1: the engine's planned grant
+    less c1."""
 
     price: Exchange       # the exchange at the payload rate
     t_mpoll: Fraction     # one multi-poll for all the stations
     den: int
-    ref_payload: tuple
+    ref_excess: tuple
     payload: tuple
 
     def __post_init__(self):
-        if not self.ref_payload:
+        if not self.ref_excess:
             raise ValueError("need at least one station")
         if not self.payload:
             raise ValueError("need at least one service interval")
-        n = len(self.ref_payload)
+        n = len(self.ref_excess)
         for k, row in enumerate(self.payload):
             if len(row) != n:
                 raise ValueError(f"interval {k} has {len(row)} stations, expected {n}")
@@ -70,16 +67,16 @@ class AnalyticInputs:
             raise ValueError(f"den {self.den} leaves the prices fractional")
 
     @classmethod
-    def from_us(cls, price: Exchange, t_mpoll: Fraction, ref_payload_us, payload_us):
-        """Inputs from exact payload times in us (`Fraction` or `int`)."""
-        rows = [[exact(v) for v in row] for row in (ref_payload_us, *payload_us)]
+    def from_us(cls, price: Exchange, t_mpoll: Fraction, ref_excess_us, payload_us):
+        """Inputs from exact times in us (`Fraction` or `int`)."""
+        rows = [[exact(v) for v in row] for row in (ref_excess_us, *payload_us)]
         den = math.lcm(_price_den(price, t_mpoll), *(v.denominator for row in rows for v in row))
         ref, *payload = (tuple(int(v * den) for v in row) for row in rows)
         return cls(price, t_mpoll, den, ref, tuple(payload))
 
     @property
     def n_stations(self) -> int:
-        return len(self.ref_payload)
+        return len(self.ref_excess)
 
     @property
     def m_intervals(self) -> int:
@@ -97,8 +94,9 @@ def _walk(scheduler: str, inputs: AnalyticInputs):
         first, shed = inputs.t_mpoll + price.sifs, price.poll
     else:
         first, shed = price.poll + 2 * price.sifs, 0
-    first, fixed = int(first * den), int((td_i(0, price) - shed) * den)
-    refs = inputs.ref_payload
+    # each step adds the one exchange ref_excess leaves out, less c1 and the shed poll
+    first, fixed = int(first * den), int((reference_overhead(1, price) - price.hdr - shed) * den)
+    refs = inputs.ref_excess
     steps = [ref + fixed for ref in refs]
     reclaim = scheduler != "hcca"
 
@@ -167,7 +165,8 @@ def analytic_inputs(
     sizes = [bins.get(k, 0) for k in range(m_intervals)]
 
     t_mpoll = airtime_multipoll(n_stations, profile, control_rate)
-    den = math.lcm(price.byte.denominator, _price_den(price, t_mpoll))
+    ref = txop_reference(tspec, si_s, price) - reference_overhead(1, price)
+    den = math.lcm(price.byte.denominator, ref.denominator, _price_den(price, t_mpoll))
     byte = int(price.byte * den)
-    return AnalyticInputs(price, t_mpoll, den, (reference_bytes(tspec, si_s) * byte,) * n_stations,
+    return AnalyticInputs(price, t_mpoll, den, (int(ref * den),) * n_stations,
                           tuple((s * byte,) * n_stations for s in sizes))

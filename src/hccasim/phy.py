@@ -78,13 +78,9 @@ def plcp_time_us(profile: PhyProfile) -> Fraction:
     return _bits_time_us(bits, profile.plcp_rate)
 
 
-def airtime_data(payload_bytes: int, profile: PhyProfile, rate_override: int | None = None) -> Fraction:
-    """Over-the-air time of a data PPDU carrying payload_bytes, in us.
-
-    The MAC header and payload travel at the profile data rate unless
-    rate_override is given.
-    """
-    rate = profile.data_rate if rate_override is None else rate_override
+def airtime_data(payload_bytes: int, profile: PhyProfile, rate: int) -> Fraction:
+    """Over-the-air time of a data PPDU carrying payload_bytes, in us,
+    the MAC header and payload at rate."""
     body_bits = (profile.mac_header_bytes + payload_bytes) * 8
     return plcp_time_us(profile) + _bits_time_us(body_bits, rate)
 

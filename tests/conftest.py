@@ -95,10 +95,10 @@ def tier_changes_us(result) -> tuple:
 
 
 def inputs_us(inputs) -> tuple:
-    """The delay model's payload times in us: its reference row and its
-    interval rows."""
+    """The delay model's inputs in us: its reference row (each reference
+    grant beyond one exchange) and its payload rows."""
     den = inputs.den
-    return (tuple(Fraction(c, den) for c in inputs.ref_payload),
+    return (tuple(Fraction(c, den) for c in inputs.ref_excess),
             tuple(tuple(Fraction(c, den) for c in row) for row in inputs.payload))
 
 

@@ -14,10 +14,9 @@ from hccasim.analytic import (
     aggregate_delay_alt,
     analytic_inputs,
     position_delays,
-    td_i,
 )
 from hccasim.engine import Scenario, StationSpec, run_scenario
-from hccasim.hcca import SCHEDULERS, reference_bytes
+from hccasim.hcca import SCHEDULERS, msdu_count, reference_bytes, txop_reference
 from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
@@ -29,7 +28,7 @@ from hccasim.phy import (
 )
 from hccasim.traces import Tspec, load_trace, parse_trace
 
-from conftest import ROOT, VALIDATION, entries, inputs_us
+from conftest import CANONICAL, ROOT, VALIDATION, entries, inputs_us
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s
 REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
@@ -65,26 +64,54 @@ def random_inputs(draw):
     return inputs_11g(refs, payload, draw(st.sampled_from([None, 1_000_000, 2_000_000])))
 
 
+def hcca_step(tspec, control_rate):
+    """The model's hcca delay from polling position 1 to position 2 on 11g
+    at SI = 40 ms, both stations sending the same frame: the channel time
+    it charges the first station as a predecessor."""
+    trace = parse_trace("0 I 0 100\n")
+    inputs = analytic_inputs(trace, 2, tspec, Fraction(1, 25), PROFILE_11G, 1, control_rate)
+    first, second = position_delays("hcca", inputs)[0]
+    return second - first
+
+
+def contract(mean_msdu, max_msdu, msdus_per_si, rate):
+    """A contract of msdus_per_si mean MSDUs per 40 ms SI."""
+    return Tspec(mean_msdu, max_msdu, Fraction(200 * mean_msdu * msdus_per_si), Fraction("0.08"),
+                 rate, Fraction(1, 25))
+
+
 class TestPredecessorTerm:
     def test_composition_at_54_control(self):
         # one mean MSDU at 54 Mb/s with control frames at the data rate
-        payload = Fraction(3800 * 8 * 10**6, 54_000_000)
-        assert td_i(payload, exchange(PROFILE_11G, 54_000_000, 54_000_000)) == Fraction(22832, 27)
+        assert hcca_step(contract(3800, 3800, 1, 54_000_000), 54_000_000) == Fraction(22832, 27)
 
     def test_composition_at_1_control(self):
-        assert td_i(REF, exchange(PROFILE_11G, 1_000_000, 36_000_000)) == REF + 848
+        # one 7500-byte MSDU: a poll and an ACK of 408 us, three SIFS, prop
+        assert hcca_step(contract(7500, 7500, 1, 36_000_000), 1_000_000) == REF + 848
+
+    @pytest.mark.parametrize("msdus_per_si", [1, 2, 3])
+    def test_step_is_the_reference_grant_less_c1(self, msdus_per_si):
+        """Under hcca a predecessor holds the grant the engine makes,
+        txop_reference, of which the model leaves out c1 = hdr."""
+        tspec = contract(3800, 7500, msdus_per_si, 11_000_000)
+        assert msdu_count(Fraction(1, 25), tspec.mean_rate_bps, 3800) == msdus_per_si
+        price = exchange(PROFILE_11G, 2_000_000, 11_000_000)
+        grant = txop_reference(tspec, Fraction(1, 25), price)
+        assert hcca_step(tspec, 2_000_000) == grant - price.hdr
 
 
 def _d_si_reference(scheduler, i, inputs, k):
     """Delay of position i in interval k as the direct sum over its
     predecessors j < i: the quadratic form of the model, kept as the
     oracle for position_delays."""
-    sifs, t_poll = inputs.price.sifs, inputs.price.poll
+    price = inputs.price
+    sifs, t_poll = price.sifs, price.poll
     refs, payload = inputs_us(inputs)
     actual = payload[k]
     own = actual[i - 1]
     preds = range(1, i)
-    td = [td_i(refs[j - 1], inputs.price) for j in preds]
+    # the reference grant beyond one exchange, plus that exchange less c1
+    td = [refs[j - 1] + t_poll + price.ack + 3 * sifs + price.prop for j in preds]
 
     def unused(j):
         gap = refs[j - 1] - actual[j - 1]
@@ -291,7 +318,11 @@ class TestInputBuilder:
         inputs = analytic_inputs(trace, n, tspec, si, profile, m_intervals, control_rate)
         refs, payload = inputs_us(inputs)
         assert payload == tuple((Fraction(b * 8 * US_PER_S, rate),) * n for b in bins)
-        assert refs == (Fraction(reference_bytes(tspec, si) * 8 * US_PER_S, rate),) * n
+        # the reference payload, and the exchanges of every mean MSDU but one
+        price = exchange(profile, control_rate, rate)
+        per_msdu = price.ack + price.hdr + 3 * price.sifs
+        extra = (msdu_count(si, tspec.mean_rate_bps, mean_msdu) - 1) * per_msdu
+        assert refs == (Fraction(reference_bytes(tspec, si) * 8 * US_PER_S, rate) + extra,) * n
         for s in SCHEDULERS:
             for k, row in enumerate(position_delays(s, inputs)):
                 assert row == tuple(_d_si_reference(s, i, inputs, k) for i in range(1, n + 1))
@@ -357,10 +388,15 @@ class TestModelPinnedToEngine:
                     assert got == (0, 750 * n), (trace_name, scheduler, n)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_11b_runs(self, lab, scheduler, n):
-        tspec = VALIDATION["jp1_low"]
-        trace = lab.trace("jp1_low")
+    @pytest.mark.parametrize("trace_name, tspec, n", [
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 1, id="1"),
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 4, id="4"),
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 8, id="8"),
+        # the declared contract of the delay presets: 2 mean MSDUs per SI
+        pytest.param("jp1_high", CANONICAL["jp1_high"], 3, id="jp1_high-3"),
+    ])
+    def test_11b_runs(self, lab, scheduler, trace_name, tspec, n):
+        trace = lab.trace(trace_name)
         result = run_scenario(Scenario(
             name="pin-11b", scheduler=scheduler, profile=PROFILE_11B,
             stations=tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n)),
@@ -381,19 +417,20 @@ class TestModelPinnedToEngine:
         n=st.integers(1, 6),
         max_msdu=st.integers(1, 1500),
         warmup_si=st.integers(0, 3),
+        msdus_per_si=st.integers(1, 3),
     )
     @settings(max_examples=100, deadline=None)
-    def test_drawn_runs(self, profile_rates, data, control_rate, n, max_msdu, warmup_si):
+    def test_drawn_runs(self, profile_rates, data, control_rate, n, max_msdu, warmup_si,
+                        msdus_per_si):
         """Any trace of one frame per 40 ms at SI = 40 ms, on either PHY, at
-        any control rate and the data rate its contract names: every
-        measured frame of every scheduler keeps the identity."""
+        any control rate, the data rate its contract names and a contract
+        of 1 to 3 mean MSDUs per SI: every measured frame of every
+        scheduler keeps the identity."""
         profile, rates = profile_rates
         rate = data.draw(st.sampled_from(rates), label="rate")
         sizes = data.draw(st.lists(st.integers(1, max_msdu), min_size=2, max_size=8), label="sizes")
         mean_msdu = data.draw(st.integers(1, max_msdu), label="mean_msdu")
-        # one mean MSDU per service interval, as the trace sends one frame
-        tspec = Tspec(mean_msdu, max_msdu, Fraction(200 * mean_msdu), Fraction("0.08"), rate,
-                      Fraction(1, 25))
+        tspec = contract(mean_msdu, max_msdu, msdus_per_si, rate)
         trace = parse_trace("".join(f"{i} P {40 * i} {size}\n" for i, size in enumerate(sizes)))
         warmup = Fraction(warmup_si, 25)
         m = len(sizes)

@@ -43,17 +43,17 @@ def test_profile_defaults_11b():
 
 def test_airtime_data_3800_bytes_11g():
     # 96 + 24 preamble/PLCP at 1 Mb/s, then (36 + 3800) bytes at 54 Mb/s
-    assert airtime_data(3800, PROFILE_11G) == Fraction(18584, 27)
-    assert float(airtime_data(3800, PROFILE_11G)) == pytest.approx(688.30, abs=0.005)
+    assert airtime_data(3800, PROFILE_11G, 54_000_000) == Fraction(18584, 27)
+    assert float(airtime_data(3800, PROFILE_11G, 54_000_000)) == pytest.approx(688.30, abs=0.005)
 
 
 def test_airtime_data_header_only():
-    assert airtime_data(0, PROFILE_11G) == 120 + Fraction(288, 54)
-    assert float(airtime_data(0, PROFILE_11G)) == pytest.approx(125.33, abs=0.005)
+    assert airtime_data(0, PROFILE_11G, 54_000_000) == 120 + Fraction(288, 54)
+    assert float(airtime_data(0, PROFILE_11G, 54_000_000)) == pytest.approx(125.33, abs=0.005)
 
 
 def test_airtime_data_rate_override():
-    got = airtime_data(3800, PROFILE_11G, rate_override=11_000_000)
+    got = airtime_data(3800, PROFILE_11G, 11_000_000)
     assert got == Fraction(32008, 11)
     assert float(got) == pytest.approx(2909.82, abs=0.005)
 
@@ -66,7 +66,7 @@ def test_ack_equals_single_poll():
     # both are the header-only PPDU: a data frame's PLCP and MAC header
     # without payload, sent at the control rate
     for rate in (1_000_000, CTRL_2M, 54_000_000):
-        assert airtime_control(PROFILE_11G, rate) == airtime_data(0, PROFILE_11G, rate_override=rate)
+        assert airtime_control(PROFILE_11G, rate) == airtime_data(0, PROFILE_11G, rate)
 
 
 def test_single_poll_at_data_rate():
@@ -100,8 +100,8 @@ def test_gain_ratio_values():
 
 @given(payload=st.integers(min_value=0, max_value=100_000))
 def test_airtime_data_strictly_increasing_in_payload(payload):
-    a = airtime_data(payload, PROFILE_11G)
-    b = airtime_data(payload + 1, PROFILE_11G)
+    a = airtime_data(payload, PROFILE_11G, 54_000_000)
+    b = airtime_data(payload + 1, PROFILE_11G, 54_000_000)
     assert b > a
 
 
@@ -110,8 +110,8 @@ def test_airtime_data_strictly_increasing_in_payload(payload):
     rate=st.sampled_from([1, 2, 6, 11, 18, 36, 54]),
 )
 def test_airtime_data_strictly_decreasing_in_rate(payload, rate):
-    slow = airtime_data(payload, PROFILE_11G, rate_override=rate * 1_000_000)
-    fast = airtime_data(payload, PROFILE_11G, rate_override=(rate + 1) * 1_000_000)
+    slow = airtime_data(payload, PROFILE_11G, rate * 1_000_000)
+    fast = airtime_data(payload, PROFILE_11G, (rate + 1) * 1_000_000)
     assert fast < slow
 
 
