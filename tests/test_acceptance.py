@@ -9,13 +9,13 @@ import time
 from fractions import Fraction
 
 from hccasim.analytic import AnalyticInputs, aggregate_delay, analytic_inputs, position_delays
-from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.engine import run_scenario
 from hccasim.hcca import admissible, compute_si, txop_reference
 from hccasim.experiment import emit_table2
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll, exchange
 from hccasim.traces import parse_trace
 
-from conftest import CANONICAL, SCHEDULERS, VALIDATION, entries
+from conftest import CANONICAL, SCHEDULERS, VALIDATION, check_run, entries, make_scenario, shipped_trace
 
 BI = Fraction(3, 25)
 
@@ -43,11 +43,8 @@ def _engine_admits(profile, data_rate, control_rate, tspec, n):
     """Offer n identical streams at once to the simulator under hcca and
     return how many it admits."""
     trace = parse_trace("0 I 0 3800\n1 P 40 3800")
-    stations = tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n))
-    sc = Scenario(
-        name="capacity", scheduler="hcca", profile=profile, stations=stations,
-        sim_time_s=BI, beacon_interval_s=BI, control_rate=control_rate, data_rate=data_rate,
-    )
+    sc = make_scenario("hcca", [trace] * n, tspec, profile=profile, sim_time_s=BI, beacon_interval_s=BI,
+                       control_rate=control_rate, data_rate=data_rate)
     return run_scenario(sc).n_admitted
 
 
@@ -170,7 +167,7 @@ def test_criterion_07_analytic_validation(lab):
     ok = True
     for trace_name in ("jp1_high", "jp1_low"):
         tspec = VALIDATION[trace_name]
-        trace = lab.trace(trace_name)
+        trace = shipped_trace(trace_name)
         inputs_by_n = {
             n: analytic_inputs(
                 trace, n, tspec, Fraction(1, 25), PROFILE_11G,
@@ -305,3 +302,13 @@ def test_criterion_10_property_suites(lab):
         f"determinism={deterministic} cap-budget={budget_ok} "
         f"conservation={conservation} linearity={linear} identity={identity}",
     )
+
+
+def test_every_cached_run_keeps_the_rules(lab):
+    """check_run over every run the criteria above left in the lab's cache,
+    which pytest fills first, as it runs a module top to bottom: the check
+    costs no simulation of its own."""
+    runs = lab.results()
+    assert runs, "run with the criteria above, whose runs this checks"
+    for result in runs:
+        check_run(result)

@@ -5,56 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.engine import StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
 from hccasim.phy import PROFILE_11B, PROFILE_11G, airtime_control, airtime_multipoll, exchange
-from hccasim.traces import Tspec, parse_trace
+from hccasim.traces import parse_trace
 
-from conftest import grants_us, records
+from conftest import by_si, const_trace, grants_us, make_scenario, make_tspec, records
 
 # one MSDU exchange at 11 Mb/s behind its own 2 Mb/s poll: the report-sized
 # grant for 0 bytes on 802.11b
 O_ONE_11B = reference_overhead(1, exchange(PROFILE_11B, 2_000_000, 11_000_000))   # 10144/11
 
 
-def make_tspec(L=3800, M=7500, rho=770_000, R=11_000_000):
-    return Tspec(
-        mean_msdu_bytes=L,
-        max_msdu_bytes=M,
-        mean_rate_bps=Fraction(rho),
-        delay_bound_s=Fraction("0.08"),
-        min_phy_rate_bps=R,
-        msi_s=Fraction("0.04"),
-    )
-
-
-def const_trace(n_frames, size, interval_ms=40):
-    return parse_trace("\n".join(
-        f"{i} {'I' if i % 12 == 0 else 'P'} {i * interval_ms} {size}" for i in range(n_frames)
-    ))
-
-
-def run(scheduler, traces, tspec, profile=PROFILE_11G, stops=None, **kw):
-    """One station per trace, admitted at t = 0 with 2 Mb/s control frames."""
-    stops = stops or [None] * len(traces)
-    stations = tuple(
-        StationSpec(aid=i + 1, trace=t, tspec=tspec, stop_s=stop)
-        for i, (t, stop) in enumerate(zip(traces, stops))
-    )
-    sc = Scenario(
-        name="adaptive", scheduler=scheduler, profile=profile, stations=stations,
-        sim_time_s=kw.pop("sim_time_s", Fraction(1, 5)), beacon_interval_s=Fraction(3, 25),
-        control_rate=2_000_000, **kw,
-    )
-    return run_scenario(sc)
-
-
-def by_si(result):
-    out = {}
-    for g in grants_us(result):
-        out.setdefault(g.si_index, []).append(g)
-    return out
+def run(*args, **kw):
+    """The run of make_scenario(*args, **kw)."""
+    return run_scenario(make_scenario(*args, **kw))
 
 
 class TestAdaptiveGrant:
@@ -151,10 +117,7 @@ class TestReportRules:
         ))
         stations = (StationSpec(aid=1, trace=const_trace(5, 3800), tspec=make_tspec()),
                     StationSpec(aid=2, trace=late, tspec=make_tspec(), start_s=Fraction(1, 100)))
-        result = run_scenario(Scenario(
-            name="two-deliveries", scheduler="atxop", profile=PROFILE_11B, stations=stations,
-            sim_time_s=Fraction(1, 5), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
-        ))
+        result = run("atxop", stations=stations, profile=PROFILE_11B)
         first, nxt = [g for g in grants_us(result) if g.aid == 2][:2]
         assert first.basis is GrantBasis.REFERENCE_MEAN
         in_first = [r.sequence for r in records(result)
@@ -220,7 +183,7 @@ class TestMultipollOverhead:
                 assert s.duration_us - m.duration_us == O_POLL_11G
 
 
-class TestMultiPollFrame:
+class TestMultipollRecords:
     def test_body_grows_four_bytes_per_record(self):
         # one more record: 4 more bytes at the 2 Mb/s control rate
         for n in range(1, 12):
@@ -229,16 +192,12 @@ class TestMultiPollFrame:
             )
             assert step == Fraction(4 * 8 * 1_000_000, 2_000_000)
 
-    def test_duplicate_or_missing_aid_rejected(self):
+    def test_each_interval_polls_distinct_positive_aids(self):
         trace = const_trace(5, 2700)
         with pytest.raises(ConfigError):
             StationSpec(aid=0, trace=trace, tspec=TSPEC_54)
         with pytest.raises(ConfigError):
-            Scenario(
-                name="dup", scheduler="amtxop", profile=PROFILE_11G,
-                stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54),) * 2,
-                sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
-            )
+            make_scenario("amtxop", stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54),) * 2)
         for grants in by_si(mixed_run()).values():
             aids = [g.aid for g in grants]
             assert len(set(aids)) == len(aids)
@@ -253,7 +212,7 @@ class TestMultiPollFrame:
                 t += g.duration_us
 
 
-class TestBuildMultipoll:
+class TestMultipollGrants:
     def test_mixed_reports_and_fallbacks(self):
         result = mixed_run()
         steady = [g for g in grants_us(result) if g.si_index >= 1]
@@ -297,8 +256,9 @@ class TestBuildMultipoll:
     def test_no_multipoll_without_active_station(self):
         # no active station, no multi-poll: every stream stops after 0.1 s
         trace = const_trace(5, 2700)
-        result = run("amtxop", [trace, trace], TSPEC_54, stops=[Fraction(1, 10)] * 2,
-                     log_events=True)
+        stopping = tuple(StationSpec(aid=aid, trace=trace, tspec=TSPEC_54, stop_s=Fraction(1, 10))
+                         for aid in (1, 2))
+        result = run("amtxop", stations=stopping, log_events=True)
         assert max(g.si_index for g in grants_us(result)) == 2
         assert sum("MULTIPOLL" in line for line in result.event_log) == 3
         assert result.n_service_intervals == 5

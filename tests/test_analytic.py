@@ -26,9 +26,9 @@ from hccasim.phy import (
     airtime_multipoll,
     exchange,
 )
-from hccasim.traces import Tspec, load_trace, parse_trace
+from hccasim.traces import parse_trace
 
-from conftest import CANONICAL, ROOT, VALIDATION, entries, inputs_us
+from conftest import CANONICAL, VALIDATION, entries, inputs_us, make_scenario, make_tspec, shipped_trace
 
 # jp1-class stream on the validation PHY: payload at 36 Mb/s, control at 1 Mb/s
 REF = Fraction(7500 * 8 * 10**6, 36_000_000)      # 5000/3 us
@@ -76,8 +76,7 @@ def hcca_step(tspec, control_rate):
 
 def contract(mean_msdu, max_msdu, msdus_per_si, rate):
     """A contract of msdus_per_si mean MSDUs per 40 ms SI."""
-    return Tspec(mean_msdu, max_msdu, Fraction(200 * mean_msdu * msdus_per_si), Fraction("0.08"),
-                 rate, Fraction(1, 25))
+    return make_tspec(mean_msdu, max_msdu, 200 * mean_msdu * msdus_per_si, rate)
 
 
 class TestPredecessorTerm:
@@ -233,14 +232,7 @@ class TestInputBuilder:
     TRACE = "0 I 0 1000\n1 P 40 500\n2 B 80 250\n"
 
     def tspec(self):
-        return Tspec(
-            mean_msdu_bytes=500,
-            max_msdu_bytes=1000,
-            mean_rate_bps=Fraction(100_000),
-            delay_bound_s=Fraction("0.08"),
-            min_phy_rate_bps=1_000_000,
-            msi_s=Fraction("0.04"),
-        )
+        return make_tspec(500, 1000, 100_000, 1_000_000)
 
     def test_bins_follow_service_intervals(self):
         trace = parse_trace(self.TRACE)
@@ -271,7 +263,7 @@ class TestInputBuilder:
     def test_window_equals_full_binning(self, si, m_intervals):
         """Binning stops past the window, yet every interval in it holds
         what binning the whole trace puts there."""
-        trace = load_trace(ROOT / "traces" / "jp1_high.txt")
+        trace = shipped_trace("jp1_high")
         tspec = VALIDATION["jp1_high"]
         bins = {}
         for t, size in zip(trace.display, trace.sizes):
@@ -302,9 +294,7 @@ class TestInputBuilder:
                                                 m_intervals, mean_msdu, frames):
         """Every cell over den is its interval's bytes at the payload rate,
         and the model on these inputs is the direct sum over predecessors."""
-        tspec = Tspec(mean_msdu_bytes=mean_msdu, max_msdu_bytes=4000,
-                      mean_rate_bps=Fraction(300_000), delay_bound_s=Fraction("0.2"),
-                      min_phy_rate_bps=rate, msi_s=Fraction("0.1"))
+        tspec = make_tspec(mean_msdu, 4000, 300_000, rate, D="0.2", msi="0.1")
         # each frame is displayed gap ms after the one before it
         times = list(accumulate(gap for gap, _ in frames))
         sizes = [size for _, size in frames]
@@ -380,7 +370,7 @@ class TestModelPinnedToEngine:
         for trace_name in ("jp1_high", "jp1_low"):
             tspec = VALIDATION[trace_name]
             for n in range(1, 13):
-                inputs = analytic_inputs(lab.trace(trace_name), n, tspec, Fraction(1, 25),
+                inputs = analytic_inputs(shipped_trace(trace_name), n, tspec, Fraction(1, 25),
                                          PROFILE_11G, control_rate=1_000_000, m_intervals=750)
                 for scheduler in SCHEDULERS:
                     result = lab.validation_run(trace_name, scheduler, n)
@@ -395,14 +385,10 @@ class TestModelPinnedToEngine:
         # the declared contract of the delay presets: 2 mean MSDUs per SI
         pytest.param("jp1_high", CANONICAL["jp1_high"], 3, id="jp1_high-3"),
     ])
-    def test_11b_runs(self, lab, scheduler, trace_name, tspec, n):
-        trace = lab.trace(trace_name)
-        result = run_scenario(Scenario(
-            name="pin-11b", scheduler=scheduler, profile=PROFILE_11B,
-            stations=tuple(StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n)),
-            sim_time_s=Fraction(10), beacon_interval_s=Fraction(3, 25),
-            control_rate=2_000_000, data_rate=tspec.min_phy_rate_bps,
-        ))
+    def test_11b_runs(self, scheduler, trace_name, tspec, n):
+        trace = shipped_trace(trace_name)
+        result = run_scenario(make_scenario(scheduler, [trace] * n, tspec, profile=PROFILE_11B,
+                                            sim_time_s=Fraction(10), data_rate=tspec.min_phy_rate_bps))
         inputs = analytic_inputs(trace, n, tspec, Fraction(1, 25), PROFILE_11B,
                                  control_rate=2_000_000, m_intervals=250)
         assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * n)
@@ -425,7 +411,9 @@ class TestModelPinnedToEngine:
         """Any trace of one frame per 40 ms at SI = 40 ms, on either PHY, at
         any control rate, the data rate its contract names and a contract
         of 1 to 3 mean MSDUs per SI: every measured frame of every
-        scheduler keeps the identity."""
+        scheduler keeps the identity. It draws its own space, not
+        conftest.scenarios(): the model holds only at SI = frame interval,
+        without loss or mobility, with every stream starting at the warmup."""
         profile, rates = profile_rates
         rate = data.draw(st.sampled_from(rates), label="rate")
         sizes = data.draw(st.lists(st.integers(1, max_msdu), min_size=2, max_size=8), label="sizes")

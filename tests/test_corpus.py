@@ -1,13 +1,12 @@
 """Properties of the shipped trace files that scenarios rely on."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from hccasim.traces import derive_tspec, load_trace, trace_stats
+from hccasim.traces import derive_tspec, trace_stats
 
-TRACES = Path(__file__).resolve().parents[1] / "traces"
+from conftest import ROOT, shipped_trace
 
 TARGETS = {
     # name: (mean bytes, max bytes, cov, cov half-width)
@@ -20,13 +19,13 @@ TARGETS = {
 
 def file_columns(name):
     """The trace file's four columns as strings, in file order."""
-    lines = (TRACES / f"{name}.txt").read_text().splitlines()
+    lines = (ROOT / "traces" / f"{name}.txt").read_text().splitlines()
     return tuple(zip(*(line.split() for line in lines if line and not line.startswith("#"))))
 
 
 @pytest.fixture(scope="module", params=sorted(TARGETS))
 def corpus(request):
-    return request.param, load_trace(TRACES / f"{request.param}.txt")
+    return request.param, shipped_trace(request.param)
 
 
 def test_shape(corpus):

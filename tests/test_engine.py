@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -16,54 +15,17 @@ from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
 from conftest import (
-    entries, grants_us, mean_delay_ms, measured_grants, measured_records, oracle_report, records,
+    TIERS, by_si, check_run, const_trace, drawn_run, entries, grants_us, group_walks, make_scenario,
+    make_tspec, mean_delay_ms, measured_grants, measured_records, records, scenarios,
 )
 
-
-def const_trace(n_frames, size, interval_ms=40):
-    lines = [
-        f"{i} {'I' if i % 12 == 0 else 'P'} {i * interval_ms} {size}"
-        for i in range(n_frames)
-    ]
-    return parse_trace("\n".join(lines))
-
-
-def make_tspec(L, M, rho, R):
-    return Tspec(
-        mean_msdu_bytes=L,
-        max_msdu_bytes=M,
-        mean_rate_bps=Fraction(rho),
-        delay_bound_s=Fraction("0.08"),
-        min_phy_rate_bps=R,
-        msi_s=Fraction("0.04"),
-    )
-
-
 TSPEC_54 = make_tspec(2700, 2700, 540_000, 54_000_000)
-# the rate tiers of presets/mobility.yaml
-TIERS = ((80, 54_000_000), (200, 36_000_000), (250, 18_000_000), (325, 6_000_000))
-
-
-def make_scenario(scheduler, n_stations, trace, tspec, **kw):
-    defaults = dict(
-        name="test",
-        scheduler=scheduler,
-        profile=PROFILE_11G,
-        sim_time_s=Fraction(1, 5),
-        beacon_interval_s=Fraction(3, 25),
-        control_rate=2_000_000,
-    )
-    defaults.update(kw)
-    stations = tuple(
-        StationSpec(aid=i + 1, trace=trace, tspec=tspec) for i in range(n_stations)
-    )
-    return Scenario(stations=stations, **defaults)
 
 
 class TestReferenceTimeline:
     def test_single_station_exact_rx_times(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
+        result = run_scenario(make_scenario("hcca", [trace], TSPEC_54))
         # poll 264 + SIFS 10 + data (120 + 21888/54) + prop 2
         first_rx = Fraction(2404, 3)
         recs = records(result)
@@ -76,7 +38,7 @@ class TestReferenceTimeline:
 
     def test_second_station_waits_full_grant(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("hcca", 2, trace, TSPEC_54))
+        result = run_scenario(make_scenario("hcca", [trace] * 2, TSPEC_54))
         by_aid = {}
         for r in records(result):
             by_aid.setdefault(r.aid, []).append(r)
@@ -86,7 +48,7 @@ class TestReferenceTimeline:
 
     def test_grants_constant_and_reference_based(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("hcca", 2, trace, TSPEC_54))
+        result = run_scenario(make_scenario("hcca", [trace] * 2, TSPEC_54))
         grants = grants_us(result)
         assert len(grants) == 2 * 5
         assert {g.duration_us for g in grants} == {Fraction(3256, 3)}
@@ -98,7 +60,7 @@ class TestReferenceTimeline:
         # 400 kbit/s of 1000-byte MSDUs: two queued frames move in one TXOP
         tspec = make_tspec(1000, 1000, 400_000, 54_000_000)
         trace = parse_trace("0 I 0 1000\n1 P 20 1000\n2 B 40 1000\n3 P 60 1000\n")
-        sc = make_scenario("hcca", 1, trace, tspec, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("hcca", [trace], tspec, sim_time_s=Fraction(3, 25))
         result = run_scenario(sc)
         assert result.n_delivered == 4
         # interval 1 holds the 20 ms and 40 ms frames
@@ -111,7 +73,7 @@ class TestReferenceTimeline:
     def test_leftover_frame_waits_for_next_interval(self):
         tspec = make_tspec(1000, 1000, 400_000, 54_000_000)
         trace = parse_trace("0 I 0 1000\n1 P 10 1000\n2 B 20 1000\n3 P 30 1000\n")
-        sc = make_scenario("hcca", 1, trace, tspec, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("hcca", [trace], tspec, sim_time_s=Fraction(3, 25))
         result = run_scenario(sc)
         # interval 1 starts with three queued frames but the grant holds two
         assert result.n_delivered == 4
@@ -122,7 +84,7 @@ class TestReferenceTimeline:
 
     def test_empty_queue_sends_no_record_but_grants_continue(self):
         trace = parse_trace("0 I 0 2700\n")
-        result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
+        result = run_scenario(make_scenario("hcca", [trace], TSPEC_54))
         assert result.n_delivered == 1
         assert len(grants_us(result)) == 5  # one per interval, 0.2 s / 40 ms
         assert result.n_generated == 1
@@ -134,7 +96,7 @@ class TestAdaptiveTimeline:
 
     def test_first_interval_falls_back_then_adapts(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("atxop", 1, trace, self.TSPEC))
+        result = run_scenario(make_scenario("atxop", [trace], self.TSPEC))
         grants = grants_us(result)
         assert grants[0].basis is GrantBasis.REFERENCE_MEAN
         assert grants[0].duration_us == Fraction(4456, 3)   # 5400-byte budget
@@ -145,7 +107,7 @@ class TestAdaptiveTimeline:
     def test_grant_tracks_reported_size_exactly(self):
         trace = parse_trace("0 I 0 2000\n1 P 40 1200\n2 B 80 600\n")
         tspec = make_tspec(1200, 2100, 240_000, 54_000_000)
-        sc = make_scenario("atxop", 1, trace, tspec, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("atxop", [trace], tspec, sim_time_s=Fraction(3, 25))
         result = run_scenario(sc)
         o_one = Fraction(2056, 3)
         expect = [
@@ -163,7 +125,7 @@ class TestAdaptiveTimeline:
         # generated) before the 1500-byte P frame listed ahead of it
         trace = parse_trace("0 I 0 2000\n1 P 80 1500\n2 B 40 1000\n")
         tspec = make_tspec(1500, 2100, 300_000, 54_000_000)
-        sc = make_scenario("atxop", 1, trace, tspec, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("atxop", [trace], tspec, sim_time_s=Fraction(3, 25))
         result = run_scenario(sc)
         o_one = Fraction(2056, 3)
         assert [g.duration_us for g in grants_us(result)[1:]] == [
@@ -173,7 +135,7 @@ class TestAdaptiveTimeline:
 
     def test_exhausted_stream_reports_end_and_falls_back(self):
         trace = parse_trace("0 I 0 2700\n")
-        result = run_scenario(make_scenario("atxop", 1, trace, self.TSPEC))
+        result = run_scenario(make_scenario("atxop", [trace], self.TSPEC))
         # after the only frame, every grant reverts to the mean-based size
         assert all(
             g.basis is GrantBasis.REFERENCE_MEAN for g in grants_us(result)
@@ -185,14 +147,14 @@ class TestMultipollTimeline:
 
     def test_first_station_transmits_right_after_multipoll(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
+        result = run_scenario(make_scenario("amtxop", [trace] * 2, self.TSPEC))
         st1 = [r for r in records(result) if r.aid == 1]
         # multi-poll 300 us at 2 Mb/s, then data with no interframe gap
         assert st1[0].rx_time_us == 300 + Fraction(1576, 3) + 2
 
     def test_second_station_backoff_spans_first_grant(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
+        result = run_scenario(make_scenario("amtxop", [trace] * 2, self.TSPEC))
         st2 = [r for r in records(result) if r.aid == 2]
         # interval 0: fallback grant 800 + (2056/3 - 264) for 5400 bytes
         g_fb = 800 + Fraction(1264, 3)
@@ -200,7 +162,7 @@ class TestMultipollTimeline:
 
     def test_steady_state_grants_shed_poll_overhead(self):
         trace = const_trace(5, 2700)
-        result = run_scenario(make_scenario("amtxop", 2, trace, self.TSPEC))
+        result = run_scenario(make_scenario("amtxop", [trace] * 2, self.TSPEC))
         steady = [g for g in grants_us(result) if g.si_index >= 1]
         assert {g.duration_us for g in steady} == {400 + Fraction(1264, 3)}
         assert {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
@@ -216,7 +178,7 @@ class TestSteadyStateMeans:
     def run(self, scheduler):
         trace = const_trace(50, 3820)
         sc = make_scenario(
-            scheduler, 3, trace, self.TSPEC,
+            scheduler, [trace] * 3, self.TSPEC,
             data_rate=36_000_000,
             control_rate=1_000_000,
             sim_time_s=Fraction(2),
@@ -258,7 +220,7 @@ class TestAdmissionInEngine:
         tspec = make_tspec(3800, 7500, 770_000, 11_000_000)
         trace = const_trace(3, 3800)
         sc = make_scenario(
-            "hcca", 6, trace, tspec,
+            "hcca", [trace] * 6, tspec,
             profile=PROFILE_11B, sim_time_s=Fraction(1, 10),
         )
         result = run_scenario(sc)
@@ -274,14 +236,12 @@ class TestAdmissionInEngine:
         # aid 2 starts at 0 and aid 1 at 0.1 s: every interval polls aid 2 first
         trace = const_trace(10, 2700)
         sc = replace(
-            make_scenario(scheduler, 1, trace, TSPEC_54, sim_time_s=Fraction(2, 5)),
+            make_scenario(scheduler, [trace], TSPEC_54, sim_time_s=Fraction(2, 5)),
             stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54, start_s=Fraction(1, 10)),
                       StationSpec(aid=2, trace=trace, tspec=TSPEC_54)),
         )
-        by_si = {}
-        for g in grants_us(run_scenario(sc)):
-            by_si.setdefault(g.si_index, []).append(g.aid)
-        assert [by_si[k] for k in sorted(by_si)] == [[2]] * 3 + [[2, 1]] * 7
+        per_si = by_si(run_scenario(sc))
+        assert [[g.aid for g in per_si[k]] for k in sorted(per_si)] == [[2]] * 3 + [[2, 1]] * 7
 
     def test_late_starter_joins_running_schedule(self):
         trace = const_trace(5, 2700)
@@ -289,19 +249,11 @@ class TestAdmissionInEngine:
             StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
             StationSpec(aid=2, trace=trace, tspec=TSPEC_54, start_s=Fraction(2, 25)),
         )
-        sc = Scenario(
-            name="late", scheduler="hcca", profile=PROFILE_11G,
-            stations=stations, sim_time_s=Fraction(1, 5),
-            beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
-        )
+        sc = make_scenario("hcca", stations=stations)
         result = run_scenario(sc)
         st2 = [r for r in records(result) if r.aid == 2]
         assert st2[0].gen_time_us == 80_000
         assert st2[0].rx_time_us == 80_000 + Fraction(3256, 3) + Fraction(2404, 3)
-
-    @staticmethod
-    def jp1_high(msi):
-        return Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
 
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
     def test_tighter_msi_charges_grants_at_the_new_si(self, scheduler):
@@ -312,16 +264,13 @@ class TestAdmissionInEngine:
         trace = const_trace(20, 3800)
         stations = tuple(
             StationSpec(
-                aid=i + 1, trace=trace, tspec=self.jp1_high("0.04" if i == 4 else "0.12"),
+                aid=i + 1, trace=trace, tspec=make_tspec(D="0.12", msi="0.04" if i == 4 else "0.12"),
                 start_s=Fraction(1, 2) if i == 4 else Fraction(0),
             )
             for i in range(5)
         )
-        sc = Scenario(
-            name="tight", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
-            sim_time_s=Fraction(7, 10), beacon_interval_s=Fraction(3, 25),
-            t_cp_s=Fraction(12, 10_000), control_rate=2_000_000,
-        )
+        sc = make_scenario(scheduler, stations=stations, profile=PROFILE_11B, sim_time_s=Fraction(7, 10),
+                           t_cp_s=Fraction(12, 10_000))
         result = run_scenario(sc)
         assert result.admitted_aids == (1, 2, 3, 4, 5)
         assert result.si_s == Fraction(1, 25)
@@ -340,15 +289,12 @@ class TestAdmissionInEngine:
         trace = const_trace(40, 3800)
         stations = tuple(
             StationSpec(
-                aid=i + 1, trace=trace, tspec=self.jp1_high("0.04" if i == 5 else "0.12"),
+                aid=i + 1, trace=trace, tspec=make_tspec(D="0.12", msi="0.04" if i == 5 else "0.12"),
                 start_s=Fraction(1, 2) if i == 5 else Fraction(0),
             )
             for i in range(6)
         )
-        sc = Scenario(
-            name="reject", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
-            sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
-        )
+        sc = make_scenario(scheduler, stations=stations, profile=PROFILE_11B, sim_time_s=Fraction(1))
         result = run_scenario(sc)
         assert result.rejected_aids == (6,)
         assert result.si_s == Fraction(3, 25)
@@ -377,10 +323,7 @@ class TestAdmissionInEngine:
             else StationSpec(aid=aid, trace=small, tspec=self.SMALL)
             for aid in range(1, n + 1)
         )
-        return run_scenario(Scenario(
-            name="mixed", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
-            beacon_interval_s=Fraction(3, 25), control_rate=2_000_000, **kw,
-        ))
+        return run_scenario(make_scenario(scheduler, stations=stations, profile=PROFILE_11B, **kw))
 
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
     def test_mixed_contracts_are_charged_and_granted_their_own(self, scheduler):
@@ -415,31 +358,15 @@ class TestAdmissionInEngine:
             (1, True, Fraction(138746, 11)), (0, True, Fraction(28032, 11)),
         }
 
-    @given(
-        msis=st.lists(st.sampled_from(["0.04", "0.06", "0.12"]), min_size=1, max_size=8),
-        starts=st.lists(st.integers(min_value=0, max_value=5), min_size=8, max_size=8),
-        t_cp_ms=st.integers(min_value=0, max_value=30),
-        profile=st.sampled_from([PROFILE_11B, PROFILE_11G]),
-    )
+    @given(sc=scenarios(scheduler="hcca", mobility=None, stop_ms=None, sim_ms=1000))
     @settings(max_examples=25, deadline=None)
-    def test_admitted_grants_fit_the_budget(self, msis, starts, t_cp_ms, profile):
+    def test_admitted_grants_fit_the_budget(self, sc):
         """Admission charges what the engine grants: once the last stream
         is in, no SI grants more than the contention-free share of it."""
-        trace = const_trace(30, 3800)
-        stations = tuple(
-            StationSpec(aid=i + 1, trace=trace, tspec=self.jp1_high(m), start_s=Fraction(starts[i], 10))
-            for i, m in enumerate(msis)
-        )
-        bi, t_cp = Fraction(3, 25), Fraction(t_cp_ms, 1000)
-        sc = Scenario(
-            name="budget", scheduler="hcca", profile=profile, stations=stations,
-            sim_time_s=Fraction(1), beacon_interval_s=bi, t_cp_s=t_cp, control_rate=2_000_000,
-        )
-        result = run_scenario(sc)
-        last_us = max(s.start_s for s in stations if s.aid in result.admitted_aids) * 1_000_000
-        per_si = {}
-        for g in grants_us(result):
-            per_si.setdefault(g.si_index, []).append(g)
+        result = drawn_run(sc)
+        bi, t_cp = sc.beacon_interval_s, sc.t_cp_s
+        last_us = max(s.start_s for s in sc.stations if s.aid in result.admitted_aids) * 1_000_000
+        per_si = by_si(result)
         budget = (bi - t_cp) / bi * result.si_s * 1_000_000
         # under hcca an SI's first grant starts with the SI
         after = [gs for gs in per_si.values() if gs[0].start_us >= last_us]
@@ -452,7 +379,7 @@ class TestLossAndDeterminism:
         trace = const_trace(50, 2700)
         for scheduler in ("hcca", "atxop", "amtxop"):
             sc = make_scenario(
-                scheduler, 3, trace, TSPEC_54,
+                scheduler, [trace] * 3, TSPEC_54,
                 per=0.4, seed=11, sim_time_s=Fraction(2),
             )
             result = run_scenario(sc)
@@ -462,7 +389,7 @@ class TestLossAndDeterminism:
 
     def test_identical_runs_are_bit_identical(self):
         trace = const_trace(50, 2700)
-        sc = make_scenario("atxop", 3, trace, TSPEC_54, per=0.3, seed=7, sim_time_s=Fraction(2))
+        sc = make_scenario("atxop", [trace] * 3, TSPEC_54, per=0.3, seed=7, sim_time_s=Fraction(2))
         a = run_scenario(sc)
         b = run_scenario(sc)
         assert a.deliveries == b.deliveries
@@ -472,14 +399,14 @@ class TestLossAndDeterminism:
     def test_seed_changes_loss_pattern(self):
         trace = const_trace(50, 2700)
         base = dict(per=0.3, sim_time_s=Fraction(2))
-        a = run_scenario(make_scenario("hcca", 3, trace, TSPEC_54, seed=1, **base))
-        b = run_scenario(make_scenario("hcca", 3, trace, TSPEC_54, seed=2, **base))
+        a = run_scenario(make_scenario("hcca", [trace] * 3, TSPEC_54, seed=1, **base))
+        b = run_scenario(make_scenario("hcca", [trace] * 3, TSPEC_54, seed=2, **base))
         assert a.deliveries != b.deliveries
 
     def test_lost_report_forces_fallback_next_interval(self):
         trace = const_trace(50, 2700)
         tspec = make_tspec(2700, 5400, 540_000, 54_000_000)
-        sc = make_scenario("atxop", 1, trace, tspec, per=0.5, seed=3, sim_time_s=Fraction(2))
+        sc = make_scenario("atxop", [trace], tspec, per=0.5, seed=3, sim_time_s=Fraction(2))
         result = run_scenario(sc)
         grants, recs = grants_us(result), records(result)
         lost_si = set()
@@ -498,83 +425,7 @@ class TestLossAndDeterminism:
 
     def test_invalid_per_rejected(self):
         with pytest.raises(ConfigError):
-            make_scenario("hcca", 1, const_trace(5, 2700), TSPEC_54, per=1.0)
-
-    # frame sizes that vary from interval to interval, an I frame every 12th
-    VBR = parse_trace("\n".join(
-        f"{i} {'I' if i % 12 == 0 else 'P'} {i * 40} {7000 if i % 12 == 0 else 1500 + 700 * (i % 5)}"
-        for i in range(75)
-    ))
-
-    # any SI, loss rate and rate walk (from 150 ft the group leaves range
-    # inside 3 s), with one stream stopping early
-    SPACE = dict(
-        scheduler=st.sampled_from(["hcca", "atxop", "amtxop"]),
-        msi=st.sampled_from(["0.04", "0.06", "0.08"]),
-        per=st.floats(min_value=0, max_value=0.2),
-        start_ft=st.sampled_from([None, 30, 150]),
-        n_stations=st.integers(min_value=2, max_value=4),
-        stop_ds=st.integers(min_value=1, max_value=29),
-        sim_ds=st.integers(min_value=10, max_value=30),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-
-    @given(**SPACE)
-    @settings(max_examples=40, deadline=None)
-    def test_frames_are_conserved(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
-        """Every generated frame is delivered, lost or left queued."""
-        sc = self.space_scenario(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed)
-        result = run_scenario(sc)
-        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
-
-    @given(**SPACE, warmup_bi=st.integers(min_value=0, max_value=7),
-           warmup_ms=st.integers(min_value=0, max_value=5))
-    @settings(max_examples=40, deadline=None)
-    def test_report_equals_fraction_oracle(self, scheduler, msi, per, start_ft, n_stations,
-                                           stop_ds, sim_ds, seed, warmup_bi, warmup_ms):
-        """Every delivery's rx tick is at or after its generation tick, and
-        report() divides its tick sums into exactly the rationals that
-        summing the records and grants in microseconds gives. The warmup
-        falls a few ms into an interval, where grants straddle it."""
-        sc = replace(
-            self.space_scenario(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed),
-            warmup_s=Fraction(3, 25) * warmup_bi + Fraction(warmup_ms, 1000),
-        )
-        result = run_scenario(sc)
-        assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
-
-        report = result.report()
-        n, delay_t, payload, grant_t = result.measured
-        k, duration = result.K, sc.sim_time_s - sc.warmup_s
-        delay, throughput, txop = oracle_report(result)
-        assert n == report.n_delivered == len(measured_records(result))
-        assert report.n_lost == result.n_lost_measured
-        if n:
-            assert Fraction(delay_t, n * k * 1000) == delay
-            assert report.mean_delay_ms == float(delay)
-        else:
-            assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
-        assert 8 * payload / duration == throughput
-        assert Fraction(grant_t, k * US_PER_S) == txop
-        assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
-
-    def space_scenario(self, scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
-        tspec = Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
-        mob = None if start_ft is None else Mobility(
-            tiers=TIERS, speed_mps=Fraction(20), start_s=Fraction(0),
-            initial_distance_ft=Fraction(start_ft),
-        )
-        stations = tuple(
-            StationSpec(aid=i + 1, trace=self.VBR, tspec=tspec,
-                        stop_s=Fraction(stop_ds, 10) if i == 0 else None)
-            for i in range(n_stations)
-        )
-        sc = Scenario(
-            name="conserve", scheduler=scheduler, profile=PROFILE_11G, stations=stations,
-            sim_time_s=Fraction(sim_ds, 10), beacon_interval_s=Fraction(3, 25),
-            control_rate=2_000_000, per=per, seed=seed, mobility=mob,
-        )
-        return sc
+            make_scenario("hcca", [const_trace(5, 2700)], TSPEC_54, per=1.0)
 
 
 def phy_rate_for_distance(distance, tiers):
@@ -609,7 +460,7 @@ class TestMobility:
             initial_distance_ft=Fraction(30),
         )
         sc = make_scenario(
-            "hcca", 3, trace, TSPEC_54,
+            "hcca", [trace] * 3, TSPEC_54,
             sim_time_s=Fraction(21), mobility=mob,
         )
         result = run_scenario(sc)
@@ -630,7 +481,7 @@ class TestMobility:
             tiers=TIERS, speed_mps=Fraction(5),
             start_s=Fraction(2), initial_distance_ft=Fraction(30),
         )
-        sc = make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(21), mobility=mob)
+        sc = make_scenario("hcca", [trace], TSPEC_54, sim_time_s=Fraction(21), mobility=mob)
         result = run_scenario(sc)
         dur_at = {}
         for g in grants_us(result):
@@ -652,16 +503,16 @@ class TestMobility:
             initial_distance_ft=Fraction(30),
         )
         sc = make_scenario(
-            "hcca", 5, trace, TSPEC_54, sim_time_s=Fraction(8), mobility=mob,
+            "hcca", [trace] * 5, TSPEC_54, sim_time_s=Fraction(8), mobility=mob,
         )
         result = run_scenario(sc)
         assert result.n_deferred_slots > 0
         # after the rate drop only one 22568-us grant fits per 40-ms interval
         late = [g for g in grants_us(result) if g.start_us > 4_000_000]
-        by_si = {}
+        per_si = {}
         for g in late:
-            by_si.setdefault(g.si_index, []).append(g)
-        assert all(len(v) == 1 for v in by_si.values())
+            per_si.setdefault(g.si_index, []).append(g)
+        assert all(len(v) == 1 for v in per_si.values())
         assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
 
     @staticmethod
@@ -670,52 +521,18 @@ class TestMobility:
         distance (feet; speed in m/s)."""
         return [phy_rate_for_distance(group_distance(mob, k * si_s), mob.tiers) for k in range(n_si)]
 
-    @staticmethod
-    @st.composite
-    def group_walks(draw):
-        gaps = draw(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=4))
-        bounds = list(itertools.accumulate(gaps))
-        # few rates, so adjacent tiers often share one
-        rates = draw(st.lists(
-            st.sampled_from([1_000_000, 6_000_000, 11_000_000, 54_000_000]),
-            min_size=len(bounds), max_size=len(bounds),
-        ))
-        last = bounds[-1]
-        start_ft = draw(st.one_of(
-            st.sampled_from(bounds),                                 # on a tier edge
-            st.integers(min_value=0, max_value=10 * last).map(lambda d: Fraction(d, 10)),
-            st.integers(min_value=last + 1, max_value=last + 40),    # beyond the tiers
-        ))
-        # sevenths of a m/s and milliseconds put most crossings between ticks
-        speed = draw(st.one_of(
-            st.integers(min_value=0, max_value=60).map(Fraction),
-            st.integers(min_value=0, max_value=420).map(lambda n: Fraction(n, 7)),
-        ))
-        start_s = draw(st.one_of(
-            st.integers(min_value=0, max_value=12).map(lambda n: Fraction(n, 10)),
-            st.integers(min_value=0, max_value=1200).map(lambda n: Fraction(n, 1000)),
-        ))
-        return Mobility(
-            tiers=tuple(zip(bounds, rates)),
-            speed_mps=speed,
-            start_s=start_s,
-            initial_distance_ft=Fraction(start_ft),
-        )
-
-    @given(mob=group_walks(), n_stations=st.integers(min_value=2, max_value=3))
+    @given(sc=scenarios(scheduler="hcca", profile=PROFILE_11G, control_rate=2_000_000, msi="0.04",
+                        traffic="small", n_stations=st.integers(2, 3), start_ms=0, stop_ms=None,
+                        sim_ms=1200, mobility=group_walks()))
     @settings(max_examples=60, deadline=None)
-    def test_group_walk_matches_closed_form(self, mob, n_stations):
+    def test_group_walk_matches_closed_form(self, sc):
         """The group's rate is its closed-form distance's tier at every SI
         start: tier changes are logged when that rate changes, every grant
         is the reference grant at that rate, and out of range nobody is
         served; a group that starts out of range admits nobody."""
         si_s, n_si = Fraction(1, 25), 30
-        tspec = make_tspec(200, 200, 40_000, 54_000_000)
-        sc = make_scenario(
-            "hcca", n_stations, const_trace(30, 200), tspec,
-            sim_time_s=n_si * si_s, mobility=mob,
-        )
-        result = run_scenario(sc)
+        mob, n_stations = sc.mobility, len(sc.stations)
+        result = drawn_run(sc)
         rates = self.group_rates(mob, si_s, n_si)
         if rates[0] is None:
             assert result.admitted_aids == () and result.si_s is None
@@ -749,7 +566,7 @@ class TestMobility:
         )
         tspec = make_tspec(200, 200, 40_000, 54_000_000)
         sc = make_scenario(
-            "hcca", 3, const_trace(30, 200), tspec,
+            "hcca", [const_trace(30, 200)] * 3, tspec,
             sim_time_s=Fraction(6, 5), mobility=mob, log_events=True,
         )
         result = run_scenario(sc)
@@ -774,11 +591,8 @@ class TestMobility:
             StationSpec(aid=aid, trace=const_trace(30, 200), tspec=tspec, start_s=Fraction(2))
             for aid in (1, 2, 3)
         )
-        sc = Scenario(
-            name="late", scheduler="hcca", profile=PROFILE_11G, stations=stations,
-            sim_time_s=Fraction(3), beacon_interval_s=Fraction(3, 25),
-            control_rate=2_000_000, mobility=mob, log_events=True,
-        )
+        sc = make_scenario("hcca", stations=stations, sim_time_s=Fraction(3), mobility=mob,
+                           log_events=True)
         result = run_scenario(sc)
         assert result.admitted_aids == ()
         assert result.rejected_aids == (1, 2, 3)
@@ -809,11 +623,7 @@ class TestMobility:
             StationSpec(aid=aid, trace=const_trace(30, 200), tspec=tspec, start_s=Fraction(t, per_s))
             for aid, t in ((1, 0), (2, tick - 1), (3, tick))
         )
-        sc = Scenario(
-            name="edge", scheduler="hcca", profile=PROFILE_11G, stations=stations,
-            sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
-            control_rate=2_000_000, mobility=mob,
-        )
+        sc = make_scenario("hcca", stations=stations, sim_time_s=Fraction(1), mobility=mob)
         result = run_scenario(sc)
         assert result.K == K
         assert tick % (40_000 * K) not in (0, 1)   # neither start is an interval start
@@ -834,7 +644,7 @@ class TestEdgeTicks:
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
     def test_frame_at_slot_start_is_sent_in_that_slot(self, scheduler):
         trace = const_trace(5, 2700)
-        probe = run_scenario(make_scenario(scheduler, 2, trace, TSPEC_54))
+        probe = run_scenario(make_scenario(scheduler, [trace] * 2, TSPEC_54))
         # station 2's first slot starts after station 1's (and the multi-poll)
         slot = next(g for g in grants_us(probe) if g.aid == 2)
         assert slot.si_index == 0 and slot.start_us > 0
@@ -852,7 +662,7 @@ class TestEdgeTicks:
 
     def test_frame_at_stop_tick_is_not_generated(self):
         trace = const_trace(5, 2700)
-        sc = make_scenario("hcca", 1, trace, TSPEC_54)
+        sc = make_scenario("hcca", [trace], TSPEC_54)
         stopped = StationSpec(aid=1, trace=trace, tspec=TSPEC_54, stop_s=Fraction(2, 25))
         result = run_scenario(replace(sc, stations=(stopped,)))
         # frames at 0 and 40 ms; the one at the 80 ms stop is not generated
@@ -862,7 +672,7 @@ class TestEdgeTicks:
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
     def test_stream_starting_at_interval_start_is_granted_in_it(self, scheduler):
         trace = const_trace(5, 2700)
-        sc = make_scenario(scheduler, 1, trace, TSPEC_54)
+        sc = make_scenario(scheduler, [trace], TSPEC_54)
         stations = (StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
                     StationSpec(aid=2, trace=trace, tspec=TSPEC_54, start_s=Fraction(1, 25)))
         result = run_scenario(replace(sc, stations=stations))
@@ -870,7 +680,7 @@ class TestEdgeTicks:
 
     def test_beacon_on_a_tick_before_the_end_is_counted(self):
         trace = const_trace(3, 2700)
-        result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=Fraction(1, 4)))
+        result = run_scenario(make_scenario("hcca", [trace], TSPEC_54, sim_time_s=Fraction(1, 4)))
         assert result.n_beacons == 3  # 0, 0.12 and 0.24 s within 0.25 s
 
     @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
@@ -881,14 +691,11 @@ class TestEdgeTicks:
         holds no report from then on, so every scheduler grants the
         mean-based TXOP, which depends on the SI."""
         trace = const_trace(1, 3800)
-        jp1_high = TestAdmissionInEngine.jp1_high
-        stations = tuple(StationSpec(aid=i + 1, trace=trace, tspec=jp1_high("0.12")) for i in range(3)) + (
-            StationSpec(aid=4, trace=trace, tspec=jp1_high("0.04"), start_s=Fraction(37, 100)),
+        stations = tuple(StationSpec(aid=i + 1, trace=trace, tspec=make_tspec(D="0.12", msi="0.12"))
+                         for i in range(3)) + (
+            StationSpec(aid=4, trace=trace, tspec=make_tspec(D="0.12"), start_s=Fraction(37, 100)),
         )
-        sc = Scenario(
-            name="mid-interval", scheduler=scheduler, profile=PROFILE_11B, stations=stations,
-            sim_time_s=Fraction(16, 25), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
-        )
+        sc = make_scenario(scheduler, stations=stations, profile=PROFILE_11B, sim_time_s=Fraction(16, 25))
         result = run_scenario(sc)
         K = result.K
         assert result.admitted_aids == (1, 2, 3, 4)
@@ -922,41 +729,8 @@ class TestWindowQueue:
     """A station's queue is the trace frames from its head up to the next
     to be generated; generation follows the trace's display times."""
 
-    # half-millisecond display times, so the display denominator is 2
-    TRACE = parse_trace("\n".join(
-        f"{i} {'I' if i % 12 == 0 else 'P'} {40 * i + (i % 3) / 2} {900 + 1300 * (i % 4)}"
-        for i in range(60)
-    ))
-
-    @given(
-        scheduler=st.sampled_from(["hcca", "atxop", "amtxop"]),
-        msi=st.sampled_from(["0.04", "0.06", "0.08"]),
-        per=st.floats(min_value=0, max_value=0.3),
-        starts_ms=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4),
-        stops_ms=st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=1500)),
-                          min_size=4, max_size=4),
-        sim_ms=st.integers(min_value=100, max_value=1500),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_window_generation_and_delivery_order(self, scheduler, msi, per, starts_ms,
-                                                  stops_ms, sim_ms, seed):
-        tspec = Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), 11_000_000, Fraction(msi))
-        stations = tuple(
-            StationSpec(aid=i + 1, trace=self.TRACE, tspec=tspec, start_s=Fraction(start, 1000),
-                        stop_s=None if stop is None else Fraction(start + stop, 1000))
-            for i, (start, stop) in enumerate(zip(starts_ms, stops_ms))
-        )
-        sc = Scenario(
-            name="window", scheduler=scheduler, profile=PROFILE_11G, stations=stations,
-            sim_time_s=Fraction(sim_ms, 1000), beacon_interval_s=Fraction(3, 25),
-            control_rate=2_000_000, per=per, seed=seed,
-        )
-        result = run_scenario(sc)
-        self.check_window(result)
-
     def test_frames_at_the_stop_and_end_ticks_are_not_generated(self):
-        sc = make_scenario("hcca", 2, const_trace(3, 2700), TSPEC_54)
+        sc = make_scenario("hcca", [const_trace(3, 2700)] * 2, TSPEC_54)
         K = run_scenario(sc).K
         tick_ms = Fraction(1, 1000 * K)
         # frames one tick before and exactly on 80 ms (the stop of station
@@ -968,30 +742,7 @@ class TestWindowQueue:
         result = run_scenario(replace(sc, stations=stations))
         assert result.K == K
         assert result.n_generated == 3 + 7
-        self.check_window(result)
-
-    @staticmethod
-    def check_window(result):
-        """Per station: delivered sequence numbers strictly increase, each
-        delivery's generation tick is its stream start plus its display
-        time, and frames are generated exactly before min(stop, end)."""
-        K, sc = result.K, result.scenario
-        generated = 0
-        for spec in sc.stations:
-            trace = spec.trace
-            start = spec.start_s * US_PER_S * K
-            offset = [Fraction(d, trace.display_den) * 1000 * K for d in trace.display]
-            seqs = [(seq, gen) for aid, seq, _size, gen, _rx in entries(result.deliveries)
-                    if aid == spec.aid]
-            assert all(a < b for (a, _), (b, _) in zip(seqs, seqs[1:]))
-            assert all(gen == start + offset[seq] for seq, gen in seqs)
-            if spec.aid in result.admitted_aids:
-                stop_s = sc.sim_time_s if spec.stop_s is None else min(spec.stop_s, sc.sim_time_s)
-                generated += sum(start + o < stop_s * US_PER_S * K for o in offset)
-            else:
-                assert not seqs
-        assert result.n_generated == generated
-        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+        check_run(result)
 
 
 class TestDecimalDisplayTimes:
@@ -1002,7 +753,7 @@ class TestDecimalDisplayTimes:
     def test_half_millisecond_grid_delivers_in_display_order(self):
         # decode order in the file, display times on a 0.5 ms grid
         trace = parse_trace("0 I 0 500\n1 P 20.5 500\n2 B 10.5 500\n3 P 30 500\n")
-        result = run_scenario(make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25)))
+        result = run_scenario(make_scenario("hcca", [trace], self.TSPEC, sim_time_s=Fraction(3, 25)))
         assert result.n_generated == result.n_delivered == 4
         recs = records(result)
         assert [r.sequence for r in recs] == [0, 1, 2, 3]
@@ -1014,14 +765,14 @@ class TestDecimalDisplayTimes:
     def test_display_time_off_the_tick_grid_is_rejected(self):
         # 40.0001 ms is 400001/10 us, not a whole number of 1/27 us ticks
         trace = parse_trace("0 I 0 500\n1 P 40.0001 500\n")
-        sc = make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("hcca", [trace], self.TSPEC, sim_time_s=Fraction(3, 25))
         with pytest.raises(ConfigError, match=r"duration 400001/10 us is off the 1/27 us tick grid"):
             run_scenario(sc)
 
     def test_off_grid_display_time_past_the_run_is_rejected_up_front(self):
         # the run ends at 120 ms and never reaches the one off-grid frame, 200.0001 ms
         trace = parse_trace("0 I 0 500\n1 P 40 500\n2 P 160 500\n3 P 200.0001 500\n")
-        sc = make_scenario("hcca", 1, trace, self.TSPEC, sim_time_s=Fraction(3, 25))
+        sc = make_scenario("hcca", [trace], self.TSPEC, sim_time_s=Fraction(3, 25))
         with pytest.raises(ConfigError, match=r"duration 2000001/10 us is off the 1/27 us tick grid"):
             run_scenario(sc)
 
@@ -1029,7 +780,7 @@ class TestDecimalDisplayTimes:
 class TestRunResultWindow:
     def test_warmup_filters_records_and_grants(self):
         trace = const_trace(5, 2700)
-        sc = make_scenario("hcca", 1, trace, TSPEC_54, warmup_s=Fraction(2, 25))
+        sc = make_scenario("hcca", [trace], TSPEC_54, warmup_s=Fraction(2, 25))
         result = run_scenario(sc)
         assert result.n_delivered == 5
         measured = measured_records(result)
@@ -1042,34 +793,28 @@ class TestRunResultWindow:
 
     def test_event_log_opt_in(self):
         trace = const_trace(3, 2700)
-        quiet = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
+        quiet = run_scenario(make_scenario("hcca", [trace], TSPEC_54))
         assert quiet.event_log == ()
-        chatty = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54, log_events=True))
+        chatty = run_scenario(make_scenario("hcca", [trace], TSPEC_54, log_events=True))
         assert any("ADMIT" in line for line in chatty.event_log)
         assert any(line.startswith("t=0.000000") for line in chatty.event_log)
 
     def test_beacons_counted(self):
         trace = const_trace(3, 2700)
-        result = run_scenario(make_scenario("hcca", 1, trace, TSPEC_54))
+        result = run_scenario(make_scenario("hcca", [trace], TSPEC_54))
         assert result.n_beacons == 2  # 0 and 0.12 within 0.2 s
 
     def test_scenario_validation(self):
         trace = const_trace(3, 2700)
         with pytest.raises(ConfigError):
-            make_scenario("edca", 1, trace, TSPEC_54)
+            make_scenario("edca", [trace], TSPEC_54)
         with pytest.raises(ConfigError):
-            make_scenario("hcca", 1, trace, TSPEC_54, sim_time_s=0)
+            make_scenario("hcca", [trace], TSPEC_54, sim_time_s=0)
         with pytest.raises(ConfigError):
-            make_scenario("hcca", 1, trace, TSPEC_54, warmup_s=Fraction(1, 5))
+            make_scenario("hcca", [trace], TSPEC_54, warmup_s=Fraction(1, 5))
         with pytest.raises(ConfigError):
-            Scenario(
-                name="dup", scheduler="hcca", profile=PROFILE_11G,
-                stations=(
-                    StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
-                    StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
-                ),
-                sim_time_s=Fraction(1), beacon_interval_s=Fraction(3, 25),
-            )
+            make_scenario("hcca", stations=(StationSpec(aid=1, trace=trace, tspec=TSPEC_54),
+                                            StationSpec(aid=1, trace=trace, tspec=TSPEC_54)))
 
     @pytest.mark.parametrize("field", ["control_rate", "data_rate"])
     @pytest.mark.parametrize("rate", [0, -2_000_000])
@@ -1077,13 +822,13 @@ class TestRunResultWindow:
         """A data rate of 0 would run at the profile's rate, and a control
         rate of 0 would divide by zero."""
         with pytest.raises(ConfigError, match=f"{field} must be > 0"):
-            make_scenario("hcca", 1, const_trace(3, 2700), TSPEC_54, **{field: rate})
+            make_scenario("hcca", [const_trace(3, 2700)], TSPEC_54, **{field: rate})
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_as_it_found_it(self, enabled):
         """A run suspends the cyclic collector and restores the caller's
         setting, also when the run raises."""
-        good = make_scenario("hcca", 1, const_trace(3, 2700), TSPEC_54)
+        good = make_scenario("hcca", [const_trace(3, 2700)], TSPEC_54)
         # 40.0001 ms is off the 1/27 us tick grid: _Sim.__init__ raises
         off_grid = replace(good, stations=(
             StationSpec(aid=1, trace=parse_trace("0 I 0 500\n1 P 40.0001 500\n"), tspec=TSPEC_54),))

@@ -1,4 +1,4 @@
-"""Byte-level regression of the engine over a small scenario grid.
+"""Byte-level regression of the engine over the scenario grid conftest.CASES.
 
 Each scenario's packet records, grant log and run counters are hashed;
 the digests were recorded before the grant path was rewritten on integer
@@ -11,60 +11,17 @@ import gc
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from hccasim import engine
-from hccasim.engine import Mobility, Scenario, StationSpec, run_scenario
+from hccasim.engine import run_scenario
 from hccasim.hcca import GrantBasis
-from hccasim.phy import PROFILE_11B, PROFILE_11G
-from hccasim.traces import Tspec, load_trace
 
-from conftest import entries, grants_us, measured_records, oracle_report, records, tier_changes_us
-
-ROOT = Path(__file__).resolve().parents[1]
-TRACE = load_trace(ROOT / "traces" / "jp1_high.txt")
-TIERS = ((80, 54_000_000), (200, 36_000_000), (250, 18_000_000), (325, 6_000_000))
-
-
-def tspec(msi, rate=11_000_000):
-    return Tspec(3800, 7500, Fraction(770_000), Fraction("0.12"), rate, Fraction(msi))
-
-
-def stations(msis, starts=None, stops=None):
-    starts = starts or [0] * len(msis)
-    stops = stops or [None] * len(msis)
-    return tuple(
-        StationSpec(
-            aid=i + 1, trace=TRACE, tspec=tspec(m),
-            start_s=Fraction(start), stop_s=None if stop is None else Fraction(stop),
-        )
-        for i, (m, start, stop) in enumerate(zip(msis, starts, stops))
-    )
-
-
-CASES = {
-    "msi40": dict(stations=stations(["0.04"] * 4)),
-    "msi60": dict(stations=stations(["0.06"] * 4)),
-    "msi120": dict(stations=stations(["0.12"] * 3)),
-    # later starters with tighter MSIs shrink the SI from 120 to 60 to 40 ms
-    "mixed-msi": dict(stations=stations(["0.12", "0.12", "0.06", "0.04"], starts=[0, 0, "0.5", "1.1"])),
-    "per": dict(stations=stations(["0.04"] * 5), per=0.12, seed=5),
-    "mobility": dict(
-        stations=stations(["0.04"] * 4),
-        per=0.05,
-        seed=9,
-        sim_time_s=Fraction(5),
-        mobility=Mobility(
-            tiers=TIERS, speed_mps=Fraction(20), start_s=Fraction(0),
-            initial_distance_ft=Fraction(30),
-        ),
-    ),
-    "stop": dict(stations=stations(["0.04"] * 3, stops=[None, "0.9", None]), warmup_s=Fraction(1, 2)),
-    "11b": dict(stations=stations(["0.04"] * 6), profile=PROFILE_11B, per=0.03, seed=2),
-}
+from conftest import (
+    CASES, TIERS, entries, grants_us, measured_records, oracle_report, records, scenario, tier_changes_us,
+)
 
 # sha256 of (records, grant log, counters) per (case, scheduler)
 DIGESTS = {
@@ -93,19 +50,6 @@ DIGESTS = {
     ("stop", "atxop"): "37600febf5b389e5e973d22cf893c55086078f74a5c21de83910d6a6e117fbf6",
     ("stop", "amtxop"): "b4434ba022f44295439f279821538af3fed56d5d436178276d546b06a2ba674b",
 }
-
-
-def scenario(case, scheduler):
-    kw = dict(
-        name=f"{case}-{scheduler}",
-        scheduler=scheduler,
-        profile=PROFILE_11G,
-        sim_time_s=Fraction(2),
-        beacon_interval_s=Fraction(3, 25),
-        control_rate=2_000_000,
-    )
-    kw.update(CASES[case])
-    return Scenario(**kw)
 
 
 def digest(result):

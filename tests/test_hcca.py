@@ -14,18 +14,8 @@ from hccasim.hcca import (
     txop_reference,
 )
 from hccasim.phy import PROFILE_11B, PROFILE_11G, exchange
-from hccasim.traces import Tspec
 
-
-def make_tspec(L=3800, M=7500, rho=770_000, D="0.08", R=11_000_000, msi="0.04"):
-    return Tspec(
-        mean_msdu_bytes=L,
-        max_msdu_bytes=M,
-        mean_rate_bps=Fraction(rho),
-        delay_bound_s=Fraction(D),
-        min_phy_rate_bps=R,
-        msi_s=Fraction(msi),
-    )
+from conftest import make_tspec
 
 
 class TestServiceInterval:

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hccasim.engine import Scenario, StationSpec, run_scenario
+from hccasim.engine import run_scenario
 from hccasim.metrics import MetricsReport, utilization_improvement
-from hccasim.phy import PROFILE_11G
-from hccasim.traces import Tspec, parse_trace
+from hccasim.traces import parse_trace
+
+from conftest import make_scenario, make_tspec
 
 
 @pytest.fixture(scope="module")
 def run():
     """A real run of one station for 0.2 s, whose sums the cases replace."""
     trace = parse_trace("".join(f"{i} P {40 * i} 1000\n" for i in range(5)))
-    tspec = Tspec(1000, 1000, Fraction(200_000), Fraction("0.08"), 54_000_000, Fraction("0.04"))
-    return run_scenario(Scenario(
-        name="metrics", scheduler="hcca", profile=PROFILE_11G,
-        stations=(StationSpec(aid=1, trace=trace, tspec=tspec),),
-        sim_time_s=Fraction(1, 5), beacon_interval_s=Fraction(3, 25),
-    ))
+    tspec = make_tspec(1000, 1000, 200_000, 54_000_000)
+    return run_scenario(make_scenario("hcca", [trace], tspec, control_rate=None))
 
 
 def report(run, measured, ticks_per_us=1, duration_s=1, n_lost=0):

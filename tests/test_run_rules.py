@@ -1,21 +1,22 @@
-"""The engine's rules, asserted by check_run over the regression grid,
-over drawn runs (any SI, loss rate and rate walk, with a stream stopping
-early) and over a run whose deferrals have a smaller grant behind them."""
+"""The engine's rules, asserted by check_run over the regression grid, over
+the drawn scenario space (with the report's exact oracle) and over a run
+whose deferrals have a smaller grant behind them; and the drawn space's
+reach: its draws take every engine path PATHS names."""
 
+import functools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-import test_engine
-from conftest import check_run
-from hccasim.engine import Mobility, Scenario, StationSpec, run_scenario
-from hccasim.phy import PROFILE_11G
-from hccasim.traces import Tspec
-from test_engine import const_trace
-from test_engine_regression import CASES, scenario
-
-DRAWN = test_engine.TestLossAndDeterminism
+from conftest import (
+    CASES, PATHS, check_run, const_trace, drawn_run, entries, make_scenario, make_tspec, measured_records,
+    oracle_report, paths, scenario, scenarios,
+)
+from hccasim.engine import Mobility, StationSpec, run_scenario
+from hccasim.phy import US_PER_S
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -24,11 +25,53 @@ def test_regression_case_keeps_the_rules(case, scheduler):
     check_run(run_scenario(scenario(case, scheduler)))
 
 
-@given(**DRAWN.SPACE)
+@given(sc=scenarios())
 @settings(max_examples=40, deadline=None)
-def test_drawn_run_keeps_the_rules(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed):
-    sc = DRAWN().space_scenario(scheduler, msi, per, start_ft, n_stations, stop_ds, sim_ds, seed)
-    check_run(run_scenario(sc))
+def test_drawn_run_keeps_the_rules(sc):
+    """A drawn run keeps the engine's rules (drawn_run checks them), among
+    them that frames are generated at their display times and that every
+    generated frame is delivered, lost or left queued. Every delivery's rx
+    tick is at or after its generation tick, and report() divides its tick
+    sums into exactly the rationals that summing the records and grants in
+    microseconds gives."""
+    result = drawn_run(sc)
+    assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+    assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
+
+    report = result.report()
+    n, delay_t, payload, grant_t = result.measured
+    k, duration = result.K, sc.sim_time_s - sc.warmup_s
+    delay, throughput, txop = oracle_report(result)
+    assert n == report.n_delivered == len(measured_records(result))
+    assert report.n_lost == result.n_lost_measured
+    if n:
+        assert Fraction(delay_t, n * k * 1000) == delay
+        assert report.mean_delay_ms == float(delay)
+    else:
+        assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
+    assert 8 * payload / duration == throughput
+    assert Fraction(grant_t, k * US_PER_S) == txop
+    assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
+
+
+REACHED = Counter()   # the paths draw_every_path took, per label
+
+
+@given(sc=scenarios())
+@settings(derandomize=True, max_examples=70, database=None, deadline=None)
+def draw_every_path(sc):
+    REACHED.update(paths(drawn_run(sc)))
+
+
+# wraps keeps the Hypothesis attributes of draw_every_path, so that
+# --hypothesis-show-statistics prints how often each path was drawn
+@functools.wraps(draw_every_path, assigned=())
+def test_the_drawn_space_reaches_every_path():
+    """The same draws on every run take each path of PATHS at least once,
+    so narrowing scenarios() until a path is out of reach fails here."""
+    REACHED.clear()
+    draw_every_path()
+    assert set(REACHED) == set(PATHS), set(PATHS) - set(REACHED)
 
 
 @pytest.mark.parametrize("scheduler", ("hcca", "atxop", "amtxop"))
@@ -36,13 +79,11 @@ def test_a_deferral_defers_the_rest_of_the_interval(scheduler):
     """Three streams admitted at 54 Mb/s walk into 6 Mb/s, where the two
     16 000-byte grants no longer fit one 40 ms SI: the second is deferred,
     and so is the 100-byte grant behind it, which would fit."""
-    big = Tspec(16_000, 16_000, Fraction(3_200_000), Fraction("0.08"), 6_000_000, Fraction("0.04"))
-    small = Tspec(100, 100, Fraction(20_000), Fraction("0.08"), 6_000_000, Fraction("0.04"))
+    big, small = make_tspec(16_000, 16_000, 3_200_000, 6_000_000), make_tspec(100, 100, 20_000, 6_000_000)
     stations = tuple(StationSpec(aid=i + 1, trace=const_trace(15, size), tspec=tspec)
                      for i, (size, tspec) in enumerate([(16_000, big), (16_000, big), (100, small)]))
-    result = run_scenario(Scenario(
-        name="deferral", scheduler=scheduler, profile=PROFILE_11G, stations=stations,
-        sim_time_s=Fraction(1, 2), beacon_interval_s=Fraction(3, 25), control_rate=2_000_000,
+    result = run_scenario(make_scenario(
+        scheduler, stations=stations, sim_time_s=Fraction(1, 2),
         mobility=Mobility(tiers=((80, 54_000_000), (325, 6_000_000)), speed_mps=Fraction(20),
                           start_s=Fraction(0), initial_distance_ft=Fraction(70)),
     ))
