@@ -16,7 +16,7 @@ from hccasim.traces import Tspec, parse_trace
 
 from conftest import (
     TIERS, by_si, check_run, const_trace, drawn_run, entries, grants_us, group_walks, make_scenario,
-    make_tspec, mean_delay_ms, measured_grants, measured_records, records, scenarios,
+    make_tspec, mean_delay_ms, measured_grants, measured_records, oracle_report, records, scenarios,
 )
 
 TSPEC_54 = make_tspec(2700, 2700, 540_000, 54_000_000)
@@ -427,6 +427,39 @@ class TestLossAndDeterminism:
         with pytest.raises(ConfigError):
             make_scenario("hcca", [const_trace(5, 2700)], TSPEC_54, per=1.0)
 
+    # VBR streams at up to 20% loss, 2 to 4 of them, on any walk
+    @given(sc=scenarios(traffic="vbr", n_stations=st.integers(2, 4), per=st.floats(0, 0.2)))
+    @settings(max_examples=40, deadline=None)
+    def test_frames_are_conserved(self, sc):
+        """Every generated frame is delivered, lost or left queued."""
+        result = drawn_run(sc)
+        assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
+
+    @given(sc=scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_report_equals_fraction_oracle(self, sc):
+        """Every delivery's rx tick is at or after its generation tick, and
+        report() divides its tick sums into exactly the rationals that
+        summing the records and grants in microseconds gives. The warmup
+        falls a few ms into an interval, where grants straddle it."""
+        result = drawn_run(sc)
+        assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
+
+        report = result.report()
+        n, delay_t, payload, grant_t = result.measured
+        k, duration = result.K, sc.sim_time_s - sc.warmup_s
+        delay, throughput, txop = oracle_report(result)
+        assert n == report.n_delivered == len(measured_records(result))
+        assert report.n_lost == result.n_lost_measured
+        if n:
+            assert Fraction(delay_t, n * k * 1000) == delay
+            assert report.mean_delay_ms == float(delay)
+        else:
+            assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
+        assert 8 * payload / duration == throughput
+        assert Fraction(grant_t, k * US_PER_S) == txop
+        assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
+
 
 def phy_rate_for_distance(distance, tiers):
     """Rate of the innermost tier containing the distance, None when the
@@ -728,6 +761,16 @@ class TestEdgeTicks:
 class TestWindowQueue:
     """A station's queue is the trace frames from its head up to the next
     to be generated; generation follows the trace's display times."""
+
+    # half-millisecond display times, 1 to 4 streams, no walk
+    @given(sc=scenarios(traffic="half-ms", n_stations=st.integers(1, 4), mobility=None))
+    @settings(max_examples=40, deadline=None)
+    def test_window_generation_and_delivery_order(self, sc):
+        """check_run's window rules: per station, delivered sequence numbers
+        strictly increase, each delivery's generation tick is its stream
+        start plus its display time, and frames are generated exactly before
+        min(stop, end)."""
+        drawn_run(sc)
 
     def test_frames_at_the_stop_and_end_ticks_are_not_generated(self):
         sc = make_scenario("hcca", [const_trace(3, 2700)] * 2, TSPEC_54)

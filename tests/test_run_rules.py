@@ -1,10 +1,9 @@
 """The engine's rules, asserted by check_run over the regression grid, over
-the drawn scenario space (with the report's exact oracle) and over a run
+the drawn scenario space and over a run
 whose deferrals have a smaller grant behind them; and the drawn space's
 reach: its draws take every engine path PATHS names."""
 
 import functools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -12,11 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
-    CASES, PATHS, check_run, const_trace, drawn_run, entries, make_scenario, make_tspec, measured_records,
-    oracle_report, paths, scenario, scenarios,
+    CASES, PATHS, check_run, const_trace, drawn_run, make_scenario, make_tspec, paths, scenario, scenarios,
 )
 from hccasim.engine import Mobility, StationSpec, run_scenario
-from hccasim.phy import US_PER_S
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -29,29 +26,9 @@ def test_regression_case_keeps_the_rules(case, scheduler):
 @settings(max_examples=40, deadline=None)
 def test_drawn_run_keeps_the_rules(sc):
     """A drawn run keeps the engine's rules (drawn_run checks them), among
-    them that frames are generated at their display times and that every
-    generated frame is delivered, lost or left queued. Every delivery's rx
-    tick is at or after its generation tick, and report() divides its tick
-    sums into exactly the rationals that summing the records and grants in
-    microseconds gives."""
+    them that every generated frame is delivered, lost or left queued."""
     result = drawn_run(sc)
     assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
-    assert all(rx >= gen for _aid, _seq, _size, gen, rx in entries(result.deliveries))
-
-    report = result.report()
-    n, delay_t, payload, grant_t = result.measured
-    k, duration = result.K, sc.sim_time_s - sc.warmup_s
-    delay, throughput, txop = oracle_report(result)
-    assert n == report.n_delivered == len(measured_records(result))
-    assert report.n_lost == result.n_lost_measured
-    if n:
-        assert Fraction(delay_t, n * k * 1000) == delay
-        assert report.mean_delay_ms == float(delay)
-    else:
-        assert math.isnan(delay) and math.isnan(report.mean_delay_ms)
-    assert 8 * payload / duration == throughput
-    assert Fraction(grant_t, k * US_PER_S) == txop
-    assert (report.throughput_bps, report.aggregate_txop_s) == (float(throughput), float(txop))
 
 
 REACHED = Counter()   # the paths draw_every_path took, per label
