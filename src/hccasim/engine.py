@@ -6,11 +6,11 @@ frame airtime and interframe space then lands exactly on the grid and a
 run is reproducible bit for bit.
 
 The run steps one service interval at a time, from the first admission
-on, and one loop runs each interval. It sizes every grant of the
-interval first, then serves the granted slots in order, with the run's
-constants bound once per interval. Before each slot the stream events up
-to its start tick are handled, and the station's frames generated up to
-and including that tick join its queue. Stream starts and stops are the
+on, and one pass per polled slot runs each interval: it sizes the slot's
+TXOP, then serves it, before it sizes the next, with the interval's grant
+constants bound at its start. Before each slot the stream events up to
+its start tick are handled, and the station's frames generated up to and
+including that tick join its queue. Stream starts and stops are the
 only events off the interval grid: all of them up to and including a
 tick are handled before that tick's interval start or slot, in tick
 order, starts before stops, then by AID. So a stream event between two
@@ -20,8 +20,9 @@ A station's frames are generated in trace order and leave its queue from
 the head, delivered or lost, so the queue is a window of trace indices:
 frames head up to (not including) the next to be generated. Each station
 holds the generation ticks of its frames generated before its stop tick
-and the end of the run, computed once per run, and generating its frames
-up to a tick is one bisection of them.
+and the end of the run, computed once per run, then the end of the run
+itself, which no slot start reaches: the head frame is queued at a slot
+start exactly when its tick is at most the slot's, with no search.
 
 Per service interval the AP issues one TXOP per admitted stream, in
 admission order, which is not AID order when a stream with a higher AID
@@ -39,7 +40,8 @@ of its trace. The AP holds the latest report per station until a grant is
 sized from it. A lost uplink frame still consumes its full exchange time
 (the ACK slot runs dead), is dropped without retransmission, and carries
 its report down with it, so the following interval falls back to a
-mean-sized grant unless an earlier report is still held.
+mean-sized grant unless an earlier report is still held. Loss takes one
+draw per exchange, in slot order, and none at a loss rate of 0.
 
 A stream's mean-based reference grant depends only on its traffic
 contract (its TSPEC), the SI and the PHY rate, so the run plans one per
@@ -57,9 +59,9 @@ shrinks, so it lies past each tier bound from one tick on. The engine
 computes those crossing ticks once per run, in exact arithmetic, and
 finds the group's tier at a tick by bisecting them. At every interval
 start that tier's rate becomes the run's rate; past the last tier the
-group is out of range for good: nobody is served, and a stream that
-starts while the group is past the last tier, between interval starts
-too, is rejected.
+group is out of range for good: nobody is served, the interval starts
+left are counted rather than stepped, and a stream that starts while the
+group is past the last tier, between interval starts too, is rejected.
 
 A run's results are integer ticks: deliveries, grants and tier changes.
 Deliveries and grants are flat lists of ints, five values per event, so a
@@ -252,15 +254,15 @@ class _Station:
         "sizes", "gen_ticks", "head", "report",
     )
 
-    def __init__(self, spec, contract, start_t, stop_t, gen_ticks):
+    def __init__(self, spec, contract, start_t, stop_t, gen_ticks, sizes):
         self.spec = spec
         self.aid = spec.aid
         self.contract = contract  # the index of its TSPEC in _Sim.tspecs
         self.start_t = start_t
         self.stop_t = stop_t      # no frame is generated, nor interval granted, from it on
         self.admitted = self.rejected = False
-        self.sizes = spec.trace.sizes
-        # the generation ticks of the frames generated before stop_t
+        self.sizes = sizes        # the trace's sizes, then None
+        # the generation ticks of the frames generated before stop_t, then end_tick
         self.gen_ticks = gen_ticks
         # the queue is the trace frames from head up to the last one generated
         self.head = 0
@@ -286,16 +288,17 @@ class _Sim:
         self.warmup_tick = self._sec_ticks(scenario.warmup_s)
         self.bi = scenario.beacon_interval_s
 
-        offsets = {}
+        per_trace = {}            # generation offsets and sizes, then None, per trace
         contracts = {}            # the distinct TSPECs, numbered in AID order
         self.stations = {}
         for s in sorted(scenario.stations, key=lambda s: s.aid):
-            if id(s.trace) not in offsets:
-                offsets[id(s.trace)] = self._gen_offsets(s.trace)
+            if id(s.trace) not in per_trace:
+                per_trace[id(s.trace)] = self._gen_offsets(s.trace), s.trace.sizes + (None,)
+            offsets, sizes = per_trace[id(s.trace)]
             start_t = self._sec_ticks(s.start_s)
             stop_t = self.end_tick if s.stop_s is None else min(self._sec_ticks(s.stop_s), self.end_tick)
             self.stations[s.aid] = _Station(s, contracts.setdefault(s.tspec, len(contracts)), start_t,
-                                            stop_t, self._gen_ticks(offsets[id(s.trace)], start_t, stop_t))
+                                            stop_t, self._gen_ticks(offsets, start_t, stop_t), sizes)
         self.tspecs = tuple(contracts)
         self.polled = []          # admitted stations in polling order
         # the SI and each contract's reference grant at it, from the first admission on
@@ -370,12 +373,12 @@ class _Sim:
         n = bisect_left(trace.display, -(-self.end_tick * den // ms_t))
         return [t * ms_t // den for t in trace.display[:n]]
 
-    @staticmethod
-    def _gen_ticks(offsets, start_t, stop_t) -> list:
+    def _gen_ticks(self, offsets, start_t, stop_t) -> list:
         """The generation ticks of a stream's frames generated before its
-        stop tick, from the generation offsets of its trace."""
+        stop tick, from its trace's offsets, then end_tick, which no slot
+        start reaches."""
         n = bisect_left(offsets, stop_t - start_t)
-        return [start_t + o for o in offsets[:n]]
+        return [start_t + o for o in offsets[:n]] + [self.end_tick]
 
     # -- the grant plan ---------------------------------------------------
 
@@ -420,14 +423,19 @@ class _Sim:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        events = self.stream_events
+        events, end_tick = self.stream_events, self.end_tick
         # the first admission opens the interval grid at its own tick
         while self.next_si_t is None and events:
             self._streams_to(events[-1][0])
-        while self.next_si_t is not None and self.next_si_t < self.end_tick:
-            self._streams_to(self.next_si_t)
-            self._interval(self.next_si_t)
-        self._streams_to(self.end_tick)
+        while (tick := self.next_si_t) is not None and tick < end_tick:
+            if self.out_of_range:
+                # nobody is served or admitted again: count the starts left
+                self.si_index += -(-(end_tick - tick) // self.si_t)
+                break
+            if events and events[-1][0] <= tick:
+                self._streams_to(tick)
+            self._interval(tick)
+        self._streams_to(end_tick)
         return self._finalize()
 
     def _streams_to(self, tick):
@@ -441,7 +449,7 @@ class _Sim:
         admitted = tuple(st.aid for st in self.stations.values() if st.admitted)
         rejected = tuple(st.aid for st in self.stations.values() if st.rejected)
         # by the end of the run an admitted stream has generated all its frames
-        generated = sum(len(st.gen_ticks) for st in self.polled)
+        generated = sum(len(st.gen_ticks) - 1 for st in self.polled)
         return RunResult(
             scenario=self.sc,
             si_s=self.si_s,
@@ -495,7 +503,7 @@ class _Sim:
 
     def _on_stream_end(self, tick, st):
         # by its stop tick a stream has generated every frame it generates
-        queued = len(st.gen_ticks) - st.head if st.admitted else 0
+        queued = len(st.gen_ticks) - 1 - st.head if st.admitted else 0
         self._log(tick, "STREAM-END", st.aid, "queued={}", queued)
 
     # -- mobility ----------------------------------------------------------
@@ -559,15 +567,15 @@ class _Sim:
     # -- the contention-free period ---------------------------------------
 
     def _interval(self, tick):
-        """One service interval. Every grant of the interval is sized first,
-        one TXOP per active station in polling order: the first grant that
-        would overrun the interval and all after it are deferred, and no
-        grant starts at or after the end of the run (nor is deferred). Then
-        each granted slot is served: the stream events up to its start are
-        handled, the station's frames generated up to its start join its
-        queue and are sent from its head, one data/ACK exchange each, while
-        the next exchange fits in the grant; with nothing queued one
-        header-only frame carries the size report."""
+        """One service interval: one TXOP per active station in polling
+        order, each sized, then served before the next is sized. The first
+        grant that would overrun the interval and all after it are
+        deferred, and no grant starts at or after the end of the run (nor
+        is deferred). A slot handles the stream events up to its start,
+        then sends the station's frames generated by then from its head,
+        one data/ACK exchange each, while the next exchange fits in the
+        grant; with nothing queued one header-only frame carries the size
+        report."""
         self._apply_mobility(tick)
         cap_end = self.next_si_t = tick + self.si_t
         k = self.si_index
@@ -578,11 +586,9 @@ class _Sim:
         if not active:
             return
         logging = self.logging
-        t = tick
-        if self.sc.scheduler == "hcca":
-            reports = itertools.repeat(None)   # the reference scheduler ignores reports
-        else:
-            reports = [st.report for st in active]
+        slot_t = tick
+        # the reference scheduler ignores reports
+        reports = itertools.repeat(None) if self.sc.scheduler == "hcca" else [st.report for st in active]
         multipoll = self.multipoll
         if multipoll:
             # one frame carries every grant: every report is taken up front
@@ -591,16 +597,22 @@ class _Sim:
             n = len(active)
             if n not in self.multipoll_t:
                 self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
-            t += self.multipoll_t[n]
+            slot_t += self.multipoll_t[n]
             if logging:
                 self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, n)
+        defer_at = len(self.event_log)   # a deferral is logged before the slots
+        # bound once: neither a stream event nor a slot changes these
         end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
         plan, shed_t, warmup_tick = self.plan, self.shed_t, self.warmup_tick
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
+        events, deliveries = self.stream_events, self.deliveries
+        hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
+        per, rand = self.per, self.rng.random
+        # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
+        open_t, first_lead = (0, 0) if multipoll else (self.poll_t, sifs_t)
         n_meas, delay_meas, payload_meas, granted_meas = self.measured
-        first = len(grants)
         for st, size in zip(active, reports):
-            if t >= end_tick:
+            if slot_t >= end_tick:
                 break
             # a report sizes one grant only; polled one by one, the stations
             # after a deferral keep theirs
@@ -609,45 +621,31 @@ class _Sim:
                 g_t, basis = plan[st.contract] - shed_t, mean
             else:
                 g_t, basis = one_t + size * byte_t, piggyback
-            if t + g_t > cap_end:
+            slot_end = slot_t + g_t
+            if slot_end > cap_end:
                 self.n_deferred += 1
                 if logging:
-                    self._log(t, "DEFER", st.aid, "si={}", k)
+                    self._log(slot_t, "DEFER", st.aid, "si={}", k)
+                    self.event_log.insert(defer_at, self.event_log.pop())
                 break
-            grants += (k, st.aid, t, g_t, basis)
-            if t >= warmup_tick:
+            grants += (k, st.aid, slot_t, g_t, basis)
+            if slot_t >= warmup_tick:
                 granted_meas += g_t
-            t += g_t
-
-        # the rate changes only at interval starts, so these hold for every slot
-        events, deliveries = self.stream_events, self.deliveries
-        hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
-        per, rand = self.per, self.rng.random
-        # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-        open_t, first_lead = (0, 0) if multipoll else (self.poll_t, sifs_t)
-        # the granted slots are the first grants of the active stations
-        for st, slot_t, g_t in zip(active, grants[first + 2::5], grants[first + 3::5]):
             if events and events[-1][0] <= slot_t:
                 self._streams_to(slot_t)
-            # the frames generated up to the slot start join the queue
-            gen_ticks = st.gen_ticks
-            end = bisect_right(gen_ticks, slot_t, st.head)
-            slot_end = slot_t + g_t
+            aid, gen_ticks, sizes, head = st.aid, st.gen_ticks, st.sizes, st.head
+            queued = gen_ticks[head] <= slot_t
             t, lead = slot_t + open_t, first_lead
-            aid, head, sizes = st.aid, st.head, st.sizes
             while True:
-                queued = head < end
                 size = sizes[head] if queued else 0
                 data_end = t + lead + hdr_t + size * byte_t
                 t = data_end + post_t
                 if t > slot_end:
                     break
-                # one draw per frame whatever the loss rate, so runs with different
-                # rates stay draw-aligned under one seed
-                ok = rand() >= per
+                # one draw per exchange in slot order, and none without loss
+                ok = not per or rand() >= per
                 if queued:
-                    seq = head
-                    head += 1     # delivered or lost, the frame leaves the head
+                    seq, head = head, head + 1   # delivered or lost, it leaves the head
                     if ok:
                         gen, rx = gen_ticks[seq], data_end + dp_t
                         deliveries += (aid, seq, size, gen, rx)
@@ -667,11 +665,12 @@ class _Sim:
                     self.n_null_lost += 1
                 if ok:
                     # the size of the next frame to send, queued or not yet generated
-                    st.report = sizes[head] if head < len(sizes) else None
-                if head == end:
+                    st.report = sizes[head]
+                if not queued or gen_ticks[head] > slot_t:
                     break
                 lead = sifs_t
             st.head = head
+            slot_t = slot_end
         self.measured = (n_meas, delay_meas, payload_meas, granted_meas)
 
 

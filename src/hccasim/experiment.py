@@ -11,7 +11,6 @@ import csv
 import itertools
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,8 +285,10 @@ def write_csv(rows, path):
 
 def _run_all(scenarios, jobs):
     """Results in scenario order, over jobs worker processes when jobs > 1.
-    run_scenario is looked up at call time, so it can be swapped out."""
+    run_scenario is looked up at call time, so it can be swapped out. The
+    pool is imported here, so a serial run never loads multiprocessing."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_scenario, scenarios))
     return [run_scenario(sc) for sc in scenarios]

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hccasim import engine
 from hccasim.engine import StationSpec, run_scenario
 from hccasim.errors import ConfigError
 from hccasim.hcca import GrantBasis, reference_overhead, txop_reference
@@ -143,6 +145,28 @@ class TestLostExchanges:
         assert result.n_delivered == 2 - result.n_lost
         if per:
             assert (result.n_lost, result.n_null_lost) == (2, 52)
+
+    @pytest.mark.parametrize("scheduler", ["hcca", "atxop", "amtxop"])
+    @pytest.mark.parametrize("per", [0.3, 0.0])
+    def test_no_draw_without_loss(self, monkeypatch, scheduler, per):
+        # the engine's generator counts its draws: at per 0 every exchange
+        # arrives without one, otherwise each exchange takes one
+        draws = []
+
+        class Counting(random.Random):
+            def random(self):
+                draws.append(None)
+                return super().random()
+
+        monkeypatch.setattr(engine, "random", SimpleNamespace(Random=Counting))
+        result = run(scheduler, [const_trace(50, 2700)] * 3, TSPEC_54, per=per,
+                     sim_time_s=Fraction(2))
+        assert result.n_delivered > 0
+        if per:
+            assert result.n_lost > 0
+            assert len(draws) >= result.n_delivered + result.n_lost
+        else:
+            assert draws == []
 
 
 # 54 Mb/s payload, 2 Mb/s control, SI = 40 ms: one 2700-byte mean MSDU

@@ -99,7 +99,10 @@ def test_grid_exercises_every_path():
     assert b.rejected_aids == (6,)
 
 
+# hcca's log has a DEFER line in every interval at the slowest tier, so it
+# pins where a deferral sits among the lines of its interval
 EVENT_LOG_DIGESTS = {
+    "hcca": "92d4175cd2cede1de62b4b0146b39396719bd7abdedcd56075a2b5617e440cf2",
     "atxop": "dbced224e29fb6e123a9ebaff33752a6891c94f9125840c84d894ef2eda23547",
     "amtxop": "20c5e2b923a3dda93b1d6f4fdda54ca162c4991b4f8fc7d81e5bfed520443253",
 }

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,6 +245,13 @@ class TestRunExperiment:
         serial = run_experiment(cfg, jobs=1)
         parallel = run_experiment(cfg, jobs=2)
         assert serial == parallel
+
+    def test_serial_runs_never_load_multiprocessing(self):
+        code = "import sys, hccasim.experiment; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestTable2:
