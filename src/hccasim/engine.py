@@ -5,16 +5,17 @@ multiple of R/gcd(R, 8 MHz) over every PHY rate in the scenario; every
 frame airtime and interframe space then lands exactly on the grid and a
 run is reproducible bit for bit.
 
-The run steps one service interval at a time, from the first admission
-on, and one pass per polled slot runs each interval: it sizes the slot's
-TXOP, then serves it, before it sizes the next, with the interval's grant
-constants bound at its start. Before each slot the stream events up to
-its start tick are handled, and the station's frames generated up to and
-including that tick join its queue. Stream starts and stops are the
-only events off the interval grid: all of them up to and including a
-tick are handled before that tick's interval start or slot, in tick
-order, starts before stops, then by AID. So a stream event between two
-slots of an interval changes none of its grants.
+One loop steps the run's service intervals from the first admission on,
+one pass per polled slot each: it sizes the slot's TXOP, then serves it,
+before it sizes the next. It binds the grant constants, the active
+stations and the poll lead once, and again only at the first interval
+start after a stream event or a tier crossing. Before each slot the
+stream events up to its start tick are handled, and the station's frames
+generated up to and including that tick join its queue. Stream starts
+and stops are the only events off the interval grid: all of them up to
+and including a tick are handled before that tick's interval start or
+slot, in tick order, starts before stops, then by AID. So a stream event
+between two slots of an interval changes none of its grants.
 
 A station's frames are generated in trace order and leave its queue from
 the head, delivered or lost, so the queue is a window of trace indices:
@@ -57,11 +58,12 @@ plan as it was.
 Under mobility the stations move as one group whose distance never
 shrinks, so it lies past each tier bound from one tick on. The engine
 computes those crossing ticks once per run, in exact arithmetic, and
-finds the group's tier at a tick by bisecting them. At every interval
-start that tier's rate becomes the run's rate; past the last tier the
-group is out of range for good: nobody is served, the interval starts
-left are counted rather than stepped, and a stream that starts while the
-group is past the last tier, between interval starts too, is rejected.
+finds the group's tier at a tick by bisecting them. The first interval
+start at or past a crossing makes the new tier's rate the run's rate;
+past the last tier the group is out of range for good: nobody is
+served, the interval starts left are counted rather than stepped, and a
+stream that starts while the group is past the last tier, between
+interval starts too, is rejected.
 
 A run's results are integer ticks: deliveries, grants and tier changes.
 Deliveries and grants are flat lists of ints, five values per event, so a
@@ -74,7 +76,6 @@ would free nothing.
 """
 
 import gc
-import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -337,7 +338,7 @@ class _Sim:
             + [(st.stop_t, 1, st.aid) for st in sts if st.stop_t < self.end_tick],
             reverse=True,
         )
-        self.next_si_t = None     # the next interval start, set by the first admission
+        self.first_si_t = None    # the first interval start, set by the first admission
 
     # -- time plumbing ---------------------------------------------------
 
@@ -423,19 +424,13 @@ class _Sim:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        events, end_tick = self.stream_events, self.end_tick
+        events = self.stream_events
         # the first admission opens the interval grid at its own tick
-        while self.next_si_t is None and events:
+        while self.first_si_t is None and events:
             self._streams_to(events[-1][0])
-        while (tick := self.next_si_t) is not None and tick < end_tick:
-            if self.out_of_range:
-                # nobody is served or admitted again: count the starts left
-                self.si_index += -(-(end_tick - tick) // self.si_t)
-                break
-            if events and events[-1][0] <= tick:
-                self._streams_to(tick)
-            self._interval(tick)
-        self._streams_to(end_tick)
+        if self.first_si_t is not None:
+            self._intervals(self.first_si_t)
+        self._streams_to(self.end_tick)
         return self._finalize()
 
     def _streams_to(self, tick):
@@ -498,13 +493,14 @@ class _Sim:
             tspec = st.spec.tspec
             self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
                       float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
-        if self.next_si_t is None:
-            self.next_si_t = tick
+        if self.first_si_t is None:
+            self.first_si_t = tick
 
     def _on_stream_end(self, tick, st):
-        # by its stop tick a stream has generated every frame it generates
-        queued = len(st.gen_ticks) - 1 - st.head if st.admitted else 0
-        self._log(tick, "STREAM-END", st.aid, "queued={}", queued)
+        if self.logging:
+            # by its stop tick a stream has generated every frame it generates
+            queued = len(st.gen_ticks) - 1 - st.head if st.admitted else 0
+            self._log(tick, "STREAM-END", st.aid, "queued={}", queued)
 
     # -- mobility ----------------------------------------------------------
 
@@ -566,111 +562,128 @@ class _Sim:
 
     # -- the contention-free period ---------------------------------------
 
-    def _interval(self, tick):
-        """One service interval: one TXOP per active station in polling
-        order, each sized, then served before the next is sized. The first
-        grant that would overrun the interval and all after it are
-        deferred, and no grant starts at or after the end of the run (nor
-        is deferred). A slot handles the stream events up to its start,
-        then sends the station's frames generated by then from its head,
-        one data/ACK exchange each, while the next exchange fits in the
-        grant; with nothing queued one header-only frame carries the size
-        report."""
-        self._apply_mobility(tick)
-        cap_end = self.next_si_t = tick + self.si_t
-        k = self.si_index
-        self.si_index += 1
-
-        # slots are granted while the group is in range and the stream runs
-        active = [] if self.out_of_range else [st for st in self.polled if st.stop_t > tick]
-        if not active:
-            return
-        logging = self.logging
-        slot_t = tick
-        # the reference scheduler ignores reports
-        reports = itertools.repeat(None) if self.sc.scheduler == "hcca" else [st.report for st in active]
-        multipoll = self.multipoll
-        if multipoll:
-            # one frame carries every grant: every report is taken up front
-            for st in active:
-                st.report = None
-            n = len(active)
-            if n not in self.multipoll_t:
-                self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
-            slot_t += self.multipoll_t[n]
-            if logging:
-                self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, n)
-        defer_at = len(self.event_log)   # a deferral is logged before the slots
-        # bound once: neither a stream event nor a slot changes these
-        end_tick, one_t, byte_t, grants = self.end_tick, self.one_t, self.byte_t, self.grants
-        plan, shed_t, warmup_tick = self.plan, self.shed_t, self.warmup_tick
+    def _intervals(self, tick):
+        """Every service interval from the first, at tick, on: one TXOP per
+        active station in polling order, each sized, then served before the
+        next is sized. The first grant that would overrun its interval and
+        all after it are deferred, and no grant starts at or after the end
+        of the run (nor is deferred). A slot handles the stream events up to
+        its start, then sends the station's frames generated by then from
+        its head, one data/ACK exchange each, while the next exchange fits
+        in the grant; with nothing queued one header-only frame carries the
+        size report. The grant constants, the active stations and the poll
+        lead change only with a stream event or a tier crossing, so they are
+        bound again only at the first interval start after one."""
+        end_tick, warmup_tick, logging = self.end_tick, self.warmup_tick, self.logging
+        events, deliveries, grants = self.stream_events, self.deliveries, self.grants
+        per, rand, multipoll = self.per, self.rng.random, self.multipoll
+        reference = self.sc.scheduler == "hcca"   # it ignores reports
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
-        events, deliveries = self.stream_events, self.deliveries
-        hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
-        per, rand = self.per, self.rng.random
-        # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-        open_t, first_lead = (0, 0) if multipoll else (self.poll_t, sifs_t)
+        crossings = self.tier_ticks if self.sc.mobility else ()
+        next_cross = 0   # the first interval start applies the tier, as a crossing does
+        k = self.si_index
         n_meas, delay_meas, payload_meas, granted_meas = self.measured
-        for st, size in zip(active, reports):
-            if slot_t >= end_tick:
-                break
-            # a report sizes one grant only; polled one by one, the stations
-            # after a deferral keep theirs
-            st.report = None
-            if size is None:
-                g_t, basis = plan[st.contract] - shed_t, mean
-            else:
-                g_t, basis = one_t + size * byte_t, piggyback
-            slot_end = slot_t + g_t
-            if slot_end > cap_end:
-                self.n_deferred += 1
-                if logging:
-                    self._log(slot_t, "DEFER", st.aid, "si={}", k)
-                    self.event_log.insert(defer_at, self.event_log.pop())
-                break
-            grants += (k, st.aid, slot_t, g_t, basis)
-            if slot_t >= warmup_tick:
-                granted_meas += g_t
-            if events and events[-1][0] <= slot_t:
-                self._streams_to(slot_t)
-            aid, gen_ticks, sizes, head = st.aid, st.gen_ticks, st.sizes, st.head
-            queued = gen_ticks[head] <= slot_t
-            t, lead = slot_t + open_t, first_lead
-            while True:
-                size = sizes[head] if queued else 0
-                data_end = t + lead + hdr_t + size * byte_t
-                t = data_end + post_t
-                if t > slot_end:
+        stale = True
+        while tick < end_tick:
+            if events and events[-1][0] <= tick:
+                self._streams_to(tick)
+                stale = True
+            if tick >= next_cross:
+                self._apply_mobility(tick)
+                if self.out_of_range:
+                    # nobody is served or admitted again: count the starts left
+                    k += -(-(end_tick - tick) // self.si_t)
                     break
-                # one draw per exchange in slot order, and none without loss
-                ok = not per or rand() >= per
-                if queued:
-                    seq, head = head, head + 1   # delivered or lost, it leaves the head
+                next_cross = min((t for t in crossings if t > tick), default=end_tick)
+                stale = True
+            if stale:
+                stale = False
+                si_t, plan, one_t, byte_t, shed_t = self.si_t, self.plan, self.one_t, self.byte_t, self.shed_t
+                hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
+                # slots are granted while the stream runs
+                active = [st for st in self.polled if st.stop_t > tick]
+                # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
+                first_t, open_t, first_lead = 0, self.poll_t, sifs_t
+                if multipoll and active:
+                    n = len(active)
+                    if n not in self.multipoll_t:
+                        self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
+                    first_t, open_t, first_lead = self.multipoll_t[n], 0, 0
+            cap_end, slot_t = tick + si_t, tick + first_t
+            if logging and active:
+                if multipoll:
+                    self._log(tick, "MULTIPOLL", 0, "si={} records={}", k, len(active))
+                defer_at = len(self.event_log)   # a deferral is logged before the slots
+            for st in active:
+                if slot_t >= end_tick:
+                    break
+                # a report sizes one grant only; polled one by one, the stations
+                # after a deferral keep theirs
+                size, st.report = st.report, None
+                if size is None or reference:
+                    g_t, basis = plan[st.contract] - shed_t, mean
+                else:
+                    g_t, basis = one_t + size * byte_t, piggyback
+                slot_end = slot_t + g_t
+                if slot_end > cap_end:
+                    self.n_deferred += 1
+                    if logging:
+                        self._log(slot_t, "DEFER", st.aid, "si={}", k)
+                        self.event_log.insert(defer_at, self.event_log.pop())
+                    break
+                grants += (k, st.aid, slot_t, g_t, basis)
+                if slot_t >= warmup_tick:
+                    granted_meas += g_t
+                if events and events[-1][0] <= slot_t:
+                    self._streams_to(slot_t)
+                    stale = True
+                aid, gen_ticks, sizes, head = st.aid, st.gen_ticks, st.sizes, st.head
+                queued = gen_ticks[head] <= slot_t
+                t, lead = slot_t + open_t, first_lead
+                while True:
+                    size = sizes[head] if queued else 0
+                    data_end = t + lead + hdr_t + size * byte_t
+                    t = data_end + post_t
+                    if t > slot_end:
+                        break
+                    # one draw per exchange in slot order, and none without loss
+                    ok = not per or rand() >= per
+                    if queued:
+                        seq, head = head, head + 1   # delivered or lost, it leaves the head
+                        if ok:
+                            gen, rx = gen_ticks[seq], data_end + dp_t
+                            deliveries += (aid, seq, size, gen, rx)
+                            if gen >= warmup_tick:
+                                n_meas += 1
+                                delay_meas += rx - gen
+                                payload_meas += size
+                            if logging:
+                                self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
+                        else:
+                            self.n_lost += 1
+                            if gen_ticks[seq] >= warmup_tick:
+                                self.n_lost_measured += 1
+                            if logging:
+                                self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
+                    elif not ok:
+                        self.n_null_lost += 1
                     if ok:
-                        gen, rx = gen_ticks[seq], data_end + dp_t
-                        deliveries += (aid, seq, size, gen, rx)
-                        if gen >= warmup_tick:
-                            n_meas += 1
-                            delay_meas += rx - gen
-                            payload_meas += size
-                        if logging:
-                            self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
-                    else:
-                        self.n_lost += 1
-                        if gen_ticks[seq] >= warmup_tick:
-                            self.n_lost_measured += 1
-                        if logging:
-                            self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
-                elif not ok:
-                    self.n_null_lost += 1
-                if ok:
-                    # the size of the next frame to send, queued or not yet generated
-                    st.report = sizes[head]
-                if not queued or gen_ticks[head] > slot_t:
-                    break
-                lead = sifs_t
-            st.head = head
-            slot_t = slot_end
+                        # the size of the next frame to send, queued or not yet generated
+                        st.report = sizes[head]
+                    if not queued or gen_ticks[head] > slot_t:
+                        break
+                    lead = sifs_t
+                st.head = head
+                slot_t = slot_end
+            else:
+                st = None
+            if multipoll and st:
+                # one frame carried every grant: the stations not served lose their reports too
+                for later in active[active.index(st):]:
+                    later.report = None
+            k += 1
+            tick = cap_end
+        self.si_index = k
         self.measured = (n_meas, delay_meas, payload_meas, granted_meas)
 
 

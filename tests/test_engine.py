@@ -167,6 +167,22 @@ class TestMultipollTimeline:
         assert {g.duration_us for g in steady} == {400 + Fraction(1264, 3)}
         assert {g.basis for g in steady} == {GrantBasis.PIGGYBACK_SIZE}
 
+    @pytest.mark.parametrize("scheduler", ("atxop", "amtxop"))
+    def test_a_deferral_takes_the_later_reports_only_under_multipoll(self, scheduler):
+        """Station 1's 29 000-byte frame fills interval 2 at 6 Mb/s, so
+        station 2 is deferred and station 3 after it. Polled one by one,
+        station 3 keeps its report for interval 3; the multi-poll frame of
+        interval 2 took it, so it falls back to the mean-based grant."""
+        big = parse_trace("\n".join(f"{i} P {40 * i} {29_000 if i == 2 else 1000}" for i in range(6)))
+        tspec = make_tspec(1000, 1100, 200_000, 6_000_000)
+        result = run_scenario(make_scenario(scheduler, [big] + [const_trace(6, 1000)] * 2, tspec,
+                                            data_rate=6_000_000))
+        grants = by_si(result)
+        assert [g.aid for g in grants[2]] == [1] and result.n_deferred_slots == 1
+        mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
+        kept = piggyback if scheduler == "atxop" else mean
+        assert [g.basis for g in grants[3]] == [piggyback, mean, kept]
+
 
 class TestSteadyStateMeans:
     """Hand-computed steady-state means on the validation PHY (payload at

@@ -96,3 +96,25 @@ class TestRunAllPresets:
         out, err = capsys.readouterr()
         assert out == ""
         assert "argument --jobs" in err
+
+
+class TestBenchPairs:
+    def test_summary_of_fixed_pairs(self):
+        """Quartiles are inclusive, a tie wins for neither side, and the
+        direction that is better decides who wins a pair."""
+        summarize = load_script("bench_pairs").summarize
+        parent = [{"wall_s": w, "events_per_s": e} for w, e in [(1.0, 10), (1.2, 10), (1.1, 12), (1.4, 9)]]
+        change = [{"wall_s": w, "events_per_s": e} for w, e in [(0.8, 11), (0.9, 10), (1.15, 11), (1.0, 10)]]
+        out = summarize(parent, change, {"wall_s": ("s", "lower"), "events_per_s": ("1/s", "higher")})
+        assert out["wall_s"] == {
+            "unit": "s", "better": "lower",
+            "parent": {"median": 1.15, "q1": 1.075, "q3": 1.25},
+            "change": {"median": 0.95, "q1": 0.875, "q3": 1.0375},
+            "change_pct": -17.4, "change_wins": "3/4", "gap_exceeds_parent_iqr": True,
+        }
+        assert out["events_per_s"] == {
+            "unit": "1/s", "better": "higher",
+            "parent": {"median": 10, "q1": 9.75, "q3": 10.5},
+            "change": {"median": 10.5, "q1": 10, "q3": 11},
+            "change_pct": 5.0, "change_wins": "2/4", "gap_exceeds_parent_iqr": False,
+        }
