@@ -17,7 +17,9 @@ runs, the change's median against the parent's in percent, the pairs the
 change won (ties count for neither side), and whether the gap between
 the medians exceeds the spread between the parent's quartiles. An
 existing output file keeps its other workloads and keys, so one file can
-collect several invocations for the same two commits."""
+collect several invocations for the same two commits. A perfbench run
+that exits non-zero stops the script with exit 1 and one line on stderr,
+and nothing is written."""
 
 import argparse
 import json
@@ -72,11 +74,17 @@ def unpack(rev, dest):
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench(checkout, args):
-    """One perfbench run in checkout: its last line, parsed."""
+def bench(checkout, args, where):
+    """One perfbench run in checkout: its last line, parsed. A run that
+    fails stops the script with one line naming where it ran (the pair
+    and side), its exit code and the last line of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        last = (done.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+        print(f"{where}: perfbench exited {done.returncode}: {last}", file=sys.stderr)
+        sys.exit(1)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -116,7 +124,7 @@ def main():
             revs[side] = unpack(getattr(args, side), dirs[side])
         for i in range(1, args.pairs + 1):
             for side in ("parent", "change") if i % 2 else ("change", "parent"):
-                out = bench(dirs[side], args)
+                out = bench(dirs[side], args, f"pair {i} {side}")
                 correct &= out["correct"]
                 failed += out["failed"]
                 runs[side].append({name: m["value"] for name, m in out["metrics"].items()})

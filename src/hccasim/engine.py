@@ -23,7 +23,8 @@ frames head up to (not including) the next to be generated. Each station
 holds the generation ticks of its frames generated before its stop tick
 and the end of the run, computed once per run, then the end of the run
 itself, which no slot start reaches: the head frame is queued at a slot
-start exactly when its tick is at most the slot's, with no search.
+start exactly when its tick is at most the slot's, with no search. The
+stations with one trace, start and stop share one such list.
 
 Per service interval the AP issues one TXOP per admitted stream, in
 admission order, which is not AID order when a stream with a higher AID
@@ -68,11 +69,13 @@ interval starts too, is rejected.
 A run's results are integer ticks: deliveries, grants and tier changes.
 Deliveries and grants are flat lists of ints, five values per event, so a
 run builds no container per event. The measured sums (deliveries, delay
-ticks, payload bytes, granted ticks) are kept as the records are made,
-and the report divides each once; only the SI is kept in seconds, the
-unit it is configured in. A run builds no reference cycles, so it runs
-with the cyclic garbage collector suspended: a collection during the run
-would free nothing.
+ticks, payload bytes, granted ticks) are taken from the records once the
+run ends: the grants from the first that starts at the warmup tick on,
+and the deliveries' totals less those of the few frames generated before
+it, which the run tallies as it delivers them. The report divides each
+sum once; only the SI is kept in seconds, the unit it is configured in.
+A run builds no reference cycles, so it runs with the cyclic garbage
+collector suspended: a collection during the run would free nothing.
 """
 
 import gc
@@ -213,7 +216,8 @@ class RunResult:
     deliveries: list        # aid, sequence, size_bytes, gen_tick, rx_tick per delivery, in rx order
     grants: list            # the Grant fields per grant, in grant order
     # delivered, delay ticks and payload bytes of the frames generated from
-    # warmup_tick on, and ticks of the grants starting from it
+    # warmup_tick on, and ticks of the grants starting from it, summed from
+    # deliveries and grants when the run ends
     measured: tuple
     n_generated: int
     n_delivered: int
@@ -290,6 +294,7 @@ class _Sim:
         self.bi = scenario.beacon_interval_s
 
         per_trace = {}            # generation offsets and sizes, then None, per trace
+        per_stream = {}           # generation ticks per trace, start and stop tick; never written
         contracts = {}            # the distinct TSPECs, numbered in AID order
         self.stations = {}
         for s in sorted(scenario.stations, key=lambda s: s.aid):
@@ -298,8 +303,11 @@ class _Sim:
             offsets, sizes = per_trace[id(s.trace)]
             start_t = self._sec_ticks(s.start_s)
             stop_t = self.end_tick if s.stop_s is None else min(self._sec_ticks(s.stop_s), self.end_tick)
+            key = id(s.trace), start_t, stop_t
+            if key not in per_stream:
+                per_stream[key] = self._gen_ticks(offsets, start_t, stop_t)
             self.stations[s.aid] = _Station(s, contracts.setdefault(s.tspec, len(contracts)), start_t,
-                                            stop_t, self._gen_ticks(offsets, start_t, stop_t), sizes)
+                                            stop_t, per_stream[key], sizes)
         self.tspecs = tuple(contracts)
         self.polled = []          # admitted stations in polling order
         # the SI and each contract's reference grant at it, from the first admission on
@@ -311,7 +319,7 @@ class _Sim:
 
         self.deliveries = []
         self.grants = []
-        self.measured = (0, 0, 0, 0)   # see RunResult.measured
+        self.early = (0, 0, 0)    # delivered, delay ticks, payload bytes generated before warmup
         self.tier_changes = []
         self.event_log = []
         self.logging = scenario.log_events
@@ -433,18 +441,25 @@ class _Sim:
         self._streams_to(self.end_tick)
         return self._finalize()
 
-    def _streams_to(self, tick):
-        """Handle every stream start and stop up to and including tick."""
+    def _streams_to(self, tick) -> int:
+        """Handle every stream start and stop up to and including tick;
+        return the next one's tick, or end_tick when none is left."""
         events = self.stream_events
         while events and events[-1][0] <= tick:
             t, is_stop, aid = events.pop()
             (self._on_stream_end if is_stop else self._on_stream_start)(t, self.stations[aid])
+        return events[-1][0] if events else self.end_tick
 
     def _finalize(self) -> RunResult:
         admitted = tuple(st.aid for st in self.stations.values() if st.admitted)
         rejected = tuple(st.aid for st in self.stations.values() if st.rejected)
         # by the end of the run an admitted stream has generated all its frames
         generated = sum(len(st.gen_ticks) - 1 for st in self.polled)
+        d, g = self.deliveries, self.grants
+        n_early, delay_early, payload_early = self.early
+        first = 5 * bisect_left(g[2::5], self.warmup_tick)   # grants start in tick order
+        measured = (len(d) // 5 - n_early, sum(d[4::5]) - sum(d[3::5]) - delay_early,
+                    sum(d[2::5]) - payload_early, sum(g[first + 3::5]))
         return RunResult(
             scenario=self.sc,
             si_s=self.si_s,
@@ -456,7 +471,7 @@ class _Sim:
             warmup_tick=self.warmup_tick,
             deliveries=self.deliveries,
             grants=self.grants,
-            measured=self.measured,
+            measured=measured,
             n_generated=generated,
             n_delivered=len(self.deliveries) // 5,
             n_lost=self.n_lost,
@@ -575,18 +590,19 @@ class _Sim:
         lead change only with a stream event or a tier crossing, so they are
         bound again only at the first interval start after one."""
         end_tick, warmup_tick, logging = self.end_tick, self.warmup_tick, self.logging
-        events, deliveries, grants = self.stream_events, self.deliveries, self.grants
+        deliveries, grants = self.deliveries, self.grants
         per, rand, multipoll = self.per, self.rng.random, self.multipoll
         reference = self.sc.scheduler == "hcca"   # it ignores reports
         mean, piggyback = GrantBasis.REFERENCE_MEAN, GrantBasis.PIGGYBACK_SIZE
         crossings = self.tier_ticks if self.sc.mobility else ()
         next_cross = 0   # the first interval start applies the tier, as a crossing does
         k = self.si_index
-        n_meas, delay_meas, payload_meas, granted_meas = self.measured
+        next_event = self._streams_to(tick)   # the tick of the next stream event
+        n_early = delay_early = payload_early = 0   # see self.early
         stale = True
         while tick < end_tick:
-            if events and events[-1][0] <= tick:
-                self._streams_to(tick)
+            if next_event <= tick:
+                next_event = self._streams_to(tick)
                 stale = True
             if tick >= next_cross:
                 self._apply_mobility(tick)
@@ -599,16 +615,17 @@ class _Sim:
             if stale:
                 stale = False
                 si_t, plan, one_t, byte_t, shed_t = self.si_t, self.plan, self.one_t, self.byte_t, self.shed_t
-                hdr_t, post_t, sifs_t, dp_t = self.hdr_t, self.post_t, self.sifs_t, self.dp_t
+                hdr_t, post_t, dp_t = self.hdr_t, self.post_t, self.dp_t
+                next_t = post_t + self.sifs_t   # from one data frame's end to the next one's start
                 # slots are granted while the stream runs
                 active = [st for st in self.polled if st.stop_t > tick]
-                # a single-poll TXOP opens with its poll, a multi-poll one with its first frame
-                first_t, open_t, first_lead = 0, self.poll_t, sifs_t
+                # a single-poll TXOP's first frame follows its poll, a multi-poll one's opens it
+                first_t, open_t = 0, self.poll_t + self.sifs_t
                 if multipoll and active:
                     n = len(active)
                     if n not in self.multipoll_t:
                         self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
-                    first_t, open_t, first_lead = self.multipoll_t[n], 0, 0
+                    first_t, open_t = self.multipoll_t[n], 0
             cap_end, slot_t = tick + si_t, tick + first_t
             if logging and active:
                 if multipoll:
@@ -632,47 +649,49 @@ class _Sim:
                         self.event_log.insert(defer_at, self.event_log.pop())
                     break
                 grants += (k, st.aid, slot_t, g_t, basis)
-                if slot_t >= warmup_tick:
-                    granted_meas += g_t
-                if events and events[-1][0] <= slot_t:
-                    self._streams_to(slot_t)
+                if next_event <= slot_t:
+                    next_event = self._streams_to(slot_t)
                     stale = True
-                aid, gen_ticks, sizes, head = st.aid, st.gen_ticks, st.sizes, st.head
-                queued = gen_ticks[head] <= slot_t
-                t, lead = slot_t + open_t, first_lead
-                while True:
-                    size = sizes[head] if queued else 0
-                    data_end = t + lead + hdr_t + size * byte_t
-                    t = data_end + post_t
-                    if t > slot_end:
-                        break
-                    # one draw per exchange in slot order, and none without loss
-                    ok = not per or rand() >= per
-                    if queued:
-                        seq, head = head, head + 1   # delivered or lost, it leaves the head
-                        if ok:
-                            gen, rx = gen_ticks[seq], data_end + dp_t
-                            deliveries += (aid, seq, size, gen, rx)
-                            if gen >= warmup_tick:
-                                n_meas += 1
-                                delay_meas += rx - gen
-                                payload_meas += size
-                            if logging:
-                                self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
+                gen_ticks, sizes, head = st.gen_ticks, st.sizes, st.head
+                # an exchange fits while its data frame ends by data_lim; one draw
+                # per exchange in slot order, and none without loss
+                t, data_lim = slot_t + open_t, slot_end - post_t
+                if gen_ticks[head] > slot_t:
+                    # nothing queued: one header-only frame carries the report
+                    if t + hdr_t <= data_lim:
+                        if not per or rand() >= per:
+                            st.report = sizes[head]
                         else:
-                            self.n_lost += 1
-                            if gen_ticks[seq] >= warmup_tick:
-                                self.n_lost_measured += 1
-                            if logging:
-                                self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
-                    elif not ok:
-                        self.n_null_lost += 1
-                    if ok:
+                            self.n_null_lost += 1
+                    slot_t = slot_end
+                    continue
+                aid = st.aid
+                while True:
+                    size = sizes[head]
+                    data_end = t + hdr_t + size * byte_t
+                    if data_end > data_lim:
+                        break
+                    seq, head = head, head + 1   # delivered or lost, it leaves the head
+                    if not per or rand() >= per:
+                        gen, rx = gen_ticks[seq], data_end + dp_t
+                        deliveries += (aid, seq, size, gen, rx)
+                        if gen < warmup_tick:
+                            n_early += 1
+                            delay_early += rx - gen
+                            payload_early += size
+                        if logging:
+                            self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
                         # the size of the next frame to send, queued or not yet generated
                         st.report = sizes[head]
-                    if not queued or gen_ticks[head] > slot_t:
+                    else:
+                        self.n_lost += 1
+                        if gen_ticks[seq] >= warmup_tick:
+                            self.n_lost_measured += 1
+                        if logging:
+                            self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
+                    if gen_ticks[head] > slot_t:
                         break
-                    lead = sifs_t
+                    t = data_end + next_t
                 st.head = head
                 slot_t = slot_end
             else:
@@ -684,7 +703,7 @@ class _Sim:
             k += 1
             tick = cap_end
         self.si_index = k
-        self.measured = (n_meas, delay_meas, payload_meas, granted_meas)
+        self.early = (n_early, delay_early, payload_early)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

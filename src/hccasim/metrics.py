@@ -1,8 +1,9 @@
 """Per-run metrics: the report type and the utilization comparison.
 
 A run sums its measured deliveries and grants as integers, in ticks at K
-ticks per microsecond, while it makes them; engine.RunResult.report()
-divides each sum once, exactly, and takes the float last. A run that
+ticks per microsecond, from its records once it ends;
+engine.RunResult.report() divides each sum once, exactly, and takes the
+float last. A run that
 delivered nothing reports a NaN mean delay rather than raising, so sweep
 code can emit a row per configuration without special-casing it.
 """

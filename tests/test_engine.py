@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hccasim import engine
 from hccasim.analytic import aggregate_delay, analytic_inputs
 from hccasim.engine import M_TO_FT, Mobility, Scenario, StationSpec, run_scenario
 from hccasim.errors import ConfigError
@@ -15,8 +16,9 @@ from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll
 from hccasim.traces import Tspec, parse_trace
 
 from conftest import (
-    TIERS, by_si, check_run, const_trace, drawn_run, entries, grants_us, group_walks, make_scenario,
-    make_tspec, mean_delay_ms, measured_grants, measured_records, oracle_report, records, scenarios,
+    TIERS, by_si, check_run, const_trace, drawn_run, entries, generation_offsets, grants_us, group_walks,
+    make_scenario, make_tspec, mean_delay_ms, measured_grants, measured_records, oracle_report, records,
+    scenarios, whole,
 )
 
 TSPEC_54 = make_tspec(2700, 2700, 540_000, 54_000_000)
@@ -375,7 +377,7 @@ class TestAdmissionInEngine:
         }
 
     @given(sc=scenarios(scheduler="hcca", mobility=None, stop_ms=None, sim_ms=1000))
-    @settings(max_examples=25, deadline=None)
+    @settings(derandomize=True, max_examples=25, database=None, deadline=None)
     def test_admitted_grants_fit_the_budget(self, sc):
         """Admission charges what the engine grants: once the last stream
         is in, no SI grants more than the contention-free share of it."""
@@ -445,14 +447,14 @@ class TestLossAndDeterminism:
 
     # VBR streams at up to 20% loss, 2 to 4 of them, on any walk
     @given(sc=scenarios(traffic="vbr", n_stations=st.integers(2, 4), per=st.floats(0, 0.2)))
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
     def test_frames_are_conserved(self, sc):
         """Every generated frame is delivered, lost or left queued."""
         result = drawn_run(sc)
         assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
 
     @given(sc=scenarios())
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
     def test_report_equals_fraction_oracle(self, sc):
         """Every delivery's rx tick is at or after its generation tick, and
         report() divides its tick sums into exactly the rationals that
@@ -573,7 +575,7 @@ class TestMobility:
     @given(sc=scenarios(scheduler="hcca", profile=PROFILE_11G, control_rate=2_000_000, msi="0.04",
                         traffic="small", n_stations=st.integers(2, 3), start_ms=0, stop_ms=None,
                         sim_ms=1200, mobility=group_walks()))
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
     def test_group_walk_matches_closed_form(self, sc):
         """The group's rate is its closed-form distance's tier at every SI
         start: tier changes are logged when that rate changes, every grant
@@ -773,6 +775,28 @@ class TestEdgeTicks:
             assert per_si[k] == [(aid, si_start + lead(4) + i * at_40_ms, at_40_ms)
                                  for i, aid in enumerate((1, 2, 3, 4))]
 
+    def test_stream_events_are_looked_up_only_when_one_is_due(self, monkeypatch):
+        """Stream 1 stops at 40.5 ms, after the first slot of interval 1
+        starts: its second slot handles the stop, and neither its last two
+        slots nor later interval starts look the events up again. A run
+        looks them up once per tick it handles events at, once as the
+        interval loop starts and once at the end of the run."""
+        calls = []
+        streams_to = engine._Sim._streams_to
+
+        def counting(sim, tick):
+            calls.append(tick)
+            return streams_to(sim, tick)
+
+        monkeypatch.setattr(engine._Sim, "_streams_to", counting)
+        trace = const_trace(5, 2700)
+        stations = tuple(StationSpec(aid=aid, trace=trace, tspec=TSPEC_54,
+                                     stop_s=Fraction(81, 2000) if aid == 1 else None) for aid in (1, 2, 3, 4))
+        result = run_scenario(make_scenario("hcca", stations=stations))
+        slots = [whole(g.start_us * result.K) for g in grants_us(result) if g.si_index == 1]
+        assert len(slots) == 4 and slots[0] < 40_500 * result.K < slots[1]
+        assert calls == [0, 0, slots[1], 200_000 * result.K]
+
 
 class TestWindowQueue:
     """A station's queue is the trace frames from its head up to the next
@@ -780,7 +804,7 @@ class TestWindowQueue:
 
     # half-millisecond display times, 1 to 4 streams, no walk
     @given(sc=scenarios(traffic="half-ms", n_stations=st.integers(1, 4), mobility=None))
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
     def test_window_generation_and_delivery_order(self, sc):
         """check_run's window rules: per station, delivered sequence numbers
         strictly increase, each delivery's generation tick is its stream
@@ -849,6 +873,28 @@ class TestRunResultWindow:
         report = result.report()
         assert report.n_delivered == 3
         assert report.throughput_bps == pytest.approx(3 * 2700 * 8 / 0.12)
+
+    def test_measured_sums_straddle_the_warmup(self):
+        """Frames arrive every 10 ms and a grant holds two, so frames made
+        before the 80 ms warmup are delivered after it, or lost at 30%
+        loss, and a grant starts exactly at the warmup tick. The measured
+        sums and losses are those the records give from the warmup on."""
+        tspec = make_tspec(1000, 1000, 400_000, 54_000_000)
+        trace = const_trace(16, 1000, interval_ms=10)
+        result = run_scenario(make_scenario("hcca", [trace], tspec, sim_time_s=Fraction(2, 5),
+                                            warmup_s=Fraction(2, 25), per=0.3, seed=0))
+        w, K = result.warmup_tick, result.K
+        assert w in result.grants[2::5]
+        assert any(gen < w <= rx for *_, gen, rx in entries(result.deliveries))
+        recs, grants = measured_records(result), measured_grants(result)
+        assert result.measured == (
+            len(recs), whole(K * sum(r.delay_us for r in recs)), sum(r.size_bytes for r in recs),
+            whole(K * sum(g.duration_us for g in grants)),
+        )
+        # every frame left the queue, so a measured frame not delivered was lost
+        assert result.n_left_queued == 0
+        n_gen = sum(gen >= w for gen in generation_offsets(trace, K))
+        assert 0 < result.n_lost_measured == n_gen - len(recs) < result.n_lost
 
     def test_event_log_opt_in(self):
         trace = const_trace(3, 2700)

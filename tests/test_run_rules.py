@@ -23,7 +23,7 @@ def test_regression_case_keeps_the_rules(case, scheduler):
 
 
 @given(sc=scenarios())
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
 def test_drawn_run_keeps_the_rules(sc):
     """A drawn run keeps the engine's rules (drawn_run checks them), among
     them that every generated frame is delivered, lost or left queued."""

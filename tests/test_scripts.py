@@ -118,3 +118,26 @@ class TestBenchPairs:
             "change": {"median": 10.5, "q1": 10, "q3": 11},
             "change_pct": 5.0, "change_wins": "2/4", "gap_exceeds_parent_iqr": False,
         }
+
+    def test_a_failed_run_stops_the_pairs_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """A perfbench run that exits non-zero ends the script with exit 1
+        and one line: the pair, the side, the exit code and the run's last
+        line of stderr. No summary is written."""
+        script = load_script("bench_pairs")
+
+        def stub_checkout(rev, dest):
+            (dest / "perfbench").mkdir()
+            (dest / "perfbench" / "run.py").write_text(
+                "import sys\nprint('loading', file=sys.stderr)\n"
+                "print('unknown workload W', file=sys.stderr)\nsys.exit(2)\n")
+            return rev
+
+        out = tmp_path / "BENCH_0.json"
+        monkeypatch.setattr(script, "unpack", stub_checkout)
+        monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "p", "--change", "c",
+                                          "--workload", "W", "--pairs", "2", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "pair 1 parent: perfbench exited 2: unknown workload W\n"
+        assert not out.exists()
