@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run every bundled experiment preset through the subcommand PRESETS
 names for it, each writing the CSV its config names under output.csv.
-Takes about 4 s serially on a 2-vCPU host; --jobs spreads runs over
-worker processes. Ends with the SHA-256 of every CSV written and exits 1
-when one differs from presets/SHA256SUMS (sha256sum format, paths
-relative to the working directory), when SHA256SUMS names a CSV no preset
-wrote, or when a presets/*.yaml is not in PRESETS, so it would never run,
-or names no output.csv."""
+Takes 1.2-2.2 s on a 2-vCPU host, one scenario after another. Ends with
+the SHA-256 of every CSV written and exits 1 when one differs from
+presets/SHA256SUMS (sha256sum format, paths relative to the working
+directory), when SHA256SUMS names a CSV no preset wrote, or when a
+presets/*.yaml is not in PRESETS, so it would never run, or names no
+output.csv."""
 
 import argparse
 import hashlib
@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hccasim.cli import _positive_int, main as cli_main  # noqa: E402
+from hccasim.cli import main as cli_main  # noqa: E402
 from hccasim.experiment import load_config  # noqa: E402
 
 PRESETS = {
@@ -35,9 +35,7 @@ PRESETS = {
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=_positive_int, default=1)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     failures = [
         f"{path.name} (not in PRESETS)"
@@ -54,7 +52,7 @@ def main():
         written.append(Path.cwd() / config.csv_path)
         print(f"=== {command} {name} ===", flush=True)
         t0 = time.time()
-        code = cli_main([command, str(path), "--jobs", str(args.jobs)], config)
+        code = cli_main([command, str(path)], config)
         print(f"--- {name}: exit {code} in {time.time() - t0:.1f}s\n", flush=True)
         if code != 0:
             failures.append(name)

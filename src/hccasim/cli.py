@@ -74,7 +74,7 @@ def _print_table(rows, columns):
 
 
 def _cmd_run(args):
-    rows = run_experiment(args.config, jobs=args.jobs)
+    rows = run_experiment(args.config)
     _print_table(rows, CSV_COLUMNS)
     if args.config.csv_path:
         print(f"wrote {args.config.csv_path}")
@@ -90,7 +90,7 @@ def _cmd_table2(args):
 
 
 def _cmd_validate(args):
-    rows = validate_analytic(args.config, jobs=args.jobs)
+    rows = validate_analytic(args.config)
     if not rows:
         print("error: no scenario delivered a frame in the measured window; nothing to compare",
               file=sys.stderr)
@@ -123,7 +123,6 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_run.set_defaults(func=_cmd_run)
 
     p_t2 = sub.add_parser("table2", help="poll vs multi-poll airtime")
@@ -134,7 +133,6 @@ def build_parser():
 
     p_val = sub.add_parser("validate-analytic", help="delay model vs simulation")
     p_val.add_argument("config")
-    p_val.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_val.add_argument("--bound", type=_finite_positive, default=0.10, help="pass/fail error bound")
     p_val.set_defaults(func=_cmd_validate)
 

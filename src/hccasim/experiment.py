@@ -283,21 +283,10 @@ def write_csv(rows, path):
     _write_table(rows, path, CSV_COLUMNS)
 
 
-def _run_all(scenarios, jobs):
-    """Results in scenario order, over jobs worker processes when jobs > 1.
-    run_scenario is looked up at call time, so it can be swapped out. The
-    pool is imported here, so a serial run never loads multiprocessing."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_scenario, scenarios))
-    return [run_scenario(sc) for sc in scenarios]
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1):
+def run_experiment(config: ExperimentConfig):
     """Run the full sweep; returns the result rows and writes the CSV
     when the config names one."""
-    results = _run_all(config.scenarios, jobs)
+    results = [run_scenario(sc) for sc in config.scenarios]
     rows = [_row_from_result(r) for r in results]
     _fill_utilization(rows)
     if config.csv_path:
@@ -343,7 +332,7 @@ def _check_modelable(sc):
         )
 
 
-def validate_analytic(config: ExperimentConfig, jobs: int = 1):
+def validate_analytic(config: ExperimentConfig):
     """Closed-form delay versus simulated delay, one row per scenario that
     delivered a frame in its measured window; writes the rows (only the
     header when there are none) to the CSV the config names. Every
@@ -353,7 +342,7 @@ def validate_analytic(config: ExperimentConfig, jobs: int = 1):
     for sc in config.scenarios:
         _check_modelable(sc)
     rows = []
-    for result in _run_all(config.scenarios, jobs):
+    for result in [run_scenario(sc) for sc in config.scenarios]:
         sc = result.scenario
         report = result.report()
         if not report.n_delivered:

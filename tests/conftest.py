@@ -276,7 +276,11 @@ def check_run(result):
     - an interval that grants fewer streams than are active, with time
       left in the run, is one deferral;
     - under hcca every grant is the stream's reference grant at the
-      interval's SI and PHY rate;
+      interval's SI and PHY rate, and from the first interval that starts
+      at or after the last admission up to the first tier change, the
+      reference grants of an interval's active streams sum to at most
+      (BI - t_cp)/BI of the SI, the contention-free share admission
+      charges;
     - every delivery is a frame of its station's trace, generated at its
       stream's start plus its display time and before it is received,
       received after a grant of its own station starts and no later than
@@ -294,9 +298,18 @@ def check_run(result):
     assert not gs or (min(gs) > 0 and starts[-1] < end_t)
     if sc.scheduler == "hcca":
         assert bases.count(GrantBasis.REFERENCE_MEAN) == len(bases)
+    # a rate drop re-plans grants that admission never charged, so the
+    # budget rule stops at the first tier change; the one at tick 0 sets
+    # the group's first tier
+    bi = sc.beacon_interval_s
+    budget_from = max((whole(s.start_s * per_s) for s in sc.stations if s.aid in result.admitted_aids),
+                      default=end_t)
+    budget_to = next((tick for tick, _ in result.tier_changes if tick), end_t)
     n_si = deferred = 0
     for k, t, n, si_t, active, lead, refs in intervals(result):
         lo, hi, m = bisect_left(ks, k), bisect_left(ks, k + n), len(active)
+        if refs is not None and budget_from <= t < budget_to:
+            assert sum(refs) * bi <= (bi - sc.t_cp_s) * si_t, k
         n_si = k + n
         if m and hi - lo == m * n and ks[lo:hi:m] == ks[lo + m - 1:hi:m] == list(range(k, n_si)):
             # each interval of the run grants every active stream: check them at once

@@ -84,8 +84,10 @@ class TestRunAllPresets:
         assert parsed == [presets / "one.yaml"]
         assert (tmp_path / "results" / "one.csv").is_file()
 
-    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    @pytest.mark.parametrize("jobs", ["2", "0", "-1", "two"])
     def test_jobs_below_one_rejected_before_any_preset(self, monkeypatch, capsys, jobs):
+        """The presets run one after another and the script takes no
+        --jobs, whatever its value."""
         script = load_script("run_all_presets")
         monkeypatch.setattr(script, "load_config", None)   # no preset may be read
         monkeypatch.setattr(script, "cli_main", None)      # nor run
@@ -95,7 +97,7 @@ class TestRunAllPresets:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "argument --jobs" in err
+        assert f"unrecognized arguments: --jobs {jobs}" in err
 
 
 class TestBenchPairs:
