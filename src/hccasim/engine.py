@@ -315,8 +315,6 @@ class _Sim:
         self.per = scenario.per
         self.rng = random.Random(scenario.seed)
 
-        self.multipoll_t = {}     # multi-poll airtime ticks per station count
-
         self.deliveries = []
         self.grants = []
         self.early = (0, 0, 0)    # delivered, delay ticks, payload bytes generated before warmup
@@ -622,10 +620,8 @@ class _Sim:
                 # a single-poll TXOP's first frame follows its poll, a multi-poll one's opens it
                 first_t, open_t = 0, self.poll_t + self.sifs_t
                 if multipoll and active:
-                    n = len(active)
-                    if n not in self.multipoll_t:
-                        self.multipoll_t[n] = self._to_ticks(airtime_multipoll(n, self.profile, self.ctrl))
-                    first_t, open_t = self.multipoll_t[n], 0
+                    first_t = self._to_ticks(airtime_multipoll(len(active), self.profile, self.ctrl))
+                    open_t = 0
             cap_end, slot_t = tick + si_t, tick + first_t
             if logging and active:
                 if multipoll:

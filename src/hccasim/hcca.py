@@ -15,7 +15,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConfigError
 from .phy import Exchange
 from .traces import Tspec
 
@@ -29,9 +28,8 @@ class GrantBasis(Enum):
 
 def compute_si(beacon_interval_s: Fraction, msi_min_s: Fraction) -> Fraction:
     """Service interval: the beacon interval divided by the smallest integer
-    x such that BI/x does not exceed the minimum MSI."""
-    if msi_min_s > beacon_interval_s:
-        raise ConfigError(f"minimum MSI {msi_min_s} exceeds beacon interval {beacon_interval_s}")
+    x such that BI/x does not exceed the minimum MSI (802.11e Annex K). A
+    minimum MSI at or above the beacon interval gives x = 1: SI = BI."""
     return beacon_interval_s / math.ceil(beacon_interval_s / msi_min_s)
 
 

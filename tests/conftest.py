@@ -1,5 +1,6 @@
-"""What the engine's tests share: builders of traces (the shipped ones
-parsed once per session), contracts, scenarios and the regression grid;
+"""What the engine's tests share: the one Hypothesis profile every
+property runs under; builders of traces (the shipped ones parsed once
+per session), contracts, scenarios and the regression grid;
 views of a run's results in microseconds and an exact oracle for its
 report; check_run, which asserts the engine's rules on one run;
 scenarios(), the one drawn space of the engine's properties, paths(),
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import event
+from hypothesis import event, settings
 from hypothesis import strategies as st
 
 from hccasim.engine import Mobility, Scenario, StationSpec, run_scenario
@@ -27,6 +28,13 @@ from hccasim.phy import PROFILE_11B, PROFILE_11G, US_PER_S, airtime_multipoll, e
 from hccasim.traces import Tspec, load_trace, parse_trace
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# every property draws the same examples on every run, so a defect fails the
+# same tests each time; none is cut short by the clock of a loaded host. An
+# @settings(max_examples=N) under tests/ keeps the rest of this profile.
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
+
 SCHEDULERS = ("hcca", "atxop", "amtxop")
 
 

@@ -58,7 +58,7 @@ class TestAdaptiveGrant:
         assert first.duration_us == Fraction(77370, 11)
 
     @given(size=st.integers(min_value=1, max_value=20_000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_grant_linear_in_size(self, size):
         # after a small first frame, reports of size and size + 100 bytes
         # size the next two grants
@@ -290,7 +290,7 @@ class TestMultipollGrants:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=7500), min_size=2, max_size=12),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_multipoll_airtime_beats_single_polls(self, sizes):
         """Whole-interval identity: one multi-poll plus the slots that shed
         their polls never ends an interval later than the same grants under

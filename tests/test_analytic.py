@@ -149,7 +149,7 @@ class TestPerStationDelay:
         assert amtxop == inputs.t_mpoll + MEAN + sifs
 
     @given(inputs=random_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_equals_sum_over_predecessors(self, inputs):
         for s in SCHEDULERS:
             delays = position_delays(s, inputs)
@@ -163,7 +163,7 @@ class TestPerStationDelay:
             assert aggregate_delay(s, inputs) == total / inputs.m_intervals
 
     @given(inputs=random_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_multipoll_minus_adaptive_identity(self, inputs):
         # d_AM - d_AT = T_mpoll - i*T_poll - SIFS, independent of traffic
         rows = zip(position_delays("amtxop", inputs), position_delays("atxop", inputs))
@@ -172,14 +172,14 @@ class TestPerStationDelay:
                 assert am - at == inputs.t_mpoll - i * inputs.price.poll - PROFILE_11G.sifs_us
 
     @given(inputs=random_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_adaptive_never_behind_reference(self, inputs):
         rows = zip(position_delays("atxop", inputs), position_delays("hcca", inputs))
         for at_row, hc_row in rows:
             assert all(at <= hc for at, hc in zip(at_row, hc_row))
 
     @given(inputs=random_inputs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_reference_delay_grows_with_position(self, inputs):
         for delays, own in zip(position_delays("hcca", inputs), inputs_us(inputs)[1]):
             # strip the own payload term: the positional part is strictly increasing
@@ -289,7 +289,7 @@ class TestInputBuilder:
     # a poll at 5.5 Mb/s and a byte at 54 Mb/s: denominators 11 and 27
     @example(profile=PROFILE_11G, control_rate=5_500_000, rate=54_000_000, n=3,
              si=Fraction(1, 25), m_intervals=2, mean_msdu=3800, frames=[(1, 7000), (40, 3000)])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_integer_inputs_are_the_exact_times(self, profile, control_rate, rate, n, si,
                                                 m_intervals, mean_msdu, frames):
         """Every cell over den is its interval's bytes at the payload rate,
@@ -405,7 +405,7 @@ class TestModelPinnedToEngine:
         warmup_si=st.integers(0, 3),
         msdus_per_si=st.integers(1, 3),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_drawn_runs(self, profile_rates, data, control_rate, n, max_msdu, warmup_si,
                         msdus_per_si):
         """Any trace of one frame per 40 ms at SI = 40 ms, on either PHY, at

@@ -377,7 +377,7 @@ class TestAdmissionInEngine:
         }
 
     @given(sc=scenarios(scheduler="hcca", mobility=None, stop_ms=None, sim_ms=1000))
-    @settings(derandomize=True, max_examples=25, database=None, deadline=None)
+    @settings(max_examples=25)
     def test_admitted_grants_fit_the_budget(self, sc):
         """Admission charges what the engine grants: once the last stream
         is in, no SI grants more than the contention-free share of it."""
@@ -447,14 +447,14 @@ class TestLossAndDeterminism:
 
     # VBR streams at up to 20% loss, 2 to 4 of them, on any walk
     @given(sc=scenarios(traffic="vbr", n_stations=st.integers(2, 4), per=st.floats(0, 0.2)))
-    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+    @settings(max_examples=40)
     def test_frames_are_conserved(self, sc):
         """Every generated frame is delivered, lost or left queued."""
         result = drawn_run(sc)
         assert result.n_generated == result.n_delivered + result.n_lost + result.n_left_queued
 
     @given(sc=scenarios())
-    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+    @settings(max_examples=40)
     def test_report_equals_fraction_oracle(self, sc):
         """Every delivery's rx tick is at or after its generation tick, and
         report() divides its tick sums into exactly the rationals that
@@ -575,7 +575,7 @@ class TestMobility:
     @given(sc=scenarios(scheduler="hcca", profile=PROFILE_11G, control_rate=2_000_000, msi="0.04",
                         traffic="small", n_stations=st.integers(2, 3), start_ms=0, stop_ms=None,
                         sim_ms=1200, mobility=group_walks()))
-    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @settings(max_examples=60)
     def test_group_walk_matches_closed_form(self, sc):
         """The group's rate is its closed-form distance's tier at every SI
         start: tier changes are logged when that rate changes, every grant
@@ -804,7 +804,7 @@ class TestWindowQueue:
 
     # half-millisecond display times, 1 to 4 streams, no walk
     @given(sc=scenarios(traffic="half-ms", n_stations=st.integers(1, 4), mobility=None))
-    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+    @settings(max_examples=40)
     def test_window_generation_and_delivery_order(self, sc):
         """check_run's window rules: per station, delivered sequence numbers
         strictly increase, each delivery's generation tick is its stream

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hccasim.errors import ConfigError
 from hccasim.hcca import (
     admissible,
     compute_si,
@@ -29,21 +27,17 @@ class TestServiceInterval:
     def test_si_equal_msi_when_divisible(self):
         assert compute_si(Fraction("0.12"), Fraction("0.06")) == Fraction(3, 50)
 
-    def test_msi_larger_than_beacon_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_si(Fraction("0.1"), Fraction("0.2"))
+    def test_msi_larger_than_beacon_interval_gives_the_beacon_interval(self):
+        # ceil(0.1/0.2) = 1 interval per beacon
+        assert compute_si(Fraction("0.1"), Fraction("0.2")) == Fraction("0.1")
 
     @given(
         bi=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(2)),
         msi=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(2)),
     )
     def test_si_never_exceeds_msi_and_divides_bi(self, bi, msi):
-        if msi > bi:
-            with pytest.raises(ConfigError):
-                compute_si(bi, msi)
-            return
         si = compute_si(bi, msi)
-        assert 0 < si <= msi
+        assert 0 < si <= min(msi, bi)
         assert (bi / si).denominator == 1
 
 
@@ -167,7 +161,7 @@ class TestAdmission:
         assert outcomes == [True] * 4 + [False]
 
     @given(n=st.integers(min_value=1, max_value=20))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_load_never_exceeds_budget(self, n):
         _, load = self.sequential_admits(PROFILE_11B, make_tspec(), n)
         assert load <= self.SI_US
@@ -176,7 +170,7 @@ class TestAdmission:
         budget_pct=st.integers(min_value=0, max_value=90),
         n=st.integers(min_value=1, max_value=12),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_admission_monotone_in_contention_share(self, budget_pct, n):
         # anything admitted under a larger t_cp is admitted under a smaller one
         ts = make_tspec()

@@ -23,7 +23,7 @@ def test_regression_case_keeps_the_rules(case, scheduler):
 
 
 @given(sc=scenarios())
-@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@settings(max_examples=40)
 def test_drawn_run_keeps_the_rules(sc):
     """A drawn run keeps the engine's rules (drawn_run checks them), among
     them that every generated frame is delivered, lost or left queued."""
@@ -35,7 +35,7 @@ REACHED = Counter()   # the paths draw_every_path took, per label
 
 
 @given(sc=scenarios())
-@settings(derandomize=True, max_examples=70, database=None, deadline=None)
+@settings(max_examples=70)
 def draw_every_path(sc):
     REACHED.update(paths(drawn_run(sc)))
 
@@ -65,4 +65,16 @@ def test_a_deferral_defers_the_rest_of_the_interval(scheduler):
                           start_s=Fraction(0), initial_distance_ft=Fraction(70)),
     ))
     assert result.n_admitted == 3 and result.n_deferred_slots > 0
+    check_run(result)
+
+
+@pytest.mark.parametrize("scheduler", ("hcca", "atxop", "amtxop"))
+def test_an_msi_above_the_beacon_interval_serves_once_a_beacon(scheduler):
+    """A minimum MSI of 0.2 s over a 0.12 s beacon interval gives one
+    service interval per beacon (802.11e Annex K): the streams are admitted
+    and served at SI = BI, and the run keeps the rules."""
+    tspec = make_tspec(D="0.2", msi="0.2")
+    result = run_scenario(make_scenario(scheduler, traces=[const_trace(25, 800)] * 3, tspec=tspec,
+                                        sim_time_s=Fraction(1)))
+    assert result.si_s == Fraction(3, 25) and result.n_admitted == 3
     check_run(result)

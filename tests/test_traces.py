@@ -324,7 +324,7 @@ def plain_traces(draw):
     return "\n".join(lines) + end, any(s == 0 for *_, s in frames)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(trace=plain_traces())
 def test_the_bulk_reader_agrees_with_the_line_loop(trace):
     text, size_zero = trace
@@ -347,7 +347,7 @@ NEAR_MISSES = [
 ]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(trace=plain_traces(), case=st.sampled_from(range(len(NEAR_MISSES))), data=st.data())
 def test_near_misses_of_the_plain_form_take_the_line_loop(trace, case, data):
     text, _ = trace
