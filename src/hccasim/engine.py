@@ -68,14 +68,17 @@ interval starts too, is rejected.
 
 A run's results are integer ticks: deliveries, grants and tier changes.
 Deliveries and grants are flat lists of ints, five values per event, so a
-run builds no container per event. The measured sums (deliveries, delay
-ticks, payload bytes, granted ticks) are taken from the records once the
-run ends: the grants from the first that starts at the warmup tick on,
-and the deliveries' totals less those of the few frames generated before
-it, which the run tallies as it delivers them. The report divides each
-sum once; only the SI is kept in seconds, the unit it is configured in.
-A run builds no reference cycles, so it runs with the cyclic garbage
-collector suspended: a collection during the run would free nothing.
+run builds no container per event, and keeps no tally of frames: when it
+ends, the frames that left a queue are its first head, and those
+generated before the warmup its first bisect_left(gen_ticks, warmup_tick).
+The measured sums (deliveries, delay ticks, payload bytes, granted ticks)
+come from the records: the grants from the first that starts at the
+warmup tick on, and the deliveries' totals less those of the frames
+generated before it, found in one pass only when such a frame left a
+queue. The report divides each sum once; only the SI is kept in seconds,
+the unit it is configured in. A run builds no reference cycles, so it
+runs with the cyclic garbage collector suspended: a collection during
+the run would free nothing.
 """
 
 import gc
@@ -216,8 +219,9 @@ class RunResult:
     deliveries: list        # aid, sequence, size_bytes, gen_tick, rx_tick per delivery, in rx order
     grants: list            # the Grant fields per grant, in grant order
     # delivered, delay ticks and payload bytes of the frames generated from
-    # warmup_tick on, and ticks of the grants starting from it, summed from
-    # deliveries and grants when the run ends
+    # warmup_tick on, and ticks of the grants starting from it; these and the
+    # frame counts up to n_left_queued, but n_null_lost, come from the queues
+    # and the records when the run ends
     measured: tuple
     n_generated: int
     n_delivered: int
@@ -317,14 +321,13 @@ class _Sim:
 
         self.deliveries = []
         self.grants = []
-        self.early = (0, 0, 0)    # delivered, delay ticks, payload bytes generated before warmup
         self.tier_changes = []
         self.event_log = []
         self.logging = scenario.log_events
 
         self.si_index = self.n_deferred = 0
         self.n_beacons = -(-self.end_tick // self._sec_ticks(self.bi))   # TBTTs before the end
-        self.n_lost = self.n_lost_measured = self.n_null_lost = 0
+        self.n_null_lost = 0
 
         # the run's PHY rate and the exchange at it, None until set
         self.rate = self.price = None
@@ -344,7 +347,6 @@ class _Sim:
             + [(st.stop_t, 1, st.aid) for st in sts if st.stop_t < self.end_tick],
             reverse=True,
         )
-        self.first_si_t = None    # the first interval start, set by the first admission
 
     # -- time plumbing ---------------------------------------------------
 
@@ -432,10 +434,11 @@ class _Sim:
     def run(self) -> RunResult:
         events = self.stream_events
         # the first admission opens the interval grid at its own tick
-        while self.first_si_t is None and events:
-            self._streams_to(events[-1][0])
-        if self.first_si_t is not None:
-            self._intervals(self.first_si_t)
+        while not self.polled and events:
+            tick = events[-1][0]
+            self._streams_to(tick)
+        if self.polled:
+            self._intervals(tick)
         self._streams_to(self.end_tick)
         return self._finalize()
 
@@ -453,11 +456,17 @@ class _Sim:
         rejected = tuple(st.aid for st in self.stations.values() if st.rejected)
         # by the end of the run an admitted stream has generated all its frames
         generated = sum(len(st.gen_ticks) - 1 for st in self.polled)
-        d, g = self.deliveries, self.grants
-        n_early, delay_early, payload_early = self.early
-        first = 5 * bisect_left(g[2::5], self.warmup_tick)   # grants start in tick order
-        measured = (len(d) // 5 - n_early, sum(d[4::5]) - sum(d[3::5]) - delay_early,
-                    sum(d[2::5]) - payload_early, sum(g[first + 3::5]))
+        d, g, warmup_tick = self.deliveries, self.grants, self.warmup_tick
+        n_delivered, left = len(d) // 5, sum(st.head for st in self.polled)
+        # every frame that left a queue was delivered or lost, the frames
+        # generated before the warmup first; only when some of those left is
+        # a pass over the deliveries needed to find theirs
+        left_early = sum(min(st.head, bisect_left(st.gen_ticks, warmup_tick)) for st in self.polled)
+        early = [d[i:i + 5] for i in range(0, len(d), 5) if d[i + 3] < warmup_tick] if left_early else ()
+        measured = (n_delivered - len(early),
+                    sum(d[4::5]) - sum(d[3::5]) - sum(rx - gen for *_, gen, rx in early),
+                    sum(d[2::5]) - sum(r[2] for r in early),
+                    sum(g[5 * bisect_left(g[2::5], warmup_tick) + 3::5]))   # grants start in tick order
         return RunResult(
             scenario=self.sc,
             si_s=self.si_s,
@@ -471,11 +480,11 @@ class _Sim:
             grants=self.grants,
             measured=measured,
             n_generated=generated,
-            n_delivered=len(self.deliveries) // 5,
-            n_lost=self.n_lost,
-            n_lost_measured=self.n_lost_measured,
+            n_delivered=n_delivered,
+            n_lost=left - n_delivered,
+            n_lost_measured=left - left_early - measured[0],
             n_null_lost=self.n_null_lost,
-            n_left_queued=generated - sum(st.head for st in self.polled),
+            n_left_queued=generated - left,
             n_deferred_slots=self.n_deferred,
             n_beacons=self.n_beacons,
             n_service_intervals=self.si_index,
@@ -506,8 +515,6 @@ class _Sim:
             tspec = st.spec.tspec
             self._log(tick, "ADMIT", st.aid, "si={:.6f}s n_msdu={}",
                       float(si), msdu_count(si, tspec.mean_rate_bps, tspec.mean_msdu_bytes))
-        if self.first_si_t is None:
-            self.first_si_t = tick
 
     def _on_stream_end(self, tick, st):
         if self.logging:
@@ -587,7 +594,7 @@ class _Sim:
         size report. The grant constants, the active stations and the poll
         lead change only with a stream event or a tier crossing, so they are
         bound again only at the first interval start after one."""
-        end_tick, warmup_tick, logging = self.end_tick, self.warmup_tick, self.logging
+        end_tick, logging = self.end_tick, self.logging
         deliveries, grants = self.deliveries, self.grants
         per, rand, multipoll = self.per, self.rng.random, self.multipoll
         reference = self.sc.scheduler == "hcca"   # it ignores reports
@@ -596,7 +603,6 @@ class _Sim:
         next_cross = 0   # the first interval start applies the tier, as a crossing does
         k = self.si_index
         next_event = self._streams_to(tick)   # the tick of the next stream event
-        n_early = delay_early = payload_early = 0   # see self.early
         stale = True
         while tick < end_tick:
             if next_event <= tick:
@@ -669,22 +675,13 @@ class _Sim:
                         break
                     seq, head = head, head + 1   # delivered or lost, it leaves the head
                     if not per or rand() >= per:
-                        gen, rx = gen_ticks[seq], data_end + dp_t
-                        deliveries += (aid, seq, size, gen, rx)
-                        if gen < warmup_tick:
-                            n_early += 1
-                            delay_early += rx - gen
-                            payload_early += size
+                        deliveries += (aid, seq, size, gen_ticks[seq], data_end + dp_t)
                         if logging:
                             self._log(data_end, "RX", aid, "seq={} size={}", seq, size)
                         # the size of the next frame to send, queued or not yet generated
                         st.report = sizes[head]
-                    else:
-                        self.n_lost += 1
-                        if gen_ticks[seq] >= warmup_tick:
-                            self.n_lost_measured += 1
-                        if logging:
-                            self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
+                    elif logging:
+                        self._log(data_end, "LOST", aid, "seq={} size={}", seq, size)
                     if gen_ticks[head] > slot_t:
                         break
                     t = data_end + next_t
@@ -699,7 +696,6 @@ class _Sim:
             k += 1
             tick = cap_end
         self.si_index = k
-        self.early = (n_early, delay_early, payload_early)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

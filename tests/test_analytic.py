@@ -378,20 +378,24 @@ class TestModelPinnedToEngine:
                     assert got == (0, 750 * n), (trace_name, scheduler, n)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("trace_name, tspec, n", [
-        pytest.param("jp1_low", VALIDATION["jp1_low"], 1, id="1"),
-        pytest.param("jp1_low", VALIDATION["jp1_low"], 4, id="4"),
-        pytest.param("jp1_low", VALIDATION["jp1_low"], 8, id="8"),
+    @pytest.mark.parametrize("trace_name, tspec, n, admitted", [
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 1, 1, id="1"),
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 4, 4, id="4"),
+        pytest.param("jp1_low", VALIDATION["jp1_low"], 8, 8, id="8"),
         # the declared contract of the delay presets: 2 mean MSDUs per SI
-        pytest.param("jp1_high", CANONICAL["jp1_high"], 3, id="jp1_high-3"),
+        pytest.param("jp1_high", CANONICAL["jp1_high"], 3, 3, id="jp1_high-3"),
+        # one stream past admission's limit, which the last offered stream
+        # meets: the model of the admitted streams still holds
+        pytest.param("jp1_high", CANONICAL["jp1_high"], 6, 5, id="jp1_high-6"),
     ])
-    def test_11b_runs(self, scheduler, trace_name, tspec, n):
+    def test_11b_runs(self, scheduler, trace_name, tspec, n, admitted):
         trace = shipped_trace(trace_name)
         result = run_scenario(make_scenario(scheduler, [trace] * n, tspec, profile=PROFILE_11B,
                                             sim_time_s=Fraction(10), data_rate=tspec.min_phy_rate_bps))
-        inputs = analytic_inputs(trace, n, tspec, Fraction(1, 25), PROFILE_11B,
+        assert result.n_admitted == admitted
+        inputs = analytic_inputs(trace, admitted, tspec, Fraction(1, 25), PROFILE_11B,
                                  control_rate=2_000_000, m_intervals=250)
-        assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * n)
+        assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * admitted)
 
     @given(
         profile_rates=st.sampled_from([

@@ -261,6 +261,20 @@ class TestAdmissionInEngine:
         per_si = by_si(run_scenario(sc))
         assert [[g.aid for g in per_si[k]] for k in sorted(per_si)] == [[2]] * 3 + [[2, 1]] * 7
 
+        # aid 3 starts first, at 0, and asks for more than an SI, so it is
+        # turned away: the grid opens at aid 2's admission, 10 ms, not at 0
+        greedy = StationSpec(aid=3, trace=trace, tspec=make_tspec(2700, 2700, 54_000_000, 54_000_000))
+        result = run_scenario(replace(sc, stations=(
+            replace(sc.stations[0], start_s=Fraction(11, 100)),
+            replace(sc.stations[1], start_s=Fraction(1, 100)), greedy)))
+        assert result.rejected_aids == (3,)
+        per_si = by_si(result)
+        assert [[g.aid for g in per_si[k]] for k in sorted(per_si)] == [[2]] * 3 + [[2, 1]] * 7
+        for k, grants in per_si.items():
+            # an interval's first slot follows the multi-poll, or opens it
+            lead = airtime_multipoll(len(grants), PROFILE_11G, 2_000_000) if scheduler == "amtxop" else 0
+            assert grants[0].start_us == 10_000 + 40_000 * k + lead
+
     def test_late_starter_joins_running_schedule(self):
         trace = const_trace(5, 2700)
         stations = (
