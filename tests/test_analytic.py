@@ -384,8 +384,8 @@ class TestModelPinnedToEngine:
         pytest.param("jp1_low", VALIDATION["jp1_low"], 8, 8, id="8"),
         # the declared contract of the delay presets: 2 mean MSDUs per SI
         pytest.param("jp1_high", CANONICAL["jp1_high"], 3, 3, id="jp1_high-3"),
-        # one stream past admission's limit, which the last offered stream
-        # meets: the model of the admitted streams still holds
+        # one stream past admission's limit: the sixth is turned away, and
+        # the five admitted keep the identity
         pytest.param("jp1_high", CANONICAL["jp1_high"], 6, 5, id="jp1_high-6"),
     ])
     def test_11b_runs(self, scheduler, trace_name, tspec, n, admitted):
