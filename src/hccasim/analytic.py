@@ -3,10 +3,11 @@
 Predicts, for polling position i in one service interval, the time from
 the interval start to the end of that station's burst. Predecessor j
 occupies the channel for the reference grant `hcca.txop_reference` sizes
-for it, less c1; the two adaptive schedulers subtract the unused tail
-T_u_j = max(0, ref_j - t_j) that a mean-sized grant would have wasted on
-the actual traffic, and the multi-poll variant further removes the
-per-station poll frames in favor of a single broadcast poll.
+for it, less c1. From interval 1 on, the two adaptive schedulers subtract
+the unused tail T_u_j = max(0, ref_j - t_j) that a mean-sized grant would
+have wasted on the actual traffic; in interval 0 no report is held yet,
+so they grant mean-sized as hcca does. The multi-poll variant further
+removes the per-station poll frames in favor of a single broadcast poll.
 
 The sum over predecessors is a running sum over the polling order, so
 the model walks each interval once: O(M*N) for M intervals of N
@@ -18,9 +19,7 @@ Every term is priced from `phy.exchange` at the payload rate, and every
 reference grant by `hcca`, as the engine plans it. Against a loss-free
 run at SI = frame interval the model leaves out exactly two terms, both
 the header time `hdr` of a data PPDU: c1 = hdr for each predecessor and
-c0 = hdr + prop - sifs for the own burst. Except in interval 0 of
-atxop/amtxop: no report is held there yet, so the run's grants are
-mean-sized and reclaim nothing, where the model reclaims.
+c0 = hdr + prop - sifs for the own burst.
 """
 
 import math
@@ -98,10 +97,11 @@ def _walk(scheduler: str, inputs: AnalyticInputs):
     first, fixed = int(first * den), int((reference_overhead(1, price) - price.hdr - shed) * den)
     refs = inputs.ref_excess
     steps = [ref + fixed for ref in refs]
-    reclaim = scheduler != "hcca"
+    adaptive = scheduler != "hcca"
 
     rows = []
-    for own_row in inputs.payload:
+    for k, own_row in enumerate(inputs.payload):
+        reclaim = adaptive and k > 0
         lead = first
         row = []
         for own, ref, step in zip(own_row, refs, steps):

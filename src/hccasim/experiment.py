@@ -285,9 +285,9 @@ def write_csv(rows, path):
 
 def run_experiment(config: ExperimentConfig):
     """Run the full sweep; returns the result rows and writes the CSV
-    when the config names one."""
-    results = [run_scenario(sc) for sc in config.scenarios]
-    rows = [_row_from_result(r) for r in results]
+    when the config names one. Each run is reduced to its row as it
+    finishes, so one run is held at a time."""
+    rows = [_row_from_result(run_scenario(sc)) for sc in config.scenarios]
     _fill_utilization(rows)
     if config.csv_path:
         write_csv(rows, config.csv_path)
@@ -313,8 +313,9 @@ def write_validation_csv(rows, path):
 def _check_modelable(sc):
     """The model's preconditions on one scenario. The model and the
     simulator must see the same measured window: the stations start at the
-    warmup boundary, so measured frames are the trace prefix and the model
-    walks the same per-interval sizes."""
+    warmup boundary, so measured frames are the trace prefix, and the
+    window is a whole number of service intervals, so the model walks the
+    same per-interval sizes."""
     if any(st.start_s != sc.warmup_s for st in sc.stations):
         raise ConfigError("validation needs station_start_s == warmup_s")
     if sc.mobility is not None:
@@ -326,10 +327,40 @@ def _check_modelable(sc):
             f"operative data rate ({data_rate})"
         )
     si = compute_si(sc.beacon_interval_s, min(st.tspec.msi_s for st in sc.stations))
-    if sc.sim_time_s - sc.warmup_s < si:
+    window = sc.sim_time_s - sc.warmup_s
+    if window < si or window % si:
         raise ConfigError(
-            f"validation needs a measured window of at least one service interval ({float(si):g} s)"
+            "validation needs a measured window of a whole number of service intervals, "
+            f"at least one ({float(si):g} s), not {float(window):g} s"
         )
+
+
+def _validation_row(result):
+    """The model against one run, or None when the run delivered no frame
+    in its measured window."""
+    sc = result.scenario
+    report = result.report()
+    if not report.n_delivered:
+        return None
+    n = result.n_admitted
+    si = result.si_s
+    spec = sc.stations[0]
+    inputs = analytic_inputs(
+        spec.trace, n, spec.tspec, si, sc.profile,
+        control_rate=sc.control_rate,
+        m_intervals=int((sc.sim_time_s - sc.warmup_s) / si),
+    )
+    primary = aggregate_delay(sc.scheduler, inputs)
+    model_ms = float(primary / n) / 1000
+    sim_ms = report.mean_delay_ms
+    return {
+        "scheduler": sc.scheduler,
+        "n": result.n_offered,
+        "model_ms": model_ms,
+        "sim_ms": sim_ms,
+        "rel_err": abs(model_ms - sim_ms) / sim_ms,
+        "model_alt_ms": float(aggregate_delay_alt(inputs, primary) / n) / 1000,
+    }
 
 
 def validate_analytic(config: ExperimentConfig):
@@ -341,33 +372,9 @@ def validate_analytic(config: ExperimentConfig):
     column is the offered count."""
     for sc in config.scenarios:
         _check_modelable(sc)
-    rows = []
-    for result in [run_scenario(sc) for sc in config.scenarios]:
-        sc = result.scenario
-        report = result.report()
-        if not report.n_delivered:
-            continue
-        n = result.n_admitted
-        si = result.si_s
-        spec = sc.stations[0]
-        inputs = analytic_inputs(
-            spec.trace, n, spec.tspec, si, sc.profile,
-            control_rate=sc.control_rate,
-            m_intervals=int((sc.sim_time_s - sc.warmup_s) / si),
-        )
-        primary = aggregate_delay(sc.scheduler, inputs)
-        model_ms = float(primary / n) / 1000
-        sim_ms = report.mean_delay_ms
-        rows.append(
-            {
-                "scheduler": sc.scheduler,
-                "n": result.n_offered,
-                "model_ms": model_ms,
-                "sim_ms": sim_ms,
-                "rel_err": abs(model_ms - sim_ms) / sim_ms,
-                "model_alt_ms": float(aggregate_delay_alt(inputs, primary) / n) / 1000,
-            }
-        )
+    # each run is reduced to its row as it finishes, so one run is held at a time
+    rows = [_validation_row(run_scenario(sc)) for sc in config.scenarios]
+    rows = [row for row in rows if row]
     if config.csv_path:
         write_validation_csv(rows, config.csv_path)
     return rows

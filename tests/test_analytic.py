@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -21,7 +20,6 @@ from hccasim.phy import (
     PROFILE_11B,
     PROFILE_11G,
     US_PER_S,
-    airtime_control,
     airtime_data,
     airtime_multipoll,
     exchange,
@@ -102,7 +100,8 @@ class TestPredecessorTerm:
 def _d_si_reference(scheduler, i, inputs, k):
     """Delay of position i in interval k as the direct sum over its
     predecessors j < i: the quadratic form of the model, kept as the
-    oracle for position_delays."""
+    oracle for position_delays. The adaptive schedulers reclaim only when
+    k >= 1: in interval 0 no report is held, and every grant is mean-sized."""
     price = inputs.price
     sifs, t_poll = price.sifs, price.poll
     refs, payload = inputs_us(inputs)
@@ -114,7 +113,7 @@ def _d_si_reference(scheduler, i, inputs, k):
 
     def unused(j):
         gap = refs[j - 1] - actual[j - 1]
-        return gap if gap > 0 else Fraction(0)
+        return gap if gap > 0 and k >= 1 else Fraction(0)
 
     if scheduler == "hcca":
         return sum(td, Fraction(0)) + own + t_poll + 2 * sifs
@@ -135,10 +134,10 @@ class TestPerStationDelay:
         assert position_delays("hcca", make_inputs())[0][1] == Fraction(34124, 9)
 
     def test_atxop_reclaims_predecessor_tail(self):
-        assert position_delays("atxop", make_inputs())[0][1] == Fraction(26764, 9)
+        assert position_delays("atxop", make_inputs(m=2))[1][1] == Fraction(26764, 9)
 
     def test_amtxop_second_position(self):
-        assert position_delays("amtxop", make_inputs())[0][1] == Fraction(23650, 9)
+        assert position_delays("amtxop", make_inputs(m=2))[1][1] == Fraction(23650, 9)
 
     def test_first_positions_differ_only_by_poll_mechanism(self):
         inputs = make_inputs()
@@ -188,17 +187,24 @@ class TestPerStationDelay:
             assert len(set(positional)) == len(positional)
 
     def test_degenerate_full_grants_collapse_to_reference(self):
-        inputs = make_inputs(payload=REF)
-        assert position_delays("atxop", inputs) == position_delays("hcca", inputs)
+        # full grants leave no tail, and interval 0 holds no report to size by
+        for inputs in (make_inputs(m=3, payload=REF), make_inputs(m=1)):
+            hcca, atxop, amtxop = (position_delays(s, inputs) for s in SCHEDULERS)
+            assert atxop == hcca
+            poll, sifs = inputs.price.poll, inputs.price.sifs
+            for hc_row, am_row in zip(hcca, amtxop):
+                assert am_row == tuple(hc + inputs.t_mpoll - i * poll - sifs
+                                       for i, hc in enumerate(hc_row, start=1))
 
 
 class TestAggregate:
     def test_identical_intervals_average_to_single(self):
-        one = make_inputs(m=1)
+        # every interval after interval 0 holds a report, so intervals 1..4 are alike
+        two = make_inputs(m=2)
         many = make_inputs(m=5)
         for s in SCHEDULERS:
-            single = sum(position_delays(s, one)[0])
-            assert aggregate_delay(s, many) == single
+            first, later = map(sum, position_delays(s, two))
+            assert aggregate_delay(s, many) == (first + 4 * later) / 5
 
     def test_alt_reading_offset(self):
         inputs = make_inputs()
@@ -318,7 +324,7 @@ class TestInputBuilder:
                 assert row == tuple(_d_si_reference(s, i, inputs, k) for i in range(1, n + 1))
 
 
-def _identity_misses(result, inputs, control_rate, rate):
+def _identity_misses(result, inputs, rate):
     """Measured frames of a model-comparison run whose simulated delay is
     not the model's delay plus the two header terms the model leaves out,
     to the tick, and the count of measured frames.
@@ -327,23 +333,13 @@ def _identity_misses(result, inputs, control_rate, rate):
     position i is AID i+1, and SI = frame interval, so interval k holds one
     frame per station, generated at the interval start. The model omits
     c1, a data frame's PLCP and MAC header, once per predecessor, and
-    c0 = c1 + prop - SIFS around the own burst. In interval 0 no report is
-    held yet, so every grant is mean-sized and nothing is reclaimed: the
-    adaptive schedulers grant as hcca does, and under amtxop a broadcast
-    poll replaces each slot's own poll."""
+    c0 = c1 + prop - SIFS around the own burst."""
     scheduler, profile, K = result.scenario.scheduler, result.scenario.profile, result.K
     c1 = airtime_data(0, profile, rate)
     c0 = c1 + profile.prop_delay_us - profile.sifs_us
     # the model's delays as integers over den, and c0 + i*c1 in ticks over den
     rows, den = _walk(scheduler, inputs)
     offsets = [_int(K * (c0 + i * c1) * den) for i in range(inputs.n_stations)]
-    if scheduler != "hcca":
-        row = position_delays("hcca", replace(inputs, payload=inputs.payload[:1]))[0]
-        if scheduler == "amtxop":
-            t_poll = airtime_control(profile, control_rate)
-            t_mpoll = airtime_multipoll(inputs.n_stations, profile, control_rate)
-            row = [d + t_mpoll - (i + 1) * t_poll - profile.sifs_us for i, d in enumerate(row)]
-        rows[0] = [_int(d * den) for d in row]
     si_t = _int(K * US_PER_S * result.si_s)
     misses = frames = 0
     for aid, _seq, _size, gen, rx in entries(result.deliveries):
@@ -374,7 +370,7 @@ class TestModelPinnedToEngine:
                                          PROFILE_11G, control_rate=1_000_000, m_intervals=750)
                 for scheduler in SCHEDULERS:
                     result = lab.validation_run(trace_name, scheduler, n)
-                    got = _identity_misses(result, inputs, 1_000_000, tspec.min_phy_rate_bps)
+                    got = _identity_misses(result, inputs, tspec.min_phy_rate_bps)
                     assert got == (0, 750 * n), (trace_name, scheduler, n)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -395,7 +391,7 @@ class TestModelPinnedToEngine:
         assert result.n_admitted == admitted
         inputs = analytic_inputs(trace, admitted, tspec, Fraction(1, 25), PROFILE_11B,
                                  control_rate=2_000_000, m_intervals=250)
-        assert _identity_misses(result, inputs, 2_000_000, tspec.min_phy_rate_bps) == (0, 250 * admitted)
+        assert _identity_misses(result, inputs, tspec.min_phy_rate_bps) == (0, 250 * admitted)
 
     @given(
         profile_rates=st.sampled_from([
@@ -438,4 +434,4 @@ class TestModelPinnedToEngine:
             k = result.n_admitted
             inputs = analytic_inputs(trace, k, tspec, result.si_s, profile,
                                      control_rate=control_rate, m_intervals=m)
-            assert _identity_misses(result, inputs, control_rate, rate) == (0, m * k), scheduler
+            assert _identity_misses(result, inputs, rate) == (0, m * k), scheduler
