@@ -109,8 +109,9 @@ def main():
     parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write or update")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if args.pairs < 2:
+        # quartiles need two runs a side
+        parser.error("--pairs must be >= 2")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: (m["unit"], m["better"]) for m in declared["end_to_end"]}

@@ -5,7 +5,12 @@ PHY, run timing, and the sweep axes. load_config expands the sweep into
 scenarios (cartesian product: profile, scheduler, stations, loss rate,
 speed); run_experiment and validate_analytic run them, emit one row per
 run and write the rows to the config's output.csv when it names one. Rows
-carry the per-run seed so any line can be reproduced in isolation."""
+carry the per-run seed so any line can be reproduced in isolation.
+
+A config is UTF-8 text, read with libyaml when PyYAML has it. A derived
+TSPEC (`tspec.derive: true`) is read off the trace by
+`traces.derive_tspec`: two means and the largest frame, not the full
+`trace_stats`."""
 
 import csv
 import itertools
@@ -22,8 +27,8 @@ from .errors import ConfigError
 from .hcca import SCHEDULERS, compute_si
 from .metrics import utilization_improvement
 from .phy import PROFILES, airtime_control, airtime_multipoll
-from .traces import Tspec, derive_tspec, load_trace, trace_stats
-from .util import exact
+from .traces import Tspec, derive_tspec, load_trace
+from .util import exact, read_text
 
 CSV_COLUMNS = (
     "scheduler",
@@ -38,6 +43,11 @@ CSV_COLUMNS = (
     "util_improvement",
     "seed",
 )
+
+# libyaml's parser when PyYAML is built with it, else PyYAML's own; both
+# build the document with the same Python resolver and constructor, so a
+# config reads the same, and fails at the same line, under either
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _SECTION_KEYS = {
     None: {"name", "scheduler", "phy", "traffic", "tspec", "run", "sweep", "mobility", "output"},
@@ -130,13 +140,13 @@ def load_config(path) -> ExperimentConfig:
     product of profile, scheduler, stations, loss rate and speed, in that
     order, and scenario i runs with seed run.seed + i, so any row can be
     reproduced in isolation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            at = f" at line {mark.line + 1}" if mark else ""
-            raise ConfigError(f"{path}: not valid YAML{at}") from None
+    text = read_text(path, "UTF-8")
+    try:
+        doc = yaml.load(text, _YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}" if mark else ""
+        raise ConfigError(f"{path}: not valid YAML{at}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     _check_keys(None, doc)
@@ -215,8 +225,7 @@ def _build_tspec(section, trace) -> Tspec:
                 f"tspec.derive conflicts with explicit keys: {sorted(explicit)}"
             )
         return derive_tspec(
-            trace_stats(trace),
-            max(trace.sizes),
+            trace,
             delay_bound_s=delay_bound_s,
             min_rate_bps=min_rate_bps,
             msi_s=msi_s,

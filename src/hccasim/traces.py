@@ -22,21 +22,26 @@ the next-frame lookahead that stations piggyback both follow that order.
 
 A parsed trace holds integers: sizes in bytes and display times over one
 common denominator of a millisecond. The statistics are computed from
-integer sums and return exact `Fraction`s.
+integer sums and return exact `Fraction`s. `derive_tspec` takes a
+contract's mean MSDU size and mean rate from the same two means as
+`trace_stats`, and its maximum MSDU size from the largest frame, without
+the rest of the statistics.
 
 The parser and `Tspec` check a trace and a contract where they enter and
 raise `ConfigError`, naming the line of a bad frame; no display time is
 negative, as no frame is generated before its stream starts.
 """
 
+import itertools
 import math
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .util import exact_fields
+from .util import exact_fields, read_text
 
 FRAME_TYPES = ("I", "P", "B")
 
@@ -209,22 +214,24 @@ def parse_trace(text: str) -> VideoTrace:
     return _in_generation_order(*(_read_plain(text) or _read_lines(text)))
 
 
-def _read_ascii(path) -> str:
-    # its own function, so that the file's bytes are freed before the
-    # parse, which can then reuse their memory
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not ASCII"
-        ) from None
-
-
 def load_trace(path) -> VideoTrace:
     """Parse the trace file at path, which must be ASCII."""
-    return parse_trace(_read_ascii(path))
+    return parse_trace(read_text(path, "ASCII"))
+
+
+def _means(trace: VideoTrace, window_s: Fraction = Fraction(1)):
+    """(mean frame size [bytes], mean bit rate [bit/s]) of a trace: its
+    bytes over its frames, and its bits over its display span plus one
+    frame interval; a single-frame trace spans exactly one window_s."""
+    sizes = trace.sizes
+    total = sum(sizes)
+    if len(sizes) == 1:
+        rate = Fraction(total * 8) / window_s
+    else:
+        display = trace.display
+        span_ms = Fraction(display[-1] - display[0], trace.display_den) + trace.frame_interval_ms
+        rate = Fraction(total * 8000) / span_ms
+    return Fraction(total, len(sizes)), rate
 
 
 def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceStats:
@@ -236,28 +243,29 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     """
     sizes = trace.sizes
     n = len(sizes)
-    total = sum(sizes)
-    mean_size = Fraction(total, n)
-    # population variance (n*sum(s^2) - sum(s)^2) / n^2, from integer sums
-    var = Fraction(n * sum(s * s for s in sizes) - total * total, n * n)
+    mean_size, mean_rate = _means(trace, window_s)
+    # population variance sum(s^2) / n - mean^2, from an integer sum
+    var = Fraction(sum(map(operator.mul, sizes, sizes)), n) - mean_size * mean_size
     cov = math.sqrt(float(var)) / float(mean_size)
 
     if n == 1:
-        mean_rate = peak_rate = Fraction(total * 8) / window_s
+        peak_rate = mean_rate
     else:
         display, den = trace.display, trace.display_den
         t0 = display[0]
-        span_ms = Fraction(display[-1] - t0, den) + trace.frame_interval_ms
-        mean_rate = Fraction(total * 8000) / span_ms
-        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k
+        # window k holds the display times d with floor((d - t0) / den / (1000 window_s)) = k,
+        # that is (d - t0) wden < (k + 1) num: the d below t0 + ceil((k + 1) num / wden)
         num, wden = window_s.numerator * 1000 * den, window_s.denominator
-        buckets = {}
-        for t, size in zip(display, sizes):
-            k = (t - t0) * wden // num
-            buckets[k] = buckets.get(k, 0) + size
+        before = [0, *itertools.accumulate(sizes)]   # before[i]: bytes of frames 0 .. i-1
+        peak = lo = 0
+        while lo < n:
+            k = (display[lo] - t0) * wden // num
+            hi = bisect_left(display, t0 + -(-(k + 1) * num // wden), lo)
+            peak = max(peak, before[hi] - before[lo])
+            lo = hi
         # traces shorter than one window would otherwise dilute the peak
         # below the mean; floor it so peak_to_mean stays well defined
-        peak_rate = max(Fraction(max(buckets.values()) * 8) / window_s, mean_rate)
+        peak_rate = max(Fraction(peak * 8) / window_s, mean_rate)
     return TraceStats(
         mean_size=mean_size,
         cov=cov,
@@ -267,20 +275,17 @@ def trace_stats(trace: VideoTrace, window_s: Fraction = Fraction(1)) -> TraceSta
     )
 
 
-def derive_tspec(
-    stats: TraceStats,
-    max_size: int,
-    delay_bound_s,
-    min_rate_bps: int,
-    msi_s,
-) -> Tspec:
-    """Build a traffic contract from measured statistics plus caller limits.
-    The mean MSDU size is the mean frame size rounded up, so at SI = frame
+def derive_tspec(trace: VideoTrace, delay_bound_s, min_rate_bps: int, msi_s) -> Tspec:
+    """Build a traffic contract from a trace plus caller limits: the mean
+    and maximum MSDU sizes and the mean rate are the trace's mean frame
+    size, largest frame and mean bit rate, as trace_stats reads them. The
+    mean MSDU size is the mean frame size rounded up, so at SI = frame
     interval the contract counts one MSDU per SI, as many as arrive."""
+    mean_size, mean_rate = _means(trace)
     return Tspec(
-        mean_msdu_bytes=math.ceil(stats.mean_size),
-        max_msdu_bytes=max_size,
-        mean_rate_bps=stats.mean_bitrate,
+        mean_msdu_bytes=math.ceil(mean_size),
+        max_msdu_bytes=max(trace.sizes),
+        mean_rate_bps=mean_rate,
         delay_bound_s=delay_bound_s,
         min_phy_rate_bps=min_rate_bps,
         msi_s=msi_s,

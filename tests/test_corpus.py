@@ -75,10 +75,8 @@ def test_cov_bands(corpus):
 def test_tspec_derivation_round_numbers(corpus):
     name, trace = corpus
     mean, biggest, _, _ = TARGETS[name]
-    sizes = trace.sizes
     tspec = derive_tspec(
-        trace_stats(trace),
-        max(sizes),
+        trace,
         delay_bound_s=Fraction("0.08"),
         min_rate_bps=36_000_000,
         msi_s=Fraction("0.04"),

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 from hccasim import analytic, experiment
 from hccasim.cli import main
@@ -75,13 +76,26 @@ def jp1_low_head(tmp_path_factory):
     JP1_LOW_HEAD.write_text("".join(JP1_LOW.read_text().splitlines(keepends=True)[:27]))
 
 
+def parsed(text, loader):
+    """text's YAML document under loader; for text that is not valid YAML,
+    the error's type and the line it names (None when it names none)."""
+    try:
+        return yaml.load(text, loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        return type(exc), mark and mark.line
+
+
 def write_config(tmp_path, extra="", body=None):
     """The config body (MINI by default) in tmp_path. A body that derives its
     TSPEC, as VALIDATE does, reads the shipped jp1_low, since the contract is
-    derived from every frame; the others read jp1_low's first second."""
+    derived from every frame; the others read jp1_low's first second. Every
+    config written here reads the same under PyYAML's own loader as under
+    the one load_config uses."""
     body = body or MINI
     trace = JP1_LOW if "derive: true" in body else JP1_LOW_HEAD
     text = body.format(trace=trace, extra=extra)
+    assert parsed(text, yaml.SafeLoader) == parsed(text, experiment._YAML_LOADER)
     path = tmp_path / "config.yaml"
     path.write_text(text)
     return path
@@ -408,6 +422,38 @@ def test_one_run_held_at_a_time(tmp_path, monkeypatch, sweep, body):
     assert len(sweep(cfg)) == len(cfg.scenarios) == len(previous)
 
 
+class TestYamlLoaders:
+    """load_config reads YAML with libyaml when PyYAML has it, else with
+    PyYAML's own loader; a config reads the same under either."""
+
+    @pytest.mark.parametrize("preset", sorted(p.name for p in (ROOT / "presets").glob("*.yaml")))
+    def test_presets_read_the_same(self, preset):
+        text = (ROOT / "presets" / preset).read_text(encoding="utf-8")
+        assert parsed(text, yaml.SafeLoader) == parsed(text, experiment._YAML_LOADER)
+
+    @pytest.mark.parametrize("body, extra", [(MINI, mobility("[1, 5]")), (VALIDATE, "")],
+                             ids=["mini-mobility", "validate"])
+    def test_fallback_builds_the_same_experiment(self, tmp_path, monkeypatch, body, extra):
+        path = write_config(tmp_path, extra=extra, body=body)
+        config = load_config(path)
+        monkeypatch.setattr(experiment, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(path) == config
+
+    @pytest.mark.parametrize("old, new, at", [
+        ("[hcca, atxop]", "[hcca, atxop", " at line 3"),
+        ("  control_rate: 2000000", "   control_rate: 2000000", " at line 5"),
+        ("seed: 40", "seed: 'x", " at line 20"),
+        ("name: mini", "name: mini\x07", ""),
+    ], ids=["unclosed-flow", "indentation", "unclosed-quote", "control-character"])
+    def test_malformed_yaml_is_the_same_error_under_both(self, tmp_path, capsys, monkeypatch,
+                                                         old, new, at):
+        path = write_config(tmp_path, body=MINI.replace(old, new))
+        for loader in (experiment._YAML_LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(experiment, "_YAML_LOADER", loader)
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: not valid YAML{at}\n"
+
+
 class TestCli:
     def test_stats_exit_zero(self, capsys):
         assert main(["stats", str(JP1_LOW)]) == 0
@@ -546,6 +592,14 @@ class TestCli:
             argv = ["run", str(write_config(tmp_path, body=MINI.replace("{trace}", str(trace))))]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {trace}: byte 0xc3 at offset 5 is not ASCII\n"
+
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        data = MINI.format(trace="caf\xe9.txt", extra="").encode("latin-1")
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == 2
+        offset = data.index(b"\xe9")
+        assert capsys.readouterr().err == f"error: {path}: byte 0xe9 at offset {offset} is not UTF-8\n"
 
     def test_run_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, extra="output:\n  csvv: x")

@@ -143,3 +143,21 @@ class TestBenchPairs:
         assert exc.value.code == 1
         assert capsys.readouterr().err == "pair 1 parent: perfbench exited 2: unknown workload W\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+    def test_fewer_than_two_pairs_rejected_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                           pairs):
+        """Quartiles need two runs a side: fewer pairs exit 2 with one usage
+        error, before any commit is unpacked or run."""
+        script = load_script("bench_pairs")
+        monkeypatch.setattr(script, "unpack", None)   # no commit may be unpacked
+        monkeypatch.setattr(script, "bench", None)
+        out = tmp_path / "BENCH_0.json"
+        monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "p", "--change", "c",
+                                          "--workload", "W", "--pairs", pairs, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["bench_pairs.py: error: --pairs must be >= 2"]
+        assert not out.exists()

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hccasim import traces
 from hccasim.analytic import analytic_inputs
@@ -145,8 +145,9 @@ def test_stats_invariants_hold(sizes):
 
 
 def test_derive_tspec_carries_stats():
-    s = trace_stats(two_frame_trace())
-    ts = derive_tspec(s, max_size=300, delay_bound_s=Fraction("0.08"), min_rate_bps=11_000_000,
+    trace = two_frame_trace()
+    s = trace_stats(trace)
+    ts = derive_tspec(trace, delay_bound_s=Fraction("0.08"), min_rate_bps=11_000_000,
                       msi_s=Fraction("0.04"))
     assert ts.mean_msdu_bytes == 200
     assert ts.max_msdu_bytes == 300
@@ -161,9 +162,9 @@ def test_derive_tspec_carries_stats():
     ((1, 1, 2), Fraction(4, 3), 2),
 ])
 def test_derive_tspec_takes_the_ceiling_of_a_fractional_mean(sizes, exact_mean, mean):
-    s = trace_stats(two_frame_trace(sizes))
-    assert s.mean_size == exact_mean
-    ts = derive_tspec(s, max_size=max(sizes), delay_bound_s=Fraction("0.08"),
+    trace = two_frame_trace(sizes)
+    assert trace_stats(trace).mean_size == exact_mean
+    ts = derive_tspec(trace, delay_bound_s=Fraction("0.08"),
                       min_rate_bps=11_000_000, msi_s=Fraction("0.04"))
     assert ts.mean_msdu_bytes == mean
 
@@ -177,15 +178,13 @@ def test_derived_contract_counts_one_msdu_per_frame_interval(sizes, interval_ms)
     contract never counts more."""
     trace = parse_trace("\n".join(f"{i} P {interval_ms * i} {s}" for i, s in enumerate(sizes)))
     si = Fraction(interval_ms, 1000)
-    ts = derive_tspec(trace_stats(trace), max(sizes), delay_bound_s=Fraction(1),
-                      min_rate_bps=11_000_000, msi_s=si)
+    ts = derive_tspec(trace, delay_bound_s=Fraction(1), min_rate_bps=11_000_000, msi_s=si)
     assert msdu_count(si, ts.mean_rate_bps, ts.mean_msdu_bytes) == 1
 
 
 def test_derive_tspec_rejects_msi_above_delay_bound():
-    s = trace_stats(two_frame_trace())
     with pytest.raises(ConfigError):
-        derive_tspec(s, max_size=300, delay_bound_s=Fraction("0.04"), min_rate_bps=11_000_000,
+        derive_tspec(two_frame_trace(), delay_bound_s=Fraction("0.04"), min_rate_bps=11_000_000,
                      msi_s=Fraction("0.08"))
 
 
@@ -272,6 +271,33 @@ def test_decimal_display_times_match_fraction_oracle(trace, window_s, si, m_inte
     assert inputs_us(inputs)[1] == tuple(
         (Fraction(b * 8 * US_PER_S, rate),) for b in oracle_bins(times, sizes, si, m_intervals)
     )
+
+
+@given(
+    trace=decimal_traces(),
+    window_s=st.sampled_from([Fraction(1, 3), Fraction(1, 7), Fraction(7, 3000)]),
+)
+@example(trace=("0 I 0 1\n1 P 333 1000\n2 B 340 1", [0, 333, 340], [1, 1000, 1]),
+         window_s=Fraction(1, 3))
+def test_windows_of_no_whole_display_tick_match_fraction_oracle(trace, window_s):
+    """A window whose length is not a whole number of display ticks ends
+    between two ticks: at 1/3 s the frame at 333 ms is still in window 0."""
+    text, times, sizes = trace
+    assert trace_stats(parse_trace(text), window_s) == oracle_stats(times, sizes, window_s)
+
+
+@given(trace=decimal_traces())
+@example(trace=("0 I 12.5 700", [Fraction(25, 2)], [700]))
+def test_derived_contract_reads_the_trace_stats(trace):
+    """derive_tspec reads the mean size and the mean rate that trace_stats
+    reports, and the largest frame."""
+    t = parse_trace(trace[0])
+    stats = trace_stats(t)
+    ts = derive_tspec(t, delay_bound_s=Fraction("0.08"), min_rate_bps=11_000_000,
+                      msi_s=Fraction("0.04"))
+    assert ts.mean_msdu_bytes == math.ceil(stats.mean_size)
+    assert ts.mean_rate_bps == stats.mean_bitrate
+    assert ts.max_msdu_bytes == max(t.sizes)
 
 
 def test_whole_decimal_display_times_stay_integers():
